@@ -19,8 +19,6 @@ from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
     IntersectionTable,
-    degree,
-    exp_divisor,
     intersection_table,
     is_ample,
     pair,
@@ -76,24 +74,36 @@ def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> Brac
 def chern_character(
     x: DeltaFamily | CharFunction, fan: Fan, table: IntersectionTable | None = None
 ) -> ChowClassSurface:
-    """Chern character truncated to Chow degree 2 (surfaces)."""
+    """Chern character truncated to Chow degree 2 (surfaces).
+
+    A lattice point lam of a cone contributes sign * mult * exp(D) with
+    D = -sum_j lam_j V(rho_j) over the cone's rays, so the rank, divisor and
+    doubled point parts are integer sums over the bracket entries."""
     if fan.rank != 2:
         raise ValueError("Chern character truncation implemented for surfaces only")
     table = table or intersection_table(fan)
     chi = as_char(x)
     n = fan.n_rays()
-    acc = ChowClassSurface.zero(n)
+    r0 = 0
+    d = [0] * n
+    p2 = 0  # twice the point part: sum of sign * mult * D.D
     for cone in fan.cones():
-        codim = fan.rank - len(cone)
-        sign = (-1) ** codim
-        sl = bracket_dims(chi, cone, fan)
-        for lam, mult in sl.entries:
-            dvec = [Fraction(0)] * n
+        sign = (-1) ** (fan.rank - len(cone))
+        pairs = [(a, b, _integral(table.matrix[i][j]))
+                 for a, i in enumerate(cone) for b, j in enumerate(cone)]
+        for lam, mult in bracket_dims(chi, cone, fan).entries:
+            w = sign * mult
+            r0 += w
             for j, l in zip(cone, lam):
-                dvec[j] = Fraction(-l)
-            term = exp_divisor(tuple(dvec), table).scale(sign * mult)
-            acc = acc.add(term)
-    return acc
+                d[j] -= w * l
+            p2 += w * sum(lam[a] * lam[b] * m for a, b, m in pairs)
+    return ChowClassSurface(Fraction(r0), tuple(Fraction(c) for c in d), Fraction(p2, 2))
+
+
+def _integral(x: Fraction) -> int:
+    if x.denominator != 1:
+        raise ValueError("intersection table entry is not an integer")
+    return x.numerator
 
 
 def c1_fast(x: DeltaFamily | CharFunction, fan: Fan) -> tuple[Fraction, ...]:

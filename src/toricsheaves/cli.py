@@ -110,7 +110,9 @@ def _load_divisor(path: str, fan: Fan):
             f"{path}: divisor must be a JSON array with one integer per ray "
             f"({fan.n_rays()} expected)"
         )
-    return [int(x) for x in doc]
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in doc):
+        raise InputError(f"{path}: divisor entries must be JSON integers")
+    return doc
 
 
 def _load_ample(path: str, fan: Fan):

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fan import APEX, ConeRef, Fan
-from .subspace import SubspaceQ
+from .subspace import SubspaceQ, rref
 
 # ---------------------------------------------------------------------------
 # box helpers
@@ -632,28 +633,6 @@ def characteristic_function(fam: DeltaFamily) -> CharFunction:
     return CharFunction(fam.rank, tuple((i, grid.dims()) for i, grid in fam.corners))
 
 
-def _integer_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...]:
-    """Solve rows * u = rhs for a unimodular integer matrix."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for r in range(n):
-        x = aug[r][n]
-        if x.denominator != 1:
-            raise ValueError("non-integral solution; cone is not unimodular")
-        out.append(int(x))
-    return tuple(out)
-
-
 def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
     """Normalize by the unique trivial-class line-bundle twist that makes the
     maximal lower bounds on the designated cone all zero.
@@ -680,8 +659,12 @@ def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
     for k in range(grid.ndim()):
         vals = [lam[k] for lam in grid.nonzero_points()]
         bounds.append(min(vals))
-    rays = [fan.rays[j] for j in grid.cone]
-    u = _integer_solve(rays, bounds)
+    # rays * u = bounds for the unimodular cone: RREF of the augmented matrix
+    solved = rref([[Fraction(x) for x in fan.rays[j]] + [Fraction(b)]
+                   for j, b in zip(grid.cone, bounds)])
+    if any(row[-1].denominator != 1 for row in solved):
+        raise ValueError("non-integral solution; cone is not unimodular")
+    u = [int(row[-1]) for row in solved]
     kvec = tuple(
         sum(ui * nj for ui, nj in zip(u, fan.rays[j])) for j in range(fan.n_rays())
     )
@@ -734,6 +717,17 @@ def family_to_json(fam: DeltaFamily) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # p or p/q with q > 0
+
+
+def _rational(x) -> Fraction:
+    """A basis entry: an int (not a bool), or a string p or p/q with q > 0."""
+    is_int = isinstance(x, int) and not isinstance(x, bool)
+    if is_int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        return Fraction(x)
+    raise ValueError(f"basis entry {x!r} is not an integer or a rational string p/q with q > 0")
+
+
 def family_from_json(text: str) -> DeltaFamily:
     try:
         doc = json.loads(text)
@@ -754,7 +748,7 @@ def family_from_json(text: str) -> DeltaFamily:
         explicit: dict[tuple[int, ...], SubspaceQ] = {}
         for j in entry["jumps"]:
             at = tuple(int(x) for x in j["at"])
-            rows = [[Fraction(s) for s in row] for row in j["basis"]]
+            rows = [[_rational(x) for x in row] for row in j["basis"]]
             explicit[at] = SubspaceQ.span(rows, m)
         vals = []
         for lam in box_points(lo, hi):

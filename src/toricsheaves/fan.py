@@ -87,9 +87,6 @@ class Fan:
         s = set(ref)
         return any(s <= set(mc) for mc in self.max_cones)
 
-    def cone_rays(self, ref: ConeRef) -> list[tuple[int, ...]]:
-        return [self.rays[i] for i in ref]
-
 
 def validate_fan(fan: Fan) -> list[str]:
     """Check the smooth-complete-fan invariants; empty report means valid."""

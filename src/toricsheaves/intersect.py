@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fan import Fan, validate_fan
-from .polynomials import RatPoly
 from .subspace import SubspaceQ
 
 Divisor = tuple[Fraction, ...]
@@ -76,6 +75,16 @@ def pair(a: Sequence, b: Sequence, table: IntersectionTable) -> Fraction:
             if bj != 0:
                 total += Fraction(ai) * Fraction(bj) * table.matrix[i][j]
     return total
+
+
+def ray_degrees(d: Sequence, table: IntersectionTable) -> tuple[Fraction, ...]:
+    """D.V(rho_j) for every ray j: one row of the intersection matrix
+    combination, equal to pair(d, e_j, table)."""
+    n = len(table.matrix)
+    if len(d) != n:
+        raise ValueError("divisor length does not match the fan")
+    terms = [(Fraction(a), row) for a, row in zip(d, table.matrix) if a != 0]
+    return tuple(sum((a * row[j] for a, row in terms), Fraction(0)) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -155,18 +164,12 @@ def is_nef(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> boo
     """Nef iff the support function is convex across every wall, i.e. the
     divisor meets every invariant curve nonnegatively."""
     table = table or intersection_table(fan)
-    n = fan.n_rays()
-    dd = divisor(d, fan)
-    basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    return all(pair(dd, basis[i], table) >= 0 for i in range(n))
+    return all(x >= 0 for x in ray_degrees(divisor(d, fan), table))
 
 
 def is_ample(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> bool:
     table = table or intersection_table(fan)
-    n = fan.n_rays()
-    dd = divisor(d, fan)
-    basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    return all(pair(dd, basis[i], table) > 0 for i in range(n))
+    return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
 
 
 def find_ample(fan: Fan, bound: int = 4) -> Divisor:
@@ -242,11 +245,3 @@ def chi_line_bundle(coeffs: Sequence, fan: Fan) -> Fraction:
     todd, _ = todd_and_canonical(fan)
     return degree(exp_divisor(d, table).mul(todd, table))
 
-
-def structure_sheaf_hilbert(fan: Fan, ample: Sequence) -> RatPoly:
-    """Hilbert polynomial of O_X for the given ample divisor."""
-    table = intersection_table(fan)
-    h = divisor(ample, fan)
-    todd, _ = todd_and_canonical(fan)
-    half = todd.d
-    return RatPoly.of([Fraction(1), pair(h, half, table), pair(h, h, table) / 2])

@@ -31,7 +31,7 @@ from .family import (
     validate_torsion_free,
 )
 from .fan import Fan, euler_characteristic, validate_fan
-from .intersect import divisor, divisor_class_equal, intersection_table, pair
+from .intersect import divisor, divisor_class_equal, intersection_table, ray_degrees
 from .stability import SEMISTABLE, STABLE, UNSTABLE
 from .subspace import SubspaceQ
 
@@ -416,8 +416,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound, ample=None) -> list[ChiRec
     ample = ample if ample is not None else find_ample(fan)
     records: dict[str, ChiRecord] = {}
     c1_div = divisor(c1, fan)
-    unit = lambda j: [1 if i == j else 0 for i in range(n)]
-    deg = [pair(divisor(ample, fan), divisor(unit(j), fan), table) for j in range(n)]
+    deg = ray_degrees(divisor(ample, fan), table)
     for a_vec in itertools.product(window, repeat=n):
         for gaps in itertools.product(gap_window, repeat=n):
             cand = [-(2 * a_vec[j] + gaps[j]) for j in range(n)]

@@ -29,10 +29,6 @@ class RatPoly:
     def zero() -> "RatPoly":
         return RatPoly(())
 
-    @staticmethod
-    def const(c) -> "RatPoly":
-        return RatPoly.of([c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial

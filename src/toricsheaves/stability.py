@@ -39,7 +39,7 @@ from .family import (
     restrict_to_face,
 )
 from .fan import ConeRef, Fan
-from .intersect import IntersectionTable, divisor, intersection_table, is_ample, pair
+from .intersect import IntersectionTable, divisor, intersection_table, is_ample, pair, ray_degrees
 from .polynomials import RatPoly, compare_for_large_t
 from .subspace import SubspaceQ
 
@@ -171,9 +171,7 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
         raise ValueError("polarization is not ample")
     m = fam.rank
     flags = extract_flag_data(fam, fan)
-    n = fan.n_rays()
-    unit = lambda j: tuple(Fraction(1 if i == j else 0) for i in range(n))
-    deg = [pair(h, unit(j), table) for j in range(n)]
+    deg = ray_degrees(h, table)
     total = sum(
         rf.gaps[k] * deg[rf.ray] * (k + 1)
         for rf in flags.rays
@@ -289,9 +287,7 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence,
     if not is_ample(h, fan, table):
         raise ValueError("polarization is not ample")
     m = fam.rank
-    n = fan.n_rays()
-    unit = lambda j: tuple(Fraction(1 if i == j else 0) for i in range(n))
-    deg = [pair(h, unit(j), table) for j in range(n)]
+    deg = ray_degrees(h, table)
     flags = extract_flag_data(fam, fan)
     flag_entries: list[tuple[WeightKey, int]] = []
     for rf in flags.rays:
@@ -429,9 +425,6 @@ class XiWeights:
     ambient: int
     entries: tuple[tuple[WeightKey, RatPoly], ...]
 
-    def entry_map(self) -> dict[WeightKey, RatPoly]:
-        return dict(self.entries)
-
     def at(self, r: int) -> WeightSystem:
         vals = []
         for key, poly in self.entries:
@@ -445,14 +438,15 @@ class XiWeights:
         return all(poly(r) > 0 for _, poly in self.entries)
 
 
-def _phi_poly(fan: Fan, table: IntersectionTable, ample, cone_rays: ConeRef,
+def _phi_poly(fan: Fan, table: IntersectionTable, ample,
               positions: Sequence[int], mc: ConeRef) -> LamPoly:
     """The Riemann-Roch value deg{exp(-sum lam_u V_u + tH) td}_2 as a
     polynomial in the face coordinates, signed by codimension."""
     n = fan.n_rays()
-    unit = lambda j: tuple(Fraction(1 if i == j else 0) for i in range(n))
     h = tuple(Fraction(c) for c in ample)
     ones = tuple(Fraction(1) for _ in range(n))
+    deg_ones = ray_degrees(ones, table)
+    deg_h = ray_degrees(h, table)
     sign = (-1) ** (fan.rank - len(positions))
     nv = len(positions)
     terms: dict[tuple[int, ...], RatPoly] = {}
@@ -462,12 +456,12 @@ def _phi_poly(fan: Fan, table: IntersectionTable, ample, cone_rays: ConeRef,
     rays = [mc[p] for p in positions]
     for u, j in enumerate(rays):
         e = tuple(1 if k == u else 0 for k in range(nv))
-        terms[e] = RatPoly.of([-pair(unit(j), ones, table) / 2, -pair(unit(j), h, table)])
+        terms[e] = RatPoly.of([-deg_ones[j] / 2, -deg_h[j]])
     for u in range(nv):
         for v in range(u, nv):
             e = tuple((2 if k == u else 0) if u == v else (1 if k in (u, v) else 0)
                       for k in range(nv))
-            coeff = pair(unit(rays[u]), unit(rays[v]), table)
+            coeff = table.matrix[rays[u]][rays[v]]
             if u == v:
                 coeff /= 2
             terms[e] = terms.get(e, RatPoly.zero()) + RatPoly.of([coeff])
@@ -502,7 +496,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
         mc = fan.max_cones[ambient_i]
         grid = gmap[ambient_i]
         positions = [mc.index(j) for j in nu]
-        phi = _phi_poly(fan, table, ample, nu, positions, mc)
+        phi = _phi_poly(fan, table, ample, positions, mc)
         cut = [grid.hi[p] + 1 for p in positions]
         low = [grid.lo[p] for p in positions]
         nv = len(positions)

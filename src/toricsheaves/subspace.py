@@ -3,6 +3,14 @@
 Every subspace is stored as the unique RREF basis of its row space, so two
 equal subspaces compare equal (and hash equal) as plain tuples.  All
 arithmetic is over fractions.Fraction; nothing here ever touches floats.
+
+Invariant: a SubspaceQ is only ever built by ``span``, ``zero`` or ``full``,
+so its rows are already the canonical RREF.  The structural fast paths of
+``intersect``, ``sum`` and ``contains`` rely on it: equal rows mean equal
+subspaces, a subspace of equal dimension is contained only if it is equal,
+and an operand that is zero, full or a line can be answered without a
+fresh elimination.  Every fast path returns exactly what the generic
+elimination (``_zassenhaus``, ``span``) would.
 """
 
 from __future__ import annotations
@@ -94,30 +102,54 @@ class SubspaceQ:
         return all(x == 0 for x in vec)
 
     def contains(self, other: "SubspaceQ") -> bool:
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
+        if other.dim >= self.dim:
+            return other.rows == self.rows
+        if not other.rows or self.dim == self.ambient:
+            return True
         return all(self.contains_vector(r) for r in other.rows)
 
     def sum(self, other: "SubspaceQ") -> "SubspaceQ":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
+        if not other.rows or self.dim == self.ambient or self.rows == other.rows:
+            return self
+        if not self.rows or other.dim == other.ambient:
+            return other
         return SubspaceQ.span(list(self.rows) + list(other.rows), self.ambient)
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
-        """Zassenhaus: RREF of [[A A],[B 0]]; zero-left rows span A cap B."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        n = self.ambient
-        block: list[list[Fraction]] = []
-        for r in self.rows:
-            block.append(list(r) + list(r))
-        zero = [Fraction(0)] * n
-        for r in other.rows:
-            block.append(list(r) + zero)
-        red = rref(block)
-        inter = [row[n:] for row in red if all(x == 0 for x in row[:n])]
-        return SubspaceQ.span(inter, n)
+        if not self.rows or other.dim == other.ambient or self.rows == other.rows:
+            return self
+        if not other.rows or self.dim == self.ambient:
+            return other
+        if self.dim == 1 or other.dim == 1:
+            line, rest = (self, other) if self.dim == 1 else (other, self)
+            # two distinct lines, or a line outside the other operand, meet in 0
+            if rest.dim > 1 and rest.contains_vector(line.rows[0]):
+                return line
+            return SubspaceQ.zero(self.ambient)
+        return _zassenhaus(self, other)
 
     def __repr__(self) -> str:
         return f"SubspaceQ({self.ambient}, dim={self.dim})"
 
     def basis_str(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
+
+
+def _zassenhaus(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
+    """Generic intersection: RREF of [[A A],[B 0]]; zero-left rows span A cap B."""
+    n = a.ambient
+    block: list[list[Fraction]] = []
+    for r in a.rows:
+        block.append(list(r) + list(r))
+    zero = [Fraction(0)] * n
+    for r in b.rows:
+        block.append(list(r) + zero)
+    red = rref(block)
+    inter = [row[n:] for row in red if all(x == 0 for x in row[:n])]
+    return SubspaceQ.span(inter, n)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import rank2_three_lines, structure_sheaf
+import toricsheaves
 from toricsheaves import cli
 from toricsheaves.family import family_to_json
 from toricsheaves.fan import fan_to_json, projective_plane
@@ -36,6 +39,19 @@ def run_cli(args, capsys):
     code = cli.run(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_entry_point(args):
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(toricsheaves.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "toricsheaves.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def test_fan_check_valid(files, capsys):
@@ -214,11 +230,7 @@ def test_deterministic_output(files, capsys):
 
 
 def test_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricsheaves.cli"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_entry_point([])
     # no subcommand is an argparse error: exit code 2
     assert proc.returncode == 2
 
@@ -261,3 +273,40 @@ def test_enumerate_box_too_small_exit_2(files, capsys):
     )
     assert code == 2
     assert "box" in err.lower()
+
+
+def _bad_basis_entry(files, entry):
+    doc = json.loads(Path(files["family"]).read_text())
+    doc["cones"][0]["jumps"][0]["basis"][0][0] = entry
+    path = files["dir"] / "bad_family.json"
+    path.write_text(json.dumps(doc))
+    return ["family-check", "--fan", files["fan"], "--family", str(path)]
+
+
+def _bad_divisor(files, flag, entries):
+    path = files["dir"] / "bad_divisor.json"
+    path.write_text(json.dumps(entries))
+    if flag == "--ample":
+        return ["hilbert", "--fan", files["fan"], "--family", files["o"], "--ample", str(path)]
+    return ["enumerate", "--fan", files["fan"], "--rank", "1", "--c2-max", "1",
+            "--box", "4", "--c1", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        pytest.param(lambda f: _bad_basis_entry(f, "1/0"), id="basis-zero-denominator"),
+        pytest.param(lambda f: _bad_basis_entry(f, 0.5), id="basis-float"),
+        pytest.param(lambda f: _bad_basis_entry(f, "1.5"), id="basis-decimal-string"),
+        pytest.param(lambda f: _bad_basis_entry(f, True), id="basis-bool"),
+        pytest.param(lambda f: _bad_divisor(f, "--ample", [1.7, 0, 0]), id="ample-float"),
+        pytest.param(lambda f: _bad_divisor(f, "--ample", [True, 0, 0]), id="ample-bool"),
+        pytest.param(lambda f: _bad_divisor(f, "--c1", [1.7, 0, 0]), id="c1-float"),
+    ],
+)
+def test_malformed_numbers_exit_2(files, make_args):
+    proc = run_entry_point(make_args(files))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
