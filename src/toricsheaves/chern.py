@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import CharFunction, CornerFamily, DeltaFamily, DimGrid, box_points, characteristic_function
+from .family import CharFunction, DeltaFamily, DimGrid, box_points, characteristic_function
 from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
     IntersectionTable,
+    integer_matrix,
     intersection_table,
     is_ample,
     pair,
@@ -84,13 +85,13 @@ def chern_character(
     table = table or intersection_table(fan)
     chi = as_char(x)
     n = fan.n_rays()
+    mat = integer_matrix(table)
     r0 = 0
     d = [0] * n
     p2 = 0  # twice the point part: sum of sign * mult * D.D
     for cone in fan.cones():
         sign = (-1) ** (fan.rank - len(cone))
-        pairs = [(a, b, _integral(table.matrix[i][j]))
-                 for a, i in enumerate(cone) for b, j in enumerate(cone)]
+        pairs = [(a, b, mat[i][j]) for a, i in enumerate(cone) for b, j in enumerate(cone)]
         for lam, mult in bracket_dims(chi, cone, fan).entries:
             w = sign * mult
             r0 += w
@@ -98,12 +99,6 @@ def chern_character(
                 d[j] -= w * l
             p2 += w * sum(lam[a] * lam[b] * m for a, b, m in pairs)
     return ChowClassSurface(Fraction(r0), tuple(Fraction(c) for c in d), Fraction(p2, 2))
-
-
-def _integral(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError("intersection table entry is not an integer")
-    return x.numerator
 
 
 def c1_fast(x: DeltaFamily | CharFunction, fan: Fan) -> tuple[Fraction, ...]:

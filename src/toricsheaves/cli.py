@@ -20,50 +20,11 @@ from .family import (
     KIND_PURE,
     characteristic_function,
     family_from_json,
-    gauge_fix,
     validate_family,
 )
 from .fan import Fan, fan_from_json, validate_fan
 from .intersect import divisor, intersection_table, is_ample
 from .polynomials import RatPoly
-
-# every public operation is reachable from a subcommand; tests assert this
-OPERATION_COVERAGE = {
-    "validate_fan": "fan-check",
-    "star": "fan-check",
-    "cone_count_identity": "fan-check",
-    "euler_characteristic": "fan-check",
-    "intersection_table": "chern",
-    "pair": "hilbert",
-    "degree": "chern",
-    "todd_and_canonical": "hilbert",
-    "lattice_point_count": "hilbert",
-    "chi_line_bundle": "hilbert",
-    "reflexive_from_filtrations": "family-check",
-    "validate_torsion_free": "family-check",
-    "is_reflexive": "family-check",
-    "detect_support": "family-check",
-    "validate_pure": "family-check",
-    "restrict_to_face": "stability",
-    "tensor_line_bundle": "enumerate",
-    "characteristic_function": "family-check",
-    "gauge_fix": "enumerate",
-    "bracket_dims": "chern",
-    "chern_character": "chern",
-    "c1_fast": "chern",
-    "hilbert_polynomial": "hilbert",
-    "distinguished_subspaces": "stability",
-    "mu_test": "stability",
-    "gieseker_test": "stability",
-    "mu_weights": "weights",
-    "git_test": "stability",
-    "xi_weights": "weights",
-    "choose_r": "weights",
-    "rank1_fixed_point_series": "series",
-    "rank2_p2_series": "series",
-    "enumerate_gauge_fixed_chi": "enumerate",
-    "run": "(entry point)",
-}
 
 
 class InputError(Exception):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fan import APEX, ConeRef, Fan
+from .fan import APEX, ConeRef, Fan, _json_int
 from .subspace import SubspaceQ, rref
 
 # ---------------------------------------------------------------------------
@@ -736,18 +736,19 @@ def family_from_json(text: str) -> DeltaFamily:
     for field in ("kind", "rank", "cones"):
         if field not in doc:
             raise ValueError(f"family file missing field '{field}'")
-    m = int(doc["rank"])
+    m = _json_int(doc["rank"], "family rank")
     corners = []
     for entry in doc["cones"]:
         for field in ("index", "cone", "lo", "hi", "jumps"):
             if field not in entry:
                 raise ValueError(f"family cone entry missing field '{field}'")
-        cone = tuple(int(x) for x in entry["cone"])
-        lo = tuple(int(x) for x in entry["lo"])
-        hi = tuple(int(x) for x in entry["hi"])
+        index = _json_int(entry["index"], "cone index")
+        cone = tuple(_json_int(x, "cone entry") for x in entry["cone"])
+        lo = tuple(_json_int(x, "lo entry") for x in entry["lo"])
+        hi = tuple(_json_int(x, "hi entry") for x in entry["hi"])
         explicit: dict[tuple[int, ...], SubspaceQ] = {}
         for j in entry["jumps"]:
-            at = tuple(int(x) for x in j["at"])
+            at = tuple(_json_int(x, "jump position") for x in j["at"])
             rows = [[_rational(x) for x in row] for row in j["basis"]]
             explicit[at] = SubspaceQ.span(rows, m)
         vals = []
@@ -760,6 +761,8 @@ def family_from_json(text: str) -> DeltaFamily:
                     if all(a <= b for a, b in zip(mu, lam)):
                         rec = rec.sum(v)
                 vals.append(rec)
-        corners.append((int(entry["index"]), CornerFamily(cone, lo, hi, tuple(vals), m)))
-    support = tuple(tuple(int(x) for x in t) for t in doc.get("support", [[]]))
+        corners.append((index, CornerFamily(cone, lo, hi, tuple(vals), m)))
+    support = tuple(
+        tuple(_json_int(x, "support entry") for x in t) for t in doc.get("support", [[]])
+    )
     return DeltaFamily(str(doc["kind"]), m, tuple(corners), support)

@@ -257,6 +257,14 @@ def fan_to_json(fan: Fan) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_int(x, what: str) -> int:
+    """An integer field of an input file: a JSON integer, not a float, a
+    string or a boolean."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} {x!r} is not a JSON integer")
+
+
 def fan_from_json(text: str) -> Fan:
     try:
         doc = json.loads(text)
@@ -265,4 +273,8 @@ def fan_from_json(text: str) -> Fan:
     for field in ("rank", "rays", "max_cones"):
         if field not in doc:
             raise ValueError(f"fan file missing field '{field}'")
-    return Fan.make(doc["rank"], doc["rays"], doc["max_cones"])
+    return Fan.make(
+        _json_int(doc["rank"], "fan rank"),
+        [[_json_int(x, "ray entry") for x in r] for r in doc["rays"]],
+        [[_json_int(i, "maximal cone entry") for i in c] for c in doc["max_cones"]],
+    )

@@ -63,6 +63,14 @@ def intersection_table(fan: Fan) -> IntersectionTable:
     return IntersectionTable(fan, tuple(tuple(row) for row in mat))
 
 
+def integer_matrix(table: IntersectionTable) -> list[list[int]]:
+    """The intersection matrix as ints: on a smooth complete surface every
+    entry is an integer."""
+    if any(x.denominator != 1 for row in table.matrix for x in row):
+        raise ValueError("intersection table entry is not an integer")
+    return [[x.numerator for x in row] for row in table.matrix]
+
+
 def pair(a: Sequence, b: Sequence, table: IntersectionTable) -> Fraction:
     n = len(table.matrix)
     if len(a) != n or len(b) != n:

@@ -8,11 +8,12 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """Drop trailing zeros from a fresh list of Fractions (RatPoly.of is the
+    one place that converts entries)."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,20 @@ from .family import (
     CharFunction,
     DeltaFamily,
     KIND_PURE,
-    box_points,
-    characteristic_function,
     intersect_with_subspace,
     is_reflexive,
     restrict_to_face,
 )
 from .fan import ConeRef, Fan
-from .intersect import IntersectionTable, divisor, intersection_table, is_ample, pair, ray_degrees
+from .intersect import (
+    IntersectionTable,
+    divisor,
+    integer_matrix,
+    intersection_table,
+    is_ample,
+    pair,
+    ray_degrees,
+)
 from .polynomials import RatPoly, compare_for_large_t
 from .subspace import SubspaceQ
 
@@ -364,62 +370,6 @@ def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
 # ---------------------------------------------------------------------------
 # face weight polynomials (Gieseker-matching weights)
 
-class LamPoly:
-    """Polynomial in the box coordinates with RatPoly-in-t coefficients."""
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], RatPoly]):
-        self.nvars = nvars
-        self.terms = {e: p for e, p in terms.items() if not p.is_zero()}
-
-    @staticmethod
-    def zero(nvars: int) -> "LamPoly":
-        return LamPoly(nvars, {})
-
-    def add(self, other: "LamPoly") -> "LamPoly":
-        terms = dict(self.terms)
-        for e, p in other.terms.items():
-            terms[e] = terms.get(e, RatPoly.zero()) + p
-        return LamPoly(self.nvars, terms)
-
-    def shifted(self, u: int) -> "LamPoly":
-        """f(lambda + e_u), by binomial expansion in coordinate u."""
-        from math import comb
-
-        terms: dict[tuple[int, ...], RatPoly] = {}
-        for e, p in self.terms.items():
-            a = e[u]
-            for b in range(a + 1):
-                ne = tuple(b if k == u else x for k, x in enumerate(e))
-                add = p.scale(comb(a, b))
-                terms[ne] = terms.get(ne, RatPoly.zero()) + add
-        return LamPoly(self.nvars, terms)
-
-    def diff_sub(self, u: int) -> "LamPoly":
-        """f - f(. + e_u), the summation-by-parts coefficient."""
-        sh = self.shifted(u)
-        terms = dict(self.terms)
-        for e, p in sh.terms.items():
-            terms[e] = terms.get(e, RatPoly.zero()) - p
-        return LamPoly(self.nvars, terms)
-
-    def substitute(self, u: int, value: int) -> "LamPoly":
-        terms: dict[tuple[int, ...], RatPoly] = {}
-        for e, p in self.terms.items():
-            ne = tuple(0 if k == u else x for k, x in enumerate(e))
-            add = p.scale(Fraction(value) ** e[u])
-            terms[ne] = terms.get(ne, RatPoly.zero()) + add
-        return LamPoly(self.nvars, terms)
-
-    def eval(self, point: Sequence[int]) -> RatPoly:
-        out = RatPoly.zero()
-        for e, p in self.terms.items():
-            c = Fraction(1)
-            for x, a in zip(point, e):
-                c *= Fraction(x) ** a
-            out = out + p.scale(c)
-        return out
-
-
 @dataclass(frozen=True)
 class XiWeights:
     ambient: int
@@ -438,36 +388,6 @@ class XiWeights:
         return all(poly(r) > 0 for _, poly in self.entries)
 
 
-def _phi_poly(fan: Fan, table: IntersectionTable, ample,
-              positions: Sequence[int], mc: ConeRef) -> LamPoly:
-    """The Riemann-Roch value deg{exp(-sum lam_u V_u + tH) td}_2 as a
-    polynomial in the face coordinates, signed by codimension."""
-    n = fan.n_rays()
-    h = tuple(Fraction(c) for c in ample)
-    ones = tuple(Fraction(1) for _ in range(n))
-    deg_ones = ray_degrees(ones, table)
-    deg_h = ray_degrees(h, table)
-    sign = (-1) ** (fan.rank - len(positions))
-    nv = len(positions)
-    terms: dict[tuple[int, ...], RatPoly] = {}
-    phs = pair(h, ones, table)
-    phh = pair(h, h, table)
-    terms[(0,) * nv] = RatPoly.of([Fraction(1), phs / 2, phh / 2])
-    rays = [mc[p] for p in positions]
-    for u, j in enumerate(rays):
-        e = tuple(1 if k == u else 0 for k in range(nv))
-        terms[e] = RatPoly.of([-deg_ones[j] / 2, -deg_h[j]])
-    for u in range(nv):
-        for v in range(u, nv):
-            e = tuple((2 if k == u else 0) if u == v else (1 if k in (u, v) else 0)
-                      for k in range(nv))
-            coeff = table.matrix[rays[u]][rays[v]]
-            if u == v:
-                coeff /= 2
-            terms[e] = terms.get(e, RatPoly.zero()) + RatPoly.of([coeff])
-    return LamPoly(nv, {e: p.scale(sign) for e, p in terms.items()})
-
-
 def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
                table: IntersectionTable | None = None) -> XiWeights:
     """Face weight polynomials: for every cone of the fan and every lattice
@@ -476,6 +396,14 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
         sum Xi_{nu,lam}(t) dim E^nu(lam)  =  P_E(t)
 
     exactly, for every torsion-free family with characteristic function chi.
+
+    This is the summation-by-parts adjoint of bracket_dims.  Each cone nu
+    contributes, signed by its codimension, the alternating sum over the
+    shifted corners lam + eps of the face's coordinates of the Riemann-Roch
+    value phi(x) = deg{exp(-sum x_u V_u + tH) td}_2, with the coordinates of
+    nu outside the face held at hi + 1.  With q(x) = x.M.x - x.deg(-K), an
+    integer, phi = 1 + q/2 + (H.td_1 - x.deg(H)) t + (H^2/2) t^2, so each
+    weight is three integer sums converted to Fraction once.
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
@@ -488,39 +416,36 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     for i, g in gmap.items():
         if g.value(g.hi) != chi.rank:
             raise ValueError(f"cone {i}: characteristic function does not saturate to the rank")
-    entries: dict[WeightKey, RatPoly] = {}
+    mat = integer_matrix(table)
+    deg_ak = [sum(row) for row in mat]  # -K.V_j, with -K = sum_j V_j
+    # ints for an integral polarization, so the sums below stay in int
+    deg_h = [d.numerator if d.denominator == 1 else d for d in ray_degrees(ample, table)]
+    h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
+    h_sq = pair(ample, ample, table) / 2
+    sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
     for nu in fan.cones():
-        ambient_i = min(
-            i for i, mc in enumerate(fan.max_cones) if set(nu) <= set(mc)
-        )
-        mc = fan.max_cones[ambient_i]
-        grid = gmap[ambient_i]
-        positions = [mc.index(j) for j in nu]
-        phi = _phi_poly(fan, table, ample, positions, mc)
-        cut = [grid.hi[p] + 1 for p in positions]
-        low = [grid.lo[p] for p in positions]
-        nv = len(positions)
-        for mask in range(1 << nv):
-            free = [u for u in range(nv) if mask >> u & 1]
-            g = phi
-            for u in free:
-                g = g.diff_sub(u)
-            for v in range(nv):
-                if v not in free:
-                    g = g.substitute(v, cut[v])
-            face_cone = tuple(sorted(mc[positions[u]] for u in free))
-            ranges = [range(low[u], cut[u]) for u in free]
-            for lam in itertools.product(*ranges):
-                point = [0] * nv
-                for u, x in zip(free, lam):
-                    point[u] = x
-                val = g.eval(point)
-                if val.is_zero():
-                    continue
-                key = (face_cone, tuple(lam))
-                entries[key] = entries.get(key, RatPoly.zero()) + val
+        grid = restrict_char(chi, nu, fan)
+        sign = (-1) ** (fan.rank - len(nu))
+        cut = [b + 1 for b in grid.hi]
+        quad = [(u, v, mat[i][j]) for u, i in enumerate(nu) for v, j in enumerate(nu)]
+        for mask in range(1 << len(nu)):
+            free = [u for u in range(len(nu)) if mask >> u & 1]
+            face = tuple(nu[u] for u in free)
+            for lam in itertools.product(*(range(grid.lo[u], cut[u]) for u in free)):
+                acc = sums.setdefault((face, lam), [0, 0, 0])
+                for eps in itertools.product((0, 1), repeat=len(free)):
+                    x = list(cut)
+                    for u, a, e in zip(free, lam, eps):
+                        x[u] = a + e
+                    w = sign * (-1) ** sum(eps)
+                    acc[0] += w
+                    acc[1] += w * (2 + sum(x[u] * x[v] * m for u, v, m in quad)
+                                   - sum(x[u] * deg_ak[j] for u, j in enumerate(nu)))
+                    acc[2] += w * sum(x[u] * deg_h[j] for u, j in enumerate(nu))
+    entries = ((key, RatPoly.of([Fraction(c0x2, 2), s * h_td - hx, s * h_sq]))
+               for key, (s, c0x2, hx) in sums.items())
     items = tuple(sorted(
-        ((k, p) for k, p in entries.items() if not p.is_zero()),
+        ((k, p) for k, p in entries if not p.is_zero()),
         key=lambda kp: (len(kp[0][0]), kp[0]),
     ))
     return XiWeights(chi.rank, items)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -235,32 +237,78 @@ def test_entry_point_runs():
     assert proc.returncode == 2
 
 
-def test_operation_coverage_table():
-    # every public module operation is reachable from some subcommand
+PUBLIC_OPS = {
+    "validate_fan", "star", "cone_count_identity", "euler_characteristic",
+    "intersection_table", "pair", "degree", "todd_and_canonical",
+    "lattice_point_count", "chi_line_bundle",
+    "reflexive_from_filtrations", "validate_torsion_free", "is_reflexive",
+    "detect_support", "validate_pure", "restrict_to_face",
+    "tensor_line_bundle", "characteristic_function", "gauge_fix",
+    "bracket_dims", "chern_character", "c1_fast", "hilbert_polynomial",
+    "distinguished_subspaces", "mu_test", "gieseker_test", "mu_weights",
+    "git_test", "xi_weights", "choose_r",
+    "rank1_fixed_point_series", "rank2_p2_series",
+    "enumerate_gauge_fixed_chi", "run",
+}
+# reached from no subcommand; test_intersect.py and test_family.py call them directly
+LIBRARY_ONLY = {"degree", "lattice_point_count", "chi_line_bundle", "tensor_line_bundle"}
+
+
+def test_operation_coverage_table(files, p2):
     import toricsheaves.chern as chern
     import toricsheaves.family as family
     import toricsheaves.fan as fan
     import toricsheaves.intersect as intersect
     import toricsheaves.moduli as moduli
     import toricsheaves.stability as stability
+    from test_family import slab_family
 
-    public_ops = {
-        "validate_fan", "star", "cone_count_identity", "euler_characteristic",
-        "intersection_table", "pair", "degree", "todd_and_canonical",
-        "lattice_point_count", "chi_line_bundle",
-        "reflexive_from_filtrations", "validate_torsion_free", "is_reflexive",
-        "detect_support", "validate_pure", "restrict_to_face",
-        "tensor_line_bundle", "characteristic_function", "gauge_fix",
-        "bracket_dims", "chern_character", "c1_fast", "hilbert_polynomial",
-        "distinguished_subspaces", "mu_test", "gieseker_test", "mu_weights",
-        "git_test", "xi_weights", "choose_r",
-        "rank1_fixed_point_series", "rank2_p2_series",
-        "enumerate_gauge_fixed_chi", "run",
-    }
-    assert public_ops <= set(cli.OPERATION_COVERAGE)
+    slab = files["dir"] / "slab.json"
+    slab.write_text(family_to_json(slab_family(p2, 0)))
+    fam = ["--fan", files["fan"], "--family", files["family"]]
+    polarized = [*fam, "--ample", files["ample"]]
+    commands = [
+        ["fan-check", "--fan", files["fan"]],
+        ["family-check", *fam],
+        ["family-check", "--fan", files["fan"], "--family", str(slab)],
+        ["chern", *fam],
+        ["hilbert", *polarized],
+        ["stability", "mu", *polarized],
+        ["stability", "gieseker", *polarized],
+        ["stability", "git", *polarized, "--weights-from", "mu"],
+        ["stability", "git", *polarized, "--weights-from", "xi"],
+        ["weights", *polarized, "--kind", "mu"],
+        ["weights", *polarized, "--kind", "xi"],
+        ["enumerate", "--fan", files["fan"], "--rank", "1", "--c2-max", "1"],
+        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c1", files["ample"],
+         "--c2-max", "0", "--box", "1"],
+        ["series", "rank1", "--fan", files["fan"], "--order", "3"],
+        ["series", "rank2-p2", "--order", "3"],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                codes.append(cli.run(argv))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+
     modules = [chern, family, fan, intersect, moduli, stability, cli]
-    for op in public_ops:
-        assert any(hasattr(m, op) for m in modules), op
+    reached = set()
+    for op in PUBLIC_OPS:
+        funcs = [getattr(m, op) for m in modules if hasattr(m, op)]
+        assert funcs, op
+        if any(f.__code__ in called for f in funcs):
+            reached.add(op)
+    assert reached == PUBLIC_OPS - LIBRARY_ONLY
 
 
 def test_enumerate_box_too_small_exit_2(files, capsys):
@@ -275,12 +323,29 @@ def test_enumerate_box_too_small_exit_2(files, capsys):
     assert "box" in err.lower()
 
 
-def _bad_basis_entry(files, entry):
-    doc = json.loads(Path(files["family"]).read_text())
-    doc["cones"][0]["jumps"][0]["basis"][0][0] = entry
-    path = files["dir"] / "bad_family.json"
+def _edited(files, name, keys, value):
+    """Path of a copy of a fixture file whose entry doc[k0][k1]... is value(entry)."""
+    doc = json.loads(Path(files[name]).read_text())
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value(node[keys[-1]])
+    path = files["dir"] / f"bad_{name}.json"
     path.write_text(json.dumps(doc))
-    return ["family-check", "--fan", files["fan"], "--family", str(path)]
+    return str(path)
+
+
+def _bad_family(files, keys, value):
+    return ["family-check", "--fan", files["fan"],
+            "--family", _edited(files, "family", keys, value)]
+
+
+def _bad_basis_entry(files, entry):
+    return _bad_family(files, ["cones", 0, "jumps", 0, "basis", 0, 0], lambda _: entry)
+
+
+def _bad_fan(files, keys, value):
+    return ["fan-check", "--fan", _edited(files, "fan", keys, value)]
 
 
 def _bad_divisor(files, flag, entries):
@@ -302,6 +367,17 @@ def _bad_divisor(files, flag, entries):
         pytest.param(lambda f: _bad_divisor(f, "--ample", [1.7, 0, 0]), id="ample-float"),
         pytest.param(lambda f: _bad_divisor(f, "--ample", [True, 0, 0]), id="ample-bool"),
         pytest.param(lambda f: _bad_divisor(f, "--c1", [1.7, 0, 0]), id="c1-float"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "hi", 0], lambda x: x + 0.9),
+                     id="family-hi-float"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "lo", 0], lambda x: x + 0.5),
+                     id="family-lo-float"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "jumps", 0, "at", 0],
+                                           lambda x: x + 0.5), id="family-at-float"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 1, "index"], lambda _: True),
+                     id="family-index-bool"),
+        pytest.param(lambda f: _bad_family(f, ["rank"], lambda _: 2.0), id="family-rank-float"),
+        pytest.param(lambda f: _bad_fan(f, ["rays", 0], lambda _: [1.5, 0]), id="fan-ray-float"),
+        pytest.param(lambda f: _bad_fan(f, ["rank"], lambda _: 2.9), id="fan-rank-float"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):

@@ -11,9 +11,9 @@ from toricsheaves.family import (
     characteristic_function,
     tensor_line_bundle,
 )
-from toricsheaves.intersect import intersection_table, pair
+from toricsheaves.intersect import find_ample, intersection_table, pair
 from toricsheaves.polynomials import RatPoly, compare_for_large_t
-from toricsheaves.sampling import random_families
+from toricsheaves.sampling import random_families, random_smooth_complete_fan
 from toricsheaves.stability import (
     SEMISTABLE,
     STABLE,
@@ -262,6 +262,27 @@ def test_xi_degree_bound(p2):
         assert poly.degree <= 2 - len(cone)
 
 
+def test_xi_weights_pinned(p2):
+    # three lines on P^2 at H = (1, 0, 0): every entry, coefficients low degree first
+    xi = xi_weights(characteristic_function(rank2_three_lines(p2)), p2, H_P2)
+    expected = [
+        (((), ()), [10, Fraction(-9, 2), Fraction(1, 2)]),
+        (((0,), (0,)), [-3, 1]),
+        (((0,), (1,)), [-4, 1]),
+        (((1,), (0,)), [-3, 1]),
+        (((1,), (1,)), [-4, 1]),
+        (((2,), (0,)), [-3, 1]),
+        (((2,), (1,)), [-4, 1]),
+    ] + [
+        ((cone, lam), [1])
+        for cone in ((0, 1), (0, 2), (1, 2))
+        for lam in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+    assert len(expected) == 19
+    assert xi.ambient == 2
+    assert xi.entries == tuple((key, RatPoly.of(cs)) for key, cs in expected)
+
+
 def test_xi_ray_leading_coefficient_is_ample_degree(p2, tables):
     fam = rank2_three_lines(p2, lines=LINES)
     xi = xi_weights(characteristic_function(fam), p2, H_P2)
@@ -275,13 +296,15 @@ def test_xi_ray_leading_coefficient_is_ample_degree(p2, tables):
 
 
 def test_xi_reconstruction_randomized(corpus, amples):
-    for name, fan in corpus.items():
+    fans = [(fan, amples[name]) for name, fan in corpus.items()]
+    for blowups in (1, 2, 3):
+        fan = random_smooth_complete_fan(random.Random(blowups), blowups)
+        fans.append((fan, find_ample(fan)))
+    for fan, h in fans:
         for fam in random_families(fan, 2, 10, seed=139):
             chi = characteristic_function(fam)
-            xi = xi_weights(chi, fan, amples[name])
-            assert xi_reconstruct(xi, fam, fan) == hilbert_polynomial(
-                fam, fan, amples[name]
-            )
+            xi = xi_weights(chi, fan, h)
+            assert xi_reconstruct(xi, fam, fan) == hilbert_polynomial(fam, fan, h)
 
 
 def test_choose_r_certifies(p2):
