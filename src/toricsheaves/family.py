@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fan import APEX, ConeRef, Fan, _json_int
+from .fan import APEX, ConeRef, Fan, _json_int, _json_of
 from .subspace import SubspaceQ, rref
 
 # ---------------------------------------------------------------------------
@@ -733,23 +733,39 @@ def family_from_json(text: str) -> DeltaFamily:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"family file is not valid JSON: {e}") from e
+    _json_of(dict, doc, "family file")
     for field in ("kind", "rank", "cones"):
         if field not in doc:
             raise ValueError(f"family file missing field '{field}'")
+    if doc["kind"] not in (KIND_TORSION_FREE, KIND_REFLEXIVE, KIND_PURE):
+        raise ValueError(f"family kind {doc['kind']!r} is not one of "
+                         f"{KIND_TORSION_FREE}, {KIND_REFLEXIVE}, {KIND_PURE}")
     m = _json_int(doc["rank"], "family rank")
+
+    def ints(x, what):
+        return tuple(_json_int(v, what + " entry") for v in _json_of(list, x, what))
+
     corners = []
-    for entry in doc["cones"]:
+    for entry in _json_of(list, doc["cones"], "cones"):
+        _json_of(dict, entry, "family cone entry")
         for field in ("index", "cone", "lo", "hi", "jumps"):
             if field not in entry:
                 raise ValueError(f"family cone entry missing field '{field}'")
         index = _json_int(entry["index"], "cone index")
-        cone = tuple(_json_int(x, "cone entry") for x in entry["cone"])
-        lo = tuple(_json_int(x, "lo entry") for x in entry["lo"])
-        hi = tuple(_json_int(x, "hi entry") for x in entry["hi"])
+        cone = ints(entry["cone"], "cone")
+        lo = ints(entry["lo"], "lo")
+        hi = ints(entry["hi"], "hi")
         explicit: dict[tuple[int, ...], SubspaceQ] = {}
-        for j in entry["jumps"]:
-            at = tuple(_json_int(x, "jump position") for x in j["at"])
-            rows = [[_rational(x) for x in row] for row in j["basis"]]
+        for j in _json_of(list, entry["jumps"], "jumps"):
+            _json_of(dict, j, "jump")
+            for field in ("at", "basis"):
+                if field not in j:
+                    raise ValueError(f"family jump missing field '{field}'")
+            at = ints(j["at"], "at")
+            rows = [
+                [_rational(x) for x in _json_of(list, row, "basis row")]
+                for row in _json_of(list, j["basis"], "basis")
+            ]
             explicit[at] = SubspaceQ.span(rows, m)
         vals = []
         for lam in box_points(lo, hi):
@@ -763,6 +779,6 @@ def family_from_json(text: str) -> DeltaFamily:
                 vals.append(rec)
         corners.append((index, CornerFamily(cone, lo, hi, tuple(vals), m)))
     support = tuple(
-        tuple(_json_int(x, "support entry") for x in t) for t in doc.get("support", [[]])
+        ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")
     )
-    return DeltaFamily(str(doc["kind"]), m, tuple(corners), support)
+    return DeltaFamily(doc["kind"], m, tuple(corners), support)

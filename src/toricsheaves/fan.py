@@ -265,16 +265,31 @@ def _json_int(x, what: str) -> int:
     raise ValueError(f"{what} {x!r} is not a JSON integer")
 
 
+def _json_of(kind: type, x, what: str):
+    """A structural field of an input file: a JSON array (kind list) or a
+    JSON object (kind dict)."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} is not a JSON {'array' if kind is list else 'object'}")
+    return x
+
+
 def fan_from_json(text: str) -> Fan:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"fan file is not valid JSON: {e}") from e
+    _json_of(dict, doc, "fan file")
     for field in ("rank", "rays", "max_cones"):
         if field not in doc:
             raise ValueError(f"fan file missing field '{field}'")
     return Fan.make(
         _json_int(doc["rank"], "fan rank"),
-        [[_json_int(x, "ray entry") for x in r] for r in doc["rays"]],
-        [[_json_int(i, "maximal cone entry") for i in c] for c in doc["max_cones"]],
+        [
+            [_json_int(x, "ray entry") for x in _json_of(list, r, "ray")]
+            for r in _json_of(list, doc["rays"], "rays")
+        ],
+        [
+            [_json_int(i, "maximal cone entry") for i in _json_of(list, c, "maximal cone")]
+            for c in _json_of(list, doc["max_cones"], "max_cones")
+        ],
     )

@@ -205,12 +205,14 @@ def find_ample(fan: Fan, bound: int = 4) -> Divisor:
     raise ValueError("no small ample divisor found")
 
 
-def _solve_vertex(n1, n2, a1: Fraction, a2: Fraction) -> tuple[Fraction, Fraction]:
-    # <m, n1> = -a1, <m, n2> = -a2 for a unimodular pair
+def unimodular_solve(n1: Sequence[int], n2: Sequence[int], b1, b2):
+    """The u in M_Q with <u, n1> = b1 and <u, n2> = b2, for rays n1, n2 that
+    form a Z-basis of N (det +-1): integral whenever b1 and b2 are."""
     det = n1[0] * n2[1] - n1[1] * n2[0]
-    x = (-a1 * n2[1] + a2 * n1[1]) / det
-    y = (-a2 * n1[0] + a1 * n2[0]) / det
-    return x, y
+    if det not in (1, -1):
+        raise ValueError(f"rays {list(n1)}, {list(n2)} are not a Z-basis")
+    # 1/det = det
+    return (det * (b1 * n2[1] - b2 * n1[1]), det * (b2 * n1[0] - b1 * n2[0]))
 
 
 def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
@@ -226,7 +228,7 @@ def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
     if not is_nef(a, fan, table):
         raise ValueError("divisor is not nef; count would not equal chi")
     vertices = [
-        _solve_vertex(fan.rays[c[0]], fan.rays[c[1]], a[c[0]], a[c[1]])
+        unimodular_solve(fan.rays[c[0]], fan.rays[c[1]], -a[c[0]], -a[c[1]])
         for c in fan.max_cones
     ]
     import math

@@ -7,6 +7,14 @@ the generating function of the counts is the eta-like product
 1/prod(1-q^k)^{e(X)}.  Rank-2 data is a reflexive hull determined by ray
 profiles and flag lines, cut down at finitely many interior grid points;
 strata are labelled by the coincidence pattern of the flag lines.
+
+A ray profile (a, gaps) has class c1 = -(2a + gaps) in Pic(X), so the
+enumeration solves for the profiles of a given class rather than scanning
+for them: the two rays of a smooth cone are a Z-basis of N, the character
+u in M with <u, v_j> = 2a_j + g_j + c1_j is fixed by those two rays, and
+every other a_j is forced.  The hull's c2 is A.B plus g_i g_j at every
+maximal cone (i, j) whose flag lines differ, with A = -a and
+B = -(a + gaps), so hulls above the c2 bound are never built.
 """
 
 from __future__ import annotations
@@ -31,7 +39,14 @@ from .family import (
     validate_torsion_free,
 )
 from .fan import Fan, euler_characteristic, validate_fan
-from .intersect import divisor, divisor_class_equal, intersection_table, ray_degrees
+from .intersect import (
+    divisor,
+    divisor_class_equal,
+    find_ample,
+    integer_matrix,
+    intersection_table,
+    unimodular_solve,
+)
 from .stability import SEMISTABLE, STABLE, UNSTABLE
 from .subspace import SubspaceQ
 
@@ -132,6 +147,8 @@ def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
         raise ValueError("fixed point enumeration implemented for surfaces only")
     if validate_fan(fan):
         raise ValueError("fan is not a valid smooth complete surface fan")
+    if order > 40:
+        raise ValueError("order capped at 40")
     counts = [sum(1 for _ in partitions_of(k)) for k in range(order + 1)]
     acc = IntSeries.of([1], order)
     per_cone = IntSeries.of(counts, order)
@@ -201,6 +218,8 @@ def enumerate_gauge_fixed_chi(
         raise ValueError("fan is not a valid smooth complete surface fan")
     if rank not in (1, 2):
         raise ValueError("enumeration implemented for rank <= 2")
+    if box_bound < 0:
+        raise ValueError(f"box bound {box_bound} is negative")
     if c2_max < 0:
         return []
     c1 = [int(x) for x in c1]
@@ -385,10 +404,10 @@ def _realize_cut(fam: DeltaFamily, drops: dict) -> tuple[DeltaFamily, bool] | No
 def _profile_verdict(gaps, deg, pattern) -> str:
     """Slope verdict of a rank-2 reflexive hull from its flag data alone:
     margins of the flag lines (one per coincidence class) and of a generic
-    line against (1/2) sum gap_j deg_j."""
+    line against (1/2) sum gap_j deg_j, doubled so that they are integers."""
     total = sum(g * d for g, d in zip(gaps, deg))
-    margins = [sum(gaps[j] * deg[j] for j in block) - total / 2 for block in pattern]
-    margins.append(-total / 2)
+    margins = [2 * sum(gaps[j] * deg[j] for j in block) - total for block in pattern]
+    margins.append(-total)
     worst = max(margins)
     if worst > 0:
         return UNSTABLE
@@ -397,80 +416,126 @@ def _profile_verdict(gaps, deg, pattern) -> str:
     return STABLE
 
 
-def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound, ample=None) -> list[ChiRecord]:
+def _class_profiles(fan: Fan, c1: Sequence[int], box_bound: int):
+    """Every profile (a, gaps) in [-b, b]^n x [0, b]^n whose class
+    -(2a + gaps) equals c1 in Pic(X), in lexicographic order.
+
+    The rays i0, i1 of the first maximal cone are a Z-basis of N, so
+    2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_i0, a_i1
+    and the gaps; every other a_j = (<u, v_j> - c1_j - g_j)/2 is forced."""
+    n = fan.n_rays()
+    i0, i1 = fan.max_cones[0]
+    window = range(-box_bound, box_bound + 1)
+    profiles = []
+    for gaps in itertools.product(range(box_bound + 1), repeat=n):
+        for a0, a1 in itertools.product(window, repeat=2):
+            u = unimodular_solve(
+                fan.rays[i0], fan.rays[i1],
+                2 * a0 + gaps[i0] + c1[i0], 2 * a1 + gaps[i1] + c1[i1],
+            )
+            a_vec = []
+            for j, v in enumerate(fan.rays):
+                twice = u[0] * v[0] + u[1] * v[1] - c1[j] - gaps[j]
+                if twice % 2 or abs(twice) > 2 * box_bound:
+                    break
+                a_vec.append(twice // 2)
+            else:
+                profiles.append((tuple(a_vec), gaps))
+    profiles.sort()
+    return profiles
+
+
+def _split_c2(a_vec, gaps, matrix) -> int:
+    """A.B for A = -a and B = -(a + gaps) (the signs cancel): c2 of the
+    split hull O(A) + O(B)."""
+    b_vec = [x + g for x, g in zip(a_vec, gaps)]
+    return sum(
+        x * sum(m * y for m, y in zip(row, b_vec)) for x, row in zip(a_vec, matrix)
+    )
+
+
+def _hull_c2(split_c2: int, gaps, pattern, fan: Fan) -> int:
+    """c2 of the reflexive hull: the split part plus g_i g_j at every maximal
+    cone whose two gap rays carry distinct flag lines."""
+    block = {j: k for k, blk in enumerate(pattern) for j in blk}
+    return split_c2 + sum(
+        gaps[i] * gaps[j] for i, j in fan.max_cones
+        if gaps[i] and gaps[j] and block[i] != block[j]
+    )
+
+
+def _profile_hull(fan: Fan, a_vec, gaps, pattern) -> DeltaFamily:
+    """The rank-2 reflexive hull of a profile: ray j jumps to a flag line
+    at a_j and to the full space at a_j + g_j, and the rays of one block
+    of the pattern share their flag line."""
+    lines = {j: _pool_line(ci) for ci, block in enumerate(pattern) for j in block}
+    full = SubspaceQ.full(2)
+    filts = [
+        RayFiltration(j, ((a_vec[j], full),)) if gaps[j] == 0
+        else RayFiltration(j, ((a_vec[j], lines[j]), (a_vec[j] + gaps[j], full)))
+        for j in range(fan.n_rays())
+    ]
+    return reflexive_from_filtrations(filts, fan)
+
+
+def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     """Rank-2 core: every torsion-free family is a reflexive hull (ray
     profiles plus flag lines) cut down at interior grid points, and the
     slope verdict is determined by the flag data alone, so unstable hulls
-    are pruned before cut enumeration.  Only characteristic functions with
-    a slope-stable stratum are returned; semistable strata of those
-    functions are recorded alongside.  The unconstrained set is infinite
-    (split hulls of arbitrarily negative c2 repaired by cuts, and
-    equal-slope split pairs under unbounded relative twists), and only the
-    stable-capable core is finite and window-independent."""
-    from .intersect import find_ample
-
+    are pruned before cut enumeration.  Only profiles of class c1 are
+    generated, and a hull is built only when its closed-form c2 is at most
+    c2_max.  Only characteristic functions with a slope-stable stratum are
+    returned; semistable strata of those functions are recorded alongside.
+    The unconstrained set is infinite (split hulls of arbitrarily negative
+    c2 repaired by cuts, and equal-slope split pairs under unbounded
+    relative twists), and only the stable-capable core is finite and
+    window-independent."""
     table = intersection_table(fan)
+    matrix = integer_matrix(table)
     n = fan.n_rays()
-    window = range(-box_bound, box_bound + 1)
-    gap_window = range(0, box_bound + 1)
-    ample = ample if ample is not None else find_ample(fan)
     records: dict[str, ChiRecord] = {}
     c1_div = divisor(c1, fan)
-    deg = ray_degrees(divisor(ample, fan), table)
-    for a_vec in itertools.product(window, repeat=n):
-        for gaps in itertools.product(gap_window, repeat=n):
-            cand = [-(2 * a_vec[j] + gaps[j]) for j in range(n)]
-            if not divisor_class_equal(divisor(cand, fan), c1_div, fan):
+    ample = [int(x) for x in find_ample(fan)]
+    deg = [sum(h * row[j] for h, row in zip(ample, matrix)) for j in range(n)]
+    for a_vec, gaps in _class_profiles(fan, c1, box_bound):
+        split_c2 = _split_c2(a_vec, gaps, matrix)
+        if split_c2 > c2_max:
+            continue  # the flag term of every hull is >= 0
+        gap_rays = [j for j in range(n) if gaps[j] > 0]
+        for pattern in _set_partitions(gap_rays):
+            pat = tuple(sorted(pattern))
+            verdict = _profile_verdict(gaps, deg, pat)
+            if verdict == UNSTABLE:
                 continue
-            gap_rays = [j for j in range(n) if gaps[j] > 0]
-            for pattern in _set_partitions(gap_rays):
-                pat = tuple(sorted(pattern))
-                verdict = _profile_verdict(gaps, deg, pat)
-                if verdict == UNSTABLE:
+            c2_hull = _hull_c2(split_c2, gaps, pat, fan)
+            if c2_hull > c2_max:
+                continue
+            hull = _profile_hull(fan, a_vec, gaps, pat)
+            ch = chern_character(hull, fan, table)
+            if not divisor_class_equal(ch.d, c1_div, fan):
+                raise AssertionError("hull c1 drifted from the profile")
+            if second_chern_number(ch, table) != c2_hull:
+                raise AssertionError("hull c2 differs from its closed form")
+            for fam, free_used in _rank2_cuts(hull, c2_max - c2_hull):
+                if validate_torsion_free(fam, fan):
                     continue
-                lines = {}
-                for ci, block in enumerate(pat):
-                    for j in block:
-                        lines[j] = _pool_line(ci)
-                filts = []
-                for j in range(n):
-                    if gaps[j] == 0:
-                        filts.append(RayFiltration(j, ((a_vec[j], SubspaceQ.full(2)),)))
-                    else:
-                        filts.append(
-                            RayFiltration(
-                                j,
-                                ((a_vec[j], lines[j]), (a_vec[j] + gaps[j], SubspaceQ.full(2))),
-                            )
-                        )
-                hull = reflexive_from_filtrations(filts, fan)
-                ch = chern_character(hull, fan, table)
-                if not divisor_class_equal(ch.d, c1_div, fan):
-                    raise AssertionError("hull c1 drifted from the profile")
-                c2_hull = second_chern_number(ch, table)
-                budget = c2_max - c2_hull
-                if budget < 0 or c2_hull.denominator != 1:
+                c2 = second_chern_number(chern_character(fam, fan, table), table)
+                if c2 > c2_max:
                     continue
-                for fam, free_used in _rank2_cuts(hull, int(budget)):
-                    if validate_torsion_free(fam, fan):
-                        continue
-                    c2 = second_chern_number(chern_character(fam, fan, table), table)
-                    if c2 > c2_max:
-                        continue
-                    chi = characteristic_function(fam)
-                    gf, _ = gauge_fix(chi, fan)
-                    key = gf.canonical()
-                    if key not in records:
-                        records[key] = ChiRecord(gf, c2, fam, [])
-                    rec = records[key]
-                    existing = next((s for s in rec.strata if s.pattern == pat), None)
-                    if existing is None:
-                        rec.strata.append(
-                            StratumRecord(pat, verdict, len(pat) <= 3 and not free_used, free_used)
-                        )
-                    elif free_used and not existing.free_line:
-                        rec.strata.remove(existing)
-                        rec.strata.append(StratumRecord(pat, verdict, False, True))
+                chi = characteristic_function(fam)
+                gf, _ = gauge_fix(chi, fan)
+                key = gf.canonical()
+                if key not in records:
+                    records[key] = ChiRecord(gf, c2, fam, [])
+                rec = records[key]
+                existing = next((s for s in rec.strata if s.pattern == pat), None)
+                if existing is None:
+                    rec.strata.append(
+                        StratumRecord(pat, verdict, len(pat) <= 3 and not free_used, free_used)
+                    )
+                elif free_used and not existing.free_line:
+                    rec.strata.remove(existing)
+                    rec.strata.append(StratumRecord(pat, verdict, False, True))
     kept = [
         r for r in records.values()
         if any(s.mu_verdict == STABLE for s in r.strata)

@@ -280,8 +280,7 @@ def test_operation_coverage_table(files, p2):
         ["weights", *polarized, "--kind", "mu"],
         ["weights", *polarized, "--kind", "xi"],
         ["enumerate", "--fan", files["fan"], "--rank", "1", "--c2-max", "1"],
-        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c1", files["ample"],
-         "--c2-max", "0", "--box", "1"],
+        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c2-max", "0", "--box", "1"],
         ["series", "rank1", "--fan", files["fan"], "--order", "3"],
         ["series", "rank2-p2", "--order", "3"],
     ]
@@ -323,6 +322,23 @@ def test_enumerate_box_too_small_exit_2(files, capsys):
     assert "box" in err.lower()
 
 
+def test_enumerate_negative_box_exit_2(files, capsys):
+    code, out, err = run_cli(
+        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c2-max", "1", "--box", "-1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "box" in err
+
+
+def test_series_rank1_order_capped_exit_2(files, capsys):
+    code, out, err = run_cli(
+        ["series", "rank1", "--fan", files["fan"], "--order", "41"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "order capped at 40" in err
+
+
 def _edited(files, name, keys, value):
     """Path of a copy of a fixture file whose entry doc[k0][k1]... is value(entry)."""
     doc = json.loads(Path(files[name]).read_text())
@@ -346,6 +362,12 @@ def _bad_basis_entry(files, entry):
 
 def _bad_fan(files, keys, value):
     return ["fan-check", "--fan", _edited(files, "fan", keys, value)]
+
+
+def _bare_fan(files, value):
+    path = files["dir"] / "bare_fan.json"
+    path.write_text(json.dumps(value))
+    return ["fan-check", "--fan", str(path)]
 
 
 def _bad_divisor(files, flag, entries):
@@ -378,6 +400,11 @@ def _bad_divisor(files, flag, entries):
         pytest.param(lambda f: _bad_family(f, ["rank"], lambda _: 2.0), id="family-rank-float"),
         pytest.param(lambda f: _bad_fan(f, ["rays", 0], lambda _: [1.5, 0]), id="fan-ray-float"),
         pytest.param(lambda f: _bad_fan(f, ["rank"], lambda _: 2.9), id="fan-rank-float"),
+        pytest.param(lambda f: _bare_fan(f, 5), id="fan-bare-number"),
+        pytest.param(lambda f: _bad_fan(f, ["rays", 0], lambda _: 5), id="fan-ray-number"),
+        pytest.param(lambda f: _bad_family(f, ["cones"], lambda _: 5), id="family-cones-number"),
+        pytest.param(lambda f: _bad_family(f, ["kind"], lambda _: ["reflexive"]),
+                     id="family-kind-array"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):

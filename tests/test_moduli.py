@@ -3,11 +3,23 @@ from collections import Counter
 
 import pytest
 
+from toricsheaves.chern import chern_character, second_chern_number
 from toricsheaves.family import characteristic_function, validate_torsion_free
 from toricsheaves.fan import hirzebruch, projective_plane
+from toricsheaves.intersect import (
+    divisor,
+    divisor_class_equal,
+    integer_matrix,
+    intersection_table,
+)
 from toricsheaves.moduli import (
     BoxBoundError,
     IntSeries,
+    _class_profiles,
+    _hull_c2,
+    _profile_hull,
+    _set_partitions,
+    _split_c2,
     enumerate_gauge_fixed_chi,
     eta_like_product,
     partition_diagram,
@@ -148,7 +160,6 @@ def test_enumerate_rank_checked(p2):
         enumerate_gauge_fixed_chi(p2, 3, [0, 0, 0], 1)
 
 
-@pytest.mark.slow
 def test_enumerate_rank2_q1_stable_point_count(p2):
     # the q^1 coefficient of the rank-2 series counts the single stable
     # point stratum with c1 = H, c2 = 1 (three pairwise distinct lines)
@@ -164,7 +175,6 @@ def test_enumerate_rank2_q1_stable_point_count(p2):
         assert validate_torsion_free(r.witness, p2) == []
 
 
-@pytest.mark.slow
 def test_enumerate_rank2_box_independence(p2):
     a = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
     b = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=4)
@@ -172,3 +182,55 @@ def test_enumerate_rank2_box_independence(p2):
     assert [sorted(s.pattern for s in r.strata) for r in a] == [
         sorted(s.pattern for s in r.strata) for r in b
     ]
+
+
+def scan_profiles(fan, c1, box_bound):
+    """Oracle: scan every profile (a, gaps) in the window and keep those
+    whose class -(2a + gaps) equals c1, by rational linear algebra."""
+    n = fan.n_rays()
+    window = range(-box_bound, box_bound + 1)
+    c1_div = divisor(c1, fan)
+    return [
+        (a, gaps)
+        for a in itertools.product(window, repeat=n)
+        for gaps in itertools.product(range(box_bound + 1), repeat=n)
+        if divisor_class_equal(
+            divisor([-(2 * x + g) for x, g in zip(a, gaps)], fan), c1_div, fan
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "surface, c1, max_box",
+    [
+        pytest.param("p2", [0, 0, 0], 2, id="p2-zero"),
+        pytest.param("p2", [2, -1, 3], 2, id="p2-mixed"),
+        pytest.param("p1xp1", [0, 0, 0, 0], 1, id="p1xp1-zero"),
+        pytest.param("p1xp1", [1, 0, 2, -1], 1, id="p1xp1-mixed"),
+        pytest.param("f1", [0, 0, 0, 0], 1, id="f1-zero"),
+        pytest.param("f1", [1, 0, 2, -1], 1, id="f1-mixed"),
+    ],
+)
+def test_class_profiles_match_scan(corpus, surface, c1, max_box):
+    fan = corpus[surface]
+    for box in range(max_box + 1):
+        assert _class_profiles(fan, c1, box) == scan_profiles(fan, c1, box)
+
+
+@pytest.mark.parametrize("surface", ["p2", "f1"])
+def test_hull_c2_closed_form(corpus, surface):
+    fan = corpus[surface]
+    table = intersection_table(fan)
+    matrix = integer_matrix(table)
+    n = fan.n_rays()
+    checked = 0
+    for a in itertools.product(range(-1, 2), repeat=n):
+        for gaps in itertools.product(range(2), repeat=n):
+            split = _split_c2(a, gaps, matrix)
+            for pattern in _set_partitions([j for j in range(n) if gaps[j]]):
+                pat = tuple(sorted(pattern))
+                hull = _profile_hull(fan, a, gaps, pat)
+                ch = chern_character(hull, fan, table)
+                assert second_chern_number(ch, table) == _hull_c2(split, gaps, pat, fan)
+                checked += 1
+    assert checked == {3: 405, 4: 4212}[n]
