@@ -213,7 +213,7 @@ def _cmd_stability(args) -> int:
     fam = _load_family(args.family, fan)
     ample = _load_ample(args.ample, fan)
     if fam.kind == KIND_PURE:
-        raise InputError("stability tests are offered for torsion-free kinds only")
+        raise InputError(stability.TORSION_FREE_ONLY)
     weights = None
     if args.mode == "mu":
         v = stability.mu_test(fam, fan, ample)

@@ -755,6 +755,9 @@ def family_from_json(text: str) -> DeltaFamily:
         cone = ints(entry["cone"], "cone")
         lo = ints(entry["lo"], "lo")
         hi = ints(entry["hi"], "hi")
+        if not len(cone) == len(lo) == len(hi):
+            raise ValueError(f"family cone {index}: cone, lo and hi have lengths "
+                             f"{len(cone)}, {len(lo)} and {len(hi)}; they must be equal")
         explicit: dict[tuple[int, ...], SubspaceQ] = {}
         for j in _json_of(list, entry["jumps"], "jumps"):
             _json_of(dict, j, "jump")
@@ -762,6 +765,9 @@ def family_from_json(text: str) -> DeltaFamily:
                 if field not in j:
                     raise ValueError(f"family jump missing field '{field}'")
             at = ints(j["at"], "at")
+            if len(at) != len(cone):
+                raise ValueError(f"family cone {index}: jump at {list(at)} has {len(at)} "
+                                 f"entries for a cone of {len(cone)} rays")
             rows = [
                 [_rational(x) for x in _json_of(list, row, "basis row")]
                 for row in _json_of(list, j["basis"], "basis")

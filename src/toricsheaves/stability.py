@@ -7,10 +7,13 @@ Slope stability is decided by the flag inequality: for a subspace W,
 
 with the gap data read off the ray filtrations and deg(D_j) = H.D_j.
 Gieseker stability compares reduced Hilbert polynomials of the intersected
-subfamilies for t >> 0.  In rank <= 2 the distinguished subspaces (corner
+subfamilies for t >> 0; both polynomials are read off the face weight
+polynomials of the family's characteristic function (below), the same ones
+that give the GIT weights.  In rank <= 2 the distinguished subspaces (corner
 values closed under sum and intersection) together with one generic line
 exhaust all possible violations, so those verdicts are exact; in higher
-rank the verdict is over the distinguished set only and flagged as such.
+rank the verdict is over the distinguished set only and flagged as such,
+and a closure that outgrows CLOSURE_CAP is refused.
 
 GIT stability is the weighted dimension inequality over the same test set;
 weight systems come either from the flag gaps (slope matching, with an
@@ -27,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chern import as_char, hilbert_polynomial, restrict_char
+from .chern import as_char, restrict_char
 from .family import (
     CharFunction,
     DeltaFamily,
     KIND_PURE,
+    characteristic_function,
     intersect_with_subspace,
     is_reflexive,
     restrict_to_face,
@@ -52,6 +56,16 @@ from .subspace import SubspaceQ
 STABLE = "stable"
 SEMISTABLE = "strictly-semistable"
 UNSTABLE = "unstable"
+
+TORSION_FREE_ONLY = "stability tests are offered for torsion-free kinds only"
+PARTIAL_NOTE = ("distinguished-set verdict (rank >= 3): "
+                "violations outside the test set are not excluded")
+# In rank <= 2 the closure adds nothing (distinct lines meet in 0 and span
+# Q^2); in rank >= 3 it can generate all of P^{M-1}(Q), e.g. from four
+# general points in Q^3.
+CLOSURE_CAP = 256
+# random test subspaces per git_test call
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -115,21 +129,31 @@ def extract_flag_data(fam: DeltaFamily, fan: Fan) -> FlagData:
 
 def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
     """Corner and limit subspaces closed under pairwise sum and intersection,
-    excluding 0 and the full space."""
+    excluding 0 and the full space.  Each pair is combined once; a closure
+    that adds more than CLOSURE_CAP subspaces raises ValueError."""
     m = fam.rank
     pool: set[SubspaceQ] = set()
     for _, grid in fam.corners:
         for v in grid.values:
             if 0 < v.dim < m:
                 pool.add(v)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(pool, key=_subspace_key), 2):
+    todo = sorted(pool, key=_subspace_key)
+    done: list[SubspaceQ] = []
+    added = 0
+    while todo:
+        a = todo.pop()
+        for b in done:
             for c in (a.intersect(b), a.sum(b)):
                 if 0 < c.dim < m and c not in pool:
+                    if added == CLOSURE_CAP:
+                        raise ValueError(
+                            f"the rank >= 3 test set does not close within {CLOSURE_CAP} "
+                            "added subspaces: sums and intersections of the corner "
+                            "values keep producing new ones")
                     pool.add(c)
-                    changed = True
+                    todo.append(c)
+                    added += 1
+        done.append(a)
     return sorted(pool, key=_subspace_key)
 
 
@@ -193,9 +217,7 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
         return lhs - Fraction(w.dim, m) * total
 
     ws, exhaustive = test_subspaces(fam)
-    note = None
-    if not exhaustive:
-        note = "distinguished-set verdict (rank >= 3): violations outside the test set are not excluded"
+    note = None if exhaustive else PARTIAL_NOTE
     return _classify("mu", [(w, margin(w)) for w in ws], Fraction(0), exhaustive, note,
                      stable_caveat=_mu_stable_caveat(fam, fan))
 
@@ -242,22 +264,20 @@ def _margin_sort(mg):
 
 def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
                   table: IntersectionTable | None = None) -> StabilityVerdict:
-    table = table or intersection_table(fan)
-    h = divisor(ample, fan)
-    if not is_ample(h, fan, table):
-        raise ValueError("polarization is not ample")
-    m = fam.rank
-    p_e = hilbert_polynomial(fam, fan, h, table).scale(Fraction(1, m))
+    """Margins P(E cap W)/dim W - P(E)/M, both polynomials reconstructed from
+    the face weights of E's characteristic function.  The weights read only
+    its boxes, and E cap W has the boxes of E, so this is exact."""
+    if fam.kind == KIND_PURE:
+        raise ValueError(TORSION_FREE_ONLY)
+    xi = xi_weights(characteristic_function(fam), fan, ample, table)
+
+    def reduced(sub: DeltaFamily, dim: int) -> RatPoly:
+        return xi_reconstruct(xi, sub, fan).scale(Fraction(1, dim))
+
+    p_e = reduced(fam, fam.rank)
     ws, exhaustive = test_subspaces(fam)
-    margins = []
-    for w in ws:
-        sub = intersect_with_subspace(fam, w)
-        p_w = hilbert_polynomial(sub, fan, h, table).scale(Fraction(1, w.dim))
-        margins.append((w, p_w - p_e))
-    note = None
-    if not exhaustive:
-        note = "distinguished-set verdict (rank >= 3): violations outside the test set are not excluded"
-    return _classify("gieseker", margins, None, exhaustive, note)
+    margins = [(w, reduced(intersect_with_subspace(fam, w), w.dim) - p_e) for w in ws]
+    return _classify("gieseker", margins, None, exhaustive, None if exhaustive else PARTIAL_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +353,12 @@ def _point_subspace(fam: DeltaFamily, fan: Fan, key: WeightKey) -> SubspaceQ:
 
 
 def random_subspaces(ambient: int, count: int, rng: random.Random) -> list[SubspaceQ]:
+    """count random proper nonzero subspaces; none for ambient < 2, which has none."""
+    if ambient < 2:
+        return []
     out = []
     while len(out) < count:
-        dim = rng.randrange(1, ambient) if ambient > 1 else 1
+        dim = rng.randrange(1, ambient)
         rows = [[rng.randrange(-3, 4) for _ in range(ambient)] for _ in range(dim)]
         v = SubspaceQ.span(rows, ambient)
         if 0 < v.dim < ambient:
@@ -350,6 +373,9 @@ def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
     m = fam.rank
     if weights.ambient != m:
         raise ValueError(f"weight system ambient {weights.ambient} != family rank {m}")
+    if not 0 <= n_random <= MAX_SAMPLES:
+        raise ValueError(f"random test subspaces: {n_random} requested, "
+                         f"the count must lie in [0, {MAX_SAMPLES}]")
     points = [(key, w, _point_subspace(fam, fan, key)) for key, w in weights.items()]
     rhs = Fraction(sum(w * p.dim for _, w, p in points), m)
 
@@ -396,6 +422,8 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
         sum Xi_{nu,lam}(t) dim E^nu(lam)  =  P_E(t)
 
     exactly, for every torsion-free family with characteristic function chi.
+    The weights read only the boxes of chi, so the identity also holds for
+    every family on the same boxes, such as a subfamily E cap W.
 
     This is the summation-by-parts adjoint of bracket_dims.  Each cone nu
     contributes, signed by its codimension, the alternating sum over the

@@ -11,7 +11,7 @@ import pytest
 from conftest import rank2_three_lines, structure_sheaf
 import toricsheaves
 from toricsheaves import cli
-from toricsheaves.family import family_to_json
+from toricsheaves.family import RayFiltration, family_to_json, reflexive_from_filtrations
 from toricsheaves.fan import fan_to_json, projective_plane
 from toricsheaves.subspace import SubspaceQ
 
@@ -44,7 +44,8 @@ def run_cli(args, capsys):
 
 
 def run_entry_point(args):
-    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    """Run the CLI in a fresh interpreter that imports this checkout's package;
+    a run past 60 s fails the test instead of hanging the suite."""
     src = str(Path(toricsheaves.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -53,7 +54,16 @@ def run_entry_point(args):
         capture_output=True,
         text=True,
         env=env,
+        timeout=60,
     )
+
+
+def assert_input_error(proc):
+    """Exit 2 with a single `error:` line and no traceback."""
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_fan_check_valid(files, capsys):
@@ -405,11 +415,55 @@ def _bad_divisor(files, flag, entries):
         pytest.param(lambda f: _bad_family(f, ["cones"], lambda _: 5), id="family-cones-number"),
         pytest.param(lambda f: _bad_family(f, ["kind"], lambda _: ["reflexive"]),
                      id="family-kind-array"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "lo"], lambda _: [0]),
+                     id="family-lo-short"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "jumps", 0, "at"],
+                                           lambda x: x + [0]), id="family-at-long"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):
-    proc = run_entry_point(make_args(files))
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "Traceback" not in proc.stderr
+    assert_input_error(run_entry_point(make_args(files)))
+
+
+def _open_closure_rank3(files, p2):
+    """A reflexive rank-3 family on P2 whose corner lines and planes hold
+    four general points of P2(Q), so their sum/intersection closure is
+    infinite."""
+    filts = []
+    for j, c in enumerate((0, 2, 2)):
+        point = (1, j, j * j + 1)
+        filts.append(RayFiltration(j, (
+            (0, SubspaceQ.span([point], 3)),
+            (1, SubspaceQ.span([point, (0, 1, c)], 3)),
+            (2, SubspaceQ.full(3)),
+        )))
+    path = files["dir"] / "rank3.json"
+    path.write_text(family_to_json(reflexive_from_filtrations(filts, p2)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["stability", "mu"], ["stability", "gieseker"],
+                                     ["weights", "--kind", "xi"]])
+def test_rank3_open_closure_exit_2(files, p2, command):
+    fam = _open_closure_rank3(files, p2)
+    check = run_entry_point(["family-check", "--fan", files["fan"], "--family", fam])
+    assert check.returncode == 0 and "reflexive: True" in check.stdout
+    proc = run_entry_point([*command, "--fan", files["fan"], "--family", fam,
+                            "--ample", files["ample"]])
+    assert_input_error(proc)
+    assert "rank >= 3 test set" in proc.stderr
+
+
+def test_git_samples_on_rank1_terminates(files):
+    proc = run_entry_point(["stability", "git", "--samples", "1", "--fan", files["fan"],
+                            "--family", files["o"], "--ample", files["ample"]])
+    assert proc.returncode == 0
+    assert "verdict: stable" in proc.stdout
+
+
+@pytest.mark.parametrize("samples", ["-3", "10001"])
+def test_git_samples_out_of_range_exit_2(files, samples):
+    proc = run_entry_point(["stability", "git", "--samples", samples, "--fan", files["fan"],
+                            "--family", files["family"], "--ample", files["ample"]])
+    assert_input_error(proc)
+    assert "[0, 10000]" in proc.stderr

@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import line_bundle_family, rank2_three_lines, structure_sheaf
+from toricsheaves import stability
 from toricsheaves.chern import hilbert_polynomial
 from toricsheaves.family import (
     DeltaFamily,
     KIND_TORSION_FREE,
     characteristic_function,
+    intersect_with_subspace,
     tensor_line_bundle,
 )
+from toricsheaves.fan import hirzebruch
 from toricsheaves.intersect import find_ample, intersection_table, pair
 from toricsheaves.polynomials import RatPoly, compare_for_large_t
 from toricsheaves.sampling import random_families, random_smooth_complete_fan
 from toricsheaves.stability import (
+    PARTIAL_NOTE,
     SEMISTABLE,
     STABLE,
     UNSTABLE,
@@ -56,6 +60,22 @@ def test_distinguished_rank1_empty(p2, o_p2):
 def test_distinguished_three_lines(p2):
     fam = rank2_three_lines(p2, lines=LINES)
     assert set(distinguished_subspaces(fam)) == set(LINES)
+
+
+def test_distinguished_rank3_closure(p2):
+    # the corner values hold <e0> and <e2> but not their sum; the closure adds it
+    from toricsheaves.family import RayFiltration, reflexive_from_filtrations
+
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    span = lambda *ix: SubspaceQ.span([e[i] for i in ix], 3)
+    filts = [RayFiltration(0, ((0, span(0)), (1, span(0, 1)), (2, SubspaceQ.full(3)))),
+             RayFiltration(1, ((0, span(2)), (1, span(1, 2)), (2, SubspaceQ.full(3)))),
+             RayFiltration(2, ((0, SubspaceQ.full(3)),))]
+    fam = reflexive_from_filtrations(filts, p2)
+    corner_values = {v for _, g in fam.corners for v in g.values}
+    assert span(0, 2) not in corner_values
+    coordinate = {span(i) for i in range(3)} | {span(i, j) for i, j in ((0, 1), (0, 2), (1, 2))}
+    assert set(distinguished_subspaces(fam)) == coordinate
 
 
 def test_distinguished_single_line(p2):
@@ -153,6 +173,45 @@ def test_gieseker_consistent_with_mu(corpus, amples):
                 assert g == STABLE
             if g in (STABLE, SEMISTABLE):
                 assert m in (STABLE, SEMISTABLE)
+
+
+def gieseker_by_chern(fam, fan, h):
+    """The Gieseker test on the Chern/Todd route: P(E cap W) from
+    hilbert_polynomial of each intersected subfamily."""
+    p_e = hilbert_polynomial(fam, fan, h).scale(Fraction(1, fam.rank))
+    ws, exhaustive = stability.test_subspaces(fam)
+    margins = [
+        (w, hilbert_polynomial(intersect_with_subspace(fam, w), fan, h).scale(Fraction(1, w.dim))
+         - p_e)
+        for w in ws
+    ]
+    return stability._classify("gieseker", margins, None, exhaustive,
+                               None if exhaustive else PARTIAL_NOTE)
+
+
+def test_gieseker_face_weights_match_chern_route(corpus, amples):
+    fans = [(fan, amples[name]) for name, fan in corpus.items()]
+    f2 = hirzebruch(2)
+    fans.append((f2, find_ample(f2)))
+    for blowups in (1, 2, 3):
+        fan = random_smooth_complete_fan(random.Random(blowups), blowups)
+        fans.append((fan, find_ample(fan)))
+    verdicts = set()
+    for fan, h in fans:
+        for fam in random_families(fan, 2, 12, seed=4001):
+            v = gieseker_test(fam, fan, h)
+            assert v == gieseker_by_chern(fam, fan, h)
+            verdicts.add(v.verdict)
+    assert verdicts == {STABLE, SEMISTABLE, UNSTABLE}
+
+
+@pytest.mark.parametrize("make", ["slab", "two_axes"])
+def test_gieseker_pure_rejected(p2, make):
+    from test_family import slab_family, two_axes_family
+
+    fam = slab_family(p2, 0) if make == "slab" else two_axes_family(p2)
+    with pytest.raises(ValueError, match="torsion-free kinds only"):
+        gieseker_test(fam, p2, H_P2)
 
 
 # --- weight systems ----------------------------------------------------------------
