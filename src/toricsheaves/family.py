@@ -718,6 +718,8 @@ def family_to_json(fam: DeltaFamily) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # p or p/q with q > 0
+# lattice points one cone's lo..hi box may hold; every point stores a subspace
+MAX_BOX_POINTS = 10_000
 
 
 def _rational(x) -> Fraction:
@@ -758,6 +760,12 @@ def family_from_json(text: str) -> DeltaFamily:
         if not len(cone) == len(lo) == len(hi):
             raise ValueError(f"family cone {index}: cone, lo and hi have lengths "
                              f"{len(cone)}, {len(lo)} and {len(hi)}; they must be equal")
+        points = 1
+        for a, b in zip(lo, hi):
+            points *= max(0, b - a + 1)
+        if points > MAX_BOX_POINTS:
+            raise ValueError(f"family cone {index}: its lo..hi box has {points} points; "
+                             f"at most {MAX_BOX_POINTS} are accepted")
         explicit: dict[tuple[int, ...], SubspaceQ] = {}
         for j in _json_of(list, entry["jumps"], "jumps"):
             _json_of(dict, j, "jump")

@@ -20,6 +20,17 @@ weight systems come either from the flag gaps (slope matching, with an
 R-scaling when non-flag Grassmannian factors are present) or from the face
 weight polynomials evaluated at an adaptively certified integer R
 (Gieseker matching).
+
+Every margin is linear in the integers dim(E^nu(lam) cap W), for the face
+values E^nu(lam) and the test subspaces W: the slope test weights them by
+the flag gaps, the GIT test by the weights kappa, and the Gieseker test by
+the face weight polynomials Xi, which give P(E cap W) = sum Xi dim(E^nu(lam)
+cap W) exactly because Xi reads only the boxes and E cap W keeps them.  Each
+public call therefore builds one meet table (the test set, one face grid per
+cone, and dim(V cap W) for each distinct face value V) and reads every
+margin off it as a dot product.  choose_r goes one step further: the GIT
+margins at the weights Xi(R) are the Xi margins evaluated at R, so each
+trial R only evaluates polynomials built once per witness.
 """
 
 from __future__ import annotations
@@ -28,15 +39,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .chern import as_char, restrict_char
 from .family import (
     CharFunction,
+    CornerFamily,
     DeltaFamily,
     KIND_PURE,
     characteristic_function,
-    intersect_with_subspace,
     is_reflexive,
     restrict_to_face,
 )
@@ -97,10 +109,14 @@ class FlagData:
 
 
 def extract_flag_data(fam: DeltaFamily, fan: Fan) -> FlagData:
-    m = fam.rank
+    return _flag_data(_MeetTable(fam, fan))
+
+
+def _flag_data(meets: _MeetTable) -> FlagData:
+    m = meets.rank
     out = []
-    for j in range(fan.n_rays()):
-        grid = restrict_to_face(fam, (j,), fan)
+    for j in range(meets.fan.n_rays()):
+        grid = meets.face((j,))
         lo, hi = grid.lo[0], grid.hi[0]
         base = None
         gaps = [0] * (m - 1)
@@ -191,6 +207,95 @@ def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
 
 
 # ---------------------------------------------------------------------------
+# the meet table
+
+class _MeetTable:
+    """One family's test set, its face values E^nu(lam) and, for each
+    distinct proper face value V and each test subspace W, the integer
+    dim(V cap W).  Every margin is linear in these integers, so each test
+    reads it as a dot product with its own weights.
+
+    One table serves one public call.  Faces, the test set and the columns
+    are filled on first use, so a call computes only what it reads, and a
+    malformed weight key is reported before the test set is built."""
+
+    def __init__(self, fam: DeltaFamily, fan: Fan, samples: Sequence[SubspaceQ] = ()):
+        self.fam, self.fan, self.rank = fam, fan, fam.rank
+        self._samples = list(samples)
+        self._faces: dict[ConeRef, CornerFamily] = {}
+        self._slots: dict[SubspaceQ, int] = {}
+        self.values: list[SubspaceQ] = []   # the distinct proper face values, by slot
+        self._columns: list[tuple[int, ...] | None] = []
+
+    def face(self, cone: ConeRef) -> CornerFamily:
+        """restrict_to_face, once per cone."""
+        grid = self._faces.get(cone)
+        if grid is None:
+            grid = self._faces[cone] = restrict_to_face(self.fam, cone, self.fan)
+        return grid
+
+    @cached_property
+    def _test_set(self) -> tuple[list[SubspaceQ], bool]:
+        ws, exhaustive = test_subspaces(self.fam)
+        return ws + self._samples, exhaustive
+
+    @property
+    def tests(self) -> list[SubspaceQ]:
+        """test_subspaces, then the samples, in that order."""
+        return self._test_set[0]
+
+    @property
+    def exhaustive(self) -> bool:
+        return self._test_set[1]
+
+    def slot_of(self, v: SubspaceQ) -> int | None:
+        """The slot of a face value, or None for 0 and the full space: a zero V
+        adds nothing to a margin, and a full V adds c dim W to its left side and
+        c M to its total, which cancel in every margin."""
+        if not 0 < v.dim < self.rank:
+            return None
+        s = self._slots.get(v)
+        if s is None:
+            s = self._slots[v] = len(self.values)
+            self.values.append(v)
+            self._columns.append(None)
+        return s
+
+    def slot(self, key: WeightKey) -> int | None:
+        cone, lam = key
+        grid = self.face(cone)
+        if len(lam) != grid.ndim():
+            raise ValueError(f"weight key {key} does not match the family's shape")
+        return self.slot_of(grid.value(lam))
+
+    def column(self, s: int) -> tuple[int, ...]:
+        """dim(V cap W) for the value V in slot s and every test subspace W."""
+        col = self._columns[s]
+        if col is None:
+            v = self.values[s]
+            col = self._columns[s] = tuple(v.intersect(w).dim for w in self.tests)
+        return col
+
+    def dots(self, weighted) -> tuple[list, object]:
+        """For (slot, c) pairs: sum_V c_V dim(V cap W) for each test subspace W,
+        and sum_V c_V dim V, with c_V the sum of the c in V's slot."""
+        coef: dict[int, object] = {}
+        for s, c in weighted:
+            if s is not None:
+                coef[s] = coef.get(s, 0) + c
+        lhs = [0] * len(self.tests)
+        total = 0
+        for s, c in coef.items():
+            if not c:
+                continue
+            total += c * self.values[s].dim
+            for k, d in enumerate(self.column(s)):
+                if d:
+                    lhs[k] += c * d
+        return lhs, total
+
+
+# ---------------------------------------------------------------------------
 # slope test
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
@@ -200,25 +305,19 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
     if not is_ample(h, fan, table):
         raise ValueError("polarization is not ample")
     m = fam.rank
-    flags = extract_flag_data(fam, fan)
+    meets = _MeetTable(fam, fan)
+    flags = _flag_data(meets)
     deg = ray_degrees(h, table)
-    total = sum(
-        rf.gaps[k] * deg[rf.ray] * (k + 1)
+    # flags[k] has dimension k + 1 and is set exactly where gaps[k] > 0
+    lhs, total = meets.dots(
+        (meets.slot_of(rf.flags[k]), rf.gaps[k] * deg[rf.ray])
         for rf in flags.rays
         for k in range(m - 1)
+        if rf.gaps[k]
     )
-
-    def margin(w: SubspaceQ) -> Fraction:
-        lhs = Fraction(0)
-        for rf in flags.rays:
-            for k in range(m - 1):
-                if rf.gaps[k] and rf.flags[k] is not None:
-                    lhs += rf.gaps[k] * deg[rf.ray] * rf.flags[k].intersect(w).dim
-        return lhs - Fraction(w.dim, m) * total
-
-    ws, exhaustive = test_subspaces(fam)
-    note = None if exhaustive else PARTIAL_NOTE
-    return _classify("mu", [(w, margin(w)) for w in ws], Fraction(0), exhaustive, note,
+    margins = [(w, Fraction(d) - Fraction(w.dim, m) * total) for w, d in zip(meets.tests, lhs)]
+    note = None if meets.exhaustive else PARTIAL_NOTE
+    return _classify("mu", margins, Fraction(0), meets.exhaustive, note,
                      stable_caveat=_mu_stable_caveat(fam, fan))
 
 
@@ -264,20 +363,33 @@ def _margin_sort(mg):
 
 def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
                   table: IntersectionTable | None = None) -> StabilityVerdict:
-    """Margins P(E cap W)/dim W - P(E)/M, both polynomials reconstructed from
-    the face weights of E's characteristic function.  The weights read only
-    its boxes, and E cap W has the boxes of E, so this is exact."""
+    """Margins P(E cap W)/dim W - P(E)/M, both polynomials read off the face
+    weights of E's characteristic function against the meet table.  The
+    weights read only its boxes, and E cap W has the boxes of E, so this is
+    exact."""
     if fam.kind == KIND_PURE:
         raise ValueError(TORSION_FREE_ONLY)
     xi = xi_weights(characteristic_function(fam), fan, ample, table)
+    meets = _MeetTable(fam, fan)
+    return _gieseker_verdict(meets, _gieseker_margins(meets, xi))
 
-    def reduced(sub: DeltaFamily, dim: int) -> RatPoly:
-        return xi_reconstruct(xi, sub, fan).scale(Fraction(1, dim))
 
-    p_e = reduced(fam, fam.rank)
-    ws, exhaustive = test_subspaces(fam)
-    margins = [(w, reduced(intersect_with_subspace(fam, w), w.dim) - p_e) for w in ws]
-    return _classify("gieseker", margins, None, exhaustive, None if exhaustive else PARTIAL_NOTE)
+def _gieseker_margins(meets: _MeetTable, xi: XiWeights) -> list[tuple[SubspaceQ, RatPoly]]:
+    """(W, sum_k Xi_k dim(E_k cap W) / dim W - sum_k Xi_k dim E_k / M) for each
+    test subspace W, one dot product per coefficient of the Xi_k."""
+    weighted = [(meets.slot(key), poly) for key, poly in xi.entries]
+    width = max((poly.degree for _, poly in weighted), default=-1) + 1
+    per_coeff = [meets.dots((s, poly.coeff(i)) for s, poly in weighted) for i in range(width)]
+    m = meets.rank
+    return [
+        (w, RatPoly.of([Fraction(lhs[k], w.dim) - Fraction(total, m) for lhs, total in per_coeff]))
+        for k, w in enumerate(meets.tests)
+    ]
+
+
+def _gieseker_verdict(meets: _MeetTable, margins) -> StabilityVerdict:
+    return _classify("gieseker", margins, None, meets.exhaustive,
+                     None if meets.exhaustive else PARTIAL_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +456,6 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence,
     return WeightSystem(m, tuple(scaled + extra_entries))
 
 
-def _point_subspace(fam: DeltaFamily, fan: Fan, key: WeightKey) -> SubspaceQ:
-    cone, lam = key
-    grid = restrict_to_face(fam, cone, fan)
-    if len(lam) != grid.ndim():
-        raise ValueError(f"weight key {key} does not match the family's shape")
-    return grid.value(lam)
-
-
 def random_subspaces(ambient: int, count: int, rng: random.Random) -> list[SubspaceQ]:
     """count random proper nonzero subspaces; none for ambient < 2, which has none."""
     if ambient < 2:
@@ -371,26 +475,28 @@ def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
     """Weighted dimension inequality over the distinguished and sampled
     subspaces; properly stable iff strict for every test subspace."""
     m = fam.rank
-    if weights.ambient != m:
-        raise ValueError(f"weight system ambient {weights.ambient} != family rank {m}")
+    _check_ambient(weights.ambient, m)
     if not 0 <= n_random <= MAX_SAMPLES:
         raise ValueError(f"random test subspaces: {n_random} requested, "
                          f"the count must lie in [0, {MAX_SAMPLES}]")
-    points = [(key, w, _point_subspace(fam, fan, key)) for key, w in weights.items()]
-    rhs = Fraction(sum(w * p.dim for _, w, p in points), m)
+    samples = random_subspaces(m, n_random, random.Random(seed)) if n_random else ()
+    meets = _MeetTable(fam, fan, samples)
+    margins = _git_margins(meets, weights)
+    note = None if meets.exhaustive else "distinguished-set verdict (rank >= 3)"
+    return _classify("git", margins, Fraction(0), meets.exhaustive, note)
 
-    def margin(wsub: SubspaceQ) -> Fraction:
-        lhs = Fraction(
-            sum(w * p.intersect(wsub).dim for _, w, p in points), wsub.dim
-        )
-        return lhs - rhs
 
-    ws, exhaustive = test_subspaces(fam)
-    if n_random:
-        rng = random.Random(seed)
-        ws = ws + random_subspaces(m, n_random, rng)
-    note = None if exhaustive else "distinguished-set verdict (rank >= 3)"
-    return _classify("git", [(w, margin(w)) for w in ws], Fraction(0), exhaustive, note)
+def _check_ambient(ambient: int, m: int) -> None:
+    if ambient != m:
+        raise ValueError(f"weight system ambient {ambient} != family rank {m}")
+
+
+def _git_margins(meets: _MeetTable, weights: WeightSystem) -> list[tuple[SubspaceQ, Fraction]]:
+    """(W, sum_k w_k dim(E_k cap W) / dim W - sum_k w_k dim E_k / M) for each
+    test subspace W; every weight key is checked against the family first."""
+    lhs, total = meets.dots([(meets.slot(key), w) for key, w in weights.items()])
+    rhs = Fraction(total, meets.rank)
+    return [(w, Fraction(d, w.dim) - rhs) for w, d in zip(meets.tests, lhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +603,34 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
              witnesses: Sequence[DeltaFamily], r_start: int = 1, r_max: int = 4000,
              table: IntersectionTable | None = None) -> tuple[int, WeightSystem]:
     """Smallest R >= r_start with all face weights positive at R and the GIT
-    verdict matching the Gieseker verdict on every witness family."""
+    verdict matching the Gieseker verdict on every witness family.
+
+    A GIT margin is linear in the weights, so its value at the weights Xi(R)
+    is the polynomial _gieseker_margins builds from Xi, evaluated at R.  Each
+    witness gets one meet table and its margin polynomials once; a witness
+    whose characteristic function is chi reuses them for its Gieseker target,
+    and every trial R only evaluates them."""
     table = table or intersection_table(fan)
     xi = xi_weights(chi, fan, ample, table)
-    targets = [gieseker_test(w, fan, ample, table).verdict for w in witnesses]
+    checks = []
+    for w in witnesses:
+        if w.kind == KIND_PURE:
+            raise ValueError(TORSION_FREE_ONLY)
+        chi_w = characteristic_function(w)
+        own = None if chi_w == chi else xi_weights(chi_w, fan, ample, table)
+        meets = _MeetTable(w, fan)
+        polys = _gieseker_margins(meets, xi)
+        margins = polys if own is None else _gieseker_margins(meets, own)
+        checks.append((w.rank, polys, _gieseker_verdict(meets, margins).verdict))
     for r in range(r_start, r_max + 1):
         if not xi.all_positive_at(r):
             continue
         ws = xi.at(r)
-        if all(
-            git_test(w, ws, fan).verdict == t for w, t in zip(witnesses, targets)
-        ):
+        if all(_git_verdict_at(ws, m, polys, r) == t for m, polys, t in checks):
             return r, ws
     raise RuntimeError(f"no certified R found in [{r_start}, {r_max}]")
+
+
+def _git_verdict_at(weights: WeightSystem, m: int, polys, r: int) -> str:
+    _check_ambient(weights.ambient, m)
+    return _classify("git", [(w, p(r)) for w, p in polys], Fraction(0), True, None).verdict

@@ -419,6 +419,8 @@ def _bad_divisor(files, flag, entries):
                      id="family-lo-short"),
         pytest.param(lambda f: _bad_family(f, ["cones", 0, "jumps", 0, "at"],
                                            lambda x: x + [0]), id="family-at-long"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 0, "hi"], lambda x: [v + 400 for v in x]),
+                     id="family-box-too-large"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):

@@ -398,6 +398,20 @@ def test_family_json_errors():
         family_from_json(json.dumps({"kind": "torsion-free", "rank": 1}))
 
 
+def test_family_json_box_cap(p2):
+    from toricsheaves.family import MAX_BOX_POINTS
+
+    doc = json.loads(family_to_json(rank2_three_lines(p2)))
+    cone = doc["cones"][1]
+    lo = cone["lo"]
+    cone["hi"] = [lo[0] + 99, lo[1] + 99]  # 100 x 100 = MAX_BOX_POINTS: accepted
+    assert MAX_BOX_POINTS == 10_000
+    family_from_json(json.dumps(doc))
+    cone["hi"][1] += 1
+    with pytest.raises(ValueError, match=f"cone {cone['index']}: .* 10100 points"):
+        family_from_json(json.dumps(doc))
+
+
 def test_declared_reflexive_must_be_reflexive(p2):
     from toricsheaves.family import KIND_REFLEXIVE, validate_family
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from toricsheaves.family import (
     KIND_TORSION_FREE,
     characteristic_function,
     intersect_with_subspace,
+    restrict_to_face,
     tensor_line_bundle,
 )
 from toricsheaves.fan import hirzebruch
@@ -538,3 +540,202 @@ def test_xi_weights_error_cases(p2, o_p2):
     )
     with pytest.raises(ValueError):
         xi_weights(bad, p2, H_P2)  # does not saturate to the rank
+
+
+# --- the meet table against the per-margin route it replaced ---------------------
+#
+# The old route, kept as the oracle: every margin recomputed from subspace
+# intersections, GIT weights looked up with one restrict_to_face per key, and
+# Gieseker margins from xi_reconstruct of each subfamily E cap W.
+
+def _point_subspace(fam, fan, key):
+    cone, lam = key
+    grid = restrict_to_face(fam, cone, fan)
+    if len(lam) != grid.ndim():
+        raise ValueError(f"weight key {key} does not match the family's shape")
+    return grid.value(lam)
+
+
+def mu_by_intersections(fam, fan, h):
+    table = intersection_table(fan)
+    m = fam.rank
+    flags = extract_flag_data(fam, fan)
+    deg = stability.ray_degrees(stability.divisor(h, fan), table)
+    total = sum(rf.gaps[k] * deg[rf.ray] * (k + 1) for rf in flags.rays for k in range(m - 1))
+
+    def margin(w):
+        lhs = Fraction(0)
+        for rf in flags.rays:
+            for k in range(m - 1):
+                if rf.gaps[k] and rf.flags[k] is not None:
+                    lhs += rf.gaps[k] * deg[rf.ray] * rf.flags[k].intersect(w).dim
+        return lhs - Fraction(w.dim, m) * total
+
+    ws, exhaustive = stability.test_subspaces(fam)
+    return stability._classify("mu", [(w, margin(w)) for w in ws], Fraction(0), exhaustive,
+                               None if exhaustive else PARTIAL_NOTE,
+                               stable_caveat=stability._mu_stable_caveat(fam, fan))
+
+
+def git_by_points(fam, weights, fan, n_random=0, seed=0):
+    m = fam.rank
+    points = [(w, _point_subspace(fam, fan, key)) for key, w in weights.items()]
+    rhs = Fraction(sum(w * p.dim for w, p in points), m)
+
+    def margin(wsub):
+        return Fraction(sum(w * p.intersect(wsub).dim for w, p in points), wsub.dim) - rhs
+
+    ws, exhaustive = stability.test_subspaces(fam)
+    if n_random:
+        ws = ws + random_subspaces(m, n_random, random.Random(seed))
+    note = None if exhaustive else "distinguished-set verdict (rank >= 3)"
+    return stability._classify("git", [(w, margin(w)) for w in ws], Fraction(0), exhaustive, note)
+
+
+def gieseker_by_subfamilies(fam, fan, h):
+    xi = xi_weights(characteristic_function(fam), fan, h)
+
+    def reduced(sub, dim):
+        return xi_reconstruct(xi, sub, fan).scale(Fraction(1, dim))
+
+    p_e = reduced(fam, fam.rank)
+    ws, exhaustive = stability.test_subspaces(fam)
+    margins = [(w, reduced(intersect_with_subspace(fam, w), w.dim) - p_e) for w in ws]
+    return stability._classify("gieseker", margins, None, exhaustive,
+                               None if exhaustive else PARTIAL_NOTE)
+
+
+def choose_r_by_git(chi, fan, h, witnesses, r_max=4000):
+    xi = xi_weights(chi, fan, h)
+    targets = [gieseker_by_subfamilies(w, fan, h).verdict for w in witnesses]
+    for r in range(1, r_max + 1):
+        if not xi.all_positive_at(r):
+            continue
+        ws = xi.at(r)
+        if all(git_by_points(w, ws, fan).verdict == t for w, t in zip(witnesses, targets)):
+            return r, ws
+    raise RuntimeError(f"no certified R found in [1, {r_max}]")
+
+
+def _oracle_fans(corpus, amples):
+    fans = [(fan, amples[name]) for name, fan in corpus.items()]
+    f2 = hirzebruch(2)
+    fans.append((f2, find_ample(f2)))
+    for blowups in (1, 2, 3):
+        fan = random_smooth_complete_fan(random.Random(blowups), blowups)
+        fans.append((fan, find_ample(fan)))
+    return fans
+
+
+def _assert_matches_old_route(fam, fan, h, seed):
+    assert mu_test(fam, fan, h) == mu_by_intersections(fam, fan, h)
+    assert gieseker_test(fam, fan, h) == gieseker_by_subfamilies(fam, fan, h)
+    try:
+        w = mu_weights(fam, fan, h)
+    except ValueError:
+        return
+    assert git_test(fam, w, fan) == git_by_points(fam, w, fan)
+    assert git_test(fam, w, fan, n_random=6, seed=seed) == git_by_points(fam, w, fan, 6, seed)
+
+
+def test_meet_table_matches_old_route(corpus, amples):
+    verdicts = set()
+    for fan, h in _oracle_fans(corpus, amples):
+        for rank, count in ((1, 2), (2, 8)):
+            for i, fam in enumerate(random_families(fan, rank, count, seed=3001)):
+                _assert_matches_old_route(fam, fan, h, seed=i)
+                verdicts.add(gieseker_test(fam, fan, h).verdict)
+    assert verdicts == {STABLE, SEMISTABLE, UNSTABLE}
+
+
+def test_meet_table_matches_old_route_rank3(p2):
+    from toricsheaves.family import RayFiltration, reflexive_from_filtrations
+
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    span = lambda *ix: SubspaceQ.span([e[i] for i in ix], 3)
+    full = SubspaceQ.full(3)
+    flags = [
+        # lines and planes in general position
+        [((0, span(0)), (1, span(0, 1)), (2, full)),
+         ((0, span(2)), (1, span(1, 2)), (3, full)),
+         ((0, span(1)), (2, full))],
+        # a plane with a long gap destabilizes: dim(V cap W) = 2 decides
+        [((0, span(0, 1)), (4, full)), ((0, span(2)), (1, full)), ((0, full),)],
+    ]
+    for i, filts in enumerate(flags):
+        fam = reflexive_from_filtrations(
+            [RayFiltration(j, f) for j, f in enumerate(filts)], p2)
+        assert not stability.test_subspaces(fam)[1]
+        _assert_matches_old_route(fam, p2, H_P2, seed=5)
+        # all margins tie at 0: the witness is the first test subspace
+        none = WeightSystem(3, ())
+        assert git_test(fam, none, p2, 4, 1) == git_by_points(fam, none, p2, 4, 1)
+    assert mu_test(fam, p2, H_P2).witness == span(0, 1)
+    # the test set is the samples alone
+    o3 = structure_sheaf(p2, rank=3)
+    v = git_test(o3, WeightSystem(3, ()), p2, 4, 1)
+    assert v == git_by_points(o3, WeightSystem(3, ()), p2, 4, 1)
+    assert v.verdict == SEMISTABLE and v.note == "distinguished-set verdict (rank >= 3)"
+
+
+def test_choose_r_matches_old_route(corpus, amples):
+    fan, h = corpus["p1xp1"], amples["p1xp1"]
+    fams = random_families(fan, 2, 25, seed=4001)
+    fam, other = fams[4], fams[19]
+    chi = characteristic_function(fam)
+    assert characteristic_function(other) != chi
+    # Xi of chi misjudges the witness: reusing it for the witness's target is wrong
+    xi = xi_weights(chi, fan, h)
+    meets = stability._MeetTable(other, fan)
+    reused = stability._gieseker_verdict(meets, stability._gieseker_margins(meets, xi))
+    assert reused.verdict != gieseker_test(other, fan, h).verdict
+    assert choose_r(chi, fan, h, [fam, other]) == choose_r_by_git(chi, fan, h, [fam, other])
+    for f in fams[:6]:
+        c = characteristic_function(f)
+        assert choose_r(c, fan, h, [f]) == choose_r_by_git(c, fan, h, [f])
+
+
+def test_git_weight_key_mismatch_rank2(p2):
+    fam = rank2_three_lines(p2, lines=LINES)
+    for key in (((0,), (0, 0)), ((0, 1, 2), (0, 0, 0))):
+        bad = WeightSystem(2, ((key, 1),))
+        with pytest.raises(ValueError):
+            git_by_points(fam, bad, p2)
+        with pytest.raises(ValueError):
+            git_test(fam, bad, p2)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every package namespace that binds it."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("toricsheaves") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_stability_work_counts(monkeypatch, f1):
+    from toricsheaves import family
+
+    h = find_ample(f1)
+    fam = random_families(f1, 2, 25, seed=4001)[14]
+    chi = characteristic_function(fam)
+    subfamilies = _count_calls(monkeypatch, family, "intersect_with_subspace")
+    xis = _count_calls(monkeypatch, stability, "xi_weights")
+    tests = _count_calls(monkeypatch, stability, "test_subspaces")
+    gieseker_test(fam, f1, h)
+    assert (len(xis), len(tests)) == (1, 1)
+    del xis[:], tests[:]
+    r, w = choose_r(chi, f1, h, [fam])
+    assert r > 1  # several R are tried
+    assert (len(xis), len(tests)) == (1, 1)
+    mu_test(fam, f1, h)
+    git_test(fam, w, f1, n_random=3)
+    git_test(fam, mu_weights(fam, f1, h), f1)
+    assert subfamilies == []
