@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import CharFunction, DeltaFamily, DimGrid, box_points, characteristic_function
+from .family import CharFunction, DeltaFamily, box_points, characteristic_function, restrict_to_face
 from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
@@ -32,18 +32,6 @@ def as_char(x: DeltaFamily | CharFunction) -> CharFunction:
     return characteristic_function(x) if isinstance(x, DeltaFamily) else x
 
 
-def restrict_char(chi: CharFunction, nu: ConeRef, fan: Fan) -> DimGrid:
-    nu = tuple(sorted(nu))
-    if not fan.is_cone(nu):
-        raise ValueError(f"{list(nu)} is not a cone of the fan")
-    gmap = chi.grid_map()
-    for i in sorted(gmap):
-        mc = fan.max_cones[i]
-        if set(nu) <= set(mc):
-            return gmap[i].face([mc.index(j) for j in nu])
-    return DimGrid(nu, (0,) * len(nu), (0,) * len(nu), (0,))
-
-
 @dataclass(frozen=True)
 class BracketSlice:
     """Finite differences of a cone's dimension grid: the local multiplicity
@@ -59,7 +47,7 @@ class BracketSlice:
 def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> BracketSlice:
     """For each lattice point of the cone's box, the alternating sum of the
     limit dimensions over the 2^dim shifted corners."""
-    grid = restrict_char(as_char(x), cone, fan)
+    grid = restrict_to_face(as_char(x), cone, fan)
     t = grid.ndim()
     entries = []
     for lam in box_points(grid.lo, grid.hi):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,20 +47,23 @@ def _clamp(lo: Sequence[int], hi: Sequence[int], lam: Sequence[int]):
 
 
 class _Grid:
-    """Shared behaviour of subspace-valued and integer-valued grids."""
+    """A box of values for one cone: a subspace grid (CornerFamily) or its
+    dimension grid (DimGrid).  Every grid operation is written once here; a
+    subclass supplies only _make and _zero_value."""
 
     cone: ConeRef
     lo: tuple[int, ...]
     hi: tuple[int, ...]
+    values: tuple
 
-    def _entry(self, lam):
+    def _make(self, cone: ConeRef, lo, hi, values):
         raise NotImplementedError
 
     def _zero_value(self):
         raise NotImplementedError
 
-    def _is_zero_value(self, v) -> bool:
-        raise NotImplementedError
+    def _entry(self, lam):
+        return self.values[_box_index(self.lo, self.hi, lam)]
 
     def value(self, lam: Sequence[int]):
         c = _clamp(self.lo, self.hi, lam)
@@ -74,7 +77,7 @@ class _Grid:
     def ndim(self) -> int:
         return len(self.cone)
 
-    def face_values(self, positions: Sequence[int]):
+    def face(self, positions: Sequence[int]):
         """Grid over the sub-box of the given free coordinates, all other
         coordinates clamped to the top (the limit toward infinity)."""
         positions = tuple(positions)
@@ -86,11 +89,47 @@ class _Grid:
             for p, x in zip(positions, lam):
                 full[p] = x
             vals.append(self._entry(tuple(full)))
-        cone = tuple(self.cone[p] for p in positions)
-        return cone, lo, hi, tuple(vals)
+        return self._make(tuple(self.cone[p] for p in positions), lo, hi, tuple(vals))
+
+    def shift(self, k: Sequence[int]):
+        return self._make(
+            self.cone,
+            tuple(a - b for a, b in zip(self.lo, k)),
+            tuple(a - b for a, b in zip(self.hi, k)),
+            self.values,
+        )
+
+    def trim(self):
+        """Canonical minimal box: drop all-zero bottom slabs and clamp-redundant
+        top slabs; evaluation is unchanged."""
+        lo, hi = list(self.lo), list(self.hi)
+        zero = self._zero_value()
+
+        def slab(coord, at):
+            return box_points(
+                [l if k != coord else at for k, l in enumerate(lo)],
+                [h if k != coord else at for k, h in enumerate(hi)],
+            )
+
+        changed = True
+        while changed:
+            changed = False
+            for k in range(len(lo)):
+                while hi[k] > lo[k] and all(
+                    self._entry(lam) == self._entry(tuple(x - (1 if i == k else 0) for i, x in enumerate(lam)))
+                    for lam in slab(k, hi[k])
+                ):
+                    hi[k] -= 1
+                    changed = True
+                while lo[k] < hi[k] and all(self._entry(lam) == zero for lam in slab(k, lo[k])):
+                    lo[k] += 1
+                    changed = True
+        vals = tuple(self._entry(lam) for lam in box_points(lo, hi))
+        return self._make(self.cone, tuple(lo), tuple(hi), vals)
 
     def nonzero_points(self):
-        return [lam for lam in self.points() if not self._is_zero_value(self._entry(lam))]
+        zero = self._zero_value()
+        return [lam for lam in self.points() if self._entry(lam) != zero]
 
 
 @dataclass(frozen=True)
@@ -101,31 +140,13 @@ class DimGrid(_Grid):
     cone: ConeRef
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    dims: tuple[int, ...]
+    values: tuple[int, ...]
 
-    def _entry(self, lam):
-        return self.dims[_box_index(self.lo, self.hi, lam)]
+    def _make(self, cone, lo, hi, values) -> "DimGrid":
+        return DimGrid(cone, lo, hi, values)
 
     def _zero_value(self):
         return 0
-
-    def _is_zero_value(self, v):
-        return v == 0
-
-    def face(self, positions: Sequence[int]) -> "DimGrid":
-        cone, lo, hi, vals = self.face_values(positions)
-        return DimGrid(cone, lo, hi, vals)
-
-    def shift(self, k: Sequence[int]) -> "DimGrid":
-        return DimGrid(
-            self.cone,
-            tuple(a - b for a, b in zip(self.lo, k)),
-            tuple(a - b for a, b in zip(self.hi, k)),
-            self.dims,
-        )
-
-    def trim(self) -> "DimGrid":
-        return _trim_grid(self, DimGrid, self.dims)
 
 
 @dataclass(frozen=True)
@@ -140,85 +161,33 @@ class CornerFamily(_Grid):
     values: tuple[SubspaceQ, ...]
     ambient: int
 
-    def _entry(self, lam):
-        return self.values[_box_index(self.lo, self.hi, lam)]
+    def _make(self, cone, lo, hi, values) -> "CornerFamily":
+        return CornerFamily(cone, lo, hi, values, self.ambient)
 
     def _zero_value(self):
         return SubspaceQ.zero(self.ambient)
-
-    def _is_zero_value(self, v):
-        return v.is_zero()
-
-    def face(self, positions: Sequence[int]) -> "CornerFamily":
-        cone, lo, hi, vals = self.face_values(positions)
-        return CornerFamily(cone, lo, hi, vals, self.ambient)
-
-    def shift(self, k: Sequence[int]) -> "CornerFamily":
-        return CornerFamily(
-            self.cone,
-            tuple(a - b for a, b in zip(self.lo, k)),
-            tuple(a - b for a, b in zip(self.hi, k)),
-            self.values,
-            self.ambient,
-        )
 
     def dims(self) -> DimGrid:
         return DimGrid(self.cone, self.lo, self.hi, tuple(v.dim for v in self.values))
 
     def map_values(self, f) -> "CornerFamily":
-        return CornerFamily(self.cone, self.lo, self.hi, tuple(f(v) for v in self.values), self.ambient)
+        return self._make(self.cone, self.lo, self.hi, tuple(f(v) for v in self.values))
 
     def with_value(self, lam: Sequence[int], v: SubspaceQ) -> "CornerFamily":
         idx = _box_index(self.lo, self.hi, tuple(lam))
         vals = list(self.values)
         vals[idx] = v
-        return CornerFamily(self.cone, self.lo, self.hi, tuple(vals), self.ambient)
-
-    def trim(self) -> "CornerFamily":
-        return _trim_grid(self, CornerFamily, self.values, self.ambient)
+        return self._make(self.cone, self.lo, self.hi, tuple(vals))
 
     def pad_top(self, delta: int) -> "CornerFamily":
         """Extend the box top by delta in every coordinate; the new grid
         points take the clamped values, so evaluation is unchanged."""
         hi = tuple(h + delta for h in self.hi)
         vals = tuple(self.value(lam) for lam in box_points(self.lo, hi))
-        return CornerFamily(self.cone, self.lo, hi, vals, self.ambient)
+        return self._make(self.cone, self.lo, hi, vals)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
-
-
-def _trim_grid(grid, cls, flat, *extra):
-    """Canonical minimal box: drop all-zero bottom slabs and clamp-redundant
-    top slabs; evaluation is unchanged."""
-    lo, hi = list(grid.lo), list(grid.hi)
-
-    def slab(coord, at):
-        pts = []
-        for lam in box_points(
-            [l if k != coord else at for k, l in enumerate(lo)],
-            [h if k != coord else at for k, h in enumerate(hi)],
-        ):
-            pts.append(lam)
-        return pts
-
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(lo)):
-            while hi[k] > lo[k] and all(
-                grid._entry(lam) == grid._entry(tuple(x - (1 if i == k else 0) for i, x in enumerate(lam)))
-                for lam in slab(k, hi[k])
-            ):
-                hi[k] -= 1
-                changed = True
-            while lo[k] < hi[k] and all(
-                grid._is_zero_value(grid._entry(lam)) for lam in slab(k, lo[k])
-            ):
-                lo[k] += 1
-                changed = True
-    vals = tuple(grid._entry(lam) for lam in box_points(lo, hi))
-    return cls(grid.cone, tuple(lo), tuple(hi), vals, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +198,17 @@ class CharFunction:
     """Per maximal cone, the dimension function of a family."""
 
     rank: int
-    grids: tuple[tuple[int, DimGrid], ...]
+    corners: tuple[tuple[int, DimGrid], ...]
 
-    def grid_map(self) -> dict[int, DimGrid]:
-        return dict(self.grids)
+    def corner_map(self) -> dict[int, DimGrid]:
+        return dict(self.corners)
+
+    def empty_face(self, nu: ConeRef) -> DimGrid:
+        """The zero grid on a face no cone of the data contains."""
+        return DimGrid(nu, (0,) * len(nu), (0,) * len(nu), (0,))
 
     def trim(self) -> "CharFunction":
-        return CharFunction(self.rank, tuple((i, g.trim()) for i, g in self.grids))
+        return CharFunction(self.rank, tuple((i, g.trim()) for i, g in self.corners))
 
     def canonical(self) -> str:
         doc = {
@@ -246,9 +219,9 @@ class CharFunction:
                     "cone": list(g.cone),
                     "lo": list(g.lo),
                     "hi": list(g.hi),
-                    "dims": list(g.dims),
+                    "dims": list(g.values),
                 }
-                for i, g in sorted(self.grids)
+                for i, g in sorted(self.corners)
             ],
         }
         return json.dumps(doc, sort_keys=True)
@@ -325,6 +298,10 @@ class DeltaFamily:
     def corner(self, i: int) -> CornerFamily:
         return self.corner_map()[i]
 
+    def empty_face(self, nu: ConeRef) -> CornerFamily:
+        """The zero grid on a face no cone of the data contains."""
+        return CornerFamily(nu, (0,) * len(nu), (0,) * len(nu), (SubspaceQ.zero(self.rank),), self.rank)
+
     def map_corners(self, f) -> "DeltaFamily":
         return DeltaFamily(self.kind, self.rank, tuple((i, f(c)) for i, c in self.corners), self.support)
 
@@ -390,6 +367,19 @@ def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
     return report
 
 
+def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
+    """Each (lam, k) where the value at lam does not include into the value
+    one step up in direction k; with drop_ok, a step to zero is allowed."""
+    for lam in grid.points():
+        v = grid._entry(lam)
+        for k in range(grid.ndim()):
+            nxt = list(lam)
+            nxt[k] += 1
+            w = grid.value(nxt)
+            if not w.contains(v) and not (drop_ok and w.is_zero()):
+                yield lam, k
+
+
 def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
     """Empty report iff the family is a valid framed torsion-free family:
     monotone, glued, and saturating to the full space on every cone."""
@@ -407,14 +397,8 @@ def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
         if any(a > b for a, b in zip(grid.lo, grid.hi)):
             report.append(f"cone {i}: empty box {grid.lo}..{grid.hi}")
             continue
-        for lam in grid.points():
-            v = grid._entry(lam)
-            for k in range(grid.ndim()):
-                nxt = list(lam)
-                nxt[k] += 1
-                w = grid.value(nxt)
-                if not w.contains(v):
-                    report.append(f"cone {i}: not monotone at {lam} direction {k}")
+        for lam, k in _inclusion_breaks(grid, drop_ok=False):
+            report.append(f"cone {i}: not monotone at {lam} direction {k}")
         if not grid._entry(grid.hi).is_full():
             report.append(f"cone {i}: value at the box top is not the full space")
     report.extend(_gluing_report(fan, cmap))
@@ -427,18 +411,11 @@ def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
     if bad:
         raise ValueError("invalid family: " + "; ".join(bad[:3]))
     for _, grid in fam.corners:
-        axis = []
-        for k in range(grid.ndim()):
-            vals = {}
-            for x in range(grid.lo[k], grid.hi[k] + 1):
-                full = list(grid.hi)
-                full[k] = x
-                vals[x] = grid._entry(tuple(full))
-            axis.append(vals)
+        axis = [grid.face((k,)) for k in range(grid.ndim())]
         for lam in grid.points():
             expect = SubspaceQ.full(grid.ambient)
             for k, x in enumerate(lam):
-                expect = expect.intersect(axis[k][x])
+                expect = expect.intersect(axis[k]._entry((x,)))
             if grid._entry(lam) != expect:
                 return False
     return True
@@ -455,8 +432,7 @@ def detect_support(corner: CornerFamily) -> set[ConeRef]:
         for T in itertools.combinations(range(r), size):
             if any(set(m) <= set(T) for m in minimal):
                 continue
-            _, lo, hi, vals = corner.face_values(T)
-            if any(not v.is_zero() for v in vals):
+            if not corner.face(T).is_zero():
                 minimal.append(T)
     return {tuple(sorted(corner.cone[p] for p in T)) for T in minimal}
 
@@ -469,29 +445,20 @@ def _pure_cone_report(i: int, grid: CornerFamily, patterns: list[tuple[int, ...]
         report.append(
             f"cone {i}: support pattern {sorted(detected)} does not match declared {sorted(expected)}"
         )
-    # monotone or drop to zero
-    for lam in grid.points():
-        v = grid._entry(lam)
-        for k in range(grid.ndim()):
-            nxt = list(lam)
-            nxt[k] += 1
-            w = grid.value(nxt)
-            if not w.is_zero() and not w.contains(v):
-                report.append(f"cone {i}: value at {lam} does not include into direction {k}")
+    for lam, k in _inclusion_breaks(grid, drop_ok=True):
+        report.append(f"cone {i}: value at {lam} does not include into direction {k}")
     bounded = sorted(set(p for T in patterns for p in T))
     if not bounded:
         return report
     # per-coordinate bounds inferred from the top regions
     c_bound: dict[int, int] = {}
     for T in patterns:
-        _, lo, hi, vals = grid.face_values(T)
+        top = grid.face(T).nonzero_points()
+        if not top:
+            continue
         for pos, p in enumerate(T):
-            best = None
-            for lam, v in zip(box_points(lo, hi), vals):
-                if not v.is_zero():
-                    best = lam[pos] if best is None else max(best, lam[pos])
-            if best is not None:
-                c_bound[p] = max(c_bound.get(p, best), best)
+            best = max(lam[pos] for lam in top)
+            c_bound[p] = max(c_bound.get(p, best), best)
     def in_region(lam):
         return any(all(lam[p] <= c_bound.get(p, lam[p]) for p in T) for T in patterns)
 
@@ -547,13 +514,8 @@ def validate_pure(fam: DeltaFamily, fan: Fan) -> list[str]:
         # support is the whole variety; the conditions collapse to the
         # torsion-free ones with an arbitrary saturation space
         for i, grid in sorted(cmap.items()):
-            for lam in grid.points():
-                v = grid._entry(lam)
-                for k in range(grid.ndim()):
-                    nxt = list(lam)
-                    nxt[k] += 1
-                    if not grid.value(nxt).contains(v):
-                        report.append(f"cone {i}: not monotone at {lam} direction {k}")
+            for lam, k in _inclusion_breaks(grid, drop_ok=False):
+                report.append(f"cone {i}: not monotone at {lam} direction {k}")
             if grid._entry(grid.hi).is_zero():
                 report.append(f"cone {i}: zero limit space")
         report.extend(_gluing_report(fan, cmap))
@@ -593,40 +555,31 @@ def validate_family(fam: DeltaFamily, fan: Fan) -> list[str]:
 # ---------------------------------------------------------------------------
 # restriction, twisting, characteristic function, gauge
 
-def restrict_to_face(fam: DeltaFamily, nu: ConeRef, fan: Fan) -> CornerFamily:
-    """The family on the open chart of nu: finite coordinates along the rays
-    of nu, all other coordinates sent to infinity (clamped)."""
+def restrict_to_face(x: DeltaFamily | CharFunction, nu: ConeRef, fan: Fan):
+    """The family (or characteristic function) on the open chart of nu:
+    finite coordinates along the rays of nu, all other coordinates sent to
+    infinity (clamped)."""
     nu = tuple(sorted(nu))
     if not fan.is_cone(nu):
         raise ValueError(f"{list(nu)} is not a cone of the fan")
-    cmap = fam.corner_map()
+    cmap = x.corner_map()
     for i in sorted(cmap):
         mc = fan.max_cones[i]
         if set(nu) <= set(mc):
-            positions = [mc.index(j) for j in nu]
-            return cmap[i].face(positions)
-    return CornerFamily(nu, (0,) * len(nu), (0,) * len(nu),
-                        (SubspaceQ.zero(fam.rank),), fam.rank)
+            return cmap[i].face([mc.index(j) for j in nu])
+    return x.empty_face(nu)
 
 
 def cone_shift(kvec: Sequence[int], cone: ConeRef) -> tuple[int, ...]:
     return tuple(int(kvec[j]) for j in cone)
 
 
-def tensor_line_bundle(fam: DeltaFamily, kvec: Sequence[int]) -> DeltaFamily:
+def tensor_line_bundle(x: DeltaFamily | CharFunction, kvec: Sequence[int]):
     """Twist by the equivariant line bundle with ray integers kvec: each
     corner grid shifts by the per-cone components of kvec."""
-    corners = tuple(
-        (i, grid.shift(cone_shift(kvec, grid.cone))) for i, grid in fam.corners
-    )
-    return DeltaFamily(fam.kind, fam.rank, corners, fam.support)
-
-
-def tensor_char(chi: CharFunction, kvec: Sequence[int]) -> CharFunction:
-    return CharFunction(
-        chi.rank,
-        tuple((i, g.shift(cone_shift(kvec, g.cone))) for i, g in chi.grids),
-    )
+    return replace(x, corners=tuple(
+        (i, grid.shift(cone_shift(kvec, grid.cone))) for i, grid in x.corners
+    ))
 
 
 def characteristic_function(fam: DeltaFamily) -> CharFunction:
@@ -639,26 +592,18 @@ def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
 
     The designated cone is the lowest-index maximal cone carrying nonzero
     data.  Returns (fixed, kvec) where kvec is the ray vector of the twist
-    applied (a relation vector, so the divisor class is unchanged).
+    applied (a relation vector, so the divisor class is unchanged); a fixed
+    characteristic function is also trimmed.
     """
-    if isinstance(x, CharFunction):
-        grids = x.grid_map()
-        nonzero = lambda g: any(d != 0 for d in g.dims)
-    else:
-        grids = x.corner_map()
-        nonzero = lambda g: not g.is_zero()
-    designated = None
-    for i in sorted(grids):
-        if nonzero(grids[i]):
-            designated = i
+    cmap = x.corner_map()
+    for i in sorted(cmap):
+        support = cmap[i].nonzero_points()
+        if support:
             break
-    if designated is None:
+    else:
         raise ValueError("family is zero on every cone; nothing to gauge")
-    grid = grids[designated]
-    bounds = []
-    for k in range(grid.ndim()):
-        vals = [lam[k] for lam in grid.nonzero_points()]
-        bounds.append(min(vals))
+    grid = cmap[i]
+    bounds = [min(lam[k] for lam in support) for k in range(grid.ndim())]
     # rays * u = bounds for the unimodular cone: RREF of the augmented matrix
     solved = rref([[Fraction(x) for x in fan.rays[j]] + [Fraction(b)]
                    for j, b in zip(grid.cone, bounds)])
@@ -668,9 +613,8 @@ def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
     kvec = tuple(
         sum(ui * nj for ui, nj in zip(u, fan.rays[j])) for j in range(fan.n_rays())
     )
-    if isinstance(x, CharFunction):
-        return tensor_char(x, kvec).trim(), kvec
-    return tensor_line_bundle(x, kvec), kvec
+    fixed = tensor_line_bundle(x, kvec)
+    return (fixed.trim() if isinstance(x, CharFunction) else fixed), kvec
 
 
 def intersect_with_subspace(fam: DeltaFamily, w: SubspaceQ) -> DeltaFamily:
@@ -683,17 +627,22 @@ def intersect_with_subspace(fam: DeltaFamily, w: SubspaceQ) -> DeltaFamily:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _join_below(entries, lam: Sequence[int], ambient: int) -> SubspaceQ:
+    """The sum of the values of the (mu, value) entries with mu <= lam."""
+    rec = SubspaceQ.zero(ambient)
+    for mu, v in entries:
+        if all(a <= b for a, b in zip(mu, lam)):
+            rec = rec.sum(v)
+    return rec
+
+
 def _grid_jumps(grid: CornerFamily) -> list[dict]:
     """Minimal explicit entries: a point is written iff the join of the
     already-written entries below it does not reproduce the value."""
     entries: list[tuple[tuple[int, ...], SubspaceQ]] = []
     for lam in grid.points():
-        rec = SubspaceQ.zero(grid.ambient)
-        for mu, v in entries:
-            if all(a <= b for a, b in zip(mu, lam)):
-                rec = rec.sum(v)
         actual = grid._entry(lam)
-        if rec != actual:
+        if _join_below(entries, lam, grid.ambient) != actual:
             entries.append((lam, actual))
     return [{"at": list(lam), "basis": v.basis_str()} for lam, v in entries]
 
@@ -781,17 +730,11 @@ def family_from_json(text: str) -> DeltaFamily:
                 for row in _json_of(list, j["basis"], "basis")
             ]
             explicit[at] = SubspaceQ.span(rows, m)
-        vals = []
-        for lam in box_points(lo, hi):
-            if lam in explicit:
-                vals.append(explicit[lam])
-            else:
-                rec = SubspaceQ.zero(m)
-                for mu, v in explicit.items():
-                    if all(a <= b for a, b in zip(mu, lam)):
-                        rec = rec.sum(v)
-                vals.append(rec)
-        corners.append((index, CornerFamily(cone, lo, hi, tuple(vals), m)))
+        vals = tuple(
+            explicit[lam] if lam in explicit else _join_below(explicit.items(), lam, m)
+            for lam in box_points(lo, hi)
+        )
+        corners.append((index, CornerFamily(cone, lo, hi, vals, m)))
     support = tuple(
         ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")
     )

@@ -180,7 +180,11 @@ def is_ample(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> b
     return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
 
 
-def find_ample(fan: Fan, bound: int = 4) -> Divisor:
+# the largest sup-norm find_ample searches
+AMPLE_SEARCH_RADIUS = 4
+
+
+def find_ample(fan: Fan) -> Divisor:
     """Deterministic small ample divisor, by increasing sup-norm then lex."""
     table = intersection_table(fan)
     n = fan.n_rays()
@@ -198,7 +202,7 @@ def find_ample(fan: Fan, bound: int = 4) -> Divisor:
             if max(v) == radius:
                 yield v
 
-    for radius in range(1, bound + 1):
+    for radius in range(1, AMPLE_SEARCH_RADIUS + 1):
         for v in vectors(radius):
             if is_ample(v, fan, table):
                 return divisor(v, fan)

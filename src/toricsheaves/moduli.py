@@ -147,6 +147,8 @@ def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
         raise ValueError("fixed point enumeration implemented for surfaces only")
     if validate_fan(fan):
         raise ValueError("fan is not a valid smooth complete surface fan")
+    if order < 0:
+        raise ValueError(f"order {order} is negative; it must be at least 0")
     if order > 40:
         raise ValueError("order capped at 40")
     counts = [sum(1 for _ in partitions_of(k)) for k in range(order + 1)]
@@ -159,6 +161,8 @@ def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
 
 def rank2_p2_series(order: int) -> IntSeries:
     """Exact expansion of 1/prod(1-q^k)^6 * sum_{m,n>=1} q^{mn}/(1-q^{m+n-1})."""
+    if order < 0:
+        raise ValueError(f"order {order} is negative; it must be at least 0")
     if order > 30:
         raise ValueError("order capped at 30")
     inner = [0] * (order + 1)
@@ -197,8 +201,17 @@ class BoxBoundError(ValueError):
     """The enumeration window was too small to certify the result."""
 
 
+# Work caps, checked before an enumeration starts.  Rank 1 builds one family
+# per staircase tuple (about 1 ms each); rank 2 solves one class equation per
+# point of its profile window (a P^2 run with c1 = H, c2 <= 1 spends about
+# 10 us per point in all).
+MAX_RANK1_C2 = 40
+MAX_RANK1_TUPLES = 5_000
+MAX_WINDOW_POINTS = 60_000
+
+
 def _window_check(chi: CharFunction, bound: int):
-    for _, g in chi.grids:
+    for _, g in chi.corners:
         if any(abs(x) >= bound for x in g.lo + g.hi):
             raise BoxBoundError(
                 f"gauge-fixed box {g.lo}..{g.hi} reaches the window bound {bound}; "
@@ -253,6 +266,13 @@ def _rank1_family(fan: Fan, kvec: Sequence[int],
 
 
 def _enumerate_rank1(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
+    if c2_max > MAX_RANK1_C2:
+        raise ValueError(f"rank-1 enumeration accepts c2 <= {MAX_RANK1_C2}, not {c2_max}; "
+                         "lower --c2-max")
+    tuples = sum(rank1_fixed_point_series(fan, c2_max).coeffs)
+    if tuples > MAX_RANK1_TUPLES:
+        raise ValueError(f"rank-1 enumeration with c2 <= {c2_max} builds {tuples} staircase "
+                         f"tuples; at most {MAX_RANK1_TUPLES} are accepted; lower --c2-max")
     table = intersection_table(fan)
     l = len(fan.max_cones)
     records: dict[str, ChiRecord] = {}
@@ -490,6 +510,10 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     c2 repaired by cuts, and equal-slope split pairs under unbounded
     relative twists), and only the stable-capable core is finite and
     window-independent."""
+    points = (box_bound + 1) ** fan.n_rays() * (2 * box_bound + 1) ** 2
+    if points > MAX_WINDOW_POINTS:
+        raise ValueError(f"the rank-2 profile window has {points} points at box {box_bound}; "
+                         f"at most {MAX_WINDOW_POINTS} are accepted; lower --box")
     table = intersection_table(fan)
     matrix = integer_matrix(table)
     n = fan.n_rays()

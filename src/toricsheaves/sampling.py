@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from math import gcd
-from typing import Sequence
 
 from .family import (
     DeltaFamily,

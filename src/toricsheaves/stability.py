@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .chern import as_char, restrict_char
+from .chern import as_char
 from .family import (
     CharFunction,
     CornerFamily,
@@ -78,6 +78,8 @@ PARTIAL_NOTE = ("distinguished-set verdict (rank >= 3): "
 CLOSURE_CAP = 256
 # random test subspaces per git_test call
 MAX_SAMPLES = 10_000
+# the largest R that choose_r tries
+R_MAX = 4000
 
 
 @dataclass(frozen=True)
@@ -177,33 +179,23 @@ def _subspace_key(v: SubspaceQ):
     return (v.dim, tuple(tuple(str(x) for x in row) for row in v.rows))
 
 
-def _line(ambient: int, vec: Sequence[int]) -> SubspaceQ:
-    return SubspaceQ.span([vec], ambient)
-
-
-def generic_test_subspaces(fam: DeltaFamily, avoid: Sequence[SubspaceQ]) -> list[SubspaceQ]:
-    """One generic proper subspace per dimension, for rank <= 2: a line whose
-    intersection with every corner value has the generic dimension."""
-    m = fam.rank
-    if m != 2:
-        return []
-    avoid_set = set(avoid)
-    candidates = [_line(2, (0, 1))] + [_line(2, (1, t)) for t in range(len(avoid_set) + 2)]
-    values = [v for _, g in fam.corners for v in g.values]
-    for w in candidates:
-        if w in avoid_set:
-            continue
-        if all(v.intersect(w).dim == max(0, v.dim + 1 - m) for v in values):
-            return [w]
-    raise RuntimeError("no generic line found")  # pool always suffices
-
-
 def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
-    """Test set and whether it certifies an exhaustive verdict."""
+    """Test set and whether it certifies an exhaustive verdict.
+
+    In rank 2 the set ends with one generic line, the first of (0, 1),
+    (1, 0), (1, 1), (1, 2), ... outside the distinguished set.  Every proper
+    corner value is a distinguished line, so that line meets each corner
+    value in the generic dimension: 0 for 0 and for the other lines, 1 for
+    the full space."""
     ws = distinguished_subspaces(fam)
-    if fam.rank <= 2:
-        return ws + generic_test_subspaces(fam, ws), True
-    return ws, False
+    if fam.rank == 2:
+        taken = set(ws)
+        for vec in itertools.chain([(0, 1)], ((1, t) for t in itertools.count())):
+            line = SubspaceQ.span([vec], 2)
+            if line not in taken:
+                ws.append(line)
+                break
+    return ws, fam.rank <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +536,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     table = table or intersection_table(fan)
     if not is_ample(ample, fan, table):
         raise ValueError("polarization is not ample")
-    gmap = chi.grid_map()
+    gmap = chi.corner_map()
     if set(gmap) != set(range(len(fan.max_cones))):
         raise ValueError("characteristic function must cover every maximal cone")
     for i, g in gmap.items():
@@ -558,7 +550,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     h_sq = pair(ample, ample, table) / 2
     sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
     for nu in fan.cones():
-        grid = restrict_char(chi, nu, fan)
+        grid = restrict_to_face(chi, nu, fan)
         sign = (-1) ** (fan.rank - len(nu))
         cut = [b + 1 for b in grid.hi]
         quad = [(u, v, mat[i][j]) for u, i in enumerate(nu) for v, j in enumerate(nu)]
@@ -592,7 +584,7 @@ def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:
     cache: dict[ConeRef, object] = {}
     for (cone, lam), poly in xi.entries:
         if cone not in cache:
-            cache[cone] = restrict_char(chi, cone, fan)
+            cache[cone] = restrict_to_face(chi, cone, fan)
         d = cache[cone].value(lam)
         if d:
             out = out + poly.scale(d)
@@ -600,10 +592,10 @@ def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:
 
 
 def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
-             witnesses: Sequence[DeltaFamily], r_start: int = 1, r_max: int = 4000,
+             witnesses: Sequence[DeltaFamily],
              table: IntersectionTable | None = None) -> tuple[int, WeightSystem]:
-    """Smallest R >= r_start with all face weights positive at R and the GIT
-    verdict matching the Gieseker verdict on every witness family.
+    """Smallest R in [1, R_MAX] with all face weights positive at R and the
+    GIT verdict matching the Gieseker verdict on every witness family.
 
     A GIT margin is linear in the weights, so its value at the weights Xi(R)
     is the polynomial _gieseker_margins builds from Xi, evaluated at R.  Each
@@ -622,13 +614,13 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         polys = _gieseker_margins(meets, xi)
         margins = polys if own is None else _gieseker_margins(meets, own)
         checks.append((w.rank, polys, _gieseker_verdict(meets, margins).verdict))
-    for r in range(r_start, r_max + 1):
+    for r in range(1, R_MAX + 1):
         if not xi.all_positive_at(r):
             continue
         ws = xi.at(r)
         if all(_git_verdict_at(ws, m, polys, r) == t for m, polys, t in checks):
             return r, ws
-    raise RuntimeError(f"no certified R found in [{r_start}, {r_max}]")
+    raise RuntimeError(f"no certified R found in [1, {R_MAX}]")
 
 
 def _git_verdict_at(weights: WeightSystem, m: int, polys, r: int) -> str:

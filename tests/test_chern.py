@@ -157,7 +157,7 @@ def test_hilbert_matches_lattice_oracle_for_nef(corpus, amples):
 
 def direct_sum_char(f, g, fan):
     grids = []
-    fm, gm = f.grid_map(), g.grid_map()
+    fm, gm = f.corner_map(), g.corner_map()
     for i in sorted(fm):
         a, b = fm[i], gm[i]
         lo = tuple(min(x, y) for x, y in zip(a.lo, b.lo))

@@ -261,7 +261,7 @@ PUBLIC_OPS = {
     "enumerate_gauge_fixed_chi", "run",
 }
 # reached from no subcommand; test_intersect.py and test_family.py call them directly
-LIBRARY_ONLY = {"degree", "lattice_point_count", "chi_line_bundle", "tensor_line_bundle"}
+LIBRARY_ONLY = {"degree", "lattice_point_count", "chi_line_bundle"}
 
 
 def test_operation_coverage_table(files, p2):
@@ -347,6 +347,33 @@ def test_series_rank1_order_capped_exit_2(files, capsys):
     )
     assert code == 2 and out == ""
     assert "order capped at 40" in err
+
+
+def _enumerate(files, *args):
+    return ["enumerate", "--fan", files["fan"], *args]
+
+
+@pytest.mark.parametrize(
+    "make_args, hint",
+    [
+        pytest.param(lambda f: ["series", "rank1", "--fan", f["fan"], "--order", "-1"],
+                     "at least 0", id="series-rank1-negative-order"),
+        pytest.param(lambda f: ["series", "rank2-p2", "--order", "-1"],
+                     "at least 0", id="series-rank2-p2-negative-order"),
+        pytest.param(lambda f: ["series", "rank2-p2", "--order", "-3"],
+                     "at least 0", id="series-rank2-p2-order-minus-3"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "1", "--box", "40"),
+                     "lower --box", id="enumerate-rank2-window"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "12", "--box", "40"),
+                     "lower --c2-max", id="enumerate-rank1-tuples"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "41"),
+                     "lower --c2-max", id="enumerate-rank1-c2-above-40"),
+    ],
+)
+def test_out_of_bound_work_exit_2(files, make_args, hint):
+    proc = run_entry_point(make_args(files))
+    assert_input_error(proc)
+    assert hint in proc.stderr
 
 
 def _edited(files, name, keys, value):

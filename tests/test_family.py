@@ -18,7 +18,6 @@ from toricsheaves.family import (
     is_reflexive,
     reflexive_from_filtrations,
     restrict_to_face,
-    tensor_char,
     tensor_line_bundle,
     validate_pure,
     validate_torsion_free,
@@ -288,7 +287,7 @@ def test_tensor_round_trip(p2):
 
 def test_char_function_structure_sheaf(p2, o_p2):
     chi = characteristic_function(o_p2)
-    for _, g in chi.grids:
+    for _, g in chi.corners:
         assert g.value(g.hi) == 1
         assert g.value((-1, 0)) == 0
 
@@ -296,15 +295,15 @@ def test_char_function_structure_sheaf(p2, o_p2):
 def test_char_function_rank2_split(p2):
     fam = structure_sheaf(p2, rank=2)
     chi = characteristic_function(fam)
-    for _, g in chi.grids:
+    for _, g in chi.corners:
         assert g.value(g.hi) == 2
-        assert set(g.dims) == {2}
+        assert set(g.values) == {2}
 
 
 def test_char_function_ideal_sheaf(p2):
     fam = ideal_sheaf_of_point(p2, cone_index=0)
     chi = characteristic_function(fam)
-    g = chi.grid_map()[0]
+    g = chi.corner_map()[0]
     assert g.value(g.lo) == 0
     assert g.value(g.hi) == 1
 
@@ -314,7 +313,7 @@ def test_char_of_tensor_is_shifted_char(p2):
     fam = random_torsion_free_family(p2, 2, rng)
     kvec = (1, 0, -2)
     lhs = characteristic_function(tensor_line_bundle(fam, kvec))
-    rhs = tensor_char(characteristic_function(fam), kvec)
+    rhs = tensor_line_bundle(characteristic_function(fam), kvec)
     assert lhs.trim().canonical() == rhs.trim().canonical()
 
 

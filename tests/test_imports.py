@@ -20,3 +20,20 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, n) for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_modules_use_every_imported_name():
+    """A name bound by an import but never read is dead weight; names used
+    only inside string annotations count as unused."""
+    unused = []
+    for path in sorted(Path(toricsheaves.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in bound if name not in read]
+    assert unused == []

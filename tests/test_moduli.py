@@ -234,3 +234,18 @@ def test_hull_c2_closed_form(corpus, surface):
                 assert second_chern_number(ch, table) == _hull_c2(split, gaps, pat, fan)
                 checked += 1
     assert checked == {3: 405, 4: 4212}[n]
+
+
+def test_rank1_tuple_count_is_the_series_sum(corpus, monkeypatch):
+    """The rank-1 work cap counts the staircase tuples the enumeration builds
+    as the coefficient sum of the rank-1 series."""
+    import toricsheaves.moduli as moduli
+
+    built = []
+    family = moduli._rank1_family
+    monkeypatch.setattr(moduli, "_rank1_family", lambda *a: built.append(a) or family(*a))
+    for name, c2 in (("p2", 3), ("p1xp1", 2), ("f1", 2)):
+        fan = corpus[name]
+        del built[:]
+        enumerate_gauge_fixed_chi(fan, 1, [0] * fan.n_rays(), c2, box_bound=8)
+        assert len(built) == sum(rank1_fixed_point_series(fan, c2).coeffs)

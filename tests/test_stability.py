@@ -739,3 +739,29 @@ def test_stability_work_counts(monkeypatch, f1):
     git_test(fam, w, f1, n_random=3)
     git_test(fam, mu_weights(fam, f1, h), f1)
     assert subfamilies == []
+
+
+def generic_line_by_scan(fam, avoid):
+    """The generic-line search test_subspaces replaced: skip the lines in
+    avoid and keep the first candidate that meets every corner value in the
+    generic dimension."""
+    avoid_set = set(avoid)
+    candidates = [SubspaceQ.span([(0, 1)], 2)]
+    candidates += [SubspaceQ.span([(1, t)], 2) for t in range(len(avoid_set) + 2)]
+    values = [v for _, g in fam.corners for v in g.values]
+    for w in candidates:
+        if w not in avoid_set and all(
+            v.intersect(w).dim == max(0, v.dim - 1) for v in values
+        ):
+            return w
+    raise AssertionError("no generic line among the candidates")
+
+
+def test_generic_line_matches_scan(corpus, amples):
+    checked = 0
+    for fan, _ in _oracle_fans(corpus, amples):
+        for fam in random_families(fan, 2, 12, seed=4001):
+            ws = distinguished_subspaces(fam)
+            assert stability.test_subspaces(fam) == (ws + [generic_line_by_scan(fam, ws)], True)
+            checked += 1
+    assert checked == 84
