@@ -20,9 +20,9 @@ from .intersect import (
     ChowClassSurface,
     IntersectionTable,
     integer_matrix,
-    intersection_table,
     is_ample,
     pair,
+    table_for,
     todd_and_canonical,
 )
 from .polynomials import RatPoly
@@ -70,7 +70,7 @@ def chern_character(
     doubled point parts are integer sums over the bracket entries."""
     if fan.rank != 2:
         raise ValueError("Chern character truncation implemented for surfaces only")
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     chi = as_char(x)
     n = fan.n_rays()
     mat = integer_matrix(table)
@@ -117,7 +117,7 @@ def hilbert_polynomial(
     x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence, table: IntersectionTable | None = None
 ) -> RatPoly:
     """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial."""
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     if not is_ample(ample, fan, table):
         raise ValueError("polarization is not ample")
     todd, _ = todd_and_canonical(fan)
@@ -134,7 +134,7 @@ def hilbert_data(
     """Hilbert polynomial with the rank/degree/slope extraction conventions:
     writing P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
     degree = a_1(E) - a_1(O) rank."""
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     p = hilbert_polynomial(x, fan, ample, table)
     todd, _ = todd_and_canonical(fan)
     h = tuple(Fraction(c) for c in ample)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fan import Fan, validate_fan
-from .subspace import SubspaceQ
 
 Divisor = tuple[Fraction, ...]
 
@@ -61,6 +60,16 @@ def intersection_table(fan: Fan) -> IntersectionTable:
             raise ValueError(f"wall relation fails at ray {i}")
         mat[i][i] = -a
     return IntersectionTable(fan, tuple(tuple(row) for row in mat))
+
+
+def table_for(fan: Fan, table: IntersectionTable | None = None) -> IntersectionTable:
+    """The intersection table of fan: the given one, which must belong to
+    fan, or a new one."""
+    if table is None:
+        return intersection_table(fan)
+    if table.fan != fan:
+        raise ValueError("intersection table belongs to a different fan")
+    return table
 
 
 def integer_matrix(table: IntersectionTable) -> list[list[int]]:
@@ -150,12 +159,17 @@ def class_equal(c1: ChowClassSurface, c2: ChowClassSurface, fan: Fan) -> bool:
 
 
 def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
-    n = fan.n_rays()
-    relations = SubspaceQ.span(
-        [[Fraction(fan.rays[j][k]) for j in range(n)] for k in range(fan.rank)], n
-    )
+    """D1 ~ D2 over Q: D = D1 - D2 is sum_j <u, v_j> V(rho_j) for some u in
+    M_Q.  The rays i0, i1 of the first maximal cone are a basis of N, so the
+    only candidate is the u with <u, v_i0> = D_i0 and <u, v_i1> = D_i1."""
+    if fan.rank != 2:
+        raise ValueError("divisor classes implemented for surfaces only")
+    if len(d1) != fan.n_rays() or len(d2) != fan.n_rays():
+        raise ValueError("divisor length does not match the fan")
     diff = [Fraction(a) - Fraction(b) for a, b in zip(d1, d2)]
-    return relations.contains_vector(diff)
+    i0, i1 = fan.max_cones[0]
+    u = unimodular_solve(fan.rays[i0], fan.rays[i1], diff[i0], diff[i1])
+    return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
 
 
 def todd_and_canonical(fan: Fan) -> tuple[ChowClassSurface, Divisor]:
@@ -171,12 +185,12 @@ def todd_and_canonical(fan: Fan) -> tuple[ChowClassSurface, Divisor]:
 def is_nef(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> bool:
     """Nef iff the support function is convex across every wall, i.e. the
     divisor meets every invariant curve nonnegatively."""
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     return all(x >= 0 for x in ray_degrees(divisor(d, fan), table))
 
 
 def is_ample(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> bool:
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
 
 

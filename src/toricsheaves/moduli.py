@@ -12,9 +12,13 @@ A ray profile (a, gaps) has class c1 = -(2a + gaps) in Pic(X), so the
 enumeration solves for the profiles of a given class rather than scanning
 for them: the two rays of a smooth cone are a Z-basis of N, the character
 u in M with <u, v_j> = 2a_j + g_j + c1_j is fixed by those two rays, and
-every other a_j is forced.  The hull's c2 is A.B plus g_i g_j at every
-maximal cone (i, j) whose flag lines differ, with A = -a and
-B = -(a + gaps), so hulls above the c2 bound are never built.
+every other a_j is forced.  Twisting by a character w in M maps a_j to
+a_j + <w, v_j> and changes no gauge-fixed characteristic function, and the
+profiles of one gaps form a single such orbit, so only the
+lexicographically first translate of each orbit that fits the window is
+built.  The hull's c2 is A.B plus g_i g_j at every maximal cone (i, j)
+whose flag lines differ, with A = -a and B = -(a + gaps), so hulls above
+the c2 bound are never built.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def partition_diagram(parts: Sequence[int]) -> frozenset[tuple[int, int]]:
 
 def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
     """Coefficient of q^c: the number of tuples of 2D partitions, one per
-    maximal cone, of total size c (counted by direct enumeration)."""
+    maximal cone, of total size c."""
     if fan.rank != 2:
         raise ValueError("fixed point enumeration implemented for surfaces only")
     if validate_fan(fan):
@@ -151,7 +155,10 @@ def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
         raise ValueError(f"order {order} is negative; it must be at least 0")
     if order > 40:
         raise ValueError("order capped at 40")
-    counts = [sum(1 for _ in partitions_of(k)) for k in range(order + 1)]
+    counts = [1] + [0] * order  # p(k), by admitting parts 1, 2, ... in turn
+    for part in range(1, order + 1):
+        for k in range(part, order + 1):
+            counts[k] += counts[k - part]
     acc = IntSeries.of([1], order)
     per_cone = IntSeries.of(counts, order)
     for _ in range(euler_characteristic(fan)):
@@ -202,9 +209,9 @@ class BoxBoundError(ValueError):
 
 
 # Work caps, checked before an enumeration starts.  Rank 1 builds one family
-# per staircase tuple (about 1 ms each); rank 2 solves one class equation per
-# point of its profile window (a P^2 run with c1 = H, c2 <= 1 spends about
-# 10 us per point in all).
+# per staircase tuple; rank 2 visits every point of its profile window
+# (b+1)^n gaps times (2b+1)^2 translates, though it builds hulls for at most
+# one translate per gaps.
 MAX_RANK1_C2 = 40
 MAX_RANK1_TUPLES = 5_000
 MAX_WINDOW_POINTS = 60_000
@@ -436,33 +443,47 @@ def _profile_verdict(gaps, deg, pattern) -> str:
     return STABLE
 
 
-def _class_profiles(fan: Fan, c1: Sequence[int], box_bound: int):
-    """Every profile (a, gaps) in [-b, b]^n x [0, b]^n whose class
-    -(2a + gaps) equals c1 in Pic(X), in lexicographic order.
+def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, c2_max: int | None = None):
+    """One profile (a, gaps) per character orbit of class c1 that meets the
+    window [-b, b]^n x [0, b]^n: the lexicographically first translate of
+    each orbit that fits, sorted by (a, gaps).  With c2_max given, orbits
+    whose split c2 exceeds it are left out.
 
     The rays i0, i1 of the first maximal cone are a Z-basis of N, so
     2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_i0, a_i1
-    and the gaps; every other a_j = (<u, v_j> - c1_j - g_j)/2 is forced."""
+    and the gaps.  Two such u of one gaps differ by some 2w with w in M
+    (their difference is even on the Z-basis), so the profiles of one gaps
+    are the single orbit a + <w, .>, w in M, and its parity is decided
+    once, on the translate with a_i0 = a_i1 = 0.  The split c2 A.B is a
+    class invariant, so it is read off that translate too."""
     n = fan.n_rays()
     i0, i1 = fan.max_cones[0]
+    v0, v1 = fan.rays[i0], fan.rays[i1]
     window = range(-box_bound, box_bound + 1)
-    profiles = []
+    # the twists (<w, v_j>)_j that can move a_i0 = a_i1 = 0 into the window,
+    # in lexicographic order: adding one profile to each keeps that order, so
+    # the first twist that fits gives the lexicographically first translate
+    twists = []
+    for t0, t1 in itertools.product(window, repeat=2):
+        w = unimodular_solve(v0, v1, t0, t1)
+        twists.append(tuple(w[0] * v[0] + w[1] * v[1] for v in fan.rays))
+    twists.sort()
+    matrix = None if c2_max is None else integer_matrix(intersection_table(fan))
+    orbits = []
     for gaps in itertools.product(range(box_bound + 1), repeat=n):
-        for a0, a1 in itertools.product(window, repeat=2):
-            u = unimodular_solve(
-                fan.rays[i0], fan.rays[i1],
-                2 * a0 + gaps[i0] + c1[i0], 2 * a1 + gaps[i1] + c1[i1],
-            )
-            a_vec = []
-            for j, v in enumerate(fan.rays):
-                twice = u[0] * v[0] + u[1] * v[1] - c1[j] - gaps[j]
-                if twice % 2 or abs(twice) > 2 * box_bound:
-                    break
-                a_vec.append(twice // 2)
-            else:
-                profiles.append((tuple(a_vec), gaps))
-    profiles.sort()
-    return profiles
+        u = unimodular_solve(v0, v1, gaps[i0] + c1[i0], gaps[i1] + c1[i1])
+        twice = [u[0] * v[0] + u[1] * v[1] - c1[j] - gaps[j] for j, v in enumerate(fan.rays)]
+        if any(t % 2 for t in twice):
+            continue
+        base = [t // 2 for t in twice]
+        if matrix is not None and _split_c2(base, gaps, matrix) > c2_max:
+            continue
+        for twist in twists:
+            if all(abs(x + y) <= box_bound for x, y in zip(base, twist)):
+                orbits.append((tuple(x + y for x, y in zip(base, twist)), gaps))
+                break
+    orbits.sort()
+    return orbits
 
 
 def _split_c2(a_vec, gaps, matrix) -> int:
@@ -503,8 +524,19 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     profiles plus flag lines) cut down at interior grid points, and the
     slope verdict is determined by the flag data alone, so unstable hulls
     are pruned before cut enumeration.  Only profiles of class c1 are
-    generated, and a hull is built only when its closed-form c2 is at most
-    c2_max.  Only characteristic functions with a slope-stable stratum are
+    generated, one per character orbit, and a hull is built only when its
+    closed-form c2 is at most c2_max.
+
+    One translate per orbit gives the same records as all of them: a twist
+    maps hulls, cuts, verdicts and c2 to their translates, so every
+    translate yields the same gauge-fixed characteristic functions and
+    strata, and a later translate only repeats what the first one added.  The
+    translate kept is the lexicographically first that fits the window,
+    the one a scan over every translate would meet first, so first
+    witnesses and strata order are those of that scan, and an orbit counts
+    for the window exactly when some translate fits it.
+
+    Only characteristic functions with a slope-stable stratum are
     returned; semistable strata of those functions are recorded alongside.
     The unconstrained set is infinite (split hulls of arbitrarily negative
     c2 repaired by cuts, and equal-slope split pairs under unbounded
@@ -521,7 +553,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     c1_div = divisor(c1, fan)
     ample = [int(x) for x in find_ample(fan)]
     deg = [sum(h * row[j] for h, row in zip(ample, matrix)) for j in range(n)]
-    for a_vec, gaps in _class_profiles(fan, c1, box_bound):
+    for a_vec, gaps in _class_orbits(fan, c1, box_bound, c2_max):
         split_c2 = _split_c2(a_vec, gaps, matrix)
         if split_c2 > c2_max:
             continue  # the flag term of every hull is >= 0

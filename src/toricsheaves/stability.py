@@ -57,10 +57,10 @@ from .intersect import (
     IntersectionTable,
     divisor,
     integer_matrix,
-    intersection_table,
     is_ample,
     pair,
     ray_degrees,
+    table_for,
 )
 from .polynomials import RatPoly, compare_for_large_t
 from .subspace import SubspaceQ
@@ -292,7 +292,7 @@ class _MeetTable:
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
             table: IntersectionTable | None = None) -> StabilityVerdict:
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     h = divisor(ample, fan)
     if not is_ample(h, fan, table):
         raise ValueError("polarization is not ample")
@@ -412,7 +412,7 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence,
     factors get weight 1."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     h = divisor(ample, fan)
     if not is_ample(h, fan, table):
         raise ValueError("polarization is not ample")
@@ -533,7 +533,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     if not is_ample(ample, fan, table):
         raise ValueError("polarization is not ample")
     gmap = chi.corner_map()
@@ -602,7 +602,7 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
     witness gets one meet table and its margin polynomials once; a witness
     whose characteristic function is chi reuses them for its Gieseker target,
     and every trial R only evaluates them."""
-    table = table or intersection_table(fan)
+    table = table_for(fan, table)
     xi = xi_weights(chi, fan, ample, table)
     checks = []
     for w in witnesses:

@@ -9,6 +9,7 @@ from toricsheaves.intersect import (
     class_equal,
     degree,
     divisor,
+    divisor_class_equal,
     exp_divisor,
     find_ample,
     intersection_table,
@@ -18,6 +19,9 @@ from toricsheaves.intersect import (
     pair,
     todd_and_canonical,
 )
+from toricsheaves.fan import hirzebruch
+from toricsheaves.sampling import random_smooth_complete_fan
+from toricsheaves.subspace import SubspaceQ
 
 
 def oracle_self_intersections(fan):
@@ -199,3 +203,35 @@ def test_ample_positive_on_all_rays(corpus, amples, tables):
 def test_divisor_length_checked(p2):
     with pytest.raises(ValueError):
         divisor([1, 2], p2)
+
+
+def class_equal_by_relation_space(d1, d2, fan):
+    """Oracle: D1 - D2 lies in the rational span of the relations
+    (<e_k, v_j>)_j, by elimination."""
+    n = fan.n_rays()
+    relations = SubspaceQ.span(
+        [[Fraction(fan.rays[j][k]) for j in range(n)] for k in range(fan.rank)], n
+    )
+    return relations.contains_vector([Fraction(a) - Fraction(b) for a, b in zip(d1, d2)])
+
+
+def test_divisor_class_equal_matches_relation_space(corpus):
+    rng = random.Random(29)
+    fans = dict(corpus, f2=hirzebruch(2), blowup=random_smooth_complete_fan(random.Random(5), 2))
+    for name, fan in fans.items():
+        n = fan.n_rays()
+        matches = 0
+        for trial in range(200):
+            d1 = [rng.randrange(-4, 5) for _ in range(n)]
+            if trial % 2:
+                # a relation plus a perturbation that is zero half the time
+                u = [Fraction(rng.randrange(-6, 7), rng.choice([1, 1, 2, 3])) for _ in range(2)]
+                d2 = [a + u[0] * v[0] + u[1] * v[1] for a, v in zip(d1, fan.rays)]
+                if trial % 4 == 1:
+                    d2[rng.randrange(n)] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2]))
+            else:
+                d2 = [rng.randrange(-4, 5) for _ in range(n)]
+            want = class_equal_by_relation_space(d1, d2, fan)
+            assert divisor_class_equal(d1, d2, fan) == want, (name, d1, d2)
+            matches += want
+        assert 40 <= matches < 200, name

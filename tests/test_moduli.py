@@ -1,21 +1,24 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
 from toricsheaves.chern import chern_character, second_chern_number
-from toricsheaves.family import characteristic_function, validate_torsion_free
-from toricsheaves.fan import hirzebruch, projective_plane
+from toricsheaves.family import characteristic_function, family_to_json, validate_torsion_free
+from toricsheaves.fan import Fan, hirzebruch, projective_plane
 from toricsheaves.intersect import (
     divisor,
     divisor_class_equal,
     integer_matrix,
     intersection_table,
+    unimodular_solve,
 )
 from toricsheaves.moduli import (
     BoxBoundError,
     IntSeries,
-    _class_profiles,
+    _class_orbits,
     _hull_c2,
     _profile_hull,
     _set_partitions,
@@ -79,8 +82,8 @@ def test_rank1_series_is_eta_product(corpus):
     for name, fan in corpus.items():
         e = len(fan.max_cones)
         assert (
-            rank1_fixed_point_series(fan, 8).coeffs
-            == eta_like_product(-e, 8).coeffs
+            rank1_fixed_point_series(fan, 40).coeffs
+            == eta_like_product(-e, 40).coeffs
         )
 
 
@@ -184,6 +187,16 @@ def test_enumerate_rank2_box_independence(p2):
     ]
 
 
+def surface_fan(corpus, name):
+    """A corpus fan, or P^2 with its maximal cones listed from the second:
+    its first cone then holds rays 1 and 2, so a twist's lexicographic
+    order is not that of its values on the first cone."""
+    if name == "p2-cones-rotated":
+        p2 = corpus["p2"]
+        return Fan(p2.rank, p2.rays, p2.max_cones[1:] + p2.max_cones[:1])
+    return corpus[name]
+
+
 def scan_profiles(fan, c1, box_bound):
     """Oracle: scan every profile (a, gaps) in the window and keep those
     whose class -(2a + gaps) equals c1, by rational linear algebra."""
@@ -209,12 +222,97 @@ def scan_profiles(fan, c1, box_bound):
         pytest.param("p1xp1", [1, 0, 2, -1], 1, id="p1xp1-mixed"),
         pytest.param("f1", [0, 0, 0, 0], 1, id="f1-zero"),
         pytest.param("f1", [1, 0, 2, -1], 1, id="f1-mixed"),
+        pytest.param("p2-cones-rotated", [2, -1, 3], 2, id="p2-cones-rotated"),
     ],
 )
 def test_class_profiles_match_scan(corpus, surface, c1, max_box):
-    fan = corpus[surface]
+    """_class_orbits keeps, of each gaps, the profile the scan meets first."""
+    fan = surface_fan(corpus, surface)
     for box in range(max_box + 1):
-        assert _class_profiles(fan, c1, box) == scan_profiles(fan, c1, box)
+        first = {}
+        for a, gaps in scan_profiles(fan, c1, box):
+            first.setdefault(gaps, (a, gaps))
+        assert _class_orbits(fan, c1, box) == sorted(first.values())
+
+
+def every_translate(fan, c1, box_bound, c2_max=None):
+    """Oracle: every profile (a, gaps) of class c1 in the window, each
+    translate of an orbit on its own, in lexicographic order."""
+    n = fan.n_rays()
+    i0, i1 = fan.max_cones[0]
+    window = range(-box_bound, box_bound + 1)
+    profiles = []
+    for gaps in itertools.product(range(box_bound + 1), repeat=n):
+        for a0, a1 in itertools.product(window, repeat=2):
+            u = unimodular_solve(
+                fan.rays[i0], fan.rays[i1],
+                2 * a0 + gaps[i0] + c1[i0], 2 * a1 + gaps[i1] + c1[i1],
+            )
+            a_vec = []
+            for j, v in enumerate(fan.rays):
+                twice = u[0] * v[0] + u[1] * v[1] - c1[j] - gaps[j]
+                if twice % 2 or abs(twice) > 2 * box_bound:
+                    break
+                a_vec.append(twice // 2)
+            else:
+                profiles.append((tuple(a_vec), gaps))
+    profiles.sort()
+    return profiles
+
+
+def record_digest(fan, c1, c2_max, box):
+    """SHA-256 over every record's c2, characteristic function, witness and
+    strata in order, or over the BoxBoundError text."""
+    try:
+        doc = [
+            [str(r.c2), r.chi.canonical(), family_to_json(r.witness), [repr(s) for s in r.strata]]
+            for r in enumerate_gauge_fixed_chi(fan, 2, c1, c2_max, box_bound=box)
+        ]
+    except BoxBoundError as exc:
+        doc = f"BoxBoundError: {exc}"
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "surface, c1, c2_max, box",
+    [
+        pytest.param("p2", [1, 0, 0], 1, 3, id="p2-h-c2le1-box3"),
+        pytest.param("p2", [1, 0, 0], 2, 4, id="p2-h-c2le2-box4"),
+        pytest.param("p2", [1, 0, 0], 2, 3, id="p2-h-c2le2-box3-error"),
+        pytest.param("p1xp1", [1, 0, 0, 0], 1, 3, id="p1xp1-c2le1-box3"),
+        pytest.param("f1", [1, 0, 0, 0], 1, 3, id="f1-c2le1-box3"),
+        pytest.param("p2", [0, 0, 0], 0, 2, id="p2-zero-c2le0-box2"),
+        pytest.param("p2-cones-rotated", [1, 0, 0], 2, 4, id="p2-cones-rotated-c2le2-box4"),
+    ],
+)
+def test_orbit_records_match_every_translate(corpus, monkeypatch, surface, c1, c2_max, box):
+    import toricsheaves.moduli as moduli
+
+    fan = surface_fan(corpus, surface)
+    orbits = record_digest(fan, c1, c2_max, box)
+    monkeypatch.setattr(moduli, "_class_orbits", every_translate)
+    assert orbits == record_digest(fan, c1, c2_max, box)
+
+
+def test_one_hull_per_orbit(p2, monkeypatch):
+    """P^2, c1 = H, c2 <= 1, box 3: the 33 translates in the window that
+    reach the hull stage are one orbit, so one hull is built."""
+    import toricsheaves.moduli as moduli
+
+    built = []
+    hull = moduli._profile_hull
+    monkeypatch.setattr(moduli, "_profile_hull", lambda *a: built.append(a) or hull(*a))
+    enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    assert len(built) == 1
+    del built[:]
+    monkeypatch.setattr(moduli, "_class_orbits", every_translate)
+    enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    assert len(built) == 33
+
+
+def test_enumerate_rank2_zero_class_p1xp1(p1p1):
+    """c1 = 0 on P^1 x P^1 has only strictly semistable hulls at c2 <= 1."""
+    assert enumerate_gauge_fixed_chi(p1p1, 2, [0, 0, 0, 0], 1, box_bound=3) == []
 
 
 @pytest.mark.parametrize("surface", ["p2", "f1"])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import line_bundle_family, rank2_three_lines, structure_sheaf
 from toricsheaves import stability
-from toricsheaves.chern import hilbert_polynomial
+from toricsheaves.chern import chern_character, hilbert_polynomial
 from toricsheaves.family import (
     DeltaFamily,
     KIND_TORSION_FREE,
@@ -15,7 +15,7 @@ from toricsheaves.family import (
     restrict_to_face,
     tensor_line_bundle,
 )
-from toricsheaves.fan import hirzebruch
+from toricsheaves.fan import hirzebruch, p1_x_p1
 from toricsheaves.intersect import find_ample, intersection_table, pair
 from toricsheaves.polynomials import RatPoly, compare_for_large_t
 from toricsheaves.sampling import random_families, random_smooth_complete_fan
@@ -765,3 +765,21 @@ def test_generic_line_matches_scan(corpus, amples):
             assert stability.test_subspaces(fam) == (ws + [generic_line_by_scan(fam, ws)], True)
             checked += 1
     assert checked == 84
+
+
+def test_table_of_another_fan_refused():
+    """A P^1 x P^1 table passed with F_1 families (same ray count) raises
+    instead of giving F_1 results from the wrong intersection numbers."""
+    f1 = hirzebruch(1)
+    wrong = intersection_table(p1_x_p1())
+    ample = find_ample(f1)
+    fam = random_families(f1, 2, 1, seed=4001)[0]
+    for call in (
+        lambda: chern_character(fam, f1, wrong),
+        lambda: mu_test(fam, f1, ample, wrong),
+        lambda: choose_r(characteristic_function(fam), f1, ample, [fam], wrong),
+    ):
+        with pytest.raises(ValueError, match="different fan"):
+            call()
+    right = intersection_table(hirzebruch(1))
+    assert chern_character(fam, f1, right) == chern_character(fam, f1)
