@@ -209,8 +209,8 @@ class BoxBoundError(ValueError):
 
 
 # Work caps, checked before an enumeration starts.  Rank 1 builds one family
-# per staircase tuple; rank 2 visits every point of its profile window
-# (b+1)^n gaps times (2b+1)^2 translates, though it builds hulls for at most
+# per staircase tuple; rank 2 bounds the size of its profile window, (b+1)^n
+# gaps times at most (2b+1)^2 twist checks each, and builds hulls for at most
 # one translate per gaps.
 MAX_RANK1_C2 = 40
 MAX_RANK1_TUPLES = 5_000
@@ -443,19 +443,17 @@ def _profile_verdict(gaps, deg, pattern) -> str:
     return STABLE
 
 
-def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, c2_max: int | None = None):
+def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int):
     """One profile (a, gaps) per character orbit of class c1 that meets the
     window [-b, b]^n x [0, b]^n: the lexicographically first translate of
-    each orbit that fits, sorted by (a, gaps).  With c2_max given, orbits
-    whose split c2 exceeds it are left out.
+    each orbit that fits, sorted by (a, gaps).
 
     The rays i0, i1 of the first maximal cone are a Z-basis of N, so
     2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_i0, a_i1
     and the gaps.  Two such u of one gaps differ by some 2w with w in M
     (their difference is even on the Z-basis), so the profiles of one gaps
     are the single orbit a + <w, .>, w in M, and its parity is decided
-    once, on the translate with a_i0 = a_i1 = 0.  The split c2 A.B is a
-    class invariant, so it is read off that translate too."""
+    once, on the translate with a_i0 = a_i1 = 0."""
     n = fan.n_rays()
     i0, i1 = fan.max_cones[0]
     v0, v1 = fan.rays[i0], fan.rays[i1]
@@ -468,7 +466,6 @@ def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, c2_max: int | Non
         w = unimodular_solve(v0, v1, t0, t1)
         twists.append(tuple(w[0] * v[0] + w[1] * v[1] for v in fan.rays))
     twists.sort()
-    matrix = None if c2_max is None else integer_matrix(intersection_table(fan))
     orbits = []
     for gaps in itertools.product(range(box_bound + 1), repeat=n):
         u = unimodular_solve(v0, v1, gaps[i0] + c1[i0], gaps[i1] + c1[i1])
@@ -476,8 +473,6 @@ def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, c2_max: int | Non
         if any(t % 2 for t in twice):
             continue
         base = [t // 2 for t in twice]
-        if matrix is not None and _split_c2(base, gaps, matrix) > c2_max:
-            continue
         for twist in twists:
             if all(abs(x + y) <= box_bound for x, y in zip(base, twist)):
                 orbits.append((tuple(x + y for x, y in zip(base, twist)), gaps))
@@ -553,7 +548,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     c1_div = divisor(c1, fan)
     ample = [int(x) for x in find_ample(fan)]
     deg = [sum(h * row[j] for h, row in zip(ample, matrix)) for j in range(n)]
-    for a_vec, gaps in _class_orbits(fan, c1, box_bound, c2_max):
+    for a_vec, gaps in _class_orbits(fan, c1, box_bound):
         split_c2 = _split_c2(a_vec, gaps, matrix)
         if split_c2 > c2_max:
             continue  # the flag term of every hull is >= 0

@@ -235,7 +235,7 @@ def test_class_profiles_match_scan(corpus, surface, c1, max_box):
         assert _class_orbits(fan, c1, box) == sorted(first.values())
 
 
-def every_translate(fan, c1, box_bound, c2_max=None):
+def every_translate(fan, c1, box_bound):
     """Oracle: every profile (a, gaps) of class c1 in the window, each
     translate of an orbit on its own, in lexicographic order."""
     n = fan.n_rays()
