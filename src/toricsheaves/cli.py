@@ -319,10 +319,13 @@ def _cmd_series(args) -> int:
     doc = {"series": list(s.coeffs), "order": s.order}
     lines = [f"q^{k}: {c}" for k, c in enumerate(s.coeffs)]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("power,coefficient\n")
-            for k, c in enumerate(s.coeffs):
-                fh.write(f"{k},{c}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("power,coefficient\n")
+                for k, c in enumerate(s.coeffs):
+                    fh.write(f"{k},{c}\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.csv}: {e}") from e
     _emit(doc, args.format, lines)
     return 0
 

@@ -237,14 +237,17 @@ def enumerate_gauge_fixed_chi(
     if validate_fan(fan):
         raise ValueError("fan is not a valid smooth complete surface fan")
     if rank not in (1, 2):
-        raise ValueError("enumeration implemented for rank <= 2")
+        raise ValueError(f"enumeration implemented for ranks 1 and 2, not rank {rank}")
     if box_bound < 0:
         raise ValueError(f"box bound {box_bound} is negative")
-    if c2_max < 0:
-        return []
+    for x in c1:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x != int(x):
+            raise ValueError(f"c1 entries must be integers, not {x!r}")
     c1 = [int(x) for x in c1]
     if len(c1) != fan.n_rays():
         raise ValueError("c1 must have one integer per ray")
+    if c2_max < 0:
+        return []
     if rank == 1:
         return _enumerate_rank1(fan, c1, c2_max, box_bound)
     return _enumerate_rank2(fan, c1, c2_max, box_bound)

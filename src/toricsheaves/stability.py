@@ -9,11 +9,12 @@ with the gap data read off the ray filtrations and deg(D_j) = H.D_j.
 Gieseker stability compares reduced Hilbert polynomials of the intersected
 subfamilies for t >> 0; both polynomials are read off the face weight
 polynomials of the family's characteristic function (below), the same ones
-that give the GIT weights.  In rank <= 2 the distinguished subspaces (corner
-values closed under sum and intersection) together with one generic line
-exhaust all possible violations, so those verdicts are exact; in higher
-rank the verdict is over the distinguished set only and flagged as such,
-and a closure that outgrows CLOSURE_CAP is refused.
+that give the GIT weights.  In rank <= 2 the distinguished subspaces (the
+proper corner values, which are lines and so already closed under sum and
+intersection) together with one generic line exhaust all possible
+violations, so those verdicts are exact; in higher rank the corner values
+are closed under sum and intersection, the verdict is over that set only
+and flagged as such, and a closure that outgrows CLOSURE_CAP is refused.
 
 GIT stability is the weighted dimension inequality over the same test set;
 weight systems come either from the flag gaps (slope matching, with an
@@ -31,6 +32,13 @@ cone, and dim(V cap W) for each distinct face value V) and reads every
 margin off it as a dot product.  choose_r goes one step further: the GIT
 margins at the weights Xi(R) are the Xi margins evaluated at R, so each
 trial R only evaluates polynomials built once per witness.
+
+The face weights Xi come in closed form.  A cone's share of the weight at
+a box point of its face F is a signed forward difference along F of the
+Riemann-Roch value phi, which is quadratic in the box coordinates; so the
+weights of a maximal cone's interior are the constants V_i.V_j, a ray
+weight is linear in lam and in t, and the one vertex weight collects phi
+at the top corner of every cone (xi_weights).
 """
 
 from __future__ import annotations
@@ -73,8 +81,8 @@ TORSION_FREE_ONLY = "stability tests are offered for torsion-free kinds only"
 PARTIAL_NOTE = ("distinguished-set verdict (rank >= 3): "
                 "violations outside the test set are not excluded")
 # In rank <= 2 the closure adds nothing (distinct lines meet in 0 and span
-# Q^2); in rank >= 3 it can generate all of P^{M-1}(Q), e.g. from four
-# general points in Q^3.
+# Q^2) and is skipped; in rank >= 3 it can generate all of P^{M-1}(Q), e.g.
+# from four general points in Q^3.
 CLOSURE_CAP = 256
 # random test subspaces per git_test call
 MAX_SAMPLES = 10_000
@@ -147,8 +155,10 @@ def _flag_data(meets: _MeetTable) -> FlagData:
 
 def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
     """Corner and limit subspaces closed under pairwise sum and intersection,
-    excluding 0 and the full space.  Each pair is combined once; a closure
-    that adds more than CLOSURE_CAP subspaces raises ValueError."""
+    excluding 0 and the full space.  In rank <= 2 the proper values are
+    lines, which the closure cannot add to, so the pool is returned as it
+    is.  In rank >= 3 each pair is combined once; a closure that adds more
+    than CLOSURE_CAP subspaces raises ValueError."""
     m = fam.rank
     pool: set[SubspaceQ] = set()
     for _, grid in fam.corners:
@@ -156,6 +166,8 @@ def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
             if 0 < v.dim < m:
                 pool.add(v)
     todo = sorted(pool, key=_subspace_key)
+    if m <= 2:
+        return todo
     done: list[SubspaceQ] = []
     added = 0
     while todo:
@@ -523,13 +535,27 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     The weights read only the boxes of chi, so the identity also holds for
     every family on the same boxes, such as a subfamily E cap W.
 
-    This is the summation-by-parts adjoint of bracket_dims.  Each cone nu
-    contributes, signed by its codimension, the alternating sum over the
-    shifted corners lam + eps of the face's coordinates of the Riemann-Roch
-    value phi(x) = deg{exp(-sum x_u V_u + tH) td}_2, with the coordinates of
-    nu outside the face held at hi + 1.  With q(x) = x.M.x - x.deg(-K), an
-    integer, phi = 1 + q/2 + (H.td_1 - x.deg(H)) t + (H^2/2) t^2, so each
-    weight is three integer sums converted to Fraction once.
+    This is the summation-by-parts adjoint of bracket_dims.  Each cone nu,
+    signed by s = (-1)^(2 - |nu|), adds to the weight of each face F of nu
+    the alternating sum over the shifted corners lam + eps of F of the
+    Riemann-Roch value phi(x) = deg{exp(-sum x_u V_u + tH) td}_2, with the
+    coordinates of nu outside F held at cut = hi + 1.  That sum is
+    (-1)^|F| times the forward difference of phi along F, and with
+    q(x) = x.M.x - x.deg(-K), an integer,
+
+        phi = 1 + q/2 + (H.td_1 - x.deg(H)) t + (H^2/2) t^2
+
+    is quadratic in x, so each cone gives three closed-form terms:
+
+      vertex       s phi(cut), once per cone;
+      ray i, a     -s (M_ii (2a + 1) + 2 sum_{j != i} M_ij cut_j - deg_i(-K))
+                   to 2 + q and -s deg_i(H) to x.deg(H), for a in lo..hi;
+      face {i, j}  s 2 M_ij to 2 + q at every box point.
+
+    So the weights of a maximal cone's interior are the constant V_i.V_j (1
+    on a smooth fan), a ray weight is linear in lam, and there is one vertex
+    weight.  Each weight is three integer sums, turned into one RatPoly per
+    distinct triple.
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
@@ -549,32 +575,44 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
     h_sq = pair(ample, ample, table) / 2
     sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
+
+    def add(key, one, two_q, xh):
+        acc = sums.setdefault(key, [0, 0, 0])
+        acc[0] += one
+        acc[1] += two_q
+        acc[2] += xh
+
     for nu in fan.cones():
         grid = restrict_to_face(chi, nu, fan)
-        sign = (-1) ** (fan.rank - len(nu))
+        s = (-1) ** (fan.rank - len(nu))
         cut = [b + 1 for b in grid.hi]
-        quad = [(u, v, mat[i][j]) for u, i in enumerate(nu) for v, j in enumerate(nu)]
-        for mask in range(1 << len(nu)):
-            free = [u for u in range(len(nu)) if mask >> u & 1]
-            face = tuple(nu[u] for u in free)
-            for lam in itertools.product(*(range(grid.lo[u], cut[u]) for u in free)):
-                acc = sums.setdefault((face, lam), [0, 0, 0])
-                for eps in itertools.product((0, 1), repeat=len(free)):
-                    x = list(cut)
-                    for u, a, e in zip(free, lam, eps):
-                        x[u] = a + e
-                    w = sign * (-1) ** sum(eps)
-                    acc[0] += w
-                    acc[1] += w * (2 + sum(x[u] * x[v] * m for u, v, m in quad)
-                                   - sum(x[u] * deg_ak[j] for u, j in enumerate(nu)))
-                    acc[2] += w * sum(x[u] * deg_h[j] for u, j in enumerate(nu))
-    entries = ((key, RatPoly.of([Fraction(c0x2, 2), s * h_td - hx, s * h_sq]))
-               for key, (s, c0x2, hx) in sums.items())
-    items = tuple(sorted(
-        ((k, p) for k, p in entries if not p.is_zero()),
-        key=lambda kp: (len(kp[0][0]), kp[0]),
-    ))
-    return XiWeights(chi.rank, items)
+        row = [[mat[i][j] for j in nu] for i in nu]  # M on the rays of nu
+        add(((), ()), s,
+            s * (2 + sum(x * r * y for x, rr in zip(cut, row) for r, y in zip(rr, cut))
+                 - sum(x * deg_ak[i] for x, i in zip(cut, nu))),
+            s * sum(x * deg_h[i] for x, i in zip(cut, nu)))
+        for u, i in enumerate(nu):
+            m_ii = row[u][u]
+            rest = 2 * sum(r * x for v, (r, x) in enumerate(zip(row[u], cut)) if v != u)
+            rest -= deg_ak[i]
+            for a in range(grid.lo[u], cut[u]):
+                add(((i,), (a,)), 0, -s * (m_ii * (2 * a + 1) + rest), -s * deg_h[i])
+        if len(nu) == 2:
+            for lam in itertools.product(*(range(a, b) for a, b in zip(grid.lo, cut))):
+                add((nu, lam), 0, s * 2 * row[0][1], 0)
+    polys: dict[tuple, RatPoly] = {}
+    entries = []
+    for key, acc in sums.items():
+        triple = tuple(acc)
+        poly = polys.get(triple)
+        if poly is None:
+            one, two_q, xh = triple
+            poly = polys[triple] = RatPoly.of([Fraction(two_q, 2), one * h_td - xh,
+                                               one * h_sq])
+        if not poly.is_zero():
+            entries.append((key, poly))
+    entries.sort(key=lambda kp: (len(kp[0][0]), kp[0]))
+    return XiWeights(chi.rank, tuple(entries))
 
 
 def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:

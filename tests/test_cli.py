@@ -454,6 +454,19 @@ def test_malformed_numbers_exit_2(files, make_args):
     assert_input_error(run_entry_point(make_args(files)))
 
 
+
+@pytest.mark.parametrize(
+    "csv_path",
+    [
+        pytest.param(lambda f: str(f["dir"] / "missing" / "x.csv"), id="csv-missing-dir"),
+        pytest.param(lambda f: str(f["dir"]), id="csv-directory"),
+    ],
+)
+def test_series_csv_unwritable_exit_2(files, csv_path):
+    proc = run_entry_point(["series", "rank2-p2", "--order", "3", "--csv", csv_path(files)])
+    assert_input_error(proc)
+    assert "cannot write" in proc.stderr and proc.stdout == ""
+
 def _open_closure_rank3(files, p2):
     """A reflexive rank-3 family on P2 whose corner lines and planes hold
     four general points of P2(Q), so their sum/intersection closure is

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +163,32 @@ def test_enumerate_rank_checked(p2):
     with pytest.raises(ValueError):
         enumerate_gauge_fixed_chi(p2, 3, [0, 0, 0], 1)
 
+
+
+@pytest.mark.parametrize("rank", [0, -1, 3])
+def test_enumerate_rank_error_names_accepted_ranks(p2, rank):
+    with pytest.raises(ValueError, match=f"ranks 1 and 2, not rank {rank}$"):
+        enumerate_gauge_fixed_chi(p2, rank, [0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("c1", [
+    [1.7, 0, 0],
+    [Fraction(3, 2), 0, 0],
+    [1.0, 0, 0],
+    [True, 0, 0],
+    ["1", 0, 0],
+])
+def test_enumerate_non_integral_c1_rejected(p2, c1):
+    for rank, c2_max in ((1, 1), (2, 1), (2, -1)):
+        with pytest.raises(ValueError, match="c1 entries must be integers"):
+            enumerate_gauge_fixed_chi(p2, rank, c1, c2_max, box_bound=3)
+
+
+def test_enumerate_integral_fraction_c1_accepted(p2):
+    as_ints = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    as_fractions = enumerate_gauge_fixed_chi(p2, 2, [Fraction(1), Fraction(0), 0], 1, box_bound=3)
+    assert [r.chi.canonical() for r in as_fractions] == [r.chi.canonical() for r in as_ints]
+    assert as_ints
 
 def test_enumerate_rank2_q1_stable_point_count(p2):
     # the q^1 coefficient of the rank-2 series counts the single stable

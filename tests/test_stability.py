@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +17,13 @@ from toricsheaves.family import (
     tensor_line_bundle,
 )
 from toricsheaves.fan import hirzebruch, p1_x_p1
-from toricsheaves.intersect import find_ample, intersection_table, pair
+from toricsheaves.intersect import (
+    find_ample,
+    integer_matrix,
+    intersection_table,
+    pair,
+    ray_degrees,
+)
 from toricsheaves.polynomials import RatPoly, compare_for_large_t
 from toricsheaves.sampling import random_families, random_smooth_complete_fan
 from toricsheaves.stability import (
@@ -783,3 +790,110 @@ def test_table_of_another_fan_refused():
             call()
     right = intersection_table(hirzebruch(1))
     assert chern_character(fam, f1, right) == chern_character(fam, f1)
+
+
+# --- face weights in closed form against the corner sum they replaced ------------
+
+def xi_by_corners(chi, fan, ample):
+    """The face weights as the corner loop computed them: each cone, signed by
+    its codimension, adds to each face F and box point lam the alternating
+    sum of 2 + q and x.deg(H) over all 2^|F| shifted corners lam + eps, with
+    the other coordinates of the cone held at hi + 1."""
+    table = intersection_table(fan)
+    mat = integer_matrix(table)
+    deg_ak = [sum(row) for row in mat]
+    deg_h = [d.numerator if d.denominator == 1 else d for d in ray_degrees(ample, table)]
+    h_td = Fraction(sum(deg_h), 2)
+    h_sq = pair(ample, ample, table) / 2
+    sums = {}
+    for nu in fan.cones():
+        grid = restrict_to_face(chi, nu, fan)
+        sign = (-1) ** (fan.rank - len(nu))
+        cut = [b + 1 for b in grid.hi]
+        quad = [(u, v, mat[i][j]) for u, i in enumerate(nu) for v, j in enumerate(nu)]
+        for mask in range(1 << len(nu)):
+            free = [u for u in range(len(nu)) if mask >> u & 1]
+            face = tuple(nu[u] for u in free)
+            for lam in itertools.product(*(range(grid.lo[u], cut[u]) for u in free)):
+                acc = sums.setdefault((face, lam), [0, 0, 0])
+                for eps in itertools.product((0, 1), repeat=len(free)):
+                    x = list(cut)
+                    for u, a, e in zip(free, lam, eps):
+                        x[u] = a + e
+                    w = sign * (-1) ** sum(eps)
+                    acc[0] += w
+                    acc[1] += w * (2 + sum(x[u] * x[v] * m for u, v, m in quad)
+                                   - sum(x[u] * deg_ak[j] for u, j in enumerate(nu)))
+                    acc[2] += w * sum(x[u] * deg_h[j] for u, j in enumerate(nu))
+    entries = ((key, RatPoly.of([Fraction(c0x2, 2), s * h_td - hx, s * h_sq]))
+               for key, (s, c0x2, hx) in sums.items())
+    items = tuple(sorted(
+        ((k, p) for k, p in entries if not p.is_zero()),
+        key=lambda kp: (len(kp[0][0]), kp[0]),
+    ))
+    return stability.XiWeights(chi.rank, items)
+
+
+def _oracle_chis(corpus, amples):
+    """(fan, ample, characteristic function) over the oracle fans: ranks 1 and
+    2 at three family seeds, each chi also twisted down so its boxes reach
+    below 0, at the ample find_ample(fan) and twice it."""
+    for fan, h in _oracle_fans(corpus, amples):
+        twist = [j % 3 + 1 for j in range(fan.n_rays())]
+        for seed in (4001, 3001, 11):
+            for rank, count in ((1, 2), (2, 5)):
+                for fam in random_families(fan, rank, count, seed=seed):
+                    chi = characteristic_function(fam)
+                    for c in (chi, tensor_line_bundle(chi, twist)):
+                        for ample in (h, tuple(2 * x for x in h)):
+                            yield fan, ample, c
+
+
+def test_xi_weights_match_corner_sum(corpus, amples):
+    checked = 0
+    lows = set()
+    for fan, ample, chi in _oracle_chis(corpus, amples):
+        assert xi_weights(chi, fan, ample) == xi_by_corners(chi, fan, ample)
+        lows.update(x < 0 for _, g in chi.corners for x in g.lo)
+        checked += 1
+    assert checked == 7 * 3 * 7 * 2 * 2
+    assert lows == {True, False}
+
+
+def test_xi_interior_weights_share_one_polynomial(corpus, amples):
+    # every interior weight of a maximal cone is V_i.V_j = 1 on a smooth fan
+    fan, h = corpus["f1"], amples["f1"]
+    chi = characteristic_function(random_families(fan, 2, 1, seed=11)[0])
+    interior = [poly for (cone, _), poly in xi_weights(chi, fan, h).entries if len(cone) == 2]
+    assert len(interior) > len(fan.max_cones)
+    assert all(poly is interior[0] for poly in interior)
+    assert interior[0] == RatPoly.of([1])
+
+
+def closure_of_corner_values(fam):
+    """distinguished_subspaces with the pairwise closure run in every rank
+    (without its CLOSURE_CAP check, which rank 2 never reaches)."""
+    m = fam.rank
+    pool = {v for _, grid in fam.corners for v in grid.values if 0 < v.dim < m}
+    todo = sorted(pool, key=stability._subspace_key)
+    done = []
+    while todo:
+        a = todo.pop()
+        for b in done:
+            for c in (a.intersect(b), a.sum(b)):
+                if 0 < c.dim < m and c not in pool:
+                    pool.add(c)
+                    todo.append(c)
+        done.append(a)
+    return sorted(pool, key=stability._subspace_key)
+
+
+def test_distinguished_rank2_matches_closure(corpus, amples):
+    checked = 0
+    for fan, _ in _oracle_fans(corpus, amples):
+        for seed in (4001, 3001, 11):
+            for rank, count in ((1, 2), (2, 8)):
+                for fam in random_families(fan, rank, count, seed=seed):
+                    assert distinguished_subspaces(fam) == closure_of_corner_values(fam)
+                    checked += 1
+    assert checked == 7 * 3 * 10
