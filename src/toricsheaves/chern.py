@@ -20,9 +20,9 @@ from .intersect import (
     ChowClassSurface,
     IntersectionTable,
     integer_matrix,
+    intersection_table,
     is_ample,
     pair,
-    table_for,
     todd_and_canonical,
 )
 from .polynomials import RatPoly
@@ -60,9 +60,7 @@ def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> Brac
     return BracketSlice(tuple(sorted(cone)), tuple(entries))
 
 
-def chern_character(
-    x: DeltaFamily | CharFunction, fan: Fan, table: IntersectionTable | None = None
-) -> ChowClassSurface:
+def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface:
     """Chern character truncated to Chow degree 2 (surfaces).
 
     A lattice point lam of a cone contributes sign * mult * exp(D) with
@@ -70,10 +68,9 @@ def chern_character(
     doubled point parts are integer sums over the bracket entries."""
     if fan.rank != 2:
         raise ValueError("Chern character truncation implemented for surfaces only")
-    table = table_for(fan, table)
     chi = as_char(x)
     n = fan.n_rays()
-    mat = integer_matrix(table)
+    mat = integer_matrix(intersection_table(fan))
     r0 = 0
     d = [0] * n
     p2 = 0  # twice the point part: sum of sign * mult * D.D
@@ -113,29 +110,25 @@ class HilbertData:
     slope: Fraction | None
 
 
-def hilbert_polynomial(
-    x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence, table: IntersectionTable | None = None
-) -> RatPoly:
+def hilbert_polynomial(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> RatPoly:
     """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial."""
-    table = table_for(fan, table)
-    if not is_ample(ample, fan, table):
+    table = intersection_table(fan)
+    if not is_ample(ample, fan):
         raise ValueError("polarization is not ample")
     todd, _ = todd_and_canonical(fan)
     h = tuple(Fraction(c) for c in ample)
-    cls = chern_character(x, fan, table).mul(todd, table)
+    cls = chern_character(x, fan).mul(todd, table)
     return RatPoly.of(
         [cls.p, pair(cls.d, h, table), cls.r0 * pair(h, h, table) / 2]
     )
 
 
-def hilbert_data(
-    x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence, table: IntersectionTable | None = None
-) -> HilbertData:
+def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:
     """Hilbert polynomial with the rank/degree/slope extraction conventions:
     writing P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
     degree = a_1(E) - a_1(O) rank."""
-    table = table_for(fan, table)
-    p = hilbert_polynomial(x, fan, ample, table)
+    table = intersection_table(fan)
+    p = hilbert_polynomial(x, fan, ample)
     todd, _ = todd_and_canonical(fan)
     h = tuple(Fraction(c) for c in ample)
     p_o = RatPoly.of([Fraction(1), pair(h, todd.d, table), pair(h, h, table) / 2])

@@ -39,11 +39,17 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from e
 
 
-def _load_fan(path: str) -> Fan:
+def _decode(path: str, parse):
+    """parse applied to the text of the file at path; a file that cannot be
+    read, is not UTF-8, or does not parse ends in one InputError naming path."""
     try:
-        fan = fan_from_json(_read(path))
-    except ValueError as e:
+        return parse(_read(path))
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: {e}") from e
+
+
+def _load_fan(path: str) -> Fan:
+    fan = _decode(path, fan_from_json)
     report = validate_fan(fan)
     if report:
         raise InputError(f"{path}: invalid fan: " + "; ".join(report))
@@ -51,10 +57,7 @@ def _load_fan(path: str) -> Fan:
 
 
 def _load_family(path: str, fan: Fan) -> DeltaFamily:
-    try:
-        fam = family_from_json(_read(path))
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+    fam = _decode(path, family_from_json)
     report = validate_family(fam, fan)
     if report:
         raise InputError(f"{path}: invalid family: " + "; ".join(report[:5]))
@@ -62,18 +65,22 @@ def _load_family(path: str, fan: Fan) -> DeltaFamily:
 
 
 def _load_divisor(path: str, fan: Fan):
-    try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, list) or len(doc) != fan.n_rays():
-        raise InputError(
-            f"{path}: divisor must be a JSON array with one integer per ray "
-            f"({fan.n_rays()} expected)"
-        )
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in doc):
-        raise InputError(f"{path}: divisor entries must be JSON integers")
-    return doc
+    n = fan.n_rays()
+
+    def parse(text):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"not valid JSON: {e}") from e
+        if not isinstance(doc, list) or len(doc) != n:
+            raise ValueError(
+                f"divisor must be a JSON array with one integer per ray ({n} expected)"
+            )
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in doc):
+            raise ValueError("divisor entries must be JSON integers")
+        return doc
+
+    return _decode(path, parse)
 
 
 def _load_ample(path: str, fan: Fan):
@@ -102,10 +109,7 @@ def _emit(doc: dict, fmt: str, lines) -> None:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_fan_check(args) -> int:
-    try:
-        fan = fan_from_json(_read(args.fan))
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    fan = _decode(args.fan, fan_from_json)
     report = validate_fan(fan)
     doc = {"valid": not report, "report": report}
     lines = ["valid"] if not report else [f"invalid: {r}" for r in report]
@@ -127,10 +131,7 @@ def _cmd_fan_check(args) -> int:
 
 def _cmd_family_check(args) -> int:
     fan = _load_fan(args.fan)
-    try:
-        fam = family_from_json(_read(args.family))
-    except ValueError as e:
-        raise InputError(f"{args.family}: {e}") from e
+    fam = _decode(args.family, family_from_json)
     report = validate_family(fam, fan)
     doc = {"valid": not report, "kind": fam.kind, "rank": fam.rank, "report": report}
     lines = [f"kind: {fam.kind}", f"rank: {fam.rank}"]
@@ -151,7 +152,7 @@ def _cmd_chern(args) -> int:
     fan = _load_fan(args.fan)
     fam = _load_family(args.family, fan)
     table = intersection_table(fan)
-    ch = chern_character(fam, fan, table)
+    ch = chern_character(fam, fan)
     c1 = c1_fast(fam, fan)
     c2 = second_chern_number(ch, table)
     doc = {

@@ -81,6 +81,8 @@ class _Grid:
         """Grid over the sub-box of the given free coordinates, all other
         coordinates clamped to the top (the limit toward infinity)."""
         positions = tuple(positions)
+        if positions == tuple(range(self.ndim())):
+            return self  # grids are frozen, so the whole box is its own face
         lo = tuple(self.lo[p] for p in positions)
         hi = tuple(self.hi[p] for p in positions)
         vals = []
@@ -410,6 +412,11 @@ def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
     bad = validate_torsion_free(fam, fan)
     if bad:
         raise ValueError("invalid family: " + "; ".join(bad[:3]))
+    return _corners_are_axis_meets(fam)
+
+
+def _corners_are_axis_meets(fam: DeltaFamily) -> bool:
+    """is_reflexive for a family already known to be valid torsion-free."""
     for _, grid in fam.corners:
         axis = [grid.face((k,)) for k in range(grid.ndim())]
         for lam in grid.points():
@@ -547,7 +554,7 @@ def validate_family(fam: DeltaFamily, fan: Fan) -> list[str]:
     if fam.kind == KIND_PURE:
         return validate_pure(fam, fan)
     report = validate_torsion_free(fam, fan)
-    if not report and fam.kind == KIND_REFLEXIVE and not is_reflexive(fam, fan):
+    if not report and fam.kind == KIND_REFLEXIVE and not _corners_are_axis_meets(fam):
         report.append("declared reflexive but some corner value is smaller than its axis limits")
     return report
 

@@ -4,12 +4,15 @@ Divisor classes are rational coefficient vectors on the invariant divisors
 V(rho), one per ray; the degree-2 Chow group is identified with Q times the
 point class.  The intersection table is built from adjacency (adjacent
 invariant curves meet transversally in one point) and the wall relation
-n(rho_{i-1}) + n(rho_{i+1}) = -(D_i^2) n(rho_i).  A lattice-point counter
-for nef divisors provides an independent Euler-characteristic oracle.
+n(rho_{i-1}) + n(rho_{i+1}) = -(D_i^2) n(rho_i).  It depends on the fan
+alone, so intersection_table builds it once per fan and every caller shares
+that table.  A lattice-point counter for nef divisors provides an
+independent Euler-characteristic oracle.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,11 +32,19 @@ def divisor(coeffs: Sequence, fan: Fan) -> Divisor:
 
 @dataclass(frozen=True)
 class IntersectionTable:
-    fan: Fan
     matrix: tuple[tuple[Fraction, ...], ...]
 
 
+# fan -> its table; an entry goes when the fan object that keys it is collected
+_TABLES: weakref.WeakKeyDictionary[Fan, IntersectionTable] = weakref.WeakKeyDictionary()
+
+
 def intersection_table(fan: Fan) -> IntersectionTable:
+    """The intersection table of fan, built and validated on the first call
+    for an equal fan and shared after that."""
+    table = _TABLES.get(fan)
+    if table is not None:
+        return table
     if fan.rank != 2:
         raise ValueError("intersection table implemented for surfaces only")
     report = validate_fan(fan)
@@ -59,16 +70,7 @@ def intersection_table(fan: Fan) -> IntersectionTable:
         if (a * here[0], a * here[1]) != (Fraction(s[0]), Fraction(s[1])):
             raise ValueError(f"wall relation fails at ray {i}")
         mat[i][i] = -a
-    return IntersectionTable(fan, tuple(tuple(row) for row in mat))
-
-
-def table_for(fan: Fan, table: IntersectionTable | None = None) -> IntersectionTable:
-    """The intersection table of fan: the given one, which must belong to
-    fan, or a new one."""
-    if table is None:
-        return intersection_table(fan)
-    if table.fan != fan:
-        raise ValueError("intersection table belongs to a different fan")
+    table = _TABLES[fan] = IntersectionTable(tuple(tuple(row) for row in mat))
     return table
 
 
@@ -182,15 +184,15 @@ def todd_and_canonical(fan: Fan) -> tuple[ChowClassSurface, Divisor]:
     return todd, canonical
 
 
-def is_nef(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> bool:
+def is_nef(d: Sequence, fan: Fan) -> bool:
     """Nef iff the support function is convex across every wall, i.e. the
     divisor meets every invariant curve nonnegatively."""
-    table = table_for(fan, table)
+    table = intersection_table(fan)
     return all(x >= 0 for x in ray_degrees(divisor(d, fan), table))
 
 
-def is_ample(d: Sequence, fan: Fan, table: IntersectionTable | None = None) -> bool:
-    table = table_for(fan, table)
+def is_ample(d: Sequence, fan: Fan) -> bool:
+    table = intersection_table(fan)
     return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
 
 
@@ -200,7 +202,6 @@ AMPLE_SEARCH_RADIUS = 4
 
 def find_ample(fan: Fan) -> Divisor:
     """Deterministic small ample divisor, by increasing sup-norm then lex."""
-    table = intersection_table(fan)
     n = fan.n_rays()
 
     def vectors(radius):
@@ -218,7 +219,7 @@ def find_ample(fan: Fan) -> Divisor:
 
     for radius in range(1, AMPLE_SEARCH_RADIUS + 1):
         for v in vectors(radius):
-            if is_ample(v, fan, table):
+            if is_ample(v, fan):
                 return divisor(v, fan)
     raise ValueError("no small ample divisor found")
 
@@ -241,9 +242,8 @@ def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
     """
     if fan.rank != 2:
         raise ValueError("lattice point count implemented for surfaces only")
-    table = intersection_table(fan)
     a = divisor(coeffs, fan)
-    if not is_nef(a, fan, table):
+    if not is_nef(a, fan):
         raise ValueError("divisor is not nef; count would not equal chi")
     vertices = [
         unimodular_solve(fan.rays[c[0]], fan.rays[c[1]], -a[c[0]], -a[c[1]])

@@ -295,7 +295,7 @@ def _enumerate_rank1(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                 continue
             for diags in itertools.product(*(diagrams_by_size[s] for s in sizes)):
                 fam = _rank1_family(fan, c1, diags)
-                ch = chern_character(fam, fan, table)
+                ch = chern_character(fam, fan)
                 c2 = second_chern_number(ch, table)
                 if c2 != total:
                     raise AssertionError("staircase size does not match c2")
@@ -565,7 +565,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
             if c2_hull > c2_max:
                 continue
             hull = _profile_hull(fan, a_vec, gaps, pat)
-            ch = chern_character(hull, fan, table)
+            ch = chern_character(hull, fan)
             if not divisor_class_equal(ch.d, c1_div, fan):
                 raise AssertionError("hull c1 drifted from the profile")
             if second_chern_number(ch, table) != c2_hull:
@@ -573,7 +573,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
             for fam, free_used in _rank2_cuts(hull, c2_max - c2_hull):
                 if validate_torsion_free(fam, fan):
                     continue
-                c2 = second_chern_number(chern_character(fam, fan, table), table)
+                c2 = second_chern_number(chern_character(fam, fan), table)
                 if c2 > c2_max:
                     continue
                 chi = characteristic_function(fam)

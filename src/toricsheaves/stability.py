@@ -62,13 +62,12 @@ from .family import (
 )
 from .fan import ConeRef, Fan
 from .intersect import (
-    IntersectionTable,
     divisor,
     integer_matrix,
+    intersection_table,
     is_ample,
     pair,
     ray_degrees,
-    table_for,
 )
 from .polynomials import RatPoly, compare_for_large_t
 from .subspace import SubspaceQ
@@ -302,11 +301,10 @@ class _MeetTable:
 # ---------------------------------------------------------------------------
 # slope test
 
-def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
-            table: IntersectionTable | None = None) -> StabilityVerdict:
-    table = table_for(fan, table)
+def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
+    table = intersection_table(fan)
     h = divisor(ample, fan)
-    if not is_ample(h, fan, table):
+    if not is_ample(h, fan):
         raise ValueError("polarization is not ample")
     m = fam.rank
     meets = _MeetTable(fam, fan)
@@ -365,15 +363,14 @@ def _margin_sort(mg):
 # ---------------------------------------------------------------------------
 # Gieseker test
 
-def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence,
-                  table: IntersectionTable | None = None) -> StabilityVerdict:
+def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     """Margins P(E cap W)/dim W - P(E)/M, both polynomials read off the face
     weights of E's characteristic function against the meet table.  The
     weights read only its boxes, and E cap W has the boxes of E, so this is
     exact."""
     if fam.kind == KIND_PURE:
         raise ValueError(TORSION_FREE_ONLY)
-    xi = xi_weights(characteristic_function(fam), fan, ample, table)
+    xi = xi_weights(characteristic_function(fam), fan, ample)
     meets = _MeetTable(fam, fan)
     return _gieseker_verdict(meets, _gieseker_margins(meets, xi))
 
@@ -416,17 +413,16 @@ class WeightSystem:
         return self.entries
 
 
-def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence,
-               table: IntersectionTable | None = None) -> WeightSystem:
+def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     """Flag weights gap_j(k) deg(D_j); zero-gap factors are left out.  With
     non-flag Grassmannian factors present (general torsion-free data) the
     flag weights are scaled by R with sum(n_alpha)/R < 1/M^2 and the extra
     factors get weight 1."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
-    table = table_for(fan, table)
+    table = intersection_table(fan)
     h = divisor(ample, fan)
-    if not is_ample(h, fan, table):
+    if not is_ample(h, fan):
         raise ValueError("polarization is not ample")
     m = fam.rank
     deg = ray_degrees(h, table)
@@ -524,8 +520,7 @@ class XiWeights:
         return all(poly(r) > 0 for _, poly in self.entries)
 
 
-def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
-               table: IntersectionTable | None = None) -> XiWeights:
+def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     """Face weight polynomials: for every cone of the fan and every lattice
     point of its cut-off box, a polynomial Xi(t) such that
 
@@ -559,8 +554,8 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence,
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
-    table = table_for(fan, table)
-    if not is_ample(ample, fan, table):
+    table = intersection_table(fan)
+    if not is_ample(ample, fan):
         raise ValueError("polarization is not ample")
     gmap = chi.corner_map()
     if set(gmap) != set(range(len(fan.max_cones))):
@@ -630,8 +625,7 @@ def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:
 
 
 def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
-             witnesses: Sequence[DeltaFamily],
-             table: IntersectionTable | None = None) -> tuple[int, WeightSystem]:
+             witnesses: Sequence[DeltaFamily]) -> tuple[int, WeightSystem]:
     """Smallest R in [1, R_MAX] with all face weights positive at R and the
     GIT verdict matching the Gieseker verdict on every witness family.
 
@@ -640,14 +634,13 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
     witness gets one meet table and its margin polynomials once; a witness
     whose characteristic function is chi reuses them for its Gieseker target,
     and every trial R only evaluates them."""
-    table = table_for(fan, table)
-    xi = xi_weights(chi, fan, ample, table)
+    xi = xi_weights(chi, fan, ample)
     checks = []
     for w in witnesses:
         if w.kind == KIND_PURE:
             raise ValueError(TORSION_FREE_ONLY)
         chi_w = characteristic_function(w)
-        own = None if chi_w == chi else xi_weights(chi_w, fan, ample, table)
+        own = None if chi_w == chi else xi_weights(chi_w, fan, ample)
         meets = _MeetTable(w, fan)
         polys = _gieseker_margins(meets, xi)
         margins = polys if own is None else _gieseker_margins(meets, own)

@@ -110,14 +110,14 @@ def test_criterion_3_hrr_vs_lattice_oracle(corpus, amples):
             elapsed, 30)
 
 
-def test_criterion_4_c1_double_computation(corpus, tables):
+def test_criterion_4_c1_double_computation(corpus):
     t0 = time.perf_counter()
     total = 0
     for name, fan in corpus.items():
         fams = _corpus_families(fan, 200, seed=1009)
         assert len(fams) >= 200
         for fam in fams:
-            ch = chern_character(fam, fan, tables[name])
+            ch = chern_character(fam, fan)
             assert c1_fast(fam, fan) == ch.d, name
         total += len(fams)
     elapsed = time.perf_counter() - t0
@@ -126,13 +126,13 @@ def test_criterion_4_c1_double_computation(corpus, tables):
             elapsed, 60)
 
 
-def test_criterion_5_rank_telescoping(corpus, tables):
+def test_criterion_5_rank_telescoping(corpus):
     t0 = time.perf_counter()
     for name, fan in corpus.items():
         for tau in fan.cones():
             assert cone_count_identity(fan, tau) == 1, (name, tau)
         for fam in _corpus_families(fan, 200, seed=2003):
-            ch = chern_character(fam, fan, tables[name])
+            ch = chern_character(fam, fan)
             assert ch.r0 == fam.rank, name
     elapsed = time.perf_counter() - t0
     _report(5, "degree-0 Chern part = rank; signed cone counts all 1", elapsed)

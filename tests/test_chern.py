@@ -68,15 +68,15 @@ def test_bracket_telescoping(corpus):
                 assert sl.total() == grid.value(grid.hi).dim
 
 
-def test_chern_structure_sheaf(p2, tables, o_p2):
-    ch = chern_character(o_p2, p2, tables["p2"])
+def test_chern_structure_sheaf(p2, o_p2):
+    ch = chern_character(o_p2, p2)
     assert ch.r0 == 1 and all(x == 0 for x in ch.d) and ch.p == 0
 
 
 def test_chern_line_bundle(p2, tables):
     kvec = (2, 1, -1)
     lk = line_bundle_family(p2, kvec)
-    ch = chern_character(lk, p2, tables["p2"])
+    ch = chern_character(lk, p2)
     assert ch.r0 == 1
     assert divisor_class_equal(ch.d, [Fraction(k) for k in kvec], p2)
     assert ch.p == pair(ch.d, ch.d, tables["p2"]) / 2
@@ -84,7 +84,7 @@ def test_chern_line_bundle(p2, tables):
 
 def test_chern_ideal_sheaf(p2, tables):
     fam = ideal_sheaf_of_point(p2)
-    ch = chern_character(fam, p2, tables["p2"])
+    ch = chern_character(fam, p2)
     assert ch.r0 == 1
     assert all(x == 0 for x in ch.d)
     assert ch.p == -1
@@ -95,11 +95,11 @@ def test_chern_ideal_sheaf(p2, tables):
         assert p(t) == lattice_point_count([t, 0, 0], p2) - 1
 
 
-def test_c1_fast_equals_chern_degree_one(corpus, tables):
+def test_c1_fast_equals_chern_degree_one(corpus):
     for name, fan in corpus.items():
         fams = random_families(fan, 2, 15, seed=71) + random_families(fan, 1, 10, seed=73)
         for fam in fams:
-            ch = chern_character(fam, fan, tables[name])
+            ch = chern_character(fam, fan)
             assert c1_fast(fam, fan) == ch.d
 
 
@@ -121,11 +121,11 @@ def test_c1_fast_examples(p2, o_p2):
     assert c1_fast(fam, p2) == (1, 0, 0)
 
 
-def test_rank_telescoping(corpus, tables):
+def test_rank_telescoping(corpus):
     for name, fan in corpus.items():
         for rank in (1, 2):
             for fam in random_families(fan, rank, 10, seed=83):
-                ch = chern_character(fam, fan, tables[name])
+                ch = chern_character(fam, fan)
                 assert ch.r0 == rank
 
 

@@ -509,3 +509,49 @@ def test_git_samples_out_of_range_exit_2(files, samples):
                             "--family", files["family"], "--ample", files["ample"]])
     assert_input_error(proc)
     assert "[0, 10000]" in proc.stderr
+
+
+# --- a malformed input file is named in the one error line -----------------------
+
+MALFORMED = {
+    "empty": b"",
+    "not-utf8": b"\xff\xfe[1, 0, 0]",
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "scalar": b"5",
+    "huge-int": b"9" * 5000,
+}
+
+# (subcommand, other arguments, file flags) for every subcommand that reads files
+FILE_READERS = [
+    ("fan-check", [], ["--fan"]),
+    ("family-check", [], ["--fan", "--family"]),
+    ("chern", [], ["--fan", "--family"]),
+    ("hilbert", [], ["--fan", "--family", "--ample"]),
+    ("stability mu", [], ["--fan", "--family", "--ample"]),
+    ("stability gieseker", [], ["--fan", "--family", "--ample"]),
+    ("stability git", [], ["--fan", "--family", "--ample"]),
+    ("weights", [], ["--fan", "--family", "--ample"]),
+    ("enumerate", ["--rank", "1", "--c2-max", "1"], ["--fan", "--c1"]),
+    ("series rank1", ["--order", "2"], ["--fan"]),
+]
+
+
+@pytest.mark.parametrize("command, extra, flags, slot, content", [
+    pytest.param(command, extra, flags, slot, content,
+                 id=f"{command.replace(' ', '-')}-{slot[2:]}-{content}")
+    for command, extra, flags in FILE_READERS
+    for slot in flags
+    for content in MALFORMED
+])
+def test_malformed_file_named_in_error(files, capsys, command, extra, flags, slot, content):
+    bad = files["dir"] / f"malformed-{content}.json"
+    bad.write_bytes(MALFORMED[content])
+    paths = {"--fan": files["fan"], "--family": files["family"],
+             "--ample": files["ample"], "--c1": files["ample"]}
+    paths[slot] = str(bad)
+    argv = [*command.split(), *extra, *(x for flag in flags for x in (flag, paths[flag]))]
+    code = cli.run(argv)
+    out = capsys.readouterr()
+    assert_input_error(subprocess.CompletedProcess(argv, code, out.out, out.err))
+    assert out.out == ""
+    assert str(bad) in out.err

@@ -22,7 +22,11 @@ from toricsheaves.family import (
     validate_pure,
     validate_torsion_free,
 )
-from toricsheaves.sampling import random_reflexive_family, random_torsion_free_family
+from toricsheaves.sampling import (
+    random_families,
+    random_reflexive_family,
+    random_torsion_free_family,
+)
 from toricsheaves.subspace import SubspaceQ
 
 K1 = SubspaceQ.full(1)
@@ -243,6 +247,19 @@ def test_restrict_to_carrying_cone_is_identity(p2, o_p2):
     assert grid == o_p2.corner(0)
 
 
+def test_restrict_to_maximal_cone_returns_its_grid(corpus):
+    for fan in corpus.values():
+        for fam in random_families(fan, 2, 4, seed=17):
+            for x in (fam, characteristic_function(fam)):
+                corners = x.corner_map()
+                for i, mc in enumerate(fan.max_cones):
+                    assert restrict_to_face(x, mc, fan) is corners[i]
+                    # the rays in the other order give a new, transposed grid
+                    turned = corners[i].face((1, 0))
+                    assert turned.cone == mc[::-1]
+                    assert turned.lo == corners[i].lo[::-1]
+
+
 def test_restrict_composition(p2):
     rng = random.Random(13)
     fam = random_torsion_free_family(p2, 2, rng)
@@ -409,6 +426,21 @@ def test_family_json_box_cap(p2):
     cone["hi"][1] += 1
     with pytest.raises(ValueError, match=f"cone {cone['index']}: .* 10100 points"):
         family_from_json(json.dumps(doc))
+
+
+def test_validate_family_validates_torsion_free_once(p2, monkeypatch):
+    from toricsheaves import family
+
+    calls = []
+    real = family.validate_torsion_free
+    monkeypatch.setattr(family, "validate_torsion_free",
+                        lambda fam, fan: calls.append(fam) or real(fam, fan))
+    fam = rank2_three_lines(p2)
+    assert fam.kind == family.KIND_REFLEXIVE
+    assert family.validate_family(fam, p2) == []
+    assert len(calls) == 1
+    assert family.is_reflexive(fam, p2)
+    assert len(calls) == 2
 
 
 def test_declared_reflexive_must_be_reflexive(p2):

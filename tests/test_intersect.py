@@ -1,8 +1,10 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from toricsheaves import intersect
 from toricsheaves.intersect import (
     ChowClassSurface,
     chi_line_bundle,
@@ -19,7 +21,7 @@ from toricsheaves.intersect import (
     pair,
     todd_and_canonical,
 )
-from toricsheaves.fan import hirzebruch
+from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import random_smooth_complete_fan
 from toricsheaves.subspace import SubspaceQ
 
@@ -194,7 +196,7 @@ def test_ample_positive_on_all_rays(corpus, amples, tables):
     for name, fan in corpus.items():
         h = amples[name]
         t = tables[name]
-        assert is_ample(h, fan, t)
+        assert is_ample(h, fan)
         assert pair(h, h, t) > 0
         for j in range(fan.n_rays()):
             assert pair(h, unit(j, fan.n_rays()), t) > 0
@@ -235,3 +237,39 @@ def test_divisor_class_equal_matches_relation_space(corpus):
             assert divisor_class_equal(d1, d2, fan) == want, (name, d1, d2)
             matches += want
         assert 40 <= matches < 200, name
+
+
+# --- one table per fan ---------------------------------------------------------
+
+def test_equal_fans_share_one_table():
+    assert intersection_table(projective_plane()) is intersection_table(projective_plane())
+    assert intersection_table(hirzebruch(1)) is not intersection_table(p1_x_p1())
+
+
+@pytest.mark.parametrize("fan", [
+    # incomplete: a maximal cone is missing
+    Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+    # not smooth: |det| = 2
+    Fan.make(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
+    # not a surface
+    Fan.make(1, [(1,), (-1,)], [(0,), (1,)]),
+])
+def test_invalid_fan_raises_on_every_call(fan):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            intersection_table(fan)
+    assert fan not in intersect._TABLES
+
+
+def test_table_memo_forgets_dropped_fans():
+    gc.collect()
+    before = len(intersect._TABLES)
+    rng = random.Random(53)
+    for _ in range(50):
+        fan = random_smooth_complete_fan(rng, rng.randrange(1, 4))
+        zero = [0] * fan.n_rays()
+        assert lattice_point_count(zero, fan) == chi_line_bundle(zero, fan) == 1
+        assert fan in intersect._TABLES
+        del fan
+    gc.collect()
+    assert len(intersect._TABLES) <= before

@@ -355,7 +355,7 @@ def test_hull_c2_closed_form(corpus, surface):
             for pattern in _set_partitions([j for j in range(n) if gaps[j]]):
                 pat = tuple(sorted(pattern))
                 hull = _profile_hull(fan, a, gaps, pat)
-                ch = chern_character(hull, fan, table)
+                ch = chern_character(hull, fan)
                 assert second_chern_number(ch, table) == _hull_c2(split, gaps, pat, fan)
                 checked += 1
     assert checked == {3: 405, 4: 4212}[n]

@@ -774,22 +774,28 @@ def test_generic_line_matches_scan(corpus, amples):
     assert checked == 84
 
 
-def test_table_of_another_fan_refused():
-    """A P^1 x P^1 table passed with F_1 families (same ray count) raises
-    instead of giving F_1 results from the wrong intersection numbers."""
-    f1 = hirzebruch(1)
-    wrong = intersection_table(p1_x_p1())
+def test_f1_results_unchanged_after_p1xp1():
+    """P^1 x P^1 and F_1 have four rays each but different intersection
+    numbers; using one fan's table first leaves the other's results alone."""
+    f1, p1p1 = hirzebruch(1), p1_x_p1()
+    assert integer_matrix(intersection_table(f1)) != integer_matrix(intersection_table(p1p1))
     ample = find_ample(f1)
-    fam = random_families(f1, 2, 1, seed=4001)[0]
-    for call in (
-        lambda: chern_character(fam, f1, wrong),
-        lambda: mu_test(fam, f1, ample, wrong),
-        lambda: choose_r(characteristic_function(fam), f1, ample, [fam], wrong),
-    ):
-        with pytest.raises(ValueError, match="different fan"):
-            call()
-    right = intersection_table(hirzebruch(1))
-    assert chern_character(fam, f1, right) == chern_character(fam, f1)
+    fams = random_families(f1, 2, 3, seed=4001)
+
+    def f1_results():
+        return [
+            (chern_character(fam, f1), mu_test(fam, f1, ample), gieseker_test(fam, f1, ample),
+             xi_weights(characteristic_function(fam), f1, ample),
+             choose_r(characteristic_function(fam), f1, ample, [fam]))
+            for fam in fams
+        ]
+
+    first = f1_results()
+    p1p1_ample = find_ample(p1p1)
+    for fam in random_families(p1p1, 2, 3, seed=4001):
+        mu_test(fam, p1p1, p1p1_ample)
+        choose_r(characteristic_function(fam), p1p1, p1p1_ample, [fam])
+    assert f1_results() == first
 
 
 # --- face weights in closed form against the corner sum they replaced ------------
