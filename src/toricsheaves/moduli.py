@@ -19,11 +19,19 @@ lexicographically first translate of each orbit that fits the window is
 built.  The hull's c2 is A.B plus g_i g_j at every maximal cone (i, j)
 whose flag lines differ, with A = -a and B = -(a + gaps), so hulls above
 the c2 bound are never built.
+
+Cuts per cone, c2 = c2(E**) + length: the quotient E**/E of a cut E is
+supported at the fixed points, so it splits into one quotient per maximal
+cone.  Each cone's cuts are listed once from the hull grid and combined
+across cones up to the remaining c2 budget, and the c2 of a cut is read
+off its length rather than recomputed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -217,6 +225,31 @@ MAX_RANK1_TUPLES = 5_000
 MAX_WINDOW_POINTS = 60_000
 
 
+# Rank-2 cuts check, per hull with a positive c2 budget and per maximal
+# cone, every multiset of at most `budget` interior points of the padded
+# box: C(n + budget, budget) for n interior points.  A candidate costs about
+# 12 us to check, and a whole run about 10 to 30 us per candidate once the
+# cuts' characteristic functions are counted (Python 3.11, one core), so
+# the cap holds the cut checks to about 3 s and a run's cut work under 10 s.
+MAX_CUT_CANDIDATES = 250_000
+
+
+def _cut_candidates(hull: DeltaFamily, budget: int, cap: int) -> int:
+    """The drop multisets _rank2_cuts checks: the sum over cones of
+    C(n + budget, budget), n the cone's interior points after padding by
+    the budget.  Stops at the first partial count above cap."""
+    total = 0
+    for _, grid in hull.corners:
+        n = math.prod(h + budget - l for l, h in zip(grid.lo, grid.hi))
+        count = 1
+        for k in range(1, budget + 1):
+            count = count * (n + k) // k
+            if total + count > cap:
+                return total + count
+        total += count
+    return total
+
+
 def _window_check(chi: CharFunction, bound: int):
     for _, g in chi.corners:
         if any(abs(x) >= bound for x in g.lo + g.hi):
@@ -337,98 +370,84 @@ def _pool_line(idx: int) -> SubspaceQ:
     return SubspaceQ.span([(1, idx)], 2)
 
 
-def _rank2_cuts(fam: DeltaFamily, budget: int):
-    """Drop patterns at interior grid points with total size <= budget,
-    realized as explicit subspace grids (or skipped when infeasible).
+def _rank2_cuts(hull: DeltaFamily, budget: int):
+    """(family, free line used, length) for the hull and for each cut of it
+    of length at most budget.  The quotient hull/cut is supported at the
+    fixed points, so it splits into one quotient per maximal cone: each
+    cone's cuts (drops at interior points, below the box top in every
+    coordinate) are listed once and combined across cones, and the length
+    adds to c2.
 
     The hull boxes are padded by the budget first: a quotient of length c
     can reach at most c steps beyond the saturation corner, since the set
     of dropped points is downward closed inside the full-value region.
     """
-    if budget > 0:
-        fam = fam.map_corners(lambda g: g.pad_top(budget))
-    interior = []
+    if budget == 0:
+        yield hull, False, 0
+        return
+    fam = hull.map_corners(lambda g: g.pad_top(budget))
+    free_at = len({v for _, g in fam.corners for v in g.values if v.dim == 1}) + 3
+    combos = [((), False, 0)]
     for i, grid in fam.corners:
-        for lam in grid.points():
-            if all(x < h for x, h in zip(lam, grid.hi)):
-                interior.append((i, lam))
-    yield fam, False
-    for t in range(1, budget + 1):
-        for combo in itertools.combinations_with_replacement(interior, t):
-            drops: dict[tuple[int, tuple[int, ...]], int] = {}
-            for key in combo:
-                drops[key] = drops.get(key, 0) + 1
-            if any(v > 2 for v in drops.values()):
-                continue
-            out = _realize_cut(fam, drops)
-            if out is not None:
-                yield out
+        interior = [lam for lam in grid.points() if all(x < h for x, h in zip(lam, grid.hi))]
+        cuts = [(0, grid, False)]
+        for length in range(1, budget + 1):
+            for combo in itertools.combinations_with_replacement(interior, length):
+                cut = _cut_grid(grid, Counter(combo), free_at)
+                if cut is not None:
+                    cuts.append((length,) + cut)
+        combos = [
+            (corners + ((i, g),), free or f, length + n)
+            for corners, free, length in combos
+            for n, g, f in cuts
+            if length + n <= budget
+        ]
+    for corners, free, length in combos:
+        yield DeltaFamily(KIND_TORSION_FREE, 2, corners), free, length
 
 
-def _realize_cut(fam: DeltaFamily, drops: dict) -> tuple[DeltaFamily, bool] | None:
-    corners = []
-    free_used = False
-    used_lines = {v for _, g in fam.corners for v in g.values if v.dim == 1}
-    pool_at = len(used_lines) + 3
-    for i, grid in fam.corners:
-        dims = {}
-        for lam in grid.points():
-            d = grid._entry(lam).dim - drops.get((i, lam), 0)
-            if d < 0:
-                return None
-            dims[lam] = d
-        for lam in grid.points():
-            for k in range(grid.ndim()):
-                nxt = tuple(x + (1 if c == k else 0) for c, x in enumerate(lam))
-                if nxt in dims and dims[nxt] < dims[lam]:
-                    return None
-        # cluster the dim-1 points; each cluster carries a single line
-        ones = [lam for lam, d in dims.items() if d == 1]
-        parent = {lam: lam for lam in ones}
+def _cut_grid(grid: CornerFamily, drops: Counter, free_at: int):
+    """The grid cut down by drops and whether it takes a free line, or None
+    when the dimensions turn negative or stop being monotone.  Each cluster
+    of adjacent dimension-1 points carries one line: the hull line it
+    meets, or a new pool line when it meets none.  The hull grid is
+    monotone and each of its own clusters carries one flag line, so only
+    the dropped points and their neighbours are checked."""
+    dims = {lam: grid._entry(lam).dim - k for lam, k in drops.items()}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def steps(lam):  # box neighbours with their sign; interior points are below hi
+        for k in range(len(lam)):
+            for s in (-1, 1):
+                if lam[k] + s >= grid.lo[k]:
+                    yield lam[:k] + (lam[k] + s,) + lam[k + 1:], s
 
-        for lam in ones:
-            for k in range(grid.ndim()):
-                nxt = tuple(x + (1 if c == k else 0) for c, x in enumerate(lam))
-                if nxt in parent:
-                    parent[find(lam)] = find(nxt)
-        clusters: dict
-        clusters = {}
-        for lam in ones:
-            clusters.setdefault(find(lam), []).append(lam)
-        line_of: dict[tuple[int, ...], SubspaceQ] = {}
-        for members in clusters.values():
-            forced = {grid._entry(lam) for lam in members if grid._entry(lam).dim == 1}
-            if len(forced) > 1:
-                return None
-            if forced:
-                line = forced.pop()
-            else:
-                line = _pool_line(pool_at)
-                pool_at += 1
-                free_used = True
-            for lam in members:
-                here = grid._entry(lam)
-                if here.dim == 2 or here == line:
-                    line_of[lam] = line
-                else:
-                    return None
-        vals = []
-        for lam in grid.points():
-            d = dims[lam]
-            if d == 0:
-                vals.append(SubspaceQ.zero(2))
-            elif d == 1:
-                vals.append(line_of[lam])
-            else:
-                vals.append(grid._entry(lam))
-        corners.append((i, CornerFamily(grid.cone, grid.lo, grid.hi, tuple(vals), 2)))
-    return DeltaFamily(KIND_TORSION_FREE, 2, tuple(corners)), free_used
+    for lam, d in dims.items():
+        if d < 0 or any((dims.get(nb, grid._entry(nb).dim) - d) * s < 0 for nb, s in steps(lam)):
+            return None
+    lines = {}
+    free = 0
+    for start, d in dims.items():
+        if d != 1 or start in lines:
+            continue
+        cluster, forced = [start], set()
+        for lam in cluster:
+            for nb, _ in steps(lam):
+                if nb not in dims:
+                    if grid._entry(nb).dim == 1:
+                        forced.add(grid._entry(nb))
+                elif dims[nb] == 1 and nb not in cluster:
+                    cluster.append(nb)
+        if len(forced) > 1:
+            return None
+        if forced:
+            line = forced.pop()
+        else:
+            line = _pool_line(free_at + free)
+            free += 1
+        lines.update(dict.fromkeys(cluster, line))
+    zero = SubspaceQ.zero(2)
+    vals = [lines.get(at, zero) if at in dims else v for at, v in zip(grid.points(), grid.values)]
+    return CornerFamily(grid.cone, grid.lo, grid.hi, tuple(vals), 2), free > 0
 
 
 def _profile_verdict(gaps, deg, pattern) -> str:
@@ -534,6 +553,10 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     witnesses and strata order are those of that scan, and an orbit counts
     for the window exactly when some translate fits it.
 
+    A record's c2 is its hull's plus the cut length, checked once on its
+    witness.  The window check reads the records in (c2, chi) order, so
+    the box it names does not depend on the order in which cuts arrive.
+
     Only characteristic functions with a slope-stable stratum are
     returned; semistable strata of those functions are recorded alongside.
     The unconstrained set is infinite (split hulls of arbitrarily negative
@@ -548,6 +571,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     matrix = integer_matrix(table)
     n = fan.n_rays()
     records: dict[str, ChiRecord] = {}
+    candidates = 0
     c1_div = divisor(c1, fan)
     ample = [int(x) for x in find_ample(fan)]
     deg = [sum(h * row[j] for h, row in zip(ample, matrix)) for j in range(n)]
@@ -570,17 +594,19 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                 raise AssertionError("hull c1 drifted from the profile")
             if second_chern_number(ch, table) != c2_hull:
                 raise AssertionError("hull c2 differs from its closed form")
-            for fam, free_used in _rank2_cuts(hull, c2_max - c2_hull):
-                if validate_torsion_free(fam, fan):
-                    continue
-                c2 = second_chern_number(chern_character(fam, fan), table)
-                if c2 > c2_max:
-                    continue
+            budget = c2_max - c2_hull
+            if budget:
+                candidates += _cut_candidates(hull, budget, MAX_CUT_CANDIDATES - candidates)
+                if candidates > MAX_CUT_CANDIDATES:
+                    raise ValueError(
+                        f"rank-2 enumeration with c2 <= {c2_max} checks more than "
+                        f"{MAX_CUT_CANDIDATES} cut candidates; lower --c2-max")
+            for fam, free_used, length in _rank2_cuts(hull, budget):
                 chi = characteristic_function(fam)
                 gf, _ = gauge_fix(chi, fan)
                 key = gf.canonical()
                 if key not in records:
-                    records[key] = ChiRecord(gf, c2, fam, [])
+                    records[key] = ChiRecord(gf, Fraction(c2_hull + length), fam, [])
                 rec = records[key]
                 existing = next((s for s in rec.strata if s.pattern == pat), None)
                 if existing is None:
@@ -590,10 +616,13 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                 elif free_used and not existing.free_line:
                     rec.strata.remove(existing)
                     rec.strata.append(StratumRecord(pat, verdict, False, True))
-    kept = [
-        r for r in records.values()
-        if any(s.mu_verdict == STABLE for s in r.strata)
-    ]
+    kept = sorted(
+        (r for r in records.values() if any(s.mu_verdict == STABLE for s in r.strata)),
+        key=lambda r: (r.c2, r.chi.canonical()),
+    )
     for r in kept:
+        ch = chern_character(r.witness, fan)
+        if validate_torsion_free(r.witness, fan) or second_chern_number(ch, table) != r.c2:
+            raise AssertionError("cut witness is invalid or its c2 is not c2(hull) + length")
         _window_check(r.chi, box_bound)
-    return sorted(kept, key=lambda r: (r.c2, r.chi.canonical()))
+    return kept

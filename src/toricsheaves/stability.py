@@ -105,7 +105,6 @@ class StabilityVerdict:
 @dataclass(frozen=True)
 class RayFlags:
     ray: int
-    base: int                       # lowest jump position A_j
     gaps: tuple[int, ...]           # gap lengths at dimensions 1..M-1
     flags: tuple[SubspaceQ | None, ...]  # the flag subspaces where gaps > 0
     positions: tuple[int | None, ...]    # a lambda at which each flag sits
@@ -127,7 +126,6 @@ def _flag_data(meets: _MeetTable) -> FlagData:
     for j in range(meets.fan.n_rays()):
         grid = meets.face((j,))
         lo, hi = grid.lo[0], grid.hi[0]
-        base = None
         gaps = [0] * (m - 1)
         flags: list[SubspaceQ | None] = [None] * (m - 1)
         pos: list[int | None] = [None] * (m - 1)
@@ -137,8 +135,6 @@ def _flag_data(meets: _MeetTable) -> FlagData:
             if v.dim < prev:
                 raise ValueError(f"ray {j}: filtration dimensions decrease at {lam}")
             prev = v.dim
-            if v.dim > 0 and base is None:
-                base = lam
             if 0 < v.dim < m:
                 gaps[v.dim - 1] += 1
                 flags[v.dim - 1] = v
@@ -146,9 +142,7 @@ def _flag_data(meets: _MeetTable) -> FlagData:
                     pos[v.dim - 1] = lam
         if prev != m:
             raise ValueError(f"ray {j}: filtration does not saturate to the full space")
-        if base is None:
-            base = hi
-        out.append(RayFlags(j, base, tuple(gaps), tuple(flags), tuple(pos)))
+        out.append(RayFlags(j, tuple(gaps), tuple(flags), tuple(pos)))
     return FlagData(m, tuple(out))
 
 

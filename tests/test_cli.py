@@ -364,6 +364,10 @@ def _enumerate(files, *args):
                      "at least 0", id="series-rank2-p2-order-minus-3"),
         pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "1", "--box", "40"),
                      "lower --box", id="enumerate-rank2-window"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "8", "--box", "1"),
+                     "lower --c2-max", id="enumerate-rank2-cuts"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "100000", "--box", "1"),
+                     "lower --c2-max", id="enumerate-rank2-cuts-huge-c2"),
         pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "12", "--box", "40"),
                      "lower --c2-max", id="enumerate-rank1-tuples"),
         pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "41"),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -7,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from toricsheaves.chern import chern_character, second_chern_number
-from toricsheaves.family import characteristic_function, family_to_json, validate_torsion_free
+from toricsheaves.family import (
+    KIND_TORSION_FREE,
+    CornerFamily,
+    DeltaFamily,
+    characteristic_function,
+    family_to_json,
+    validate_torsion_free,
+)
 from toricsheaves.fan import Fan, hirzebruch, projective_plane
 from toricsheaves.intersect import (
     divisor,
@@ -21,6 +29,7 @@ from toricsheaves.moduli import (
     IntSeries,
     _class_orbits,
     _hull_c2,
+    _pool_line,
     _profile_hull,
     _set_partitions,
     _split_c2,
@@ -31,6 +40,7 @@ from toricsheaves.moduli import (
     rank1_fixed_point_series,
     rank2_p2_series,
 )
+from toricsheaves.subspace import SubspaceQ
 
 RANK2_P2_COEFFS = (0, 1, 9, 48, 203, 729, 2346, 6918, 19062, 49620)
 
@@ -215,12 +225,14 @@ def test_enumerate_rank2_box_independence(p2):
 
 
 def surface_fan(corpus, name):
-    """A corpus fan, or P^2 with its maximal cones listed from the second:
-    its first cone then holds rays 1 and 2, so a twist's lexicographic
-    order is not that of its values on the first cone."""
+    """A corpus fan, F_2, or P^2 with its maximal cones listed from the
+    second: its first cone then holds rays 1 and 2, so a twist's
+    lexicographic order is not that of its values on the first cone."""
     if name == "p2-cones-rotated":
         p2 = corpus["p2"]
         return Fan(p2.rank, p2.rays, p2.max_cones[1:] + p2.max_cones[:1])
+    if name == "f2":
+        return hirzebruch(2)
     return corpus[name]
 
 
@@ -287,12 +299,14 @@ def every_translate(fan, c1, box_bound):
     return profiles
 
 
-def record_digest(fan, c1, c2_max, box):
-    """SHA-256 over every record's c2, characteristic function, witness and
-    strata in order, or over the BoxBoundError text."""
+def record_digest(fan, c1, c2_max, box, witness=True):
+    """SHA-256 over every record's c2, characteristic function, witness
+    (unless witness is False) and strata in order, or over the
+    BoxBoundError text."""
     try:
         doc = [
-            [str(r.c2), r.chi.canonical(), family_to_json(r.witness), [repr(s) for s in r.strata]]
+            [str(r.c2), r.chi.canonical(), family_to_json(r.witness) if witness else None,
+             [repr(s) for s in r.strata]]
             for r in enumerate_gauge_fixed_chi(fan, 2, c1, c2_max, box_bound=box)
         ]
     except BoxBoundError as exc:
@@ -335,6 +349,164 @@ def test_one_hull_per_orbit(p2, monkeypatch):
     monkeypatch.setattr(moduli, "_class_orbits", every_translate)
     enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
     assert len(built) == 33
+
+
+def cuts_by_scan(fan, hull, budget):
+    """Oracle: every drop pattern at interior grid points of all cones at
+    once, of total size <= budget, realized as an explicit subspace grid
+    (or skipped when infeasible) and kept when the family validates and its
+    c2 exceeds the hull's by at most budget; yields (family, free line
+    used, c2 - c2(hull)).
+
+    The hull boxes are padded by the budget first: a quotient of length c
+    can reach at most c steps beyond the saturation corner, since the set
+    of dropped points is downward closed inside the full-value region.
+    """
+    table = intersection_table(fan)
+    c2_hull = second_chern_number(chern_character(hull, fan), table)
+    fam = hull.map_corners(lambda g: g.pad_top(budget)) if budget > 0 else hull
+    interior = []
+    for i, grid in fam.corners:
+        for lam in grid.points():
+            if all(x < h for x, h in zip(lam, grid.hi)):
+                interior.append((i, lam))
+    cuts = [(fam, False)]
+    for t in range(1, budget + 1):
+        for combo in itertools.combinations_with_replacement(interior, t):
+            drops = Counter(combo)
+            if any(v > 2 for v in drops.values()):
+                continue
+            out = realize_cut(fam, drops)
+            if out is not None:
+                cuts.append(out)
+    for cut, free_used in cuts:
+        if validate_torsion_free(cut, fan):
+            continue
+        length = second_chern_number(chern_character(cut, fan), table) - c2_hull
+        if length <= budget:
+            yield cut, free_used, length
+
+
+def realize_cut(fam, drops):
+    """The whole family cut down by drops at (cone, point), or None."""
+    corners = []
+    free_used = False
+    used_lines = {v for _, g in fam.corners for v in g.values if v.dim == 1}
+    pool_at = len(used_lines) + 3
+    for i, grid in fam.corners:
+        dims = {}
+        for lam in grid.points():
+            d = grid._entry(lam).dim - drops.get((i, lam), 0)
+            if d < 0:
+                return None
+            dims[lam] = d
+        for lam in grid.points():
+            for k in range(grid.ndim()):
+                nxt = tuple(x + (1 if c == k else 0) for c, x in enumerate(lam))
+                if nxt in dims and dims[nxt] < dims[lam]:
+                    return None
+        # cluster the dim-1 points; each cluster carries a single line
+        ones = [lam for lam, d in dims.items() if d == 1]
+        parent = {lam: lam for lam in ones}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for lam in ones:
+            for k in range(grid.ndim()):
+                nxt = tuple(x + (1 if c == k else 0) for c, x in enumerate(lam))
+                if nxt in parent:
+                    parent[find(lam)] = find(nxt)
+        clusters = {}
+        for lam in ones:
+            clusters.setdefault(find(lam), []).append(lam)
+        line_of = {}
+        for members in clusters.values():
+            forced = {grid._entry(lam) for lam in members if grid._entry(lam).dim == 1}
+            if len(forced) > 1:
+                return None
+            if forced:
+                line = forced.pop()
+            else:
+                line = _pool_line(pool_at)
+                pool_at += 1
+                free_used = True
+            for lam in members:
+                here = grid._entry(lam)
+                if here.dim == 2 or here == line:
+                    line_of[lam] = line
+                else:
+                    return None
+        vals = []
+        for lam in grid.points():
+            d = dims[lam]
+            if d == 0:
+                vals.append(SubspaceQ.zero(2))
+            elif d == 1:
+                vals.append(line_of[lam])
+            else:
+                vals.append(grid._entry(lam))
+        corners.append((i, CornerFamily(grid.cone, grid.lo, grid.hi, tuple(vals), 2)))
+    return DeltaFamily(KIND_TORSION_FREE, 2, tuple(corners)), free_used
+
+
+@pytest.mark.parametrize(
+    "surface, c1, c2_max, box",
+    [
+        pytest.param("p2", [1, 0, 0], 3, 5, id="p2-h-c2le3-box5"),
+        pytest.param("p2", [0, 1, 0], 3, 4, id="p2-c2le3-box4"),
+        pytest.param("p1xp1", [1, 0, 0, 0], 3, 3, id="p1xp1-c2le3-box3"),
+        pytest.param("f1", [1, 0, 0, 0], 3, 3, id="f1-c2le3-box3"),
+        pytest.param("f2", [1, 0, 0, 0], 3, 3, id="f2-c2le3-box3"),
+    ],
+)
+def test_cut_records_match_scan(corpus, monkeypatch, surface, c1, c2_max, box):
+    """Cuts listed per cone give the records (c2, chi, strata in order) of
+    the scan over every drop multiset of the whole family.  Each case has
+    hulls with budget 2.  The window check is left out, so that a case
+    whose window is too small to certify still compares every record."""
+    import toricsheaves.moduli as moduli
+
+    fan = surface_fan(corpus, surface)
+    monkeypatch.setattr(moduli, "_window_check", lambda chi, bound: None)
+    per_cone = record_digest(fan, c1, c2_max, box, witness=False)
+    monkeypatch.setattr(moduli, "_rank2_cuts", functools.partial(cuts_by_scan, fan))
+    assert per_cone == record_digest(fan, c1, c2_max, box, witness=False)
+
+
+def test_corrupted_cut_length_caught(p2, monkeypatch):
+    """A record's c2 is c2(hull) + length, checked against its witness."""
+    import toricsheaves.moduli as moduli
+
+    cuts = moduli._rank2_cuts
+    monkeypatch.setattr(moduli, "_rank2_cuts", lambda hull, budget: (
+        (fam, free, length + (length > 0)) for fam, free, length in cuts(hull, budget)
+    ))
+    with pytest.raises(AssertionError, match="c2"):
+        enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 2, box_bound=4)
+
+
+def test_cut_candidates_count_the_cuts_checked(corpus, monkeypatch):
+    """The cut work cap counts, per cone of each hull with a positive budget,
+    the uncut grid and every drop multiset that _cut_grid checks; a hull
+    without budget checks none."""
+    import toricsheaves.moduli as moduli
+
+    counted, checked = [], []
+    count, grid = moduli._cut_candidates, moduli._cut_grid
+    monkeypatch.setattr(moduli, "_cut_candidates",
+                        lambda *a: counted.append(count(*a)) or counted[-1])
+    monkeypatch.setattr(moduli, "_cut_grid", lambda *a: checked.append(a) or grid(*a))
+    enumerate_gauge_fixed_chi(corpus["p2"], 2, [1, 0, 0], 1, box_bound=3)
+    assert counted == [] and checked == []
+    for name, c1, c2_max, box in (("p2", [1, 0, 0], 3, 5), ("f1", [1, 0, 0, 0], 2, 3)):
+        fan = corpus[name]
+        del counted[:], checked[:]
+        enumerate_gauge_fixed_chi(fan, 2, c1, c2_max, box_bound=box)
+        assert counted and sum(counted) == len(checked) + len(fan.max_cones) * len(counted)
 
 
 def test_enumerate_rank2_zero_class_p1xp1(p1p1):
