@@ -19,9 +19,8 @@ from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
     IntersectionTable,
-    integer_matrix,
+    ample_degrees,
     intersection_table,
-    is_ample,
     pair,
     todd_and_canonical,
 )
@@ -70,7 +69,7 @@ def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface
         raise ValueError("Chern character truncation implemented for surfaces only")
     chi = as_char(x)
     n = fan.n_rays()
-    mat = integer_matrix(intersection_table(fan))
+    mat = intersection_table(fan).matrix
     r0 = 0
     d = [0] * n
     p2 = 0  # twice the point part: sum of sign * mult * D.D
@@ -113,25 +112,21 @@ class HilbertData:
 def hilbert_polynomial(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> RatPoly:
     """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial."""
     table = intersection_table(fan)
-    if not is_ample(ample, fan):
-        raise ValueError("polarization is not ample")
+    deg = ample_degrees(ample, fan)
     todd, _ = todd_and_canonical(fan)
-    h = tuple(Fraction(c) for c in ample)
     cls = chern_character(x, fan).mul(todd, table)
-    return RatPoly.of(
-        [cls.p, pair(cls.d, h, table), cls.r0 * pair(h, h, table) / 2]
-    )
+    h_sq = sum(h * d for h, d in zip(ample, deg))
+    return RatPoly.of([cls.p, sum(c * d for c, d in zip(cls.d, deg)), cls.r0 * h_sq / 2])
 
 
 def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:
     """Hilbert polynomial with the rank/degree/slope extraction conventions:
     writing P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
     degree = a_1(E) - a_1(O) rank."""
-    table = intersection_table(fan)
     p = hilbert_polynomial(x, fan, ample)
-    todd, _ = todd_and_canonical(fan)
-    h = tuple(Fraction(c) for c in ample)
-    p_o = RatPoly.of([Fraction(1), pair(h, todd.d, table), pair(h, h, table) / 2])
+    deg_h = ample_degrees(ample, fan)
+    h_sq = sum(h * d for h, d in zip(ample, deg_h))
+    p_o = RatPoly.of([1, Fraction(sum(deg_h), 2), Fraction(h_sq, 2)])
     rank = p.coeff(2) / p_o.coeff(2)
     deg = p.coeff(1) - p_o.coeff(1) * rank
     slope = deg / rank if rank != 0 else None

@@ -140,9 +140,10 @@ def _cmd_family_check(args) -> int:
     else:
         lines.append("valid")
         if fam.kind != KIND_PURE:
-            from .family import is_reflexive
+            from .family import _corners_are_axis_meets
 
-            doc["reflexive"] = is_reflexive(fam, fan)
+            # validate_family has just validated it as torsion-free
+            doc["reflexive"] = _corners_are_axis_meets(fam)
             lines.append(f"reflexive: {doc['reflexive']}")
     _emit(doc, args.format, lines)
     return 0 if not report else 1

@@ -6,7 +6,9 @@ point class.  The intersection table is built from adjacency (adjacent
 invariant curves meet transversally in one point) and the wall relation
 n(rho_{i-1}) + n(rho_{i+1}) = -(D_i^2) n(rho_i).  It depends on the fan
 alone, so intersection_table builds it once per fan and every caller shares
-that table.  A lattice-point counter for nef divisors provides an
+that table; on a smooth complete surface its entries are integers and it
+holds them as ints.  A polarization H is read through ample_degrees: the
+degrees H.V(rho_j), checked positive.  A lattice-point counter for nef divisors provides an
 independent Euler-characteristic oracle.
 """
 
@@ -32,7 +34,7 @@ def divisor(coeffs: Sequence, fan: Fan) -> Divisor:
 
 @dataclass(frozen=True)
 class IntersectionTable:
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]  # integral on a smooth complete surface
 
 
 # fan -> its table; an entry goes when the fan object that keys it is collected
@@ -51,49 +53,36 @@ def intersection_table(fan: Fan) -> IntersectionTable:
     if report:
         raise ValueError("invalid fan: " + "; ".join(report))
     n = fan.n_rays()
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     adjacent = {frozenset(c) for c in fan.max_cones}
     for i in range(n):
         for j in range(n):
             if i != j and frozenset((i, j)) in adjacent:
-                mat[i][j] = Fraction(1)
+                mat[i][j] = 1
     for i in range(n):
         prev = fan.rays[(i - 1) % n]
         here = fan.rays[i]
         nxt = fan.rays[(i + 1) % n]
         s = (prev[0] + nxt[0], prev[1] + nxt[1])
         # s = a * here with a integral on a smooth complete surface
-        if here[0] != 0:
-            a = Fraction(s[0], here[0])
-        else:
-            a = Fraction(s[1], here[1])
-        if (a * here[0], a * here[1]) != (Fraction(s[0]), Fraction(s[1])):
+        k = 0 if here[0] != 0 else 1
+        a, rest = divmod(s[k], here[k])
+        if rest or (a * here[0], a * here[1]) != s:
             raise ValueError(f"wall relation fails at ray {i}")
         mat[i][i] = -a
     table = _TABLES[fan] = IntersectionTable(tuple(tuple(row) for row in mat))
     return table
 
 
-def integer_matrix(table: IntersectionTable) -> list[list[int]]:
-    """The intersection matrix as ints: on a smooth complete surface every
-    entry is an integer."""
-    if any(x.denominator != 1 for row in table.matrix for x in row):
-        raise ValueError("intersection table entry is not an integer")
-    return [[x.numerator for x in row] for row in table.matrix]
-
-
 def pair(a: Sequence, b: Sequence, table: IntersectionTable) -> Fraction:
     n = len(table.matrix)
     if len(a) != n or len(b) != n:
         raise ValueError("divisor length does not match the fan")
-    total = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                total += Fraction(ai) * Fraction(bj) * table.matrix[i][j]
-    return total
+    total = 0
+    for ai, row in zip(a, table.matrix):
+        if ai != 0:
+            total += ai * sum(bj * m for bj, m in zip(b, row) if bj != 0)
+    return Fraction(total)
 
 
 def ray_degrees(d: Sequence, table: IntersectionTable) -> tuple[Fraction, ...]:
@@ -102,8 +91,21 @@ def ray_degrees(d: Sequence, table: IntersectionTable) -> tuple[Fraction, ...]:
     n = len(table.matrix)
     if len(d) != n:
         raise ValueError("divisor length does not match the fan")
-    terms = [(Fraction(a), row) for a, row in zip(d, table.matrix) if a != 0]
-    return tuple(sum((a * row[j] for a, row in terms), Fraction(0)) for j in range(n))
+    terms = [(a, row) for a, row in zip(d, table.matrix) if a != 0]
+    return tuple(Fraction(sum(a * row[j] for a, row in terms)) for j in range(n))
+
+
+def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
+    """H.V(rho_j) for every ray j, ints where integral, for an ample H.
+
+    These are all that stability, Hilbert polynomials and the face weights
+    read of a polarization: H^2 = sum_j h_j deg_j and H.td_1 = sum_j deg_j / 2
+    (td_1 = -K/2 = sum_j V(rho_j) / 2)."""
+    table = intersection_table(fan)
+    deg = ray_degrees(divisor(ample, fan), table)
+    if not all(x > 0 for x in deg):
+        raise ValueError("polarization is not ample")
+    return tuple(x.numerator if x.denominator == 1 else x for x in deg)
 
 
 @dataclass(frozen=True)

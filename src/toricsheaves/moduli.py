@@ -52,10 +52,10 @@ from .family import (
 )
 from .fan import Fan, euler_characteristic, validate_fan
 from .intersect import (
+    ample_degrees,
     divisor,
     divisor_class_equal,
     find_ample,
-    integer_matrix,
     intersection_table,
     unimodular_solve,
 )
@@ -222,7 +222,16 @@ class BoxBoundError(ValueError):
 # one translate per gaps.
 MAX_RANK1_C2 = 40
 MAX_RANK1_TUPLES = 5_000
-MAX_WINDOW_POINTS = 60_000
+# The orbit loop costs 0.01 to 0.13 us per window point (P^2 box 8, 210,681
+# points: 5 ms; P^1 x P^1 box 8, 1.9 M points: 28 ms), so the window's cost
+# is the hulls it lets through, about 10 ms each, whose number grows like b^2
+# for c1 = 0 at c2 <= 1: 88 on P^2 at box 7 (0.64 s), 112 at box 8 (0.85 s),
+# 202 at box 11 (2.1 s); 65 on P^1 x P^1 and 50 on F_1 at box 5 (0.59 s,
+# 0.41 s).  The cap admits P^2 up to box 8 (q^5 needs box 7: c1 = H, c2 <= 5
+# takes 4.9 s and gives 969 records) and the four-ray fans up to box 5, so a
+# c2 <= 1 run stays under 1 s (Python 3.11, one core); cut work has its own
+# cap below.
+MAX_WINDOW_POINTS = 250_000
 
 
 # Rank-2 cuts check, per hull with a positive c2 budget and per maximal
@@ -568,15 +577,13 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
         raise ValueError(f"the rank-2 profile window has {points} points at box {box_bound}; "
                          f"at most {MAX_WINDOW_POINTS} are accepted; lower --box")
     table = intersection_table(fan)
-    matrix = integer_matrix(table)
     n = fan.n_rays()
     records: dict[str, ChiRecord] = {}
     candidates = 0
     c1_div = divisor(c1, fan)
-    ample = [int(x) for x in find_ample(fan)]
-    deg = [sum(h * row[j] for h, row in zip(ample, matrix)) for j in range(n)]
+    deg = ample_degrees(find_ample(fan), fan)
     for a_vec, gaps in _class_orbits(fan, c1, box_bound):
-        split_c2 = _split_c2(a_vec, gaps, matrix)
+        split_c2 = _split_c2(a_vec, gaps, table.matrix)
         if split_c2 > c2_max:
             continue  # the flag term of every hull is >= 0
         gap_rays = [j for j in range(n) if gaps[j] > 0]

@@ -61,14 +61,7 @@ from .family import (
     restrict_to_face,
 )
 from .fan import ConeRef, Fan
-from .intersect import (
-    divisor,
-    integer_matrix,
-    intersection_table,
-    is_ample,
-    pair,
-    ray_degrees,
-)
+from .intersect import ample_degrees, intersection_table
 from .polynomials import RatPoly, compare_for_large_t
 from .subspace import SubspaceQ
 
@@ -296,14 +289,10 @@ class _MeetTable:
 # slope test
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
-    table = intersection_table(fan)
-    h = divisor(ample, fan)
-    if not is_ample(h, fan):
-        raise ValueError("polarization is not ample")
+    deg = ample_degrees(ample, fan)
     m = fam.rank
     meets = _MeetTable(fam, fan)
     flags = _flag_data(meets)
-    deg = ray_degrees(h, table)
     # flags[k] has dimension k + 1 and is set exactly where gaps[k] > 0
     lhs, total = meets.dots(
         (meets.slot_of(rf.flags[k]), rf.gaps[k] * deg[rf.ray])
@@ -414,12 +403,8 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     factors get weight 1."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
-    table = intersection_table(fan)
-    h = divisor(ample, fan)
-    if not is_ample(h, fan):
-        raise ValueError("polarization is not ample")
+    deg = ample_degrees(ample, fan)
     m = fam.rank
-    deg = ray_degrees(h, table)
     flags = extract_flag_data(fam, fan)
     flag_entries: list[tuple[WeightKey, int]] = []
     for rf in flags.rays:
@@ -502,16 +487,14 @@ class XiWeights:
     entries: tuple[tuple[WeightKey, RatPoly], ...]
 
     def at(self, r: int) -> WeightSystem:
-        vals = []
-        for key, poly in self.entries:
-            v = poly(r)
+        return self._integral_at(r, [(key, poly(r)) for key, poly in self.entries])
+
+    def _integral_at(self, r: int, vals) -> WeightSystem:
+        """The weight system of the weight values vals at r, which must be integers."""
+        for key, v in vals:
             if v.denominator != 1:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
-            vals.append((key, int(v)))
-        return WeightSystem(self.ambient, tuple(vals))
-
-    def all_positive_at(self, r: int) -> bool:
-        return all(poly(r) > 0 for _, poly in self.entries)
+        return WeightSystem(self.ambient, tuple((key, int(v)) for key, v in vals))
 
 
 def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
@@ -548,21 +531,17 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
-    table = intersection_table(fan)
-    if not is_ample(ample, fan):
-        raise ValueError("polarization is not ample")
+    deg_h = ample_degrees(ample, fan)
     gmap = chi.corner_map()
     if set(gmap) != set(range(len(fan.max_cones))):
         raise ValueError("characteristic function must cover every maximal cone")
     for i, g in gmap.items():
         if g.value(g.hi) != chi.rank:
             raise ValueError(f"cone {i}: characteristic function does not saturate to the rank")
-    mat = integer_matrix(table)
+    mat = intersection_table(fan).matrix
     deg_ak = [sum(row) for row in mat]  # -K.V_j, with -K = sum_j V_j
-    # ints for an integral polarization, so the sums below stay in int
-    deg_h = [d.numerator if d.denominator == 1 else d for d in ray_degrees(ample, table)]
     h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
-    h_sq = pair(ample, ample, table) / 2
+    h_sq = Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2)
     sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
 
     def add(key, one, two_q, xh):
@@ -640,11 +619,16 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         margins = polys if own is None else _gieseker_margins(meets, own)
         checks.append((w.rank, polys, _gieseker_verdict(meets, margins).verdict))
     for r in range(1, R_MAX + 1):
-        if not xi.all_positive_at(r):
-            continue
-        ws = xi.at(r)
-        if all(_git_verdict_at(ws, m, polys, r) == t for m, polys, t in checks):
-            return r, ws
+        vals = []
+        for key, poly in xi.entries:
+            v = poly(r)
+            if v <= 0:
+                break  # R is skipped at its first nonpositive weight
+            vals.append((key, v))
+        else:
+            ws = xi._integral_at(r, vals)
+            if all(_git_verdict_at(ws, m, polys, r) == t for m, polys, t in checks):
+                return r, ws
     raise RuntimeError(f"no certified R found in [1, {R_MAX}]")
 
 

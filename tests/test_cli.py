@@ -107,6 +107,25 @@ def test_family_check(files, capsys):
     assert "valid" in out and "reflexive: True" in out
 
 
+def test_family_check_validates_torsion_free_once(files, p2, capsys, monkeypatch):
+    from test_family import ideal_sheaf_of_point
+    from toricsheaves import family
+
+    ideal = files["dir"] / "ideal.json"
+    ideal.write_text(family_to_json(ideal_sheaf_of_point(p2)))
+    calls = []
+    real = family.validate_torsion_free
+    monkeypatch.setattr(family, "validate_torsion_free",
+                        lambda fam, fan: calls.append(fam) or real(fam, fan))
+    for path, kind, reflexive in ((files["family"], "reflexive", True),
+                                  (str(ideal), "torsion-free", False)):
+        del calls[:]
+        code, out, _ = run_cli(["family-check", "--fan", files["fan"], "--family", path], capsys)
+        assert code == 0
+        assert out == f"kind: {kind}\nrank: {2 if reflexive else 1}\nvalid\nreflexive: {reflexive}\n"
+        assert len(calls) == 1
+
+
 def test_chern_output(files, capsys):
     code, out, _ = run_cli(
         ["chern", "--fan", files["fan"], "--family", files["o"], "--format", "json"],

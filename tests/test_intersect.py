@@ -7,6 +7,7 @@ import pytest
 from toricsheaves import intersect
 from toricsheaves.intersect import (
     ChowClassSurface,
+    ample_degrees,
     chi_line_bundle,
     class_equal,
     degree,
@@ -19,6 +20,7 @@ from toricsheaves.intersect import (
     is_nef,
     lattice_point_count,
     pair,
+    ray_degrees,
     todd_and_canonical,
 )
 from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
@@ -200,6 +202,31 @@ def test_ample_positive_on_all_rays(corpus, amples, tables):
         assert pair(h, h, t) > 0
         for j in range(fan.n_rays()):
             assert pair(h, unit(j, fan.n_rays()), t) > 0
+
+
+def test_table_is_integral_and_pair_exact(corpus):
+    fans = dict(corpus, f2=hirzebruch(2))
+    for seed in range(6):
+        fans[f"blowup-{seed}"] = random_smooth_complete_fan(random.Random(seed), 1 + seed % 3)
+    for name, fan in fans.items():
+        t = intersection_table(fan)
+        assert all(type(x) is int for row in t.matrix for x in row), name
+        ones = [1] * fan.n_rays()
+        value = pair(ones, ones, t)
+        assert type(value) is Fraction and value == sum(map(sum, t.matrix)), name
+        h = find_ample(fan)
+        deg = ample_degrees(h, fan)
+        assert all(type(d) is int and d > 0 for d in deg), name
+        assert deg == ray_degrees(h, t), name
+
+
+def test_ample_degrees_keep_fractions_and_refuse_non_ample(p2):
+    assert ample_degrees([Fraction(1, 2), 0, 0], p2) == (Fraction(1, 2),) * 3
+    assert ample_degrees([1, 1, 0], p2) == (2, 2, 2)
+    with pytest.raises(ValueError, match="polarization is not ample"):
+        ample_degrees([1, -1, 0], p2)
+    with pytest.raises(ValueError, match="divisor has 2 coefficients"):
+        ample_degrees([1, 0], p2)
 
 
 def test_divisor_length_checked(p2):

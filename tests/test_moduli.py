@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from toricsheaves.family import (
 )
 from toricsheaves.fan import Fan, hirzebruch, projective_plane
 from toricsheaves.intersect import (
+    ample_degrees,
     divisor,
     divisor_class_equal,
-    integer_matrix,
+    find_ample,
     intersection_table,
     unimodular_solve,
 )
@@ -31,6 +33,7 @@ from toricsheaves.moduli import (
     _hull_c2,
     _pool_line,
     _profile_hull,
+    _profile_verdict,
     _set_partitions,
     _split_c2,
     enumerate_gauge_fixed_chi,
@@ -40,6 +43,8 @@ from toricsheaves.moduli import (
     rank1_fixed_point_series,
     rank2_p2_series,
 )
+from toricsheaves.sampling import random_smooth_complete_fan
+from toricsheaves.stability import SEMISTABLE, STABLE, UNSTABLE, mu_test
 from toricsheaves.subspace import SubspaceQ
 
 RANK2_P2_COEFFS = (0, 1, 9, 48, 203, 729, 2346, 6918, 19062, 49620)
@@ -221,6 +226,16 @@ def test_enumerate_rank2_box_independence(p2):
     assert [r.chi.canonical() for r in a] == [r.chi.canonical() for r in b]
     assert [sorted(s.pattern for s in r.strata) for r in a] == [
         sorted(s.pattern for s in r.strata) for r in b
+    ]
+
+
+def test_enumerate_rank2_box_7_accepted(p2):
+    """P^2 at box 7 (115,200 window points) is within MAX_WINDOW_POINTS and
+    gives the records of box 3."""
+    a = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    b = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=7)
+    assert [(r.c2, r.chi.canonical(), r.strata) for r in a] == [
+        (r.c2, r.chi.canonical(), r.strata) for r in b
     ]
 
 
@@ -518,7 +533,7 @@ def test_enumerate_rank2_zero_class_p1xp1(p1p1):
 def test_hull_c2_closed_form(corpus, surface):
     fan = corpus[surface]
     table = intersection_table(fan)
-    matrix = integer_matrix(table)
+    matrix = table.matrix
     n = fan.n_rays()
     checked = 0
     for a in itertools.product(range(-1, 2), repeat=n):
@@ -531,6 +546,29 @@ def test_hull_c2_closed_form(corpus, surface):
                 assert second_chern_number(ch, table) == _hull_c2(split, gaps, pat, fan)
                 checked += 1
     assert checked == {3: 405, 4: 4212}[n]
+
+
+def test_profile_verdict_matches_mu_test(corpus):
+    """The enumeration's closed-form slope verdict of a hull equals mu_test
+    on the hull it builds, for every orbit representative at box 1 and
+    every coincidence pattern, with c1 = 0 and c1 = V_0."""
+    fans = [surface_fan(corpus, name) for name in ("p2", "p1xp1", "f1", "f2")]
+    fans.append(random_smooth_complete_fan(random.Random(1), 1))
+    checked = Counter()
+    for fan in fans:
+        n = fan.n_rays()
+        ample = find_ample(fan)
+        deg = ample_degrees(ample, fan)
+        for c1 in ([0] * n, [1] + [0] * (n - 1)):
+            for a, gaps in _class_orbits(fan, c1, 1):
+                for pattern in _set_partitions([j for j in range(n) if gaps[j]]):
+                    pat = tuple(sorted(pattern))
+                    hull = _profile_hull(fan, a, gaps, pat)
+                    want = mu_test(hull, fan, ample).verdict
+                    assert _profile_verdict(gaps, deg, pat) == want, (fan.rays, a, gaps, pat)
+                    checked[want] += 1
+    assert sum(checked.values()) == 160
+    assert set(checked) == {STABLE, SEMISTABLE, UNSTABLE}
 
 
 def test_rank1_tuple_count_is_the_series_sum(corpus, monkeypatch):

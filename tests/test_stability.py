@@ -18,8 +18,8 @@ from toricsheaves.family import (
 )
 from toricsheaves.fan import hirzebruch, p1_x_p1
 from toricsheaves.intersect import (
+    divisor,
     find_ample,
-    integer_matrix,
     intersection_table,
     pair,
     ray_degrees,
@@ -530,6 +530,27 @@ def test_verdicts_against_brute_force_line_sweep(p2, amples):
         assert worst_g == expect_g
 
 
+@pytest.mark.parametrize("h, message", [
+    ((0, 0, 0), "polarization is not ample"),
+    ((1, -1, 0), "polarization is not ample"),
+    ((1, 0), "divisor has 2 coefficients, fan has 3 rays"),
+])
+def test_polarization_checked_by_every_consumer(p2, h, message):
+    fam = rank2_three_lines(p2, lines=LINES)
+    chi = characteristic_function(fam)
+    consumers = [
+        lambda: mu_test(fam, p2, h),
+        lambda: mu_weights(fam, p2, h),
+        lambda: xi_weights(chi, p2, h),
+        lambda: gieseker_test(fam, p2, h),
+        lambda: choose_r(chi, p2, h, [fam]),
+        lambda: hilbert_polynomial(fam, p2, h),
+    ]
+    for call in consumers:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_xi_weights_error_cases(p2, o_p2):
     from toricsheaves.family import characteristic_function as charfn
 
@@ -567,7 +588,7 @@ def mu_by_intersections(fam, fan, h):
     table = intersection_table(fan)
     m = fam.rank
     flags = extract_flag_data(fam, fan)
-    deg = stability.ray_degrees(stability.divisor(h, fan), table)
+    deg = ray_degrees(divisor(h, fan), table)
     total = sum(rf.gaps[k] * deg[rf.ray] * (k + 1) for rf in flags.rays for k in range(m - 1))
 
     def margin(w):
@@ -616,7 +637,7 @@ def choose_r_by_git(chi, fan, h, witnesses, r_max=4000):
     xi = xi_weights(chi, fan, h)
     targets = [gieseker_by_subfamilies(w, fan, h).verdict for w in witnesses]
     for r in range(1, r_max + 1):
-        if not xi.all_positive_at(r):
+        if not all(poly(r) > 0 for _, poly in xi.entries):
             continue
         ws = xi.at(r)
         if all(git_by_points(w, ws, fan).verdict == t for w, t in zip(witnesses, targets)):
@@ -778,7 +799,7 @@ def test_f1_results_unchanged_after_p1xp1():
     """P^1 x P^1 and F_1 have four rays each but different intersection
     numbers; using one fan's table first leaves the other's results alone."""
     f1, p1p1 = hirzebruch(1), p1_x_p1()
-    assert integer_matrix(intersection_table(f1)) != integer_matrix(intersection_table(p1p1))
+    assert intersection_table(f1).matrix != intersection_table(p1p1).matrix
     ample = find_ample(f1)
     fams = random_families(f1, 2, 3, seed=4001)
 
@@ -806,7 +827,7 @@ def xi_by_corners(chi, fan, ample):
     sum of 2 + q and x.deg(H) over all 2^|F| shifted corners lam + eps, with
     the other coordinates of the cone held at hi + 1."""
     table = intersection_table(fan)
-    mat = integer_matrix(table)
+    mat = table.matrix
     deg_ak = [sum(row) for row in mat]
     deg_h = [d.numerator if d.denominator == 1 else d for d in ray_degrees(ample, table)]
     h_td = Fraction(sum(deg_h), 2)
