@@ -4,11 +4,18 @@ Subcommands: fan-check, family-check, chern, hilbert, stability, weights,
 enumerate, series.  Exit codes: 0 success, 1 domain verdict
 (invalid/unstable), 2 input error.  Output is deterministic for fixed
 inputs and seed; rationals are printed exactly as p/q, never as floats.
+
+``run`` builds its argument parser once per process (``build_parser`` still
+returns a fresh one): parsing keeps no state in the parser, every default is
+immutable, and help and usage text are formatted when they are printed.  Only
+callers that call ``run`` repeatedly in one process gain from this; a
+one-shot console run builds the parser once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -408,10 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -36,6 +36,16 @@ def _box_index(lo: Sequence[int], hi: Sequence[int], lam: Sequence[int]) -> int:
     return idx
 
 
+def _strides(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
+    """Index offset of one step up in each coordinate of the lo..hi box."""
+    out = []
+    step = 1
+    for a, b in zip(reversed(lo), reversed(hi)):
+        out.append(step)
+        step *= b - a + 1
+    return tuple(reversed(out))
+
+
 def _clamp(lo: Sequence[int], hi: Sequence[int], lam: Sequence[int]):
     """None if lam is below the box in some coordinate, else the clamp."""
     out = []
@@ -371,14 +381,17 @@ def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
 
 def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
     """Each (lam, k) where the value at lam does not include into the value
-    one step up in direction k; with drop_ok, a step to zero is allowed."""
-    for lam in grid.points():
-        v = grid._entry(lam)
-        for k in range(grid.ndim()):
-            nxt = list(lam)
-            nxt[k] += 1
-            w = grid.value(nxt)
-            if not w.contains(v) and not (drop_ok and w.is_zero()):
+    one step up in direction k; with drop_ok, a step to zero is allowed.  A
+    step off the box top clamps back onto lam, which includes into itself."""
+    vals = grid.values
+    steps = tuple(enumerate(zip(grid.hi, _strides(grid.lo, grid.hi))))
+    for i, lam in enumerate(grid.points()):
+        v = vals[i]
+        for k, (top, stride) in steps:
+            if lam[k] == top:
+                continue
+            w = vals[i + stride]
+            if w is not v and not w.contains(v) and not (drop_ok and w.is_zero()):
                 yield lam, k
 
 
@@ -418,12 +431,17 @@ def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
 def _corners_are_axis_meets(fam: DeltaFamily) -> bool:
     """is_reflexive for a family already known to be valid torsion-free."""
     for _, grid in fam.corners:
-        axis = [grid.face((k,)) for k in range(grid.ndim())]
-        for lam in grid.points():
-            expect = SubspaceQ.full(grid.ambient)
-            for k, x in enumerate(lam):
-                expect = expect.intersect(axis[k]._entry((x,)))
-            if grid._entry(lam) != expect:
+        vals, lo = grid.values, grid.lo
+        top = len(vals) - 1
+        # axis limit k at x: the value at x in coordinate k and the top in the others
+        axes = [[vals[top - (b - x) * stride] for x in range(a, b + 1)]
+                for a, b, stride in zip(lo, grid.hi, _strides(lo, grid.hi))]
+        full = SubspaceQ.full(grid.ambient)
+        for v, lam in zip(vals, grid.points()):
+            expect = full
+            for axis, x, a in zip(axes, lam, lo):
+                expect = expect.intersect(axis[x - a])
+            if v is not expect and v != expect:
                 return False
     return True
 
@@ -634,23 +652,39 @@ def intersect_with_subspace(fam: DeltaFamily, w: SubspaceQ) -> DeltaFamily:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _join_below(entries, lam: Sequence[int], ambient: int) -> SubspaceQ:
-    """The sum of the values of the (mu, value) entries with mu <= lam."""
-    rec = SubspaceQ.zero(ambient)
-    for mu, v in entries:
-        if all(a <= b for a, b in zip(mu, lam)):
-            rec = rec.sum(v)
-    return rec
+def _box_joins(lo, hi, ambient: int, seed) -> list[SubspaceQ]:
+    """The joins over the lo..hi box in box order, in one pass.  At each point
+    lam (index i), `below` is the sum of the joins one step down in each
+    coordinate inside the box; seed(i, lam, below) returns the subspace seeded
+    at lam, or None, and the join at lam is below plus the seed.  So the join
+    at lam is the sum of every seed at a point mu <= lam."""
+    joins: list[SubspaceQ] = []
+    zero = SubspaceQ.zero(ambient)
+    steps = tuple(zip(lo, _strides(lo, hi)))
+    for i, lam in enumerate(box_points(lo, hi)):
+        below = zero
+        for x, (a, stride) in zip(lam, steps):
+            down = joins[i - stride] if x > a else below
+            if down is not below:  # neighbours often share one join object
+                below = below.sum(down) if below.rows else down
+        v = seed(i, lam, below)
+        joins.append(below if v is None else below.sum(v) if below.rows else v)
+    return joins
 
 
 def _grid_jumps(grid: CornerFamily) -> list[dict]:
     """Minimal explicit entries: a point is written iff the join of the
     already-written entries below it does not reproduce the value."""
     entries: list[tuple[tuple[int, ...], SubspaceQ]] = []
-    for lam in grid.points():
-        actual = grid._entry(lam)
-        if _join_below(entries, lam, grid.ambient) != actual:
+
+    def seed(i, lam, below):
+        actual = grid.values[i]
+        if below != actual:
             entries.append((lam, actual))
+            return actual
+        return None
+
+    _box_joins(grid.lo, grid.hi, grid.ambient, seed)
     return [{"at": list(lam), "basis": v.basis_str()} for lam, v in entries]
 
 
@@ -732,15 +766,20 @@ def family_from_json(text: str) -> DeltaFamily:
             if len(at) != len(cone):
                 raise ValueError(f"family cone {index}: jump at {list(at)} has {len(at)} "
                                  f"entries for a cone of {len(cone)} rays")
+            if at in explicit:
+                raise ValueError(f"family cone {index}: two jumps at {list(at)}")
             rows = [
                 [_rational(x) for x in _json_of(list, row, "basis row")]
                 for row in _json_of(list, j["basis"], "basis")
             ]
             explicit[at] = SubspaceQ.span(rows, m)
-        vals = tuple(
-            explicit[lam] if lam in explicit else _join_below(explicit.items(), lam, m)
-            for lam in box_points(lo, hi)
-        )
+        # a jump below lo acts from lo on; one above hi stays outside the box
+        seeds: dict[tuple[int, ...], SubspaceQ] = {}
+        for at, v in explicit.items():
+            key = tuple(max(x, a) for x, a in zip(at, lo))
+            seeds[key] = seeds[key].sum(v) if key in seeds else v
+        joins = _box_joins(lo, hi, m, lambda i, lam, below: seeds.get(lam))
+        vals = tuple(explicit.get(lam, join) for lam, join in zip(box_points(lo, hi), joins))
         corners.append((index, CornerFamily(cone, lo, hi, vals, m)))
     support = tuple(
         ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")

@@ -126,6 +126,40 @@ def test_family_check_validates_torsion_free_once(files, p2, capsys, monkeypatch
         assert len(calls) == 1
 
 
+def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
+    """A sequence of runs in one process prints and returns exactly what it
+    does with a fresh parser per run, and builds the parser once."""
+    inputs = ["--fan", files["fan"], "--family", files["family"], "--ample", files["ample"]]
+    sequence = [
+        ["--help"],
+        ["stability", "git", *inputs, "--samples", "many"],
+        ["stability", "git", *inputs, "--samples", "4", "--seed", "3",
+         "--weights-from", "mu", "--format", "json"],
+        ["stability", "git", *inputs],
+    ]
+
+    def outcomes(fresh):
+        cli._parser.cache_clear()
+        runs = []
+        for argv in sequence:
+            if fresh:
+                cli._parser.cache_clear()
+            runs.append(run_cli(argv, capsys))
+        return runs
+
+    expected = outcomes(fresh=True)
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert outcomes(fresh=False) == expected
+    assert len(built) == 1
+    (help_code, help_out, _), (error_code, _, error_err), json_run, default_run = expected
+    assert help_code == 0 and help_out.startswith("usage: toricsheaves")
+    assert error_code == 2 and "invalid int value: 'many'" in error_err
+    assert json.loads(json_run[1])["weights"] and json_run[2] == ""
+    assert default_run[1].startswith("verdict: ") and default_run[1] != json_run[1]
+
+
 def test_chern_output(files, capsys):
     code, out, _ = run_cli(
         ["chern", "--fan", files["fan"], "--family", files["o"], "--format", "json"],
@@ -416,6 +450,14 @@ def _bad_family(files, keys, value):
             "--family", _edited(files, "family", keys, value)]
 
 
+def _duplicate_first_jump(jumps):
+    """The jumps with a second jump at the first one's point, holding another
+    subspace, appended; the last jump at a point used to win silently."""
+    first = jumps[0]
+    other = [["1", "0"]] if first["basis"] != [["1", "0"]] else [["0", "1"]]
+    return jumps + [{"at": first["at"], "basis": other}]
+
+
 def _bad_basis_entry(files, entry):
     return _bad_family(files, ["cones", 0, "jumps", 0, "basis", 0, 0], lambda _: entry)
 
@@ -471,11 +513,22 @@ def _bad_divisor(files, flag, entries):
                                            lambda x: x + [0]), id="family-at-long"),
         pytest.param(lambda f: _bad_family(f, ["cones", 0, "hi"], lambda x: [v + 400 for v in x]),
                      id="family-box-too-large"),
+        pytest.param(lambda f: _bad_family(f, ["cones", 1, "jumps"], _duplicate_first_jump),
+                     id="family-duplicate-jump"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):
     assert_input_error(run_entry_point(make_args(files)))
 
+
+def test_duplicate_jump_named_in_error(files, capsys):
+    doc = json.loads(Path(files["family"]).read_text())
+    at = doc["cones"][1]["jumps"][0]["at"]
+    argv = _bad_family(files, ["cones", 1, "jumps"], _duplicate_first_jump)
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
+    assert out == ""
+    assert err == f"error: {argv[-1]}: family cone 1: two jumps at {at}\n"
 
 
 @pytest.mark.parametrize(

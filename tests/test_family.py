@@ -1,5 +1,8 @@
+import itertools
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +11,10 @@ from toricsheaves.family import (
     CornerFamily,
     DeltaFamily,
     KIND_PURE,
+    KIND_REFLEXIVE,
     KIND_TORSION_FREE,
     RayFiltration,
+    box_points,
     characteristic_function,
     detect_support,
     family_from_json,
@@ -22,9 +27,11 @@ from toricsheaves.family import (
     validate_pure,
     validate_torsion_free,
 )
+from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import (
     random_families,
     random_reflexive_family,
+    random_smooth_complete_fan,
     random_torsion_free_family,
 )
 from toricsheaves.subspace import SubspaceQ
@@ -450,3 +457,275 @@ def test_declared_reflexive_must_be_reflexive(p2):
     declared = DeltaFamily(KIND_REFLEXIVE, 1, fam.corners)
     report = validate_family(declared, p2)
     assert any("reflexive" in r for r in report)
+
+
+# --- one-pass decoding and index-stride validation against the old walks ------------
+#
+# The oracles below are the old routes, kept here: every implicit box point
+# decoded as the sum of all explicit jumps below it, the minimal jumps written
+# through the same sum, and the monotonicity and axis-meet walks reaching each
+# neighbour through the clamped `value()`.
+
+def join_below(entries, lam, ambient):
+    """The sum of the values of the (mu, value) entries with mu <= lam."""
+    rec = SubspaceQ.zero(ambient)
+    for mu, v in entries:
+        if all(a <= b for a, b in zip(mu, lam)):
+            rec = rec.sum(v)
+    return rec
+
+
+def decode_by_join_below(text):
+    """(index, values) per cone entry of a well-formed family file."""
+    doc = json.loads(text)
+    out = []
+    for entry in doc["cones"]:
+        explicit = {}
+        for j in entry["jumps"]:
+            rows = [[Fraction(x) for x in row] for row in j["basis"]]
+            explicit[tuple(j["at"])] = SubspaceQ.span(rows, doc["rank"])
+        vals = tuple(
+            explicit[lam] if lam in explicit else join_below(explicit.items(), lam, doc["rank"])
+            for lam in box_points(entry["lo"], entry["hi"])
+        )
+        out.append((entry["index"], vals))
+    return out
+
+
+def grid_jumps_by_join_below(grid):
+    entries = []
+    for lam in grid.points():
+        actual = grid._entry(lam)
+        if join_below(entries, lam, grid.ambient) != actual:
+            entries.append((lam, actual))
+    return [{"at": list(lam), "basis": v.basis_str()} for lam, v in entries]
+
+
+def inclusion_breaks_by_value(grid, drop_ok):
+    for lam in grid.points():
+        v = grid._entry(lam)
+        for k in range(grid.ndim()):
+            nxt = list(lam)
+            nxt[k] += 1
+            w = grid.value(nxt)
+            if not w.contains(v) and not (drop_ok and w.is_zero()):
+                yield lam, k
+
+
+def axis_meets_by_value(fam):
+    for _, grid in fam.corners:
+        axis = [grid.face((k,)) for k in range(grid.ndim())]
+        for lam in grid.points():
+            expect = SubspaceQ.full(grid.ambient)
+            for k, x in enumerate(lam):
+                expect = expect.intersect(axis[k]._entry((x,)))
+            if grid._entry(lam) != expect:
+                return False
+    return True
+
+
+def oracle_fans():
+    fans = [projective_plane(), p1_x_p1(), hirzebruch(1), hirzebruch(2)]
+    return fans + [random_smooth_complete_fan(random.Random(b), b) for b in (1, 2, 3)]
+
+
+def random_basis(rng, ambient):
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(ambient)]
+        if SubspaceQ.span(rows, ambient).is_full():
+            return rows
+
+
+def random_subspace(rng, ambient, dim):
+    return SubspaceQ.span(random_basis(rng, ambient)[:dim], ambient)
+
+
+def random_flag_family(fan, rank, rng):
+    """A reflexive family of any rank: one random flag of Q^rank per ray."""
+    filts = []
+    for j in range(fan.n_rays()):
+        basis = random_basis(rng, rank)
+        lam = rng.randrange(-2, 2)
+        jumps = []
+        for d in sorted(rng.sample(range(1, rank), rng.randrange(rank))) + [rank]:
+            jumps.append((lam, SubspaceQ.span(basis[:d], rank)))
+            lam += rng.randrange(1, 3)
+        filts.append(RayFiltration(j, tuple(jumps)))
+    return reflexive_from_filtrations(filts, fan)
+
+
+def random_oracle_families(rng):
+    """Valid families of ranks 1-3 on every oracle fan: reflexive ones and
+    torsion-free ones with a cut at a box corner."""
+    out = []
+    for fan in oracle_fans():
+        for rank in (1, 2, 3):
+            for _ in range(3):
+                fam = random_flag_family(fan, rank, rng)
+                out.append((fan, fam))
+                corners = {i: g.pad_top(1) for i, g in fam.corners}
+                i = rng.choice(sorted(corners))
+                v = corners[i]._entry(corners[i].lo)
+                cut = SubspaceQ.zero(rank) if v.dim < 2 else SubspaceQ.span([v.rows[0]], rank)
+                corners[i] = corners[i].with_value(corners[i].lo, cut)
+                out.append((fan, DeltaFamily(KIND_TORSION_FREE, rank, tuple(sorted(corners.items())))))
+    return out
+
+
+def broken_variants(fam, rng):
+    """Families that fail validation in each way: a box value replaced by a
+    random line (not monotone), the box top of one cone made a line (not
+    saturating), one cone shifted (glue mismatch), and the family declared
+    reflexive (which a cut family is not)."""
+    corners = dict(fam.corners)
+    i = rng.choice(sorted(corners))
+    grid = corners[i].pad_top(1)
+
+    def with_grid(g):
+        return replace(fam, corners=tuple(sorted({**corners, i: g}.items())))
+
+    line = random_subspace(rng, fam.rank, 1)
+    yield with_grid(grid.with_value(rng.choice(list(grid.points())), line))
+    if fam.rank > 1:
+        yield with_grid(grid.with_value(grid.hi, line))
+    yield with_grid(corners[i].shift(tuple(rng.choice((-1, 1)) for _ in corners[i].cone)))
+    yield replace(fam, kind=KIND_REFLEXIVE)
+
+
+def random_family_doc(fan, rank, rng, kind=KIND_TORSION_FREE, support=((),)):
+    """A family file with random boxes and up to six jumps per cone, each at a
+    random point of the box widened by 2 on every side (so below lo, above hi,
+    and above hi in one coordinate only all occur).  Only the cones that
+    contain a support cone carry data."""
+    cones = []
+    for i, mc in enumerate(fan.max_cones):
+        if not any(set(t) <= set(mc) for t in support):
+            continue
+        lo = [rng.randrange(-2, 2) for _ in mc]
+        hi = [a + rng.randrange(0, 3) for a in lo]
+        wide = list(itertools.product(*(range(a - 2, b + 3) for a, b in zip(lo, hi))))
+        jumps = [
+            {"at": list(at), "basis": random_subspace(rng, rank, rng.randint(0, rank)).basis_str()}
+            for at in rng.sample(wide, rng.randrange(0, 7))
+        ]
+        cones.append({"index": i, "cone": list(mc), "lo": lo, "hi": hi, "jumps": jumps})
+    return {"kind": kind, "rank": rank, "support": [list(t) for t in support], "cones": cones}
+
+
+def jump_places(doc):
+    """How many jumps of the file lie below lo (and nowhere above hi), above
+    hi in every coordinate, and above hi in exactly one coordinate."""
+    places = {"below-lo": 0, "above-hi": 0, "above-hi-in-one": 0}
+    for entry in doc["cones"]:
+        for j in entry["jumps"]:
+            above = sum(x > b for x, b in zip(j["at"], entry["hi"]))
+            if above == len(j["at"]):
+                places["above-hi"] += 1
+            elif above == 1:
+                places["above-hi-in-one"] += 1
+            if not above and any(x < a for x, a in zip(j["at"], entry["lo"])):
+                places["below-lo"] += 1
+    return places
+
+
+def reports(fan, fam):
+    """validate_family's whole report and is_reflexive's answer or error."""
+    from toricsheaves import family
+
+    try:
+        reflexive = family.is_reflexive(fam, fan) if fam.kind != KIND_PURE else None
+    except ValueError as e:
+        reflexive = str(e)
+    return family.validate_family(fam, fan), reflexive
+
+
+def reports_by_value(fan, fam, monkeypatch):
+    from toricsheaves import family
+
+    with monkeypatch.context() as m:
+        m.setattr(family, "_inclusion_breaks", inclusion_breaks_by_value)
+        m.setattr(family, "_corners_are_axis_meets", axis_meets_by_value)
+        return reports(fan, fam)
+
+
+def test_family_json_matches_join_below_route(monkeypatch):
+    from toricsheaves import family
+
+    rng = random.Random(131)
+    fams = random_oracle_families(rng)
+    fams += [(fan, bad) for fan, fam in fams[::3] for bad in broken_variants(fam, rng)]
+    fams += [(fan, family_from_json(json.dumps(random_family_doc(fan, rank, rng))))
+             for fan in oracle_fans() for rank in (1, 2, 3) for _ in range(3)]
+    assert {fam.rank for _, fam in fams} == {1, 2, 3}
+    written = [family_to_json(fam) for _, fam in fams]
+    monkeypatch.setattr(family, "_grid_jumps", grid_jumps_by_join_below)
+    assert [family_to_json(fam) for _, fam in fams] == written
+    for text in written:
+        assert [(i, g.values) for i, g in family_from_json(text).corners] == decode_by_join_below(text)
+
+
+def test_decoding_matches_join_below_route():
+    rng = random.Random(137)
+    places = {"below-lo": 0, "above-hi": 0, "above-hi-in-one": 0}
+    for fan in oracle_fans():
+        for rank in (1, 2, 3):
+            for _ in range(12):
+                doc = random_family_doc(fan, rank, rng)
+                for k, n in jump_places(doc).items():
+                    places[k] += n
+                text = json.dumps(doc)
+                assert [(i, g.values) for i, g in family_from_json(text).corners] \
+                    == decode_by_join_below(text)
+    assert min(places.values()) > 0, places
+
+
+def test_decoding_jumps_outside_the_box(p2):
+    doc = {"kind": "torsion-free", "rank": 2, "cones": [{
+        "index": 0, "cone": [0, 1], "lo": [0, 0], "hi": [1, 1], "jumps": [
+            {"at": [-3, 0], "basis": [["1", "0"]]},  # below lo: acts from (0, 0)
+            {"at": [0, 2], "basis": [["0", "1"]]},  # above hi in one coordinate: dropped
+            {"at": [-1, 2], "basis": [["1", "1"]]},  # below in one, above in the other
+            {"at": [5, 5], "basis": [["1", "2"]]},  # above hi: dropped
+            {"at": [1, 0], "basis": [["1", "0"], ["0", "1"]]},
+        ]}]}
+    text = json.dumps(doc)
+    x, full = SubspaceQ.span([(1, 0)], 2), SubspaceQ.full(2)
+    assert family_from_json(text).corners[0][1].values == (x, x, full, full)
+    assert [(i, g.values) for i, g in family_from_json(text).corners] == decode_by_join_below(text)
+
+
+def test_validation_matches_value_walks(p2, monkeypatch):
+    rng = random.Random(139)
+    fams = random_oracle_families(rng)
+    fams += [(fan, bad) for fan, fam in fams for bad in broken_variants(fam, rng)]
+    for fan in oracle_fans():
+        for rank in (1, 2, 3):
+            for kind in ("torsion-free", "reflexive"):
+                doc = random_family_doc(fan, rank, rng, kind)
+                fams.append((fan, family_from_json(json.dumps(doc))))
+            ray = rng.randrange(fan.n_rays())
+            for support in (((),), ((ray,),)):
+                doc = random_family_doc(fan, rank, rng, KIND_PURE, support)
+                fams.append((fan, family_from_json(json.dumps(doc))))
+    fams += [(p2, slab_family(p2, 1, 2)), (p2, two_axes_family(p2)),
+             (p2, two_axes_family(p2, kernel=True))]
+    for fan in oracle_fans():
+        slab = slab_family(fan, 0, 2)
+        full, zero = SubspaceQ.full(2), SubspaceQ.zero(2)
+        slab = DeltaFamily(KIND_PURE, 2, tuple(
+            (i, CornerFamily(g.cone, g.lo, g.hi, tuple(full if v.dim else zero for v in g.values), 2))
+            for i, g in slab.corners), slab.support)
+        fams.append((fan, slab))
+        fams += [(fan, bad) for _ in range(4) for bad in broken_variants(slab, rng)]
+    seen = {"valid": 0, "not monotone": 0, "not the full space": 0, "gluing mismatch": 0,
+            "declared reflexive": 0, "does not include": 0, "reflexive": 0, "not reflexive": 0}
+    for fan, fam in fams:
+        got = reports(fan, fam)
+        assert got == reports_by_value(fan, fam, monkeypatch)
+        report, reflexive = got
+        seen["valid"] += not report
+        seen["reflexive"] += reflexive is True
+        seen["not reflexive"] += reflexive is False
+        for key in seen:
+            seen[key] += any(key in r for r in report)
+    assert min(seen.values()) > 0, seen
