@@ -46,16 +46,6 @@ def _strides(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _clamp(lo: Sequence[int], hi: Sequence[int], lam: Sequence[int]):
-    """None if lam is below the box in some coordinate, else the clamp."""
-    out = []
-    for a, b, x in zip(lo, hi, lam):
-        if x < a:
-            return None
-        out.append(min(x, b))
-    return tuple(out)
-
-
 class _Grid:
     """A box of values for one cone: a subspace grid (CornerFamily) or its
     dimension grid (DimGrid).  Every grid operation is written once here; a
@@ -76,10 +66,14 @@ class _Grid:
         return self.values[_box_index(self.lo, self.hi, lam)]
 
     def value(self, lam: Sequence[int]):
-        c = _clamp(self.lo, self.hi, lam)
-        if c is None:
-            return self._zero_value()
-        return self._entry(c)
+        """The value at lam: zero if lam is below the box in some coordinate,
+        else the entry at lam with every coordinate clamped to the top."""
+        idx = 0
+        for a, b, x in zip(self.lo, self.hi, lam):
+            if x < a:
+                return self._zero_value()
+            idx = idx * (b - a + 1) + ((x if x < b else b) - a)
+        return self.values[idx]
 
     def points(self):
         return box_points(self.lo, self.hi)

@@ -29,9 +29,19 @@ the face weight polynomials Xi, which give P(E cap W) = sum Xi dim(E^nu(lam)
 cap W) exactly because Xi reads only the boxes and E cap W keeps them.  Each
 public call therefore builds one meet table (the test set, one face grid per
 cone, and dim(V cap W) for each distinct face value V) and reads every
-margin off it as a dot product.  choose_r goes one step further: the GIT
-margins at the weights Xi(R) are the Xi margins evaluated at R, so each
-trial R only evaluates polynomials built once per witness.
+margin off it as a dot product.
+
+The Gieseker margins are scaled integers.  The coefficients of all Xi share
+one denominator D, their lcm (1 or 2 for an integral polarization), so the
+margin P(E cap W)/dim W - P(E)/M is N(t)/(D M dim W) with N an integer
+polynomial.  Margins are compared for t >> 0 in these integers, and a
+Fraction is built only for the coefficients of the reported margin.
+
+choose_r goes one step further: the GIT margins at the weights Xi(R) are
+the Xi margins evaluated at R, so each trial R evaluates the integer
+polynomials D Xi and N, built once per witness, by Horner's rule.  Every
+scale factor is positive, so positivity and each margin's sign are read off
+these integers exactly, and Xi(R) is integral when D divides D Xi(R).
 
 The face weights Xi come in closed form.  A cone's share of the weight at
 a box point of its face F is a signed forward difference along F of the
@@ -44,11 +54,13 @@ at the top corner of every cone (xi_weights).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, cmp_to_key
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .chern import as_char
 from .family import (
@@ -316,31 +328,31 @@ def _mu_stable_caveat(fam: DeltaFamily, fan: Fan) -> str | None:
 
 
 def _classify(test, margins, zero, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
+    """The verdict from (W, margin) pairs.  The worst margin is the largest,
+    for t >> 0 when the margins are polynomials (test "gieseker"), and the
+    first of equal ones."""
     if not margins:
-        full_note = note
-        if stable_caveat:
-            full_note = stable_caveat if note is None else f"{note}; {stable_caveat}"
-        return StabilityVerdict(test, STABLE, None, None, exhaustive, full_note)
+        return _verdict(test, None, None, -1, exhaustive, note, stable_caveat)
     if test == "gieseker":
         sign = lambda mg: compare_for_large_t(mg, RatPoly.zero())
+        order = cmp_to_key(lambda a, b: compare_for_large_t(a[1], b[1]))
     else:
         sign = lambda mg: (mg > zero) - (mg < zero)
-    worst_w, worst = max(margins, key=lambda t: (sign(t[1]), _margin_sort(t[1])))
-    s = sign(worst)
+        order = itemgetter(1)
+    worst_w, worst = max(margins, key=order)
+    return _verdict(test, worst_w, worst, sign(worst), exhaustive, note, stable_caveat)
+
+
+def _verdict(test, worst_w, worst, s, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
+    """The verdict whose worst margin worst, at W = worst_w, has sign s; s is
+    -1 and worst None when there is no test subspace."""
     if s > 0:
         return StabilityVerdict(test, UNSTABLE, worst_w, worst, exhaustive, note)
     if s == 0:
         return StabilityVerdict(test, SEMISTABLE, worst_w, worst, exhaustive, note)
-    full_note = note
     if stable_caveat:
-        full_note = stable_caveat if note is None else f"{note}; {stable_caveat}"
-    return StabilityVerdict(test, STABLE, None, worst, exhaustive, full_note)
-
-
-def _margin_sort(mg):
-    if isinstance(mg, RatPoly):
-        return tuple(reversed([mg.coeff(i) for i in range(mg.degree + 1)])) or (Fraction(0),)
-    return mg
+        note = stable_caveat if note is None else f"{note}; {stable_caveat}"
+    return StabilityVerdict(test, STABLE, None, worst, exhaustive, note)
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +370,43 @@ def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdi
     return _gieseker_verdict(meets, _gieseker_margins(meets, xi))
 
 
-def _gieseker_margins(meets: _MeetTable, xi: XiWeights) -> list[tuple[SubspaceQ, RatPoly]]:
-    """(W, sum_k Xi_k dim(E_k cap W) / dim W - sum_k Xi_k dim E_k / M) for each
-    test subspace W, one dot product per coefficient of the Xi_k."""
-    weighted = [(meets.slot(key), poly) for key, poly in xi.entries]
-    width = max((poly.degree for _, poly in weighted), default=-1) + 1
-    per_coeff = [meets.dots((s, poly.coeff(i)) for s, poly in weighted) for i in range(width)]
+def _gieseker_margins(meets: _MeetTable,
+                      xi: XiWeights) -> list[tuple[SubspaceQ, tuple[int, ...], int]]:
+    """(W, N, den) for each test subspace W: the margin
+
+        sum_k Xi_k dim(E_k cap W) / dim W - sum_k Xi_k dim E_k / M
+
+    is the polynomial N(t) / den.  With L = sum_k D Xi_k dim(E_k cap W) and
+    T = sum_k D Xi_k dim E_k, integer polynomials read off the meet table by
+    one dot product per coefficient, N = M L - dim W T and den = D M dim W."""
+    d, polys, index = xi._scaled
+    weighted = [(meets.slot(key), polys[i]) for (key, _), i in zip(xi.entries, index)]
+    width = len(polys[0]) if polys else 0
+    per_coeff = [meets.dots((s, p[i]) for s, p in weighted) for i in range(width)]
     m = meets.rank
     return [
-        (w, RatPoly.of([Fraction(lhs[k], w.dim) - Fraction(total, m) for lhs, total in per_coeff]))
+        (w, tuple(m * lhs[k] - w.dim * total for lhs, total in per_coeff), d * m * w.dim)
         for k, w in enumerate(meets.tests)
     ]
 
 
 def _gieseker_verdict(meets: _MeetTable, margins) -> StabilityVerdict:
-    return _classify("gieseker", margins, None, meets.exhaustive,
-                     None if meets.exhaustive else PARTIAL_NOTE)
+    """The verdict on the margins of _gieseker_margins.  They are compared for
+    t >> 0 in integers, top coefficient first, over the common denominator;
+    only the worst margin becomes a RatPoly."""
+    note = None if meets.exhaustive else PARTIAL_NOTE
+    if not margins:
+        return _verdict("gieseker", None, None, -1, meets.exhaustive, note)
+    common = math.lcm(*(den for _, _, den in margins))
+
+    def large_t(margin):
+        _, nums, den = margin
+        return [n * (common // den) for n in reversed(nums)]
+
+    worst_w, nums, den = max(margins, key=large_t)
+    s = next(((n > 0) - (n < 0) for n in reversed(nums) if n), 0)
+    worst = RatPoly.of([Fraction(n, den) for n in nums])
+    return _verdict("gieseker", worst_w, worst, s, meets.exhaustive, note)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +514,54 @@ def _git_margins(meets: _MeetTable, weights: WeightSystem) -> list[tuple[Subspac
 # ---------------------------------------------------------------------------
 # face weight polynomials (Gieseker-matching weights)
 
+class _ScaledXi(NamedTuple):
+    """D Xi in integers, for the least D > 0 that clears every denominator of
+    the Xi (1 or 2 for an integral polarization)."""
+
+    scale: int                          # D
+    polys: tuple[tuple[int, ...], ...]  # coefficients of D Xi, low degree first, one width
+    index: tuple[int, ...]              # entries[k] has the polynomial polys[index[k]]
+
+
 @dataclass(frozen=True)
 class XiWeights:
     ambient: int
     entries: tuple[tuple[WeightKey, RatPoly], ...]
 
-    def at(self, r: int) -> WeightSystem:
-        return self._integral_at(r, [(key, poly(r)) for key, poly in self.entries])
+    @cached_property
+    def _scaled(self) -> _ScaledXi:
+        """The entries' polynomials times D, once per distinct polynomial."""
+        distinct: dict[RatPoly, int] = {}
+        index = tuple(distinct.setdefault(poly, len(distinct)) for _, poly in self.entries)
+        d = math.lcm(*(c.denominator for poly in distinct for c in poly.coeffs))
+        width = max((len(poly.coeffs) for poly in distinct), default=0)
+        polys = tuple(
+            tuple(c.numerator * (d // c.denominator) for c in poly.coeffs)
+            + (0,) * (width - len(poly.coeffs))
+            for poly in distinct
+        )
+        return _ScaledXi(d, polys, index)
 
-    def _integral_at(self, r: int, vals) -> WeightSystem:
-        """The weight system of the weight values vals at r, which must be integers."""
-        for key, v in vals:
-            if v.denominator != 1:
+    def at(self, r: int) -> WeightSystem:
+        return self._integral_at(r, [_horner(p, r) for p in self._scaled.polys])
+
+    def _integral_at(self, r: int, vals: Sequence[int]) -> WeightSystem:
+        """The weight system at r, from vals[i] = (D Xi)(r) for each distinct
+        polynomial polys[i]; every weight Xi(r) must be an integer."""
+        d, _, index = self._scaled
+        for (key, _), i in zip(self.entries, index):
+            if vals[i] % d:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
-        return WeightSystem(self.ambient, tuple((key, int(v)) for key, v in vals))
+        return WeightSystem(self.ambient, tuple(
+            (key, vals[i] // d) for (key, _), i in zip(self.entries, index)))
+
+
+def _horner(coeffs: Sequence[int], r: int) -> int:
+    """An integer polynomial, low degree first, at r."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
 
 
 def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
@@ -603,10 +670,11 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
     GIT verdict matching the Gieseker verdict on every witness family.
 
     A GIT margin is linear in the weights, so its value at the weights Xi(R)
-    is the polynomial _gieseker_margins builds from Xi, evaluated at R.  Each
-    witness gets one meet table and its margin polynomials once; a witness
-    whose characteristic function is chi reuses them for its Gieseker target,
-    and every trial R only evaluates them."""
+    is the margin _gieseker_margins builds from Xi, evaluated at R; its sign
+    is that of the integer N(R).  Each witness gets one meet table and its
+    margins once; a witness whose characteristic function is chi reuses them
+    for its Gieseker target.  Every trial R then evaluates the integer
+    polynomials D Xi and N by Horner's rule, with no Fraction."""
     xi = xi_weights(chi, fan, ample)
     checks = []
     for w in witnesses:
@@ -615,23 +683,23 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         chi_w = characteristic_function(w)
         own = None if chi_w == chi else xi_weights(chi_w, fan, ample)
         meets = _MeetTable(w, fan)
-        polys = _gieseker_margins(meets, xi)
-        margins = polys if own is None else _gieseker_margins(meets, own)
-        checks.append((w.rank, polys, _gieseker_verdict(meets, margins).verdict))
+        margins = _gieseker_margins(meets, xi)
+        target = margins if own is None else _gieseker_margins(meets, own)
+        checks.append((w.rank, [nums for _, nums, _ in margins],
+                       _gieseker_verdict(meets, target).verdict))
+    polys = xi._scaled.polys
     for r in range(1, R_MAX + 1):
-        vals = []
-        for key, poly in xi.entries:
-            v = poly(r)
-            if v <= 0:
-                break  # R is skipped at its first nonpositive weight
-            vals.append((key, v))
-        else:
-            ws = xi._integral_at(r, vals)
-            if all(_git_verdict_at(ws, m, polys, r) == t for m, polys, t in checks):
-                return r, ws
+        vals = [_horner(p, r) for p in polys]
+        if any(v <= 0 for v in vals):
+            continue  # some weight is nonpositive at R
+        ws = xi._integral_at(r, vals)
+        if all(_git_verdict_at(xi.ambient, m, nums, r) == t for m, nums, t in checks):
+            return r, ws
     raise RuntimeError(f"no certified R found in [1, {R_MAX}]")
 
 
-def _git_verdict_at(weights: WeightSystem, m: int, polys, r: int) -> str:
-    _check_ambient(weights.ambient, m)
-    return _classify("git", [(w, p(r)) for w, p in polys], Fraction(0), True, None).verdict
+def _git_verdict_at(ambient: int, m: int, numerators, r: int) -> str:
+    """The GIT verdict at the weights Xi(r) from the margin numerators N."""
+    _check_ambient(ambient, m)
+    top = max((_horner(nums, r) for nums in numerators), default=-1)  # no test: stable
+    return UNSTABLE if top > 0 else SEMISTABLE if top == 0 else STABLE

@@ -12,7 +12,8 @@ from conftest import rank2_three_lines, structure_sheaf
 import toricsheaves
 from toricsheaves import cli
 from toricsheaves.family import RayFiltration, family_to_json, reflexive_from_filtrations
-from toricsheaves.fan import fan_to_json, projective_plane
+from toricsheaves.fan import fan_to_json, p1_x_p1, projective_plane
+from toricsheaves.sampling import random_families
 from toricsheaves.subspace import SubspaceQ
 
 
@@ -43,11 +44,12 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def run_entry_point(args):
-    """Run the CLI in a fresh interpreter that imports this checkout's package;
-    a run past 60 s fails the test instead of hanging the suite."""
+def run_entry_point(args, env_override=None):
+    """Run the CLI in a fresh interpreter that imports this checkout's package,
+    with env_override added to the environment; a run past 60 s fails the
+    test instead of hanging the suite."""
     src = str(Path(toricsheaves.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_override or {}))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "toricsheaves.cli", *args],
@@ -570,6 +572,25 @@ def test_rank3_open_closure_exit_2(files, p2, command):
                             "--ample", files["ample"]])
     assert_input_error(proc)
     assert "rank >= 3 test set" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["stability", "gieseker"], ["stability", "git"],
+                                     ["weights", "--kind", "xi"]])
+def test_stability_stdout_independent_of_hash_seed(files, command):
+    # a stable family whose Gieseker margins have degrees 0 and 1
+    fan = p1_x_p1()
+    fam_path = files["dir"] / "p1xp1-fam.json"
+    fam_path.write_text(family_to_json(random_families(fan, 2, 10, seed=0)[2]))
+    paths = {}
+    for name, text in (("fan", fan_to_json(fan)), ("ample", json.dumps([0, 0, 1, 1]))):
+        paths[name] = files["dir"] / f"p1xp1-{name}.json"
+        paths[name].write_text(text)
+    for fmt in ("text", "json"):
+        args = [*command, "--fan", str(paths["fan"]), "--family", str(fam_path),
+                "--ample", str(paths["ample"]), "--format", fmt]
+        runs = [run_entry_point(args, {"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+        assert [p.returncode for p in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout != ""
 
 
 def test_git_samples_on_rank1_terminates(files):

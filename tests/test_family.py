@@ -729,3 +729,31 @@ def test_validation_matches_value_walks(p2, monkeypatch):
         for key in seen:
             seen[key] += any(key in r for r in report)
     assert min(seen.values()) > 0, seen
+
+
+def value_by_clamp(grid, lam):
+    """The clamped lookup _Grid.value replaced: zero below the box in some
+    coordinate, else the entry at lam clamped to the top."""
+    clamped = []
+    for a, b, x in zip(grid.lo, grid.hi, lam):
+        if x < a:
+            return grid._zero_value()
+        clamped.append(min(x, b))
+    return grid._entry(tuple(clamped))
+
+
+def test_grid_value_matches_clamp_route():
+    rng = random.Random(149)
+    places = {"inside": 0, "below": 0, "above": 0, "below and above": 0, "apex": 0}
+    for fan, fam in random_oracle_families(rng):
+        for x in (fam, characteristic_function(fam)):
+            for nu in fan.cones():
+                grid = restrict_to_face(x, nu, fan)
+                for lam in box_points([a - 2 for a in grid.lo], [b + 2 for b in grid.hi]):
+                    assert grid.value(lam) == value_by_clamp(grid, lam)
+                    below = any(c < a for c, a in zip(lam, grid.lo))
+                    above = any(c > b for c, b in zip(lam, grid.hi))
+                    where = ("below and above" if below and above else "below" if below
+                             else "above" if above else "inside" if lam else "apex")
+                    places[where] += 1
+    assert min(places.values()) > 0, places

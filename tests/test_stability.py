@@ -924,3 +924,163 @@ def test_distinguished_rank2_matches_closure(corpus, amples):
                     assert distinguished_subspaces(fam) == closure_of_corner_values(fam)
                     checked += 1
     assert checked == 7 * 3 * 10
+
+
+# --- the integer margins against the Fraction route they replaced -----------------
+#
+# The old route, kept as the oracle: Gieseker margins with Fraction
+# coefficients, one RatPoly per test subspace classified by _classify, and
+# a choose_r that evaluates every Xi and margin polynomial at each trial R
+# with RatPoly.__call__.
+
+def gieseker_margins_by_fractions(meets, xi):
+    weighted = [(meets.slot(key), poly) for key, poly in xi.entries]
+    width = max((poly.degree for _, poly in weighted), default=-1) + 1
+    per_coeff = [meets.dots((s, poly.coeff(i)) for s, poly in weighted) for i in range(width)]
+    m = meets.rank
+    return [
+        (w, RatPoly.of([Fraction(lhs[k], w.dim) - Fraction(total, m) for lhs, total in per_coeff]))
+        for k, w in enumerate(meets.tests)
+    ]
+
+
+def gieseker_by_fractions(fam, fan, h):
+    xi = xi_weights(characteristic_function(fam), fan, h)
+    meets = stability._MeetTable(fam, fan)
+    return stability._classify("gieseker", gieseker_margins_by_fractions(meets, xi), None,
+                               meets.exhaustive, None if meets.exhaustive else PARTIAL_NOTE)
+
+
+def choose_r_by_fractions(chi, fan, h, witnesses):
+    xi = xi_weights(chi, fan, h)
+    checks = []
+    for w in witnesses:
+        meets = stability._MeetTable(w, fan)
+        checks.append((w.rank, gieseker_margins_by_fractions(meets, xi),
+                       gieseker_by_fractions(w, fan, h).verdict))
+    for r in range(1, stability.R_MAX + 1):
+        vals = [(key, poly(r)) for key, poly in xi.entries]
+        if any(v <= 0 for _, v in vals):
+            continue
+        for key, v in vals:
+            if v.denominator != 1:
+                raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
+        ws = WeightSystem(xi.ambient, tuple((key, int(v)) for key, v in vals))
+        verdicts = []
+        for m, polys, _ in checks:
+            if m != ws.ambient:
+                raise ValueError(f"weight system ambient {ws.ambient} != family rank {m}")
+            margins = [(w, p(r)) for w, p in polys]
+            verdicts.append(stability._classify("git", margins, Fraction(0), True, None).verdict)
+        if verdicts == [t for _, _, t in checks]:
+            return r, ws
+    raise RuntimeError(f"no certified R found in [1, {stability.R_MAX}]")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_integer_margins_match_fraction_route(corpus, amples, p2, p1p1, monkeypatch):
+    # both routes read R_MAX; a smaller one keeps the failed searches short
+    monkeypatch.setattr(stability, "R_MAX", 200)
+    cases = _oracle_fans(corpus, amples)
+    # rational polarizations, with D = 8 and D = 3
+    cases += [(p2, (Fraction(1, 2), 0, 0)), (p1p1, (Fraction(1, 3), 1, 0, 0))]
+    scales, results, errors = set(), 0, set()
+    for fan, h in cases:
+        fams = random_families(fan, 2, 6, seed=3001) + random_families(fan, 1, 1, seed=3001)
+        for i, fam in enumerate(fams):
+            assert gieseker_test(fam, fan, h) == gieseker_by_fractions(fam, fan, h)
+            chi = characteristic_function(fam)
+            scales.add(xi_weights(chi, fan, h)._scaled.scale)
+            witnesses = [fam] if i % 3 else [fam, fams[i - 1]]  # a witness with another chi
+            got = _outcome(choose_r, chi, fan, h, witnesses)
+            assert got == _outcome(choose_r_by_fractions, chi, fan, h, witnesses)
+            if isinstance(got[1], WeightSystem):
+                results += 1
+                assert git_test(fam, got[1], fan) == git_by_points(fam, got[1], fan)
+            else:
+                errors.add(" ".join(got[1].split()[:2]))
+    assert {2, 3, 8} <= scales
+    assert results >= 25
+    assert errors == {"weight polynomial", "weight system", "no certified"}
+
+
+def test_integer_margins_match_fraction_route_rank3(p2, p1p1):
+    # margins over test subspaces of dimensions 1 and 2 have different denominators
+    from test_family import random_flag_family
+
+    witness_dims = set()
+    for fan in (p2, p1p1):
+        h = find_ample(fan)
+        rng = random.Random(151)
+        for _ in range(11):
+            fam = random_flag_family(fan, 3, rng)
+            got = _outcome(gieseker_test, fam, fan, h)
+            assert got == _outcome(gieseker_by_fractions, fam, fan, h)
+            if isinstance(got, stability.StabilityVerdict) and got.witness is not None:
+                witness_dims.add(got.witness.dim)
+    assert witness_dims == {1, 2}
+
+
+def test_gieseker_worst_margin_is_largest_for_large_t(p1p1):
+    # stable, with margins 7/2 - t and -9/2: the larger one for t >> 0 is -9/2
+    fam = random_families(p1p1, 2, 10, seed=0)[2]
+    v = gieseker_test(fam, p1p1, find_ample(p1p1))
+    assert (v.verdict, v.margin) == (STABLE, RatPoly.of([Fraction(-9, 2)]))
+
+
+def test_gieseker_reported_margin_against_compare_for_large_t(corpus, amples):
+    below_top_degree = 0
+    for fan, h in _oracle_fans(corpus, amples):
+        for seed in range(3):
+            for fam in random_families(fan, 2, 10, seed=seed):
+                v = gieseker_test(fam, fan, h)
+                xi = xi_weights(characteristic_function(fam), fan, h)
+                margins = gieseker_margins_by_fractions(stability._MeetTable(fam, fan), xi)
+                assert all(compare_for_large_t(v.margin, mg) >= 0 for _, mg in margins)
+                first = next(w for w, mg in margins if mg == v.margin)
+                assert v.witness == (None if v.verdict == STABLE else first)
+                below_top_degree += v.margin.degree < max(mg.degree for _, mg in margins)
+    assert below_top_degree > 0
+
+
+def _count_fraction_arithmetic(monkeypatch):
+    """Count every Fraction +, -, * and / while the test runs."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        def counted(*args, _orig=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_integer_margin_work_counts(monkeypatch, f1):
+    h = find_ample(f1)
+    fam = random_families(f1, 2, 25, seed=4001)[14]
+    chi = characteristic_function(fam)
+    gieseker_test(fam, f1, h)  # fills the fan's intersection table
+    evaluations = []
+    call = RatPoly.__call__
+    monkeypatch.setattr(RatPoly, "__call__", lambda p, t: evaluations.append(t) or call(p, t))
+    ops = _count_fraction_arithmetic(monkeypatch)
+    gieseker_test(fam, f1, h)
+    gieseker_ops = len(ops)
+    r, _ = choose_r(chi, f1, h, [fam])
+    assert r > 1  # several R are tried
+    assert evaluations == []
+    # choose_r builds what gieseker_test builds, and its R search adds no Fraction arithmetic
+    assert len(ops) - gieseker_ops == gieseker_ops > 0
+    # on a filled meet table, the margins and the verdict do no Fraction arithmetic
+    meets, xi = stability._MeetTable(fam, f1), xi_weights(chi, f1, h)
+    stability._gieseker_margins(meets, xi)
+    del ops[:]
+    stability._gieseker_verdict(meets, stability._gieseker_margins(meets, xi))
+    assert ops == []
