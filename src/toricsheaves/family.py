@@ -581,12 +581,22 @@ def restrict_to_face(x: DeltaFamily | CharFunction, nu: ConeRef, fan: Fan):
     nu = tuple(sorted(nu))
     if not fan.is_cone(nu):
         raise ValueError(f"{list(nu)} is not a cone of the fan")
-    cmap = x.corner_map()
+    source = face_source(x.corner_map(), nu, fan)
+    if source is None:
+        return x.empty_face(nu)
+    grid, positions = source
+    return grid.face(positions)
+
+
+def face_source(cmap: dict[int, _Grid], nu: ConeRef, fan: Fan):
+    """The grid restrict_to_face reads for the cone nu, with nu's positions in
+    that grid's cone: the grid of the lowest-index maximal cone in cmap that
+    contains nu, or None if there is none."""
     for i in sorted(cmap):
         mc = fan.max_cones[i]
         if set(nu) <= set(mc):
-            return cmap[i].face([mc.index(j) for j in nu])
-    return x.empty_face(nu)
+            return cmap[i], [mc.index(j) for j in nu]
+    return None
 
 
 def cone_shift(kvec: Sequence[int], cone: ConeRef) -> tuple[int, ...]:
@@ -623,12 +633,13 @@ def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
         raise ValueError("family is zero on every cone; nothing to gauge")
     grid = cmap[i]
     bounds = [min(lam[k] for lam in support) for k in range(grid.ndim())]
-    # rays * u = bounds for the unimodular cone: RREF of the augmented matrix
-    solved = rref([[Fraction(x) for x in fan.rays[j]] + [Fraction(b)]
-                   for j, b in zip(grid.cone, bounds)])
-    if any(row[-1].denominator != 1 for row in solved):
+    # rays * u = bounds for the unimodular cone: RREF of the augmented matrix,
+    # each of whose rows holds a multiple of its RREF row (pivot, ..., u_p)
+    red = rref([list(fan.rays[j]) + [b] for j, b in zip(grid.cone, bounds)])
+    solved = [Fraction(row[-1], next(x for x in row if x)) for row in red]
+    if any(x.denominator != 1 for x in solved):
         raise ValueError("non-integral solution; cone is not unimodular")
-    u = [int(row[-1]) for row in solved]
+    u = [int(x) for x in solved]
     kvec = tuple(
         sum(ui * nj for ui, nj in zip(u, fan.rays[j])) for j in range(fan.n_rays())
     )
@@ -727,17 +738,23 @@ def family_from_json(text: str) -> DeltaFamily:
         raise ValueError(f"family kind {doc['kind']!r} is not one of "
                          f"{KIND_TORSION_FREE}, {KIND_REFLEXIVE}, {KIND_PURE}")
     m = _json_int(doc["rank"], "family rank")
+    if m < 0:
+        raise ValueError(f"family rank {m} is negative")
 
     def ints(x, what):
         return tuple(_json_int(v, what + " entry") for v in _json_of(list, x, what))
 
     corners = []
+    seen: set[int] = set()
     for entry in _json_of(list, doc["cones"], "cones"):
         _json_of(dict, entry, "family cone entry")
         for field in ("index", "cone", "lo", "hi", "jumps"):
             if field not in entry:
                 raise ValueError(f"family cone entry missing field '{field}'")
         index = _json_int(entry["index"], "cone index")
+        if index in seen:
+            raise ValueError(f"family cone {index}: two cone entries with this index")
+        seen.add(index)
         cone = ints(entry["cone"], "cone")
         lo = ints(entry["lo"], "lo")
         hi = ints(entry["hi"], "hi")

@@ -69,6 +69,7 @@ from .family import (
     DeltaFamily,
     KIND_PURE,
     characteristic_function,
+    face_source,
     is_reflexive,
     restrict_to_face,
 )
@@ -186,7 +187,7 @@ def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
 
 
 def _subspace_key(v: SubspaceQ):
-    return (v.dim, tuple(tuple(str(x) for x in row) for row in v.rows))
+    return (v.dim, v.basis_str())
 
 
 def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
@@ -618,9 +619,11 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         acc[2] += xh
 
     for nu in fan.cones():
-        grid = restrict_to_face(chi, nu, fan)
+        # the bounds of restrict_to_face(chi, nu, fan), without building its values
+        grid, positions = face_source(gmap, nu, fan)
+        lo = [grid.lo[p] for p in positions]
         s = (-1) ** (fan.rank - len(nu))
-        cut = [b + 1 for b in grid.hi]
+        cut = [grid.hi[p] + 1 for p in positions]
         row = [[mat[i][j] for j in nu] for i in nu]  # M on the rays of nu
         add(((), ()), s,
             s * (2 + sum(x * r * y for x, rr in zip(cut, row) for r, y in zip(rr, cut))
@@ -630,10 +633,10 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
             m_ii = row[u][u]
             rest = 2 * sum(r * x for v, (r, x) in enumerate(zip(row[u], cut)) if v != u)
             rest -= deg_ak[i]
-            for a in range(grid.lo[u], cut[u]):
+            for a in range(lo[u], cut[u]):
                 add(((i,), (a,)), 0, -s * (m_ii * (2 * a + 1) + rest), -s * deg_h[i])
         if len(nu) == 2:
-            for lam in itertools.product(*(range(a, b) for a, b in zip(grid.lo, cut))):
+            for lam in itertools.product(*(range(a, b) for a, b in zip(lo, cut))):
                 add((nu, lam), 0, s * 2 * row[0][1], 0)
     polys: dict[tuple, RatPoly] = {}
     entries = []

@@ -1,73 +1,99 @@
-"""Exact rational subspaces of Q^n in canonical reduced row echelon form.
+"""Exact rational subspaces of Q^n in canonical form.
 
-Every subspace is stored as the unique RREF basis of its row space, so two
-equal subspaces compare equal (and hash equal) as plain tuples.  All
-arithmetic is over fractions.Fraction; nothing here ever touches floats.
+Every subspace is stored by its reduced row echelon (RREF) basis, each row
+kept as its unique primitive integer multiple with a positive pivot: the
+RREF row is ``row / row[pivot]``.  That scaling is a bijection between RREF
+rows and primitive rows, so two equal subspaces have equal rows, and
+equality and hashing are operations on tuples of ints.  All elimination is
+fraction-free on Python ints (``rref``); ``Fraction`` is used only to clear
+the denominators of rational input and to print the RREF entries
+(``basis_str``).  Nothing here ever touches floats.
 
-Invariant: a SubspaceQ is only ever built by ``span``, ``zero`` or ``full``,
-so its rows are already the canonical RREF.  The structural fast paths of
-``intersect``, ``sum`` and ``contains`` rely on it: equal rows mean equal
-subspaces, a subspace of equal dimension is contained only if it is equal,
-and an operand that is zero, full or a line can be answered without a
-fresh elimination.  Every fast path returns exactly what the generic
-elimination (``_zassenhaus``, ``span``) would.
+Invariant: a SubspaceQ is only ever built by ``span``, ``zero``, ``full`` or
+an elimination that yields canonical rows, so its rows are already the
+canonical form.  The structural fast paths of ``intersect``, ``sum`` and
+``contains`` rely on it: equal rows mean equal subspaces, a subspace of
+equal dimension is contained only if it is equal, and an operand that is
+zero, full or a line can be answered without a fresh elimination.  Every
+fast path returns exactly what the generic elimination (``_zassenhaus``,
+``span``) would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 
-def _to_vec(row: Sequence, n: int) -> list[Fraction]:
+def _int_row(row: Sequence, n: int) -> list[int]:
+    """The row as ints spanning the same line: a row of ints as it is, any
+    other row through Fraction and scaled by the lcm of its denominators."""
     if len(row) != n:
         raise ValueError(f"vector length {len(row)} != ambient {n}")
-    return [Fraction(x) for x in row]
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs]
 
 
-def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form; returns the nonzero rows."""
+def _pivot(row: Sequence[int]) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def rref(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.  Returns the
+    nonzero rows of the reduced row echelon form, each as its primitive
+    integer multiple with a positive pivot.  Every row an elimination step
+    changes is divided by the gcd of its entries, so entries stay small."""
     rows = [list(r) for r in rows]
     if not rows:
         return []
-    n = len(rows[0])
     piv_row = 0
-    for col in range(n):
-        pivot = None
+    for col in range(len(rows[0])):
         for r in range(piv_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
+            if rows[r][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[piv_row], rows[pivot] = rows[pivot], rows[piv_row]
-        inv = Fraction(1) / rows[piv_row][col]
-        rows[piv_row] = [x * inv for x in rows[piv_row]]
-        for r in range(len(rows)):
-            if r != piv_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv_row])]
+        prow = rows[r]
+        rows[r] = rows[piv_row]
+        g = gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        rows[piv_row] = prow
+        a = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != piv_row:
+                # a > 0, so a row that is already a pivot row keeps its pivot's sign
+                row = [a * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         piv_row += 1
         if piv_row == len(rows):
             break
-    return [r for r in rows[:piv_row] if any(x != 0 for x in r)]
+    return rows[:piv_row]
 
 
 @dataclass(frozen=True)
 class SubspaceQ:
-    """A subspace of Q^ambient, canonically represented by its RREF basis."""
+    """A subspace of Q^ambient, canonically represented by its RREF basis
+    with each row scaled to a primitive integer vector with positive pivot."""
 
     ambient: int
     rows: tuple[Vector, ...]
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient: int) -> "SubspaceQ":
-        mat = [_to_vec(v, ambient) for v in vectors]
-        red = rref(mat)
-        return SubspaceQ(ambient, tuple(tuple(r) for r in red))
+        red = rref([_int_row(v, ambient) for v in vectors])
+        return SubspaceQ(ambient, tuple(map(tuple, red)))
 
     @staticmethod
     def zero(ambient: int) -> "SubspaceQ":
@@ -76,8 +102,7 @@ class SubspaceQ:
     @staticmethod
     def full(ambient: int) -> "SubspaceQ":
         rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(ambient))
-            for i in range(ambient)
+            tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)
         )
         return SubspaceQ(ambient, rows)
 
@@ -92,14 +117,16 @@ class SubspaceQ:
         return self.dim == self.ambient
 
     def contains_vector(self, v: Sequence) -> bool:
-        """Membership test by reduction against the RREF basis."""
-        vec = _to_vec(v, self.ambient)
+        """Membership test by integer reduction against the canonical rows:
+        the pivot entry of each row is cleared by v <- a v - v[p] row."""
+        vec = _int_row(v, self.ambient)
         for row in self.rows:
-            col = next(i for i, x in enumerate(row) if x != 0)
-            if vec[col] != 0:
-                f = vec[col]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+            p = _pivot(row)
+            f = vec[p]
+            if f:
+                a = row[p]
+                vec = [a * x - f * y for x, y in zip(vec, row)]
+        return not any(vec)
 
     def contains(self, other: "SubspaceQ") -> bool:
         if self.ambient != other.ambient:
@@ -117,7 +144,7 @@ class SubspaceQ:
             return self
         if not self.rows or other.dim == other.ambient:
             return other
-        return SubspaceQ.span(list(self.rows) + list(other.rows), self.ambient)
+        return SubspaceQ(self.ambient, tuple(map(tuple, rref(self.rows + other.rows))))
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         if self.ambient != other.ambient:
@@ -138,18 +165,20 @@ class SubspaceQ:
         return f"SubspaceQ({self.ambient}, dim={self.dim})"
 
     def basis_str(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
+        """The RREF basis as strings: each row divided by its pivot entry."""
+        out = []
+        for row in self.rows:
+            d = row[_pivot(row)]
+            out.append([str(Fraction(x, d)) for x in row])
+        return out
 
 
 def _zassenhaus(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
-    """Generic intersection: RREF of [[A A],[B 0]]; zero-left rows span A cap B."""
+    """Generic intersection: reduce [[A A],[B 0]]; the rows with a zero left
+    half span A cap B.  Their right halves are already canonical: they are
+    primitive, their pivots are positive, and each is zero at the others'
+    pivot columns."""
     n = a.ambient
-    block: list[list[Fraction]] = []
-    for r in a.rows:
-        block.append(list(r) + list(r))
-    zero = [Fraction(0)] * n
-    for r in b.rows:
-        block.append(list(r) + zero)
-    red = rref(block)
-    inter = [row[n:] for row in red if all(x == 0 for x in row[:n])]
-    return SubspaceQ.span(inter, n)
+    zero = (0,) * n
+    red = rref([r + r for r in a.rows] + [r + zero for r in b.rows])
+    return SubspaceQ(n, tuple(tuple(row[n:]) for row in red if not any(row[:n])))

@@ -460,6 +460,12 @@ def _duplicate_first_jump(jumps):
     return jumps + [{"at": first["at"], "basis": other}]
 
 
+def _duplicate_first_cone(cones):
+    """The cone entries with a second entry for the first one's index, holding
+    no jumps, appended; which entry won used to depend on their order."""
+    return cones + [dict(cones[0], jumps=[])]
+
+
 def _bad_basis_entry(files, entry):
     return _bad_family(files, ["cones", 0, "jumps", 0, "basis", 0, 0], lambda _: entry)
 
@@ -517,6 +523,9 @@ def _bad_divisor(files, flag, entries):
                      id="family-box-too-large"),
         pytest.param(lambda f: _bad_family(f, ["cones", 1, "jumps"], _duplicate_first_jump),
                      id="family-duplicate-jump"),
+        pytest.param(lambda f: _bad_family(f, ["cones"], _duplicate_first_cone),
+                     id="family-duplicate-cone"),
+        pytest.param(lambda f: _bad_family(f, ["rank"], lambda _: -1), id="family-rank-negative"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):
@@ -531,6 +540,19 @@ def test_duplicate_jump_named_in_error(files, capsys):
     assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
     assert out == ""
     assert err == f"error: {argv[-1]}: family cone 1: two jumps at {at}\n"
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (["cones"], _duplicate_first_cone, "family cone {index}: two cone entries with this index"),
+    (["rank"], lambda _: -2, "family rank -2 is negative"),
+], ids=["duplicate-cone", "negative-rank"])
+def test_refused_family_named_in_error(files, capsys, keys, value, message):
+    index = json.loads(Path(files["family"]).read_text())["cones"][0]["index"]
+    argv = _bad_family(files, keys, value)
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
+    assert out == ""
+    assert err == f"error: {argv[-1]}: {message.format(index=index)}\n"
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from toricsheaves.family import (
     validate_pure,
     validate_torsion_free,
 )
-from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
+from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import (
     random_families,
     random_reflexive_family,
@@ -382,6 +382,40 @@ def test_gauge_classes(p2, p1p1):
             a, _ = gauge_fix(characteristic_function(fam), fan)
             b, _ = gauge_fix(characteristic_function(tensor_line_bundle(fam, kvec)), fan)
             assert a.canonical() == b.canonical()
+
+
+def _fraction_route_twist(x, fan):
+    """gauge_fix's twist vector, solved by the Fraction RREF it used to call."""
+    from test_subspace import ref_rref
+
+    cmap = x.corner_map()
+    grid = next(cmap[i] for i in sorted(cmap) if cmap[i].nonzero_points())
+    support = grid.nonzero_points()
+    bounds = [min(lam[k] for lam in support) for k in range(grid.ndim())]
+    solved = ref_rref([[Fraction(x) for x in fan.rays[j]] + [Fraction(b)]
+                       for j, b in zip(grid.cone, bounds)])
+    u = [int(row[-1]) for row in solved]
+    return tuple(sum(ui * nj for ui, nj in zip(u, fan.rays[j])) for j in range(fan.n_rays()))
+
+
+def test_gauge_fix_twist_matches_fraction_route():
+    rng = random.Random(43)
+    fans = [projective_plane(), p1_x_p1(), hirzebruch(1), hirzebruch(2)]
+    fans += [random_smooth_complete_fan(random.Random(b), b) for b in (1, 2, 3)]
+    for fan in fans:
+        for fam in random_families(fan, 2, 6, seed=47):
+            kvec = tuple(rng.randrange(-3, 4) for _ in range(fan.n_rays()))
+            twisted = tensor_line_bundle(fam, kvec)
+            for x in (twisted, characteristic_function(twisted)):
+                assert gauge_fix(x, fan)[1] == _fraction_route_twist(x, fan)
+
+
+def test_gauge_fix_non_unimodular_cone_rejected():
+    # the rays (1, 0) and (1, 2) span a cone of index 2: the bounds (0, 1) give u = (0, 1/2)
+    fan = Fan.make(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1)])
+    grid = CornerFamily((0, 1), (0, 1), (0, 1), (K1,), 1)
+    with pytest.raises(ValueError, match="non-integral solution"):
+        gauge_fix(DeltaFamily(KIND_TORSION_FREE, 1, ((0, grid),)), fan)
 
 
 def test_gauge_fix_zero_family_rejected(p2):

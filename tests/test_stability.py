@@ -887,6 +887,26 @@ def test_xi_weights_match_corner_sum(corpus, amples):
     assert lows == {True, False}
 
 
+def test_xi_face_bounds_match_restrict_to_face(corpus, amples, monkeypatch):
+    # xi_weights reads each cone's bounds off the grid restrict_to_face picks
+    def built_faces(cmap, nu, fan):  # the old route: build the face grid of chi
+        return restrict_to_face(chi, nu, fan), range(len(nu))
+
+    for fan, h in _oracle_fans(corpus, amples):
+        for fam in random_families(fan, 2, 4, seed=157):
+            chi = tensor_line_bundle(characteristic_function(fam),
+                                     [j % 3 - 1 for j in range(fan.n_rays())])
+            for nu in fan.cones():
+                grid, positions = stability.face_source(chi.corner_map(), nu, fan)
+                face = restrict_to_face(chi, nu, fan)
+                assert tuple(grid.lo[p] for p in positions) == face.lo
+                assert tuple(grid.hi[p] for p in positions) == face.hi
+            xi = xi_weights(chi, fan, h)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "face_source", built_faces)
+                assert xi_weights(chi, fan, h) == xi
+
+
 def test_xi_interior_weights_share_one_polynomial(corpus, amples):
     # every interior weight of a maximal cone is V_i.V_j = 1 on a smooth fan
     fan, h = corpus["f1"], amples["f1"]
