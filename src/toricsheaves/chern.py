@@ -4,7 +4,9 @@ The Chern character is computed by the inclusion-exclusion weight formula:
 each cone contributes the finite differences of its limit dimension grid,
 signed by codimension, times the truncated exponential of minus its
 character divisor.  Everything depends on the characteristic function only.
-The Hilbert polynomial follows by Riemann-Roch against the Todd class.
+The Hilbert polynomial is Riemann-Roch on a surface in closed form: it reads
+the Chern character and, of the fan and the polarization, only the degrees
+-K.V(rho_j), H.V(rho_j) and H^2, as the face weights of stability do.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .intersect import (
     ample_degrees,
     intersection_table,
     pair,
-    todd_and_canonical,
 )
 from .polynomials import RatPoly
 
@@ -110,13 +111,20 @@ class HilbertData:
 
 
 def hilbert_polynomial(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> RatPoly:
-    """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial."""
-    table = intersection_table(fan)
-    deg = ample_degrees(ample, fan)
-    todd, _ = todd_and_canonical(fan)
-    cls = chern_character(x, fan).mul(todd, table)
-    h_sq = sum(h * d for h, d in zip(ample, deg))
-    return RatPoly.of([cls.p, sum(c * d for c, d in zip(cls.d, deg)), cls.r0 * h_sq / 2])
+    """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial.  With
+    td = 1 - K/2 + [pt] and r, c1, ch2 the parts of ch, that is
+
+        P(t) = ch2 + r + c1.(-K)/2 + (c1.H + r H.(-K)/2) t + r (H^2/2) t^2,
+
+    where -K = sum_j V(rho_j), so c1.(-K) pairs c1 with the table's row sums."""
+    deg_h = ample_degrees(ample, fan)
+    mat = intersection_table(fan).matrix
+    ch = chern_character(x, fan)
+    c1_ak = sum(c * sum(row) for c, row in zip(ch.d, mat))  # c1.(-K)
+    c1_h = sum(c * d for c, d in zip(ch.d, deg_h))
+    h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
+    h_sq = Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2)
+    return RatPoly.of([ch.p + ch.r0 + Fraction(c1_ak, 2), c1_h + ch.r0 * h_td, ch.r0 * h_sq])
 
 
 def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:

@@ -7,9 +7,12 @@ invariant curves meet transversally in one point) and the wall relation
 n(rho_{i-1}) + n(rho_{i+1}) = -(D_i^2) n(rho_i).  It depends on the fan
 alone, so intersection_table builds it once per fan and every caller shares
 that table; on a smooth complete surface its entries are integers and it
-holds them as ints.  A polarization H is read through ample_degrees: the
-degrees H.V(rho_j), checked positive.  A lattice-point counter for nef divisors provides an
-independent Euler-characteristic oracle.
+holds them as ints.  With -K = sum_j V(rho_j), the row sums of the table are
+the degrees -K.V(rho_j), and the sum of all its entries is K^2.  A
+polarization H is read through ample_degrees: the degrees H.V(rho_j),
+checked positive.  Riemann-Roch itself is evaluated in closed form in
+chern.hilbert_polynomial; a lattice-point counter for nef divisors provides
+an independent Euler-characteristic oracle.
 """
 
 from __future__ import annotations
@@ -110,56 +113,12 @@ def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
 
 @dataclass(frozen=True)
 class ChowClassSurface:
-    """Chow class on a surface: rank part, divisor part, point part."""
+    """A class in the Chow ring of a surface, truncated to degree 2: rank
+    part, divisor part (one coefficient per ray) and point part."""
 
     r0: Fraction
     d: tuple[Fraction, ...]
     p: Fraction
-
-    @staticmethod
-    def of(r0, d: Sequence, p) -> "ChowClassSurface":
-        return ChowClassSurface(Fraction(r0), tuple(Fraction(x) for x in d), Fraction(p))
-
-    @staticmethod
-    def zero(n: int) -> "ChowClassSurface":
-        return ChowClassSurface(Fraction(0), (Fraction(0),) * n, Fraction(0))
-
-    def add(self, other: "ChowClassSurface") -> "ChowClassSurface":
-        return ChowClassSurface(
-            self.r0 + other.r0,
-            tuple(a + b for a, b in zip(self.d, other.d)),
-            self.p + other.p,
-        )
-
-    def scale(self, c) -> "ChowClassSurface":
-        f = Fraction(c)
-        return ChowClassSurface(f * self.r0, tuple(f * x for x in self.d), f * self.p)
-
-    def mul(self, other: "ChowClassSurface", table: IntersectionTable) -> "ChowClassSurface":
-        return ChowClassSurface(
-            self.r0 * other.r0,
-            tuple(self.r0 * x + other.r0 * y for x, y in zip(other.d, self.d)),
-            self.r0 * other.p + other.r0 * self.p + pair(self.d, other.d, table),
-        )
-
-
-def exp_divisor(d: Sequence, table: IntersectionTable) -> ChowClassSurface:
-    """exp(D) truncated to Chow degree 2: 1 + D + D^2/2."""
-    dd = tuple(Fraction(x) for x in d)
-    return ChowClassSurface(Fraction(1), dd, pair(dd, dd, table) / 2)
-
-
-def degree(c: ChowClassSurface) -> Fraction:
-    """Degree map: the coefficient of the point class."""
-    return c.p
-
-
-def class_equal(c1: ChowClassSurface, c2: ChowClassSurface, fan: Fan) -> bool:
-    """Equality in the Chow ring: divisor parts may differ by relations
-    sum_j <u, n(rho_j)> V(rho_j), u in M."""
-    if c1.r0 != c2.r0 or c1.p != c2.p:
-        return False
-    return divisor_class_equal(c1.d, c2.d, fan)
 
 
 def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
@@ -174,16 +133,6 @@ def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
     i0, i1 = fan.max_cones[0]
     u = unimodular_solve(fan.rays[i0], fan.rays[i1], diff[i0], diff[i1])
     return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
-
-
-def todd_and_canonical(fan: Fan) -> tuple[ChowClassSurface, Divisor]:
-    """Todd class (normalized so deg(td) = chi(O_X) = 1) and canonical divisor."""
-    n = fan.n_rays()
-    canonical = tuple(Fraction(-1) for _ in range(n))
-    todd = ChowClassSurface(
-        Fraction(1), tuple(Fraction(1, 2) for _ in range(n)), Fraction(1)
-    )
-    return todd, canonical
 
 
 def is_nef(d: Sequence, fan: Fan) -> bool:
@@ -266,12 +215,4 @@ def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
             ):
                 count += 1
     return count
-
-
-def chi_line_bundle(coeffs: Sequence, fan: Fan) -> Fraction:
-    """chi(O(D)) = deg{exp(D) td}_2 = 1 + D.(D - K)/2 by Riemann-Roch."""
-    table = intersection_table(fan)
-    d = divisor(coeffs, fan)
-    todd, _ = todd_and_canonical(fan)
-    return degree(exp_divisor(d, table).mul(todd, table))
 

@@ -85,10 +85,3 @@ class RatPoly:
                 parts.append(f"{c}*t^{i}")
         return " + ".join(parts)
 
-
-def compare_for_large_t(p: RatPoly, q: RatPoly) -> int:
-    """Sign of p - q for t >> 0: lexicographic on coefficients from the top."""
-    d = p - q
-    if d.is_zero():
-        return 0
-    return 1 if d.coeffs[-1] > 0 else -1

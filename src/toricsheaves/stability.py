@@ -58,7 +58,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -75,7 +75,7 @@ from .family import (
 )
 from .fan import ConeRef, Fan
 from .intersect import ample_degrees, intersection_table
-from .polynomials import RatPoly, compare_for_large_t
+from .polynomials import RatPoly
 from .subspace import SubspaceQ
 
 STABLE = "stable"
@@ -220,9 +220,15 @@ class _MeetTable:
 
     One table serves one public call.  Faces, the test set and the columns
     are filled on first use, so a call computes only what it reads, and a
-    malformed weight key is reported before the test set is built."""
+    malformed weight key is reported before the test set is built.  Every
+    stability test and weight system builds one, so this is where a family
+    of rank 0 is refused: the zero sheaf has no slope and no reduced
+    Hilbert polynomial."""
 
     def __init__(self, fam: DeltaFamily, fan: Fan, samples: Sequence[SubspaceQ] = ()):
+        if fam.rank < 1:
+            raise ValueError(
+                f"stability is defined for rank >= 1; the family has rank {fam.rank}")
         self.fam, self.fan, self.rank = fam, fan, fam.rank
         self._samples = list(samples)
         self._faces: dict[ConeRef, CornerFamily] = {}
@@ -315,7 +321,7 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     )
     margins = [(w, Fraction(d) - Fraction(w.dim, m) * total) for w, d in zip(meets.tests, lhs)]
     note = None if meets.exhaustive else PARTIAL_NOTE
-    return _classify("mu", margins, Fraction(0), meets.exhaustive, note,
+    return _classify("mu", margins, meets.exhaustive, note,
                      stable_caveat=_mu_stable_caveat(fam, fan))
 
 
@@ -328,20 +334,15 @@ def _mu_stable_caveat(fam: DeltaFamily, fan: Fan) -> str | None:
             "(non-reflexive torsion-free input)")
 
 
-def _classify(test, margins, zero, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
-    """The verdict from (W, margin) pairs.  The worst margin is the largest,
-    for t >> 0 when the margins are polynomials (test "gieseker"), and the
-    first of equal ones."""
+def _classify(test, margins, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
+    """The verdict from (W, margin) pairs with Fraction margins (the mu and
+    GIT tests).  The worst margin is the largest, and the first of equal
+    ones."""
     if not margins:
         return _verdict(test, None, None, -1, exhaustive, note, stable_caveat)
-    if test == "gieseker":
-        sign = lambda mg: compare_for_large_t(mg, RatPoly.zero())
-        order = cmp_to_key(lambda a, b: compare_for_large_t(a[1], b[1]))
-    else:
-        sign = lambda mg: (mg > zero) - (mg < zero)
-        order = itemgetter(1)
-    worst_w, worst = max(margins, key=order)
-    return _verdict(test, worst_w, worst, sign(worst), exhaustive, note, stable_caveat)
+    worst_w, worst = max(margins, key=itemgetter(1))
+    return _verdict(test, worst_w, worst, (worst > 0) - (worst < 0), exhaustive, note,
+                    stable_caveat)
 
 
 def _verdict(test, worst_w, worst, s, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
@@ -496,7 +497,7 @@ def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
     meets = _MeetTable(fam, fan, samples)
     margins = _git_margins(meets, weights)
     note = None if meets.exhaustive else "distinguished-set verdict (rank >= 3)"
-    return _classify("git", margins, Fraction(0), meets.exhaustive, note)
+    return _classify("git", margins, meets.exhaustive, note)
 
 
 def _check_ambient(ambient: int, m: int) -> None:

@@ -22,12 +22,14 @@ from toricsheaves.family import (
 )
 from toricsheaves.intersect import (
     divisor_class_equal,
+    find_ample,
+    intersection_table,
     is_nef,
     lattice_point_count,
     pair,
 )
 from toricsheaves.polynomials import RatPoly
-from toricsheaves.sampling import random_families
+from toricsheaves.sampling import random_families, random_smooth_complete_fan
 from toricsheaves.subspace import SubspaceQ
 
 
@@ -211,6 +213,43 @@ def test_rank_degree_slope(p2, amples):
     assert hd.rank == 1 and hd.degree == 3 and hd.slope == 3
     hd0 = hilbert_data(structure_sheaf(p2), p2, amples["p2"])
     assert hd0.rank == 1 and hd0.degree == 0 and hd0.slope == 0
+
+
+def hilbert_by_chow_product(x, fan, ample):
+    """The Chow-ring route that the closed form of hilbert_polynomial
+    replaced: P(t) = deg{ch . exp(tH) . td}_2, with the product ch . td taken
+    in the Chow ring, (r, d, p)(r', d', p') = (r r', r d' + r' d,
+    r p' + r' p + d.d'), for td = (1, sum_j V_j / 2, 1), and every degree
+    paired against H through the intersection table."""
+    table = intersection_table(fan)
+    ch = chern_character(x, fan)
+    td = (1, (Fraction(1, 2),) * fan.n_rays(), 1)
+    r0 = ch.r0 * td[0]
+    d = [ch.r0 * a + td[0] * b for a, b in zip(td[1], ch.d)]
+    p = ch.r0 * td[2] + td[0] * ch.p + pair(ch.d, td[1], table)
+    return RatPoly.of([p, pair(d, ample, table), r0 * pair(ample, ample, table) / 2])
+
+
+def test_hilbert_closed_form_matches_chow_product(corpus, amples):
+    fans = [(fan, amples[name]) for name, fan in corpus.items()]
+    for s in range(4):
+        fan = random_smooth_complete_fan(random.Random(s), 1 + s % 2)
+        fans.append((fan, find_ample(fan)))
+    checked = 0
+    for k, (fan, h) in enumerate(fans):
+        table = intersection_table(fan)
+        for ample in (h, tuple(Fraction(3 * x, 2) for x in h)):
+            for rank in (1, 2):
+                for fam in random_families(fan, rank, 10, seed=101 + k):
+                    p = hilbert_polynomial(fam, fan, ample)
+                    assert p == hilbert_by_chow_product(fam, fan, ample)
+                    ch = chern_character(fam, fan)
+                    hd = hilbert_data(fam, fan, ample)
+                    assert hd.polynomial == p
+                    assert hd.rank == ch.r0 == rank
+                    assert hd.degree == pair(ch.d, ample, table)
+                    checked += 1
+    assert checked == len(fans) * 2 * 2 * 10
 
 
 def test_hilbert_requires_ample(p2, o_p2):

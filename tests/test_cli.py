@@ -304,8 +304,7 @@ def test_entry_point_runs():
 
 PUBLIC_OPS = {
     "validate_fan", "star", "cone_count_identity", "euler_characteristic",
-    "intersection_table", "pair", "degree", "todd_and_canonical",
-    "lattice_point_count", "chi_line_bundle",
+    "intersection_table", "pair", "lattice_point_count",
     "reflexive_from_filtrations", "validate_torsion_free", "is_reflexive",
     "detect_support", "validate_pure", "restrict_to_face",
     "tensor_line_bundle", "characteristic_function", "gauge_fix",
@@ -315,8 +314,8 @@ PUBLIC_OPS = {
     "rank1_fixed_point_series", "rank2_p2_series",
     "enumerate_gauge_fixed_chi", "run",
 }
-# reached from no subcommand; test_intersect.py and test_family.py call them directly
-LIBRARY_ONLY = {"degree", "lattice_point_count", "chi_line_bundle"}
+# reached from no subcommand; it is the tests' independent Euler-characteristic oracle
+LIBRARY_ONLY = {"lattice_point_count"}
 
 
 def test_operation_coverage_table(files, p2):
@@ -613,6 +612,25 @@ def test_stability_stdout_independent_of_hash_seed(files, command):
         runs = [run_entry_point(args, {"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
         assert [p.returncode for p in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout != ""
+
+
+def test_rank0_family_refused_by_stability_exit_2(files, p2, capsys):
+    # the zero sheaf has no slope: every stability test and weight system
+    # refuses it, while its invariants stay defined
+    path = files["dir"] / "rank0.json"
+    path.write_text(family_to_json(structure_sheaf(p2, rank=0)))
+    fam = ["--fan", files["fan"], "--family", str(path)]
+    polarized = [*fam, "--ample", files["ample"]]
+    for command in (["stability", "mu"], ["stability", "gieseker"], ["stability", "git"],
+                    ["weights", "--kind", "mu"], ["weights", "--kind", "xi"]):
+        code, out, err = run_cli([*command, *polarized], capsys)
+        assert code == 2, command
+        assert out == "" and "Traceback" not in err, command
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), command
+        assert "rank >= 1" in lines[0], command
+    for command in (["chern", *fam], ["hilbert", *polarized], ["family-check", *fam]):
+        assert run_cli(command, capsys)[0] == 0, command
 
 
 def test_git_samples_on_rank1_terminates(files):

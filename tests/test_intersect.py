@@ -4,16 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import line_bundle_family
 from toricsheaves import intersect
+from toricsheaves.chern import hilbert_polynomial
 from toricsheaves.intersect import (
-    ChowClassSurface,
     ample_degrees,
-    chi_line_bundle,
-    class_equal,
-    degree,
     divisor,
     divisor_class_equal,
-    exp_divisor,
     find_ample,
     intersection_table,
     is_ample,
@@ -21,7 +18,6 @@ from toricsheaves.intersect import (
     lattice_point_count,
     pair,
     ray_degrees,
-    todd_and_canonical,
 )
 from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import random_smooth_complete_fan
@@ -105,27 +101,24 @@ def test_pair_bilinear_zero(tables):
     assert pair(a, zero, t) == 0
 
 
-def test_todd_and_canonical(corpus, tables):
-    for name, fan in corpus.items():
-        t = tables[name]
-        todd, k = todd_and_canonical(fan)
-        assert degree(todd.mul(ChowClassSurface.of(1, [0] * fan.n_rays(), 0), t)) == 1
-        # chi(O) = 1 through the exponential route as well
-        assert chi_line_bundle([0] * fan.n_rays(), fan) == 1
-
-
 def test_p2_anticanonical_is_3h(p2):
-    _, k = todd_and_canonical(p2)
-    minus_k = tuple(-x for x in k)
-    three_h = (Fraction(3), Fraction(0), Fraction(0))
-    assert class_equal(
-        ChowClassSurface.of(0, minus_k, 0), ChowClassSurface.of(0, three_h, 0), p2
-    )
+    minus_k = (1, 1, 1)  # K = -(V_0 + V_1 + V_2)
+    assert divisor_class_equal(minus_k, (3, 0, 0), p2)
+    assert not divisor_class_equal(minus_k, (2, 0, 0), p2)
 
 
-def test_f1_k_squared(f1, tables):
-    _, k = todd_and_canonical(f1)
-    assert pair(k, k, tables["f1"]) == 8
+def test_noether_k_squared_is_12_minus_rays(corpus):
+    # on a smooth complete toric surface with n rays, K^2 = 12 - e = 12 - n;
+    # with K = -(V_0 + ... + V_{n-1}) it is the sum of all table entries
+    fans = dict(corpus, f2=hirzebruch(2), f3=hirzebruch(3))
+    for seed in range(30):
+        fans[f"blowup-{seed}"] = random_smooth_complete_fan(random.Random(seed), 1 + seed % 4)
+    for name, fan in fans.items():
+        n = fan.n_rays()
+        t = intersection_table(fan)
+        assert sum(map(sum, t.matrix)) == 12 - n, name
+        k = (-1,) * n
+        assert pair(k, k, t) == 12 - n, name
 
 
 def test_lattice_counts_match_oracle(corpus):
@@ -153,6 +146,11 @@ def test_non_nef_refused(p2):
         lattice_point_count([-1, 0, 0], p2)
 
 
+def chi_of_line_bundle(coeffs, fan, ample):
+    """chi(O(D)): the constant term of the Hilbert polynomial of O(D)."""
+    return hilbert_polynomial(line_bundle_family(fan, tuple(coeffs)), fan, ample).coeff(0)
+
+
 def test_chi_equals_lattice_count_for_nef(corpus, amples):
     # exact Riemann-Roch against the independent point count, t = 0..5
     for name, fan in corpus.items():
@@ -160,11 +158,11 @@ def test_chi_equals_lattice_count_for_nef(corpus, amples):
         base = [0] * fan.n_rays()
         for t in range(6):
             d = [b + t * int(hh) for b, hh in zip(base, h)]
-            assert chi_line_bundle(d, fan) == lattice_point_count(d, fan)
+            assert chi_of_line_bundle(d, fan, h) == lattice_point_count(d, fan)
 
 
 def test_chi_p2_quadratic(p2):
-    vals = [chi_line_bundle([t, 0, 0], p2) for t in (0, 1, 2)]
+    vals = [chi_of_line_bundle([t, 0, 0], p2, (1, 0, 0)) for t in (0, 1, 2)]
     assert vals == [1, 3, 6]
 
 
@@ -181,17 +179,11 @@ def test_degree_invariant_under_relations(corpus, tables):
                 for j in range(n)
             ]
             d2 = [a + b for a, b in zip(d, rel)]
-            c = ChowClassSurface.of(1, d, 0)
-            c2 = ChowClassSurface.of(1, d2, 0)
-            assert class_equal(c, c2, fan)
-            # degree of a full product is relation-invariant
+            assert divisor_class_equal(d, d2, fan)
+            # a relation is principal, so it meets every divisor in degree 0
             e = [Fraction(rng.randrange(-2, 3)) for _ in range(n)]
-            assert pair(d, e, t) - pair(d2, e, t) == pair(
-                [a - b for a, b in zip(d, d2)], e, t
-            )
-            assert degree(exp_divisor(d, t)) - degree(exp_divisor(d2, t)) == (
-                pair(d, d, t) - pair(d2, d2, t)
-            ) / 2
+            assert pair(rel, e, t) == 0
+            assert pair(d, e, t) == pair(d2, e, t)
 
 
 def test_ample_positive_on_all_rays(corpus, amples, tables):
@@ -295,7 +287,7 @@ def test_table_memo_forgets_dropped_fans():
     for _ in range(50):
         fan = random_smooth_complete_fan(rng, rng.randrange(1, 4))
         zero = [0] * fan.n_rays()
-        assert lattice_point_count(zero, fan) == chi_line_bundle(zero, fan) == 1
+        assert lattice_point_count(zero, fan) == 1
         assert fan in intersect._TABLES
         del fan
     gc.collect()

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -24,7 +25,7 @@ from toricsheaves.intersect import (
     pair,
     ray_degrees,
 )
-from toricsheaves.polynomials import RatPoly, compare_for_large_t
+from toricsheaves.polynomials import RatPoly
 from toricsheaves.sampling import random_families, random_smooth_complete_fan
 from toricsheaves.stability import (
     PARTIAL_NOTE,
@@ -47,6 +48,25 @@ from toricsheaves.subspace import SubspaceQ
 
 H_P2 = (1, 0, 0)
 LINES = [SubspaceQ.span([v], 2) for v in [(1, 0), (0, 1), (1, 1)]]
+
+
+def compare_for_large_t(p, q):
+    """Sign of p - q for t >> 0: lexicographic on coefficients from the top."""
+    d = p - q
+    if d.is_zero():
+        return 0
+    return 1 if d.coeffs[-1] > 0 else -1
+
+
+def classify_for_large_t(margins, exhaustive, note):
+    """The Gieseker verdict from (W, RatPoly margin) pairs: the worst margin is
+    the largest for t >> 0, and the first of equal ones.  The oracle for the
+    integer comparison of stability._gieseker_verdict."""
+    if not margins:
+        return stability._verdict("gieseker", None, None, -1, exhaustive, note)
+    worst_w, worst = max(margins, key=cmp_to_key(lambda a, b: compare_for_large_t(a[1], b[1])))
+    sign = compare_for_large_t(worst, RatPoly.zero())
+    return stability._verdict("gieseker", worst_w, worst, sign, exhaustive, note)
 
 
 def split_with_cut(p2):
@@ -194,8 +214,7 @@ def gieseker_by_chern(fam, fan, h):
          - p_e)
         for w in ws
     ]
-    return stability._classify("gieseker", margins, None, exhaustive,
-                               None if exhaustive else PARTIAL_NOTE)
+    return classify_for_large_t(margins, exhaustive, None if exhaustive else PARTIAL_NOTE)
 
 
 def test_gieseker_face_weights_match_chern_route(corpus, amples):
@@ -600,7 +619,7 @@ def mu_by_intersections(fam, fan, h):
         return lhs - Fraction(w.dim, m) * total
 
     ws, exhaustive = stability.test_subspaces(fam)
-    return stability._classify("mu", [(w, margin(w)) for w in ws], Fraction(0), exhaustive,
+    return stability._classify("mu", [(w, margin(w)) for w in ws], exhaustive,
                                None if exhaustive else PARTIAL_NOTE,
                                stable_caveat=stability._mu_stable_caveat(fam, fan))
 
@@ -617,7 +636,7 @@ def git_by_points(fam, weights, fan, n_random=0, seed=0):
     if n_random:
         ws = ws + random_subspaces(m, n_random, random.Random(seed))
     note = None if exhaustive else "distinguished-set verdict (rank >= 3)"
-    return stability._classify("git", [(w, margin(w)) for w in ws], Fraction(0), exhaustive, note)
+    return stability._classify("git", [(w, margin(w)) for w in ws], exhaustive, note)
 
 
 def gieseker_by_subfamilies(fam, fan, h):
@@ -629,8 +648,7 @@ def gieseker_by_subfamilies(fam, fan, h):
     p_e = reduced(fam, fam.rank)
     ws, exhaustive = stability.test_subspaces(fam)
     margins = [(w, reduced(intersect_with_subspace(fam, w), w.dim) - p_e) for w in ws]
-    return stability._classify("gieseker", margins, None, exhaustive,
-                               None if exhaustive else PARTIAL_NOTE)
+    return classify_for_large_t(margins, exhaustive, None if exhaustive else PARTIAL_NOTE)
 
 
 def choose_r_by_git(chi, fan, h, witnesses, r_max=4000):
@@ -949,7 +967,7 @@ def test_distinguished_rank2_matches_closure(corpus, amples):
 # --- the integer margins against the Fraction route they replaced -----------------
 #
 # The old route, kept as the oracle: Gieseker margins with Fraction
-# coefficients, one RatPoly per test subspace classified by _classify, and
+# coefficients, one RatPoly per test subspace classified by classify_for_large_t, and
 # a choose_r that evaluates every Xi and margin polynomial at each trial R
 # with RatPoly.__call__.
 
@@ -967,8 +985,8 @@ def gieseker_margins_by_fractions(meets, xi):
 def gieseker_by_fractions(fam, fan, h):
     xi = xi_weights(characteristic_function(fam), fan, h)
     meets = stability._MeetTable(fam, fan)
-    return stability._classify("gieseker", gieseker_margins_by_fractions(meets, xi), None,
-                               meets.exhaustive, None if meets.exhaustive else PARTIAL_NOTE)
+    return classify_for_large_t(gieseker_margins_by_fractions(meets, xi), meets.exhaustive,
+                                None if meets.exhaustive else PARTIAL_NOTE)
 
 
 def choose_r_by_fractions(chi, fan, h, witnesses):
@@ -991,7 +1009,7 @@ def choose_r_by_fractions(chi, fan, h, witnesses):
             if m != ws.ambient:
                 raise ValueError(f"weight system ambient {ws.ambient} != family rank {m}")
             margins = [(w, p(r)) for w, p in polys]
-            verdicts.append(stability._classify("git", margins, Fraction(0), True, None).verdict)
+            verdicts.append(stability._classify("git", margins, True, None).verdict)
         if verdicts == [t for _, _, t in checks]:
             return r, ws
     raise RuntimeError(f"no certified R found in [1, {stability.R_MAX}]")
