@@ -21,9 +21,9 @@ from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
     IntersectionTable,
-    ample_degrees,
     intersection_table,
     pair,
+    riemann_roch_degrees,
 )
 from .polynomials import RatPoly
 
@@ -116,26 +116,23 @@ def hilbert_polynomial(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence)
 
         P(t) = ch2 + r + c1.(-K)/2 + (c1.H + r H.(-K)/2) t + r (H^2/2) t^2,
 
-    where -K = sum_j V(rho_j), so c1.(-K) pairs c1 with the table's row sums."""
-    deg_h = ample_degrees(ample, fan)
-    mat = intersection_table(fan).matrix
+    where -K = sum_j V(rho_j), read with H through riemann_roch_degrees."""
+    rr = riemann_roch_degrees(ample, fan)
     ch = chern_character(x, fan)
-    c1_ak = sum(c * sum(row) for c, row in zip(ch.d, mat))  # c1.(-K)
-    c1_h = sum(c * d for c, d in zip(ch.d, deg_h))
-    h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
-    h_sq = Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2)
-    return RatPoly.of([ch.p + ch.r0 + Fraction(c1_ak, 2), c1_h + ch.r0 * h_td, ch.r0 * h_sq])
+    c1_ak = sum(c * d for c, d in zip(ch.d, rr.ak))  # c1.(-K)
+    c1_h = sum(c * d for c, d in zip(ch.d, rr.h))
+    return RatPoly.of([ch.p + ch.r0 + Fraction(c1_ak, 2), c1_h + ch.r0 * rr.h_td,
+                       ch.r0 * rr.h_sq])
 
 
 def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:
     """Hilbert polynomial with the rank/degree/slope extraction conventions:
     writing P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
-    degree = a_1(E) - a_1(O) rank."""
+    degree = a_1(E) - a_1(O) rank.  The structure sheaf has a_2(O) = H^2 and
+    a_1(O) = H.(-K)/2, so P_O itself is never built."""
     p = hilbert_polynomial(x, fan, ample)
-    deg_h = ample_degrees(ample, fan)
-    h_sq = sum(h * d for h, d in zip(ample, deg_h))
-    p_o = RatPoly.of([1, Fraction(sum(deg_h), 2), Fraction(h_sq, 2)])
-    rank = p.coeff(2) / p_o.coeff(2)
-    deg = p.coeff(1) - p_o.coeff(1) * rank
+    rr = riemann_roch_degrees(ample, fan)
+    rank = p.coeff(2) / rr.h_sq
+    deg = p.coeff(1) - rank * rr.h_td
     slope = deg / rank if rank != 0 else None
     return HilbertData(p, rank, deg, slope)

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fan import APEX, ConeRef, Fan, _json_int, _json_of
 from .subspace import SubspaceQ, rref
@@ -389,14 +389,17 @@ def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
                 yield lam, k
 
 
-def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
-    """Empty report iff the family is a valid framed torsion-free family:
-    monotone, glued, and saturating to the full space on every cone."""
-    report: list[str] = []
+def _cone_report(fam: DeltaFamily, fan: Fan, carrying: set[int], missing: str,
+                 content: Callable[[int, CornerFamily], list[str]]) -> list[str]:
+    """The report both validators share: data on exactly the maximal cones
+    carrying (else just the line missing), then cone by cone in index order
+    its rays, ambient and a non-empty box, with content(i, grid) checking
+    each cone that passes, then the gluing.  A cone labelled with the wrong
+    rays ends the report, since gluing reads the labels."""
     cmap = fam.corner_map()
-    if set(cmap) != set(range(len(fan.max_cones))):
-        report.append("torsion-free family must carry data on every maximal cone")
-        return report
+    if set(cmap) != carrying:
+        return [missing]
+    report: list[str] = []
     for i, grid in sorted(cmap.items()):
         if grid.cone != fan.max_cones[i]:
             report.append(f"cone {i}: grid labelled with rays {grid.cone} != {fan.max_cones[i]}")
@@ -406,12 +409,31 @@ def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
         if any(a > b for a, b in zip(grid.lo, grid.hi)):
             report.append(f"cone {i}: empty box {grid.lo}..{grid.hi}")
             continue
-        for lam, k in _inclusion_breaks(grid, drop_ok=False):
-            report.append(f"cone {i}: not monotone at {lam} direction {k}")
-        if not grid._entry(grid.hi).is_full():
-            report.append(f"cone {i}: value at the box top is not the full space")
+        report.extend(content(i, grid))
     report.extend(_gluing_report(fan, cmap))
     return report
+
+
+def _limit_report(i: int, grid: CornerFamily, full: bool) -> list[str]:
+    """One cone of a torsion-free family: monotone, with the value at the
+    box top the full space (full) or only nonzero (a pure family supported
+    on the whole surface)."""
+    report = [f"cone {i}: not monotone at {lam} direction {k}"
+              for lam, k in _inclusion_breaks(grid, drop_ok=False)]
+    top = grid._entry(grid.hi)
+    if full and not top.is_full():
+        report.append(f"cone {i}: value at the box top is not the full space")
+    elif not full and top.is_zero():
+        report.append(f"cone {i}: zero limit space")
+    return report
+
+
+def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
+    """Empty report iff the family is a valid framed torsion-free family:
+    monotone, glued, and saturating to the full space on every cone."""
+    return _cone_report(fam, fan, set(range(len(fan.max_cones))),
+                        "torsion-free family must carry data on every maximal cone",
+                        lambda i, grid: _limit_report(i, grid, True))
 
 
 def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
@@ -518,7 +540,6 @@ def _pure_cone_report(i: int, grid: CornerFamily, patterns: list[tuple[int, ...]
 
 def validate_pure(fam: DeltaFamily, fan: Fan) -> list[str]:
     """Validate a pure family with declared support cones of equal dimension."""
-    report: list[str] = []
     if not fam.support:
         return ["pure family with empty support"]
     dims = {len(t) for t in fam.support}
@@ -528,38 +549,25 @@ def validate_pure(fam: DeltaFamily, fan: Fan) -> list[str]:
         if not fan.is_cone(t):
             return [f"declared support {list(t)} is not a cone of the fan"]
     s = dims.pop()
-    cmap = fam.corner_map()
-    if s == 0:
-        # support is the whole variety; the conditions collapse to the
-        # torsion-free ones with an arbitrary saturation space
-        for i, grid in sorted(cmap.items()):
-            for lam, k in _inclusion_breaks(grid, drop_ok=False):
-                report.append(f"cone {i}: not monotone at {lam} direction {k}")
-            if grid._entry(grid.hi).is_zero():
-                report.append(f"cone {i}: zero limit space")
-        report.extend(_gluing_report(fan, cmap))
-        return report
+    # the support star; with s == 0 it is every maximal cone
     carrying = {
         i
         for i, mc in enumerate(fan.max_cones)
         if any(set(t) <= set(mc) for t in fam.support)
     }
-    if set(cmap) != carrying:
-        report.append(
-            f"data on cones {sorted(cmap)} but the support star is {sorted(carrying)}"
-        )
-        return report
-    for i in sorted(carrying):
-        grid = cmap[i]
+    missing = f"data on cones {sorted(fam.corner_map())} but the support star is {sorted(carrying)}"
+    if s == 0:
+        # support is the whole variety; the conditions collapse to the
+        # torsion-free ones with a nonzero limit in place of the full space
+        return _cone_report(fam, fan, carrying, missing,
+                            lambda i, grid: _limit_report(i, grid, False))
+
+    def patterns(i):
         mc = fan.max_cones[i]
-        patterns = [
-            tuple(sorted(mc.index(j) for j in t))
-            for t in fam.support
-            if set(t) <= set(mc)
-        ]
-        report.extend(_pure_cone_report(i, grid, patterns, s))
-    report.extend(_gluing_report(fan, cmap))
-    return report
+        return [tuple(sorted(mc.index(j) for j in t)) for t in fam.support if set(t) <= set(mc)]
+
+    return _cone_report(fam, fan, carrying, missing,
+                        lambda i, grid: _pure_cone_report(i, grid, patterns(i), s))
 
 
 def validate_family(fam: DeltaFamily, fan: Fan) -> list[str]:

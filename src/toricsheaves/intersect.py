@@ -10,9 +10,11 @@ that table; on a smooth complete surface its entries are integers and it
 holds them as ints.  With -K = sum_j V(rho_j), the row sums of the table are
 the degrees -K.V(rho_j), and the sum of all its entries is K^2.  A
 polarization H is read through ample_degrees: the degrees H.V(rho_j),
-checked positive.  Riemann-Roch itself is evaluated in closed form in
-chern.hilbert_polynomial; a lattice-point counter for nef divisors provides
-an independent Euler-characteristic oracle.
+checked positive.  riemann_roch_degrees adds what Riemann-Roch reads of the
+fan and H besides: -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself is
+evaluated in closed form in chern.hilbert_polynomial; a lattice-point
+counter for nef divisors provides an independent Euler-characteristic
+oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fan import Fan, validate_fan
 
@@ -109,6 +111,23 @@ def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
     if not all(x > 0 for x in deg):
         raise ValueError("polarization is not ample")
     return tuple(x.numerator if x.denominator == 1 else x for x in deg)
+
+
+class RRDegrees(NamedTuple):
+    """The degrees Riemann-Roch on a surface reads for a polarization H."""
+
+    h: tuple  # H.V(rho_j) per ray, as ample_degrees gives them
+    ak: tuple[int, ...]  # -K.V(rho_j) per ray: the table's row sums
+    h_td: Fraction  # H.(-K)/2 = H.td_1
+    h_sq: Fraction  # H^2/2
+
+
+def riemann_roch_degrees(ample: Sequence, fan: Fan) -> RRDegrees:
+    """The RRDegrees of the ample divisor H = ample on fan."""
+    deg_h = ample_degrees(ample, fan)
+    return RRDegrees(deg_h, tuple(sum(row) for row in intersection_table(fan).matrix),
+                     Fraction(sum(deg_h), 2),
+                     Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2))
 
 
 @dataclass(frozen=True)

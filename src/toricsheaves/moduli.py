@@ -2,9 +2,11 @@
 functions on smooth complete toric surfaces.
 
 Rank-1 gauge-fixed torsion-free sheaf data on a surface is a monomial-ideal
-staircase (a 2D partition) at each maximal cone, twisted by a line bundle;
-the generating function of the counts is the eta-like product
-1/prod(1-q^k)^{e(X)}.  Rank-2 data is a reflexive hull determined by ray
+staircase (a 2D partition) at each maximal cone, twisted by a line bundle,
+so the generating function of the counts is the e(X)-th power of the
+partition series sum p(k) q^k = 1/prod(1-q^k).  The rank-2 P^2 series is a
+double sum times its sixth power, and one kernel, _partitions_power,
+computes both powers.  Rank-2 data is a reflexive hull determined by ray
 profiles and flag lines, cut down at finitely many interior grid points;
 strata are labelled by the coincidence pattern of the flag lines.
 
@@ -59,7 +61,7 @@ from .intersect import (
     intersection_table,
     unimodular_solve,
 )
-from .stability import SEMISTABLE, STABLE, UNSTABLE
+from .stability import STABLE, UNSTABLE, margin_verdict
 from .subspace import SubspaceQ
 
 
@@ -77,20 +79,6 @@ class IntSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient count must be order + 1")
 
-    @staticmethod
-    def of(coeffs: Sequence[int], order: int) -> "IntSeries":
-        cs = list(coeffs)[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        return IntSeries(order, tuple(int(c) for c in cs))
-
-    @staticmethod
-    def one(order: int) -> "IntSeries":
-        return IntSeries.of([1], order)
-
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        n = min(self.order, other.order)
-        return IntSeries.of([a + b for a, b in zip(self.coeffs, other.coeffs)], n)
-
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         n = min(self.order, other.order)
         out = [0] * (n + 1)
@@ -103,33 +91,19 @@ class IntSeries:
                     out[i + j] += a * b
         return IntSeries(n, tuple(out))
 
-    def inverse(self) -> "IntSeries":
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("series is invertible only when the constant term is +-1")
-        out = [c0] + [0] * self.order
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -c0 * acc
-        return IntSeries(self.order, tuple(out))
 
-    def pow(self, e: int) -> "IntSeries":
-        base = self if e >= 0 else self.inverse()
-        out = IntSeries.one(self.order)
-        for _ in range(abs(e)):
-            out = out * base
-        return out
-
-
-def eta_like_product(exponent: int, order: int) -> IntSeries:
-    """prod_{k>=1} (1 - q^k)^exponent, truncated."""
-    out = IntSeries.one(order)
-    for k in range(1, order + 1):
-        factor = IntSeries.of([1] + [0] * (k - 1) + [-1], order)
-        out = out * factor.pow(exponent)
-    return out
+def _partitions_power(e: int, order: int) -> IntSeries:
+    """(sum_k p(k) q^k)^e = 1/prod_{k>=1} (1 - q^k)^e for e >= 0, truncated:
+    p(k) by admitting parts 1, 2, ... in turn, then e products."""
+    counts = [1] + [0] * order
+    for part in range(1, order + 1):
+        for k in range(part, order + 1):
+            counts[k] += counts[k - part]
+    per_cone = IntSeries(order, tuple(counts))
+    acc = IntSeries(order, (1,) + (0,) * order)
+    for _ in range(e):
+        acc = acc * per_cone
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +137,7 @@ def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
         raise ValueError(f"order {order} is negative; it must be at least 0")
     if order > 40:
         raise ValueError("order capped at 40")
-    counts = [1] + [0] * order  # p(k), by admitting parts 1, 2, ... in turn
-    for part in range(1, order + 1):
-        for k in range(part, order + 1):
-            counts[k] += counts[k - part]
-    acc = IntSeries.of([1], order)
-    per_cone = IntSeries.of(counts, order)
-    for _ in range(euler_characteristic(fan)):
-        acc = acc * per_cone
-    return acc
+    return _partitions_power(euler_characteristic(fan), order)
 
 
 def rank2_p2_series(order: int) -> IntSeries:
@@ -190,7 +156,7 @@ def rank2_p2_series(order: int) -> IntSeries:
             while e <= order:
                 inner[e] += 1
                 e += step
-    return IntSeries.of(inner, order) * eta_like_product(-6, order)
+    return IntSeries(order, tuple(inner)) * _partitions_power(6, order)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +432,7 @@ def _profile_verdict(gaps, deg, pattern) -> str:
     total = sum(g * d for g, d in zip(gaps, deg))
     margins = [2 * sum(gaps[j] * deg[j] for j in block) - total for block in pattern]
     margins.append(-total)
-    worst = max(margins)
-    if worst > 0:
-        return UNSTABLE
-    if worst == 0:
-        return SEMISTABLE
-    return STABLE
+    return margin_verdict(max(margins))
 
 
 def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int):

@@ -74,7 +74,7 @@ from .family import (
     restrict_to_face,
 )
 from .fan import ConeRef, Fan
-from .intersect import ample_degrees, intersection_table
+from .intersect import ample_degrees, intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 from .subspace import SubspaceQ
 
@@ -345,16 +345,21 @@ def _classify(test, margins, exhaustive, note, stable_caveat=None) -> StabilityV
                     stable_caveat)
 
 
+def margin_verdict(worst) -> str:
+    """UNSTABLE, SEMISTABLE or STABLE as the worst margin (or its sign) is
+    positive, zero or negative."""
+    return UNSTABLE if worst > 0 else SEMISTABLE if worst == 0 else STABLE
+
+
 def _verdict(test, worst_w, worst, s, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
     """The verdict whose worst margin worst, at W = worst_w, has sign s; s is
     -1 and worst None when there is no test subspace."""
-    if s > 0:
-        return StabilityVerdict(test, UNSTABLE, worst_w, worst, exhaustive, note)
-    if s == 0:
-        return StabilityVerdict(test, SEMISTABLE, worst_w, worst, exhaustive, note)
-    if stable_caveat:
-        note = stable_caveat if note is None else f"{note}; {stable_caveat}"
-    return StabilityVerdict(test, STABLE, None, worst, exhaustive, note)
+    verdict = margin_verdict(s)
+    if verdict == STABLE:
+        worst_w = None
+        if stable_caveat:
+            note = stable_caveat if note is None else f"{note}; {stable_caveat}"
+    return StabilityVerdict(test, verdict, worst_w, worst, exhaustive, note)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +605,8 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
-    deg_h = ample_degrees(ample, fan)
+    rr = riemann_roch_degrees(ample, fan)
+    deg_h, deg_ak = rr.h, rr.ak
     gmap = chi.corner_map()
     if set(gmap) != set(range(len(fan.max_cones))):
         raise ValueError("characteristic function must cover every maximal cone")
@@ -608,9 +614,6 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         if g.value(g.hi) != chi.rank:
             raise ValueError(f"cone {i}: characteristic function does not saturate to the rank")
     mat = intersection_table(fan).matrix
-    deg_ak = [sum(row) for row in mat]  # -K.V_j, with -K = sum_j V_j
-    h_td = Fraction(sum(deg_h), 2)  # H.(-K)/2
-    h_sq = Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2)
     sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
 
     def add(key, one, two_q, xh):
@@ -646,8 +649,8 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         poly = polys.get(triple)
         if poly is None:
             one, two_q, xh = triple
-            poly = polys[triple] = RatPoly.of([Fraction(two_q, 2), one * h_td - xh,
-                                               one * h_sq])
+            poly = polys[triple] = RatPoly.of([Fraction(two_q, 2), one * rr.h_td - xh,
+                                               one * rr.h_sq])
         if not poly.is_zero():
             entries.append((key, poly))
     entries.sort(key=lambda kp: (len(kp[0][0]), kp[0]))
@@ -705,5 +708,5 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
 def _git_verdict_at(ambient: int, m: int, numerators, r: int) -> str:
     """The GIT verdict at the weights Xi(r) from the margin numerators N."""
     _check_ambient(ambient, m)
-    top = max((_horner(nums, r) for nums in numerators), default=-1)  # no test: stable
-    return UNSTABLE if top > 0 else SEMISTABLE if top == 0 else STABLE
+    # no test subspace: stable
+    return margin_verdict(max((_horner(nums, r) for nums in numerators), default=-1))

@@ -1,6 +1,13 @@
 import pytest
 
-from toricsheaves.family import RayFiltration, reflexive_from_filtrations
+from toricsheaves.family import (
+    KIND_PURE,
+    CornerFamily,
+    DeltaFamily,
+    RayFiltration,
+    box_points,
+    reflexive_from_filtrations,
+)
 from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.intersect import find_ample, intersection_table
 from toricsheaves.subspace import SubspaceQ
@@ -46,6 +53,37 @@ def line_bundle_family(fan, kvec):
     full = SubspaceQ.full(1)
     filts = [RayFiltration(j, ((-kvec[j], full),)) for j in range(fan.n_rays())]
     return reflexive_from_filtrations(filts, fan)
+
+
+def slab_family(fan, ray, width=1):
+    """Structure sheaf of the invariant curve V(ray): the quotient pattern,
+    a slab of width `width` in the bounded coordinate."""
+    full, zero = SubspaceQ.full(1), SubspaceQ.zero(1)
+    corners = []
+    for i, mc in enumerate(fan.max_cones):
+        if ray not in mc:
+            continue
+        pos = mc.index(ray)
+        lo = (0, 0)
+        hi = tuple(width if k == pos else 0 for k in range(2))
+        vals = [full if lam[pos] <= width - 1 else zero for lam in box_points(lo, hi)]
+        corners.append((i, CornerFamily(mc, lo, hi, tuple(vals), 1)))
+    return DeltaFamily(KIND_PURE, 1, tuple(corners), support=((ray,),))
+
+
+def eta_product(exponent, order):
+    """Coefficients of prod_{k>=1} (1 - q^k)^exponent up to q^order, built
+    factor by factor: a positive exponent multiplies by 1 - q^k, a negative
+    one by 1/(1 - q^k) = sum_j q^(jk).  A product-form oracle for the
+    package's partition kernel, with which it shares no code."""
+    out = [1] + [0] * order
+    for k in range(1, order + 1):
+        for _ in range(abs(exponent)):
+            if exponent > 0:
+                out = [c - (out[i - k] if i >= k else 0) for i, c in enumerate(out)]
+            else:
+                out = [sum(out[i - j * k] for j in range(i // k + 1)) for i in range(order + 1)]
+    return tuple(out)
 
 
 def rank2_three_lines(fan, gaps=None, bases=None, lines=None):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rank2_three_lines, structure_sheaf
+from conftest import rank2_three_lines, slab_family, structure_sheaf
 import toricsheaves
 from toricsheaves import cli
 from toricsheaves.family import RayFiltration, family_to_json, reflexive_from_filtrations
@@ -552,6 +552,54 @@ def test_refused_family_named_in_error(files, capsys, keys, value, message):
     assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
     assert out == ""
     assert err == f"error: {argv[-1]}: {message.format(index=index)}\n"
+
+
+def _swap_first_labels(doc):
+    cones = doc["cones"]
+    cones[0]["cone"], cones[1]["cone"] = cones[1]["cone"], cones[0]["cone"]
+
+
+def _set_box(doc, lo, hi):
+    for entry in doc["cones"]:
+        entry.update(lo=lo, hi=hi)
+
+
+# (base family, edit of its file, first report line): pure families whose
+# cone entries break the structure torsion-free files are checked for
+PURE_REFUSED = [
+    pytest.param("o", lambda d: d["cones"][2].update(index=7),
+                 "data on cones [0, 1, 7] but the support star is [0, 1, 2]", id="index-7"),
+    pytest.param("o", lambda d: d.update(cones=d["cones"][:1]),
+                 "data on cones [0] but the support star is [0, 1, 2]", id="cone-0-only"),
+    pytest.param("o", lambda d: _set_box(d, [1, 1], [0, 0]),
+                 "cone 0: empty box (1, 1)..(0, 0)", id="lo-above-hi"),
+    pytest.param("o", _swap_first_labels,
+                 "cone 0: grid labelled with rays (1, 2) != (0, 1)", id="labels-swapped"),
+    pytest.param("o", lambda d: d["cones"][0].update(cone=[7, 9]),
+                 "cone 0: grid labelled with rays (7, 9) != (0, 1)", id="rays-7-9"),
+    pytest.param("slab", lambda d: d["cones"][0].update(cone=[0, 9]),
+                 "cone 0: grid labelled with rays (0, 9) != (0, 1)", id="slab-relabelled"),
+]
+
+
+@pytest.mark.parametrize("base, edit, message", PURE_REFUSED)
+def test_pure_family_structure_refused(files, p2, capsys, base, edit, message):
+    if base == "o":
+        doc = json.loads(Path(files["o"]).read_text())
+        doc.update(kind="pure", support=[[]])
+    else:
+        doc = json.loads(family_to_json(slab_family(p2, 0)))
+    edit(doc)
+    path = files["dir"] / "pure.json"
+    path.write_text(json.dumps(doc))
+    fam = ["--fan", files["fan"], "--family", str(path)]
+    code, out, err = run_cli(["family-check", *fam], capsys)
+    assert code == 1 and err == ""
+    assert f"invalid: {message}" in out.splitlines()
+    for argv in (["chern", *fam], ["hilbert", *fam, "--ample", files["ample"]]):
+        code, out, err = run_cli(argv, capsys)
+        assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
+        assert out == "" and message in err
 
 
 @pytest.mark.parametrize(

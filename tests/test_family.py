@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, structure_sheaf
+from conftest import line_bundle_family, rank2_three_lines, slab_family, structure_sheaf
 from toricsheaves.family import (
     CornerFamily,
     DeltaFamily,
@@ -48,25 +48,6 @@ def ideal_sheaf_of_point(fan, cone_index=0):
         corners[cone_index].lo, Z1
     )
     return DeltaFamily(KIND_TORSION_FREE, 1, tuple(sorted(corners.items())))
-
-
-def slab_family(fan, ray, width=1):
-    """Structure sheaf of the invariant curve V(ray): the quotient pattern,
-    a slab of width `width` in the bounded coordinate."""
-    corners = []
-    for i, mc in enumerate(fan.max_cones):
-        if ray not in mc:
-            continue
-        pos = mc.index(ray)
-        lo = (0, 0)
-        hi = tuple(width if k == pos else 0 for k in range(2))
-        vals = []
-        from toricsheaves.family import box_points
-
-        for lam in box_points(lo, hi):
-            vals.append(K1 if lam[pos] <= width - 1 else Z1)
-        corners.append((i, CornerFamily(mc, lo, hi, tuple(vals), 1)))
-    return DeltaFamily(KIND_PURE, 1, tuple(corners), support=((ray,),))
 
 
 def two_axes_family(p2, kernel=False):
@@ -231,6 +212,58 @@ def test_validate_pure_support_mismatch(p2):
     fam = slab_family(p2, 0)
     wrong = DeltaFamily(KIND_PURE, 1, fam.corners, support=((1,),))
     assert validate_pure(wrong, p2) != []
+
+
+def _apex_pure(fam):
+    return replace(fam, kind=KIND_PURE, support=((),))
+
+
+def test_validate_pure_checks_cone_structure(p2, o_p2):
+    apex = _apex_pure(o_p2)
+    cs = list(apex.corners)
+
+    def relabel(i, cone):
+        return i, replace(cs[i][1], cone=cone)
+
+    cases = [
+        (cs[:1], ["data on cones [0] but the support star is [0, 1, 2]"]),
+        (cs[:2] + [(7, cs[2][1])], ["data on cones [0, 1, 7] but the support star is [0, 1, 2]"]),
+        ([relabel(0, (1, 2)), relabel(1, (0, 1)), cs[2]],
+         ["cone 0: grid labelled with rays (1, 2) != (0, 1)"]),
+        ([relabel(0, (7, 9))] + cs[1:], ["cone 0: grid labelled with rays (7, 9) != (0, 1)"]),
+        ([(i, CornerFamily(g.cone, (1, 1), (0, 0), (), 1)) for i, g in cs],
+         [f"cone {i}: empty box (1, 1)..(0, 0)" for i in range(3)]),
+    ]
+    for corners, want in cases:
+        assert validate_pure(replace(apex, corners=tuple(corners)), p2) == want
+    # these cones also fail to glue, and the gluing lines come last
+    for corners, first in [
+        ([(0, replace(cs[0][1], ambient=2))] + cs[1:], "cone 0: ambient 2 != rank 1"),
+        ([(0, CornerFamily((0, 1), (0, 0), (0, 0), (Z1,), 1))] + cs[1:],
+         "cone 0: zero limit space"),
+    ]:
+        report = validate_pure(replace(apex, corners=tuple(corners)), p2)
+        assert report[0] == first and report[1].startswith("gluing mismatch"), report
+    slab = slab_family(p2, 0)
+    (i0, g0), rest = slab.corners[0], list(slab.corners[1:])
+    assert validate_pure(replace(slab, corners=((i0, replace(g0, cone=(0, 9))), *rest)), p2) == [
+        "cone 0: grid labelled with rays (0, 9) != (0, 1)"]
+    assert validate_pure(replace(slab, corners=tuple(rest)), p2) == [
+        "data on cones [2] but the support star is [0, 2]"]
+
+
+def test_validate_pure_apex_matches_torsion_free(p2):
+    # on rank 1 a nonzero limit is the full space, so a family redeclared
+    # pure with whole support gets the torsion-free report line for line
+    rng = random.Random(151)
+    fams = [(fan, fam) for fan, fam in random_oracle_families(rng) if fam.rank == 1]
+    fams += [(fan, bad) for fan, fam in fams for bad in broken_variants(fam, rng)]
+    invalid = 0
+    for fan, fam in fams:
+        report = validate_torsion_free(fam, fan)
+        invalid += bool(report)
+        assert validate_pure(_apex_pure(fam), fan) == report
+    assert 0 < invalid < len(fams)
 
 
 # --- restriction ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import eta_product
 from toricsheaves.chern import chern_character, second_chern_number
 from toricsheaves.family import (
     KIND_TORSION_FREE,
@@ -37,7 +38,6 @@ from toricsheaves.moduli import (
     _set_partitions,
     _split_c2,
     enumerate_gauge_fixed_chi,
-    eta_like_product,
     partition_diagram,
     partitions_of,
     rank1_fixed_point_series,
@@ -69,12 +69,11 @@ def oracle_partition_count(n):
 # --- series -------------------------------------------------------------------
 
 def test_int_series_ops():
-    a = IntSeries.of([1, 2, 3], 4)
-    b = IntSeries.of([1, -1], 4)
+    a = IntSeries(4, (1, 2, 3, 0, 0))
+    b = IntSeries(4, (1, -1, 0, 0, 0))
     assert (a * b).coeffs == (1, 1, 1, -3, 0)
-    assert (b.inverse() * b).coeffs == (1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        IntSeries.of([2], 3).inverse()
+        IntSeries(3, (1,))
 
 
 def test_partition_enumeration_matches_recursion():
@@ -97,10 +96,21 @@ def test_rank1_series_examples(p2):
 def test_rank1_series_is_eta_product(corpus):
     for name, fan in corpus.items():
         e = len(fan.max_cones)
-        assert (
-            rank1_fixed_point_series(fan, 40).coeffs
-            == eta_like_product(-e, 40).coeffs
-        )
+        assert rank1_fixed_point_series(fan, 40).coeffs == eta_product(-e, 40), name
+
+
+def test_rank1_series_is_eta_product_on_blown_up_fans():
+    # e(X) = 5, 6 and 7: the power of the partition series follows the fan
+    sizes = Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        fan = random_smooth_complete_fan(rng, rng.randint(1, 4))
+        e = len(fan.max_cones)
+        if not 5 <= e <= 7:
+            continue
+        sizes[e] += 1
+        assert rank1_fixed_point_series(fan, 40).coeffs == eta_product(-e, 40), fan.rays
+    assert set(sizes) == {5, 6, 7}, sizes
 
 
 def test_rank1_requires_surface():
@@ -119,11 +129,8 @@ def test_rank2_p2_series_starts_at_q():
     assert rank2_p2_series(5).coeffs[0] == 0
 
 
-def test_rank2_series_product_round_trip():
-    # series * prod(1-q^k)^6 recovers the double sum part
-    order = 12
-    s = rank2_p2_series(order)
-    back = s * eta_like_product(6, order)
+def p2_inner(order):
+    """The double sum sum_{m,n>=1} q^{mn}/(1-q^{m+n-1}), truncated."""
     inner = [0] * (order + 1)
     for m in range(1, order + 1):
         for k in range(1, order + 1):
@@ -133,7 +140,19 @@ def test_rank2_series_product_round_trip():
             while e <= order:
                 inner[e] += 1
                 e += m + k - 1
-    assert back.coeffs == tuple(inner)
+    return IntSeries(order, tuple(inner))
+
+
+def test_rank2_series_product_round_trip():
+    # series * prod(1-q^k)^6 recovers the double sum part
+    order = 12
+    back = rank2_p2_series(order) * IntSeries(order, eta_product(6, order))
+    assert back == p2_inner(order)
+
+
+def test_rank2_series_is_inner_times_eta_product():
+    for n in range(31):
+        assert rank2_p2_series(n) == p2_inner(n) * IntSeries(n, eta_product(-6, n)), n
 
 
 # --- enumeration -----------------------------------------------------------------
