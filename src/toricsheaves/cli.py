@@ -2,8 +2,10 @@
 
 Subcommands: fan-check, family-check, chern, hilbert, stability, weights,
 enumerate, series.  Exit codes: 0 success, 1 domain verdict
-(invalid/unstable), 2 input error.  Output is deterministic for fixed
-inputs and seed; rationals are printed exactly as p/q, never as floats.
+(invalid/unstable), 2 input error, or any other exception raised inside a
+command, reported in one line as an internal error.  Output is
+deterministic for fixed inputs and seed; rationals are printed exactly as
+p/q, never as floats.
 
 ``run`` builds its argument parser once per process (``build_parser`` still
 returns a fresh one): parsing keeps no state in the parser, every default is
@@ -432,6 +434,11 @@ def run(argv) -> int:
         return 2
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        # a fault in the program, not in the input: one line and exit 2, since
+        # exit 1 is kept for domain verdicts
+        print(f"error: internal error ({type(e).__name__}): {e}", file=sys.stderr)
         return 2
 
 

@@ -436,11 +436,17 @@ def validate_torsion_free(fam: DeltaFamily, fan: Fan) -> list[str]:
                         lambda i, grid: _limit_report(i, grid, True))
 
 
-def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
-    """True iff every corner value is the intersection of its axis limits."""
+def require_torsion_free(fam: DeltaFamily, fan: Fan) -> None:
+    """Raise ValueError naming the first problems unless fam is a valid
+    torsion-free family."""
     bad = validate_torsion_free(fam, fan)
     if bad:
         raise ValueError("invalid family: " + "; ".join(bad[:3]))
+
+
+def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
+    """True iff every corner value is the intersection of its axis limits."""
+    require_torsion_free(fam, fan)
     return _corners_are_axis_meets(fam)
 
 

@@ -9,16 +9,19 @@ alone, so intersection_table builds it once per fan and every caller shares
 that table; on a smooth complete surface its entries are integers and it
 holds them as ints.  With -K = sum_j V(rho_j), the row sums of the table are
 the degrees -K.V(rho_j), and the sum of all its entries is K^2.  A
-polarization H is read through ample_degrees: the degrees H.V(rho_j),
-checked positive.  riemann_roch_degrees adds what Riemann-Roch reads of the
-fan and H besides: -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself is
-evaluated in closed form in chern.hilbert_polynomial; a lattice-point
+polarization H is read through riemann_roch_degrees, in integers: with
+H = H'/e for the least e > 0 that makes H' integral, it computes the degrees
+H'.V(rho_j), checked positive, and H'^2 as ints, so an integral H builds no
+Fraction.  ample_degrees reads H.V(rho_j) off them, ints where integral, and
+the same record gives -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself
+is evaluated in closed form in chern.hilbert_polynomial; a lattice-point
 counter for nef divisors provides an independent Euler-characteristic
 oracle.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +33,15 @@ Divisor = tuple[Fraction, ...]
 
 
 def divisor(coeffs: Sequence, fan: Fan) -> Divisor:
+    _check_length(coeffs, fan)
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def _check_length(coeffs: Sequence, fan: Fan) -> None:
     if len(coeffs) != fan.n_rays():
         raise ValueError(
             f"divisor has {len(coeffs)} coefficients, fan has {fan.n_rays()} rays"
         )
-    return tuple(Fraction(c) for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -106,28 +113,50 @@ def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
     These are all that stability, Hilbert polynomials and the face weights
     read of a polarization: H^2 = sum_j h_j deg_j and H.td_1 = sum_j deg_j / 2
     (td_1 = -K/2 = sum_j V(rho_j) / 2)."""
-    table = intersection_table(fan)
-    deg = ray_degrees(divisor(ample, fan), table)
-    if not all(x > 0 for x in deg):
-        raise ValueError("polarization is not ample")
-    return tuple(x.numerator if x.denominator == 1 else x for x in deg)
+    return riemann_roch_degrees(ample, fan).h
 
 
 class RRDegrees(NamedTuple):
-    """The degrees Riemann-Roch on a surface reads for a polarization H."""
+    """The degrees Riemann-Roch on a surface reads for a polarization H, in
+    integers: H = H'/e with H' integral and e > 0 the least such."""
 
-    h: tuple  # H.V(rho_j) per ray, as ample_degrees gives them
+    e: int
+    h_int: tuple[int, ...]  # H'.V(rho_j) per ray
+    h_int_sq: int  # H'^2
     ak: tuple[int, ...]  # -K.V(rho_j) per ray: the table's row sums
-    h_td: Fraction  # H.(-K)/2 = H.td_1
-    h_sq: Fraction  # H^2/2
+
+    @property
+    def h(self) -> tuple:
+        """H.V(rho_j) per ray, ints where integral."""
+        e = self.e
+        return tuple(d // e if d % e == 0 else Fraction(d, e) for d in self.h_int)
+
+    @property
+    def h_td(self) -> Fraction:
+        """H.(-K)/2 = H.td_1."""
+        return Fraction(sum(self.h_int), 2 * self.e)
+
+    @property
+    def h_sq(self) -> Fraction:
+        """H^2/2."""
+        return Fraction(self.h_int_sq, 2 * self.e * self.e)
 
 
 def riemann_roch_degrees(ample: Sequence, fan: Fan) -> RRDegrees:
-    """The RRDegrees of the ample divisor H = ample on fan."""
-    deg_h = ample_degrees(ample, fan)
-    return RRDegrees(deg_h, tuple(sum(row) for row in intersection_table(fan).matrix),
-                     Fraction(sum(deg_h), 2),
-                     Fraction(sum(h * d for h, d in zip(ample, deg_h)), 2))
+    """The RRDegrees of the ample divisor H = ample on fan.  Each coefficient
+    is read as Fraction(c) reads it; an int or a Fraction is taken as it is,
+    so integral input builds no Fraction."""
+    table = intersection_table(fan)
+    _check_length(ample, fan)
+    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in ample]
+    e = math.lcm(*(c.denominator for c in coeffs))
+    h = [c.numerator * (e // c.denominator) for c in coeffs]  # H' = eH
+    terms = [(a, row) for a, row in zip(h, table.matrix) if a]
+    deg = tuple(sum(a * row[j] for a, row in terms) for j in range(len(h)))
+    if not all(x > 0 for x in deg):
+        raise ValueError("polarization is not ample")
+    return RRDegrees(e, deg, sum(a * d for a, d in zip(h, deg)),
+                     tuple(sum(row) for row in table.matrix))
 
 
 @dataclass(frozen=True)
@@ -219,8 +248,6 @@ def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
         unimodular_solve(fan.rays[c[0]], fan.rays[c[1]], -a[c[0]], -a[c[1]])
         for c in fan.max_cones
     ]
-    import math
-
     xlo = min(math.floor(v[0]) for v in vertices)
     xhi = max(math.ceil(v[0]) for v in vertices)
     ylo = min(math.floor(v[1]) for v in vertices)

@@ -27,15 +27,19 @@ values E^nu(lam) and the test subspaces W: the slope test weights them by
 the flag gaps, the GIT test by the weights kappa, and the Gieseker test by
 the face weight polynomials Xi, which give P(E cap W) = sum Xi dim(E^nu(lam)
 cap W) exactly because Xi reads only the boxes and E cap W keeps them.  Each
-public call therefore builds one meet table (the test set, one face grid per
-cone, and dim(V cap W) for each distinct face value V) and reads every
-margin off it as a dot product.
+public call therefore builds one meet table (the test set, and dim(V cap W)
+for each distinct face value V) and reads every margin off it as a dot
+product.  A face value E^nu(lam) is read in place from the maximal-cone grid
+that restrict_to_face would cut the face from: lam at the positions of nu,
+every other coordinate at the top of the box; no face grid is built.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
 margin P(E cap W)/dim W - P(E)/M is N(t)/(D M dim W) with N an integer
-polynomial.  Margins are compared for t >> 0 in these integers, and a
-Fraction is built only for the coefficients of the reported margin.
+polynomial.  xi_weights builds the D Xi in integers, from the polarization
+H = H'/e with H' integral (2 e^2 Xi is integral); margins are compared for
+t >> 0 in these integers, and a Fraction is built only for the coefficients
+of the reported margin and of the Xi themselves.
 
 choose_r goes one step further: the GIT margins at the weights Xi(R) are
 the Xi margins evaluated at R, so each trial R evaluates the integer
@@ -56,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -65,12 +69,14 @@ from typing import NamedTuple, Sequence
 from .chern import as_char
 from .family import (
     CharFunction,
-    CornerFamily,
     DeltaFamily,
     KIND_PURE,
+    _corners_are_axis_meets,
+    _strides,
     characteristic_function,
     face_source,
     is_reflexive,
+    require_torsion_free,
     restrict_to_face,
 )
 from .fan import ConeRef, Fan
@@ -130,14 +136,14 @@ def _flag_data(meets: _MeetTable) -> FlagData:
     m = meets.rank
     out = []
     for j in range(meets.fan.n_rays()):
-        grid = meets.face((j,))
-        lo, hi = grid.lo[0], grid.hi[0]
+        face = meets.face((j,))
+        (lo, hi, _), = face.axes
         gaps = [0] * (m - 1)
         flags: list[SubspaceQ | None] = [None] * (m - 1)
         pos: list[int | None] = [None] * (m - 1)
         prev = 0
         for lam in range(lo, hi + 1):
-            v = grid.value((lam,))
+            v = face.value((lam,))
             if v.dim < prev:
                 raise ValueError(f"ray {j}: filtration dimensions decrease at {lam}")
             prev = v.dim
@@ -212,6 +218,27 @@ def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
 # ---------------------------------------------------------------------------
 # the meet table
 
+class _Face(NamedTuple):
+    """The face restrict_to_face(fam, nu, fan) read in place: the values of
+    the maximal-cone grid it would be cut from, and (lo, hi, stride) in that
+    grid for each coordinate of nu; every other coordinate stays at the top
+    of its box."""
+
+    values: tuple[SubspaceQ, ...]
+    axes: tuple[tuple[int, int, int], ...]
+
+    def value(self, lam: Sequence[int]) -> SubspaceQ | None:
+        """The value at lam, each coordinate clamped to the top of its box;
+        None, for zero, below the box."""
+        idx = len(self.values) - 1
+        for x, (a, b, stride) in zip(lam, self.axes):
+            if x < a:
+                return None
+            if x < b:
+                idx -= (b - x) * stride
+        return self.values[idx]
+
+
 class _MeetTable:
     """One family's test set, its face values E^nu(lam) and, for each
     distinct proper face value V and each test subspace W, the integer
@@ -231,17 +258,31 @@ class _MeetTable:
                 f"stability is defined for rank >= 1; the family has rank {fam.rank}")
         self.fam, self.fan, self.rank = fam, fan, fam.rank
         self._samples = list(samples)
-        self._faces: dict[ConeRef, CornerFamily] = {}
+        self._cmap = fam.corner_map()
+        self._faces: dict[ConeRef, _Face] = {}
         self._slots: dict[SubspaceQ, int] = {}
         self.values: list[SubspaceQ] = []   # the distinct proper face values, by slot
         self._columns: list[tuple[int, ...] | None] = []
 
-    def face(self, cone: ConeRef) -> CornerFamily:
-        """restrict_to_face, once per cone."""
-        grid = self._faces.get(cone)
-        if grid is None:
-            grid = self._faces[cone] = restrict_to_face(self.fam, cone, self.fan)
-        return grid
+    def face(self, cone: ConeRef) -> _Face:
+        """restrict_to_face(fam, cone, fan) read in place, once per cone.  A
+        cone that no grid contains reads as the zero grid empty_face gives."""
+        face = self._faces.get(cone)
+        if face is None:
+            nu = tuple(sorted(cone))
+            source = face_source(self._cmap, nu, self.fan)
+            if source is None:
+                # a grid that contains nu makes it a cone
+                if not self.fan.is_cone(nu):
+                    raise ValueError(f"{list(nu)} is not a cone of the fan")
+                source = self.fam.empty_face(nu), range(len(nu))
+            grid, positions = source
+            strides = _strides(grid.lo, grid.hi)
+            # a repeated index reads the last of its coordinates, as the face grid does
+            face = self._faces[cone] = _Face(grid.values, tuple(
+                (grid.lo[p], grid.hi[p], 0 if p in positions[k + 1:] else strides[p])
+                for k, p in enumerate(positions)))
+        return face
 
     @cached_property
     def _test_set(self) -> tuple[list[SubspaceQ], bool]:
@@ -272,10 +313,11 @@ class _MeetTable:
 
     def slot(self, key: WeightKey) -> int | None:
         cone, lam = key
-        grid = self.face(cone)
-        if len(lam) != grid.ndim():
+        face = self.face(cone)
+        if len(lam) != len(face.axes):
             raise ValueError(f"weight key {key} does not match the family's shape")
-        return self.slot_of(grid.value(lam))
+        v = face.value(lam)
+        return None if v is None else self.slot_of(v)
 
     def column(self, s: int) -> tuple[int, ...]:
         """dim(V cap W) for the value V in slot s and every test subspace W."""
@@ -321,14 +363,19 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     )
     margins = [(w, Fraction(d) - Fraction(w.dim, m) * total) for w, d in zip(meets.tests, lhs)]
     note = None if meets.exhaustive else PARTIAL_NOTE
+    stable = all(mg < 0 for _, mg in margins)
     return _classify("mu", margins, meets.exhaustive, note,
-                     stable_caveat=_mu_stable_caveat(fam, fan))
+                     stable_caveat=_mu_stable_caveat(fam, fan, stable))
 
 
-def _mu_stable_caveat(fam: DeltaFamily, fan: Fan) -> str | None:
+def _mu_stable_caveat(fam: DeltaFamily, fan: Fan, stable: bool) -> str | None:
+    """The caveat on a stable verdict for non-reflexive torsion-free input.  A
+    torsion-free family is validated whatever its verdict; whether it is
+    reflexive is asked only when the verdict is stable, the one it qualifies."""
     if fam.kind == KIND_PURE:
         return None
-    if is_reflexive(fam, fan):
+    require_torsion_free(fam, fan)
+    if not stable or _corners_are_axis_meets(fam):
         return None
     return ("stable verdict certified against equivariant subobjects only "
             "(non-reflexive torsion-free input)")
@@ -534,20 +581,13 @@ class _ScaledXi(NamedTuple):
 class XiWeights:
     ambient: int
     entries: tuple[tuple[WeightKey, RatPoly], ...]
+    # D Xi: xi_weights passes it, built in integers; otherwise it is read off
+    # the entries
+    _scaled: _ScaledXi | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def _scaled(self) -> _ScaledXi:
-        """The entries' polynomials times D, once per distinct polynomial."""
-        distinct: dict[RatPoly, int] = {}
-        index = tuple(distinct.setdefault(poly, len(distinct)) for _, poly in self.entries)
-        d = math.lcm(*(c.denominator for poly in distinct for c in poly.coeffs))
-        width = max((len(poly.coeffs) for poly in distinct), default=0)
-        polys = tuple(
-            tuple(c.numerator * (d // c.denominator) for c in poly.coeffs)
-            + (0,) * (width - len(poly.coeffs))
-            for poly in distinct
-        )
-        return _ScaledXi(d, polys, index)
+    def __post_init__(self):
+        if self._scaled is None:
+            object.__setattr__(self, "_scaled", _scaled_entries(self.entries))
 
     def at(self, r: int) -> WeightSystem:
         return self._integral_at(r, [_horner(p, r) for p in self._scaled.polys])
@@ -561,6 +601,20 @@ class XiWeights:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
         return WeightSystem(self.ambient, tuple(
             (key, vals[i] // d) for (key, _), i in zip(self.entries, index)))
+
+
+def _scaled_entries(entries) -> _ScaledXi:
+    """The entries' polynomials times D, once per distinct polynomial."""
+    distinct: dict[RatPoly, int] = {}
+    index = tuple(distinct.setdefault(poly, len(distinct)) for _, poly in entries)
+    d = math.lcm(*(c.denominator for poly in distinct for c in poly.coeffs))
+    width = max((len(poly.coeffs) for poly in distinct), default=0)
+    polys = tuple(
+        tuple(c.numerator * (d // c.denominator) for c in poly.coeffs)
+        + (0,) * (width - len(poly.coeffs))
+        for poly in distinct
+    )
+    return _ScaledXi(d, polys, index)
 
 
 def _horner(coeffs: Sequence[int], r: int) -> int:
@@ -600,13 +654,18 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
 
     So the weights of a maximal cone's interior are the constant V_i.V_j (1
     on a smooth fan), a ray weight is linear in lam, and there is one vertex
-    weight.  Each weight is three integer sums, turned into one RatPoly per
-    distinct triple.
+    weight.  Each weight is three integer sums, taken with H' = eH integral
+    (riemann_roch_degrees) in place of H, so that
+
+        2 e^2 Xi = e^2 (2 + q) + e (H'.(-K) - 2 x.deg(H')) t + H'^2 t^2
+
+    is an integer polynomial.  D Xi is that divided by the gcd of 2 e^2 and
+    every coefficient, and each distinct polynomial becomes one RatPoly.
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
     rr = riemann_roch_degrees(ample, fan)
-    deg_h, deg_ak = rr.h, rr.ak
+    deg_h, deg_ak = rr.h_int, rr.ak
     gmap = chi.corner_map()
     if set(gmap) != set(range(len(fan.max_cones))):
         raise ValueError("characteristic function must cover every maximal cone")
@@ -614,7 +673,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         if g.value(g.hi) != chi.rank:
             raise ValueError(f"cone {i}: characteristic function does not saturate to the rank")
     mat = intersection_table(fan).matrix
-    sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H)]
+    sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H')]
 
     def add(key, one, two_q, xh):
         acc = sums.setdefault(key, [0, 0, 0])
@@ -642,19 +701,25 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         if len(nu) == 2:
             for lam in itertools.product(*(range(a, b) for a, b in zip(lo, cut))):
                 add((nu, lam), 0, s * 2 * row[0][1], 0)
-    polys: dict[tuple, RatPoly] = {}
-    entries = []
-    for key, acc in sums.items():
-        triple = tuple(acc)
-        poly = polys.get(triple)
-        if poly is None:
-            one, two_q, xh = triple
-            poly = polys[triple] = RatPoly.of([Fraction(two_q, 2), one * rr.h_td - xh,
-                                               one * rr.h_sq])
-        if not poly.is_zero():
-            entries.append((key, poly))
-    entries.sort(key=lambda kp: (len(kp[0][0]), kp[0]))
-    return XiWeights(chi.rank, tuple(entries))
+    e, h_ak = rr.e, sum(deg_h)
+    keyed = []  # (key, 2 e^2 Xi without its zero top coefficients), Xi nonzero
+    for key, (one, two_q, xh) in sums.items():
+        coeffs = [e * e * two_q, e * (one * h_ak - 2 * xh), one * rr.h_int_sq]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if coeffs:
+            keyed.append((key, tuple(coeffs)))
+    keyed.sort(key=lambda kc: (len(kc[0][0]), kc[0]))
+    distinct: dict[tuple[int, ...], int] = {}
+    index = tuple(distinct.setdefault(coeffs, len(distinct)) for _, coeffs in keyed)
+    g = math.gcd(2 * e * e, *(c for coeffs in distinct for c in coeffs))
+    d = 2 * e * e // g
+    width = max(map(len, distinct), default=0)
+    polys = tuple(tuple(c // g for c in coeffs) + (0,) * (width - len(coeffs))
+                  for coeffs in distinct)
+    ratpolys = [RatPoly(tuple(Fraction(c // g, d) for c in coeffs)) for coeffs in distinct]
+    return XiWeights(chi.rank, tuple((key, ratpolys[i]) for (key, _), i in zip(keyed, index)),
+                     _ScaledXi(d, polys, index))
 
 
 def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:

@@ -554,6 +554,27 @@ def test_refused_family_named_in_error(files, capsys, keys, value, message):
     assert err == f"error: {argv[-1]}: {message.format(index=index)}\n"
 
 
+@pytest.mark.parametrize("module, name, argv, exc, line", [
+    ("moduli", "rank2_p2_series", ["series", "rank2-p2"], ZeroDivisionError("division by zero"),
+     "error: internal error (ZeroDivisionError): division by zero"),
+    ("stability", "mu_test", ["stability", "mu"], KeyError("cone"),
+     "error: internal error (KeyError): 'cone'"),
+], ids=["zero-division", "key-error"])
+def test_internal_error_exits_2(files, capsys, monkeypatch, module, name, argv, exc, line):
+    # a fault inside a command is not a domain verdict: exit 2, one line, no traceback
+    def fault(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(getattr(cli, module), name, fault)
+    if argv[0] == "stability":
+        argv = argv + ["--fan", files["fan"], "--family", files["family"],
+                       "--ample", files["ample"]]
+    code, out, err = run_cli(argv, capsys)
+    assert_input_error(subprocess.CompletedProcess(argv, code, out, err))
+    assert out == ""
+    assert err == line + "\n"
+
+
 def _swap_first_labels(doc):
     cones = doc["cones"]
     cones[0]["cone"], cones[1]["cone"] = cones[1]["cone"], cones[0]["cone"]

@@ -221,6 +221,93 @@ def test_ample_degrees_keep_fractions_and_refuse_non_ample(p2):
         ample_degrees([1, 0], p2)
 
 
+def ample_degrees_by_fractions(ample, fan):
+    """The Fraction route ample_degrees replaced: the ray degrees of
+    divisor(ample), checked positive, ints where integral."""
+    table = intersection_table(fan)
+    deg = ray_degrees(divisor(ample, fan), table)
+    if not all(x > 0 for x in deg):
+        raise ValueError("polarization is not ample")
+    return tuple(x.numerator if x.denominator == 1 else x for x in deg)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_ample_degrees_match_fraction_route(corpus):
+    fans = dict(corpus, f2=hirzebruch(2))
+    for blowups in (1, 2, 3):
+        fans[f"blowup-{blowups}"] = random_smooth_complete_fan(random.Random(blowups), blowups)
+    rng = random.Random(23)
+    kinds = set()
+    for fan in fans.values():
+        h = find_ample(fan)
+        n = fan.n_rays()
+        amples = [h, [int(x) for x in h], [2 * x for x in h], [True] + [int(x) for x in h[1:]],
+                  [Fraction(x, 2) for x in h], [Fraction(x, 3) + Fraction(1, 7) for x in h],
+                  [f"{x}/2" for x in h], [" 3/4 "] * n, [float(x) / 4 for x in h],
+                  [Fraction(1, 5)] + list(h[1:]), [0] * n, [1] + [-1] * (n - 1),
+                  list(h[:-1]), list(h) + [1], ["x/2"] * n, [None] * n, ["1/0"] * n]
+        for _ in range(20):
+            amples.append([rng.choice([0, 1, 2, -1, Fraction(rng.randint(-3, 7), rng.randint(1, 6)),
+                                       f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"])
+                           for _ in range(n)])
+        for ample in amples:
+            got = _outcome(ample_degrees, ample, fan)
+            assert got == _outcome(ample_degrees_by_fractions, ample, fan), ample
+            if isinstance(got, tuple) and isinstance(got[0], str):
+                kinds.add(" ".join([got[0]] + got[1].split()[:2]))
+                continue
+            kinds.add(tuple(sorted({type(d).__name__ for d in got})))
+            assert [type(d) for d in got] == [type(d) for d in ample_degrees_by_fractions(ample, fan)]
+            rr = intersect.riemann_roch_degrees(ample, fan)
+            table = intersection_table(fan)
+            assert rr.h_td == Fraction(sum(got), 2)
+            assert rr.h_sq == pair(divisor(ample, fan), divisor(ample, fan), table) / 2
+            assert rr.ak == tuple(sum(row) for row in table.matrix)
+    assert kinds == {("int",), ("Fraction",), ("Fraction", "int"),
+                     "ValueError polarization is", "ValueError divisor has",
+                     "ValueError Invalid literal", "TypeError argument should",
+                     "ZeroDivisionError Fraction(1, 0)"}
+    # the surface check comes first, then the length, then the ampleness
+    cube = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    for f in (ample_degrees, ample_degrees_by_fractions):
+        with pytest.raises(ValueError, match="surfaces only"):
+            f([1, 0], cube)
+        with pytest.raises(ValueError, match="divisor has 2 coefficients"):
+            f([-1, "x"], fans["p2"])
+        with pytest.raises(ValueError, match="Invalid literal"):
+            f([-1, "x", 0], fans["p2"])
+
+
+def test_integral_polarization_builds_no_fraction(corpus, monkeypatch):
+    # find_ample's Fractions have denominator 1; they and plain ints are read as they are
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for fan in corpus.values():
+        h = find_ample(fan)
+        intersection_table(fan)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted)
+            for ample in (h, [int(x) for x in h]):
+                rr = intersect.riemann_roch_degrees(ample, fan)
+                assert rr.e == 1 and all(type(d) is int for d in rr.h)
+                assert ample_degrees(ample, fan) == rr.h
+            assert built == []
+            ample_degrees([Fraction(1, 2)] + list(h[1:]), fan)
+            assert built  # the count sees a rational H
+        del built[:]
+
+
 def test_divisor_length_checked(p2):
     with pytest.raises(ValueError):
         divisor([1, 2], p2)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -11,9 +12,11 @@ from toricsheaves import stability
 from toricsheaves.chern import chern_character, hilbert_polynomial
 from toricsheaves.family import (
     DeltaFamily,
+    KIND_PURE,
     KIND_TORSION_FREE,
     characteristic_function,
     intersect_with_subspace,
+    is_reflexive,
     restrict_to_face,
     tensor_line_bundle,
 )
@@ -323,7 +326,8 @@ def test_git_implication_chain(corpus, amples):
 
 def test_git_weight_key_mismatch(p2, o_p2):
     bad = WeightSystem(1, ((((0,), (0, 0)), 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weight key \(\(0,\), \(0, 0\)\) does not match "
+                                         "the family's shape"):
         git_test(o_p2, bad, p2)
 
 
@@ -619,9 +623,12 @@ def mu_by_intersections(fam, fan, h):
         return lhs - Fraction(w.dim, m) * total
 
     ws, exhaustive = stability.test_subspaces(fam)
+    # validated and asked about reflexivity whatever the verdict
+    caveat = None if fam.kind == KIND_PURE or is_reflexive(fam, fan) else (
+        "stable verdict certified against equivariant subobjects only "
+        "(non-reflexive torsion-free input)")
     return stability._classify("mu", [(w, margin(w)) for w in ws], exhaustive,
-                               None if exhaustive else PARTIAL_NOTE,
-                               stable_caveat=stability._mu_stable_caveat(fam, fan))
+                               None if exhaustive else PARTIAL_NOTE, stable_caveat=caveat)
 
 
 def git_by_points(fam, weights, fan, n_random=0, seed=0):
@@ -743,11 +750,12 @@ def test_choose_r_matches_old_route(corpus, amples):
 
 def test_git_weight_key_mismatch_rank2(p2):
     fam = rank2_three_lines(p2, lines=LINES)
-    for key in (((0,), (0, 0)), ((0, 1, 2), (0, 0, 0))):
+    for key, message in ((((0,), (0, 0)), "does not match the family's shape"),
+                         (((2, 1, 0), (0, 0, 0)), r"^\[0, 1, 2\] is not a cone of the fan$")):
         bad = WeightSystem(2, ((key, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             git_by_points(fam, bad, p2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             git_test(fam, bad, p2)
 
 
@@ -1100,25 +1108,198 @@ def _count_fraction_arithmetic(monkeypatch):
     return calls
 
 
-def test_integer_margin_work_counts(monkeypatch, f1):
-    h = find_ample(f1)
-    fam = random_families(f1, 2, 25, seed=4001)[14]
-    chi = characteristic_function(fam)
-    gieseker_test(fam, f1, h)  # fills the fan's intersection table
-    evaluations = []
+def test_integer_margin_work_counts(monkeypatch, f1, p2, p1p1):
+    # the polarization, the face weights, the margins and the R search are
+    # integer work: Fractions are only built, for the Xi and the reported
+    # margin, and never added, multiplied or divided; for find_ample's H and
+    # for the rational H of test_integer_margins_match_fraction_route
+    monkeypatch.setattr(stability, "R_MAX", 200)
+    cases = [(f1, find_ample(f1), random_families(f1, 2, 25, seed=4001)[14:15])]
+    for fan, h in ((p2, (Fraction(1, 2), 0, 0)), (p1p1, (Fraction(1, 3), 1, 0, 0))):
+        cases.append((fan, h, random_families(fan, 2, 6, seed=3001)
+                      + random_families(fan, 1, 1, seed=3001)))
+    evaluations, searched, found = [], [], set()
     call = RatPoly.__call__
     monkeypatch.setattr(RatPoly, "__call__", lambda p, t: evaluations.append(t) or call(p, t))
-    ops = _count_fraction_arithmetic(monkeypatch)
-    gieseker_test(fam, f1, h)
-    gieseker_ops = len(ops)
-    r, _ = choose_r(chi, f1, h, [fam])
-    assert r > 1  # several R are tried
+    for fan, h, fams in cases:
+        for fam in fams:
+            chi = characteristic_function(fam)
+            gieseker_test(fam, fan, h)  # fills the fan's intersection table
+            with monkeypatch.context() as m:
+                ops = _count_fraction_arithmetic(m)
+                xi = xi_weights(chi, fan, h)
+                gieseker_test(fam, fan, h)
+                got = _outcome(choose_r, chi, fan, h, [fam])
+                meets = stability._MeetTable(fam, fan)
+                stability._gieseker_verdict(meets, stability._gieseker_margins(meets, xi))
+            assert ops == []
+            if isinstance(got[1], WeightSystem):
+                found.add(h)
+                searched.append(got[0])
     assert evaluations == []
-    # choose_r builds what gieseker_test builds, and its R search adds no Fraction arithmetic
-    assert len(ops) - gieseker_ops == gieseker_ops > 0
-    # on a filled meet table, the margins and the verdict do no Fraction arithmetic
-    meets, xi = stability._MeetTable(fam, f1), xi_weights(chi, f1, h)
-    stability._gieseker_margins(meets, xi)
-    del ops[:]
-    stability._gieseker_verdict(meets, stability._gieseker_margins(meets, xi))
-    assert ops == []
+    # find_ample's H and the rational H on P1xP1 certify some R; on P2 every
+    # search ends at a weight that is not integer-valued
+    assert found == {find_ample(f1), (Fraction(1, 3), 1, 0, 0)}
+    assert max(searched) > 1  # several R are tried
+
+
+def test_xi_scaled_matches_entries(corpus, amples, p2, p1p1):
+    # xi_weights builds Xi and D Xi in integers: Xi against the corner sum, for
+    # rational polarizations too, and D Xi against the one XiWeights(ambient,
+    # entries) reads off the RatPolys
+    cases = list(_oracle_chis(corpus, amples))[::7]
+    rational = [(p2, (Fraction(1, 2), 0, 0)), (p2, (Fraction(3, 7), Fraction(1, 5), 0)),
+                (p1p1, (Fraction(1, 3), 1, 0, 0)), (p1p1, ("2/9", 1, "1/6", 0))]
+    for fan, h in rational:
+        for fam in random_families(fan, 2, 5, seed=61) + random_families(fan, 1, 1, seed=61):
+            chi = characteristic_function(fam)
+            cases += [(fan, h, chi), (fan, h, tensor_line_bundle(chi, [-2] * fan.n_rays()))]
+    scales = set()
+    for fan, ample, chi in cases:
+        xi = xi_weights(chi, fan, ample)
+        assert xi == xi_by_corners(chi, fan, divisor(ample, fan))
+        by_entries = stability.XiWeights(xi.ambient, xi.entries)
+        assert by_entries == xi and by_entries._scaled == xi._scaled
+        scales.add(xi._scaled.scale)
+    assert len(cases) > 100
+    # D is 1 or 2 for an integral H, and up to 2 e^2 = 2450 for e = 35
+    assert {1, 2, 3, 8, 18, 1225} <= scales
+
+
+# --- faces read in place against the face grids they replaced ---------------------
+
+class FaceGridMeets(stability._MeetTable):
+    """The meet table as it read faces before: each face a grid built by
+    restrict_to_face, once per cone, and every value read off that grid."""
+
+    def face(self, cone):
+        grid = self._faces.get(cone)
+        if grid is None:
+            grid = self._faces[cone] = restrict_to_face(self.fam, cone, self.fan)
+        return grid
+
+    def slot(self, key):
+        cone, lam = key
+        grid = self.face(cone)
+        if len(lam) != grid.ndim():
+            raise ValueError(f"weight key {key} does not match the family's shape")
+        return self.slot_of(grid.value(lam))
+
+
+def flag_data_by_grids(meets):
+    """The flag data read off the face grids of a FaceGridMeets."""
+    m = meets.rank
+    out = []
+    for j in range(meets.fan.n_rays()):
+        grid = meets.face((j,))
+        gaps, flags, pos, prev = [0] * (m - 1), [None] * (m - 1), [None] * (m - 1), 0
+        for lam in range(grid.lo[0], grid.hi[0] + 1):
+            v = grid.value((lam,))
+            if v.dim < prev:
+                raise ValueError(f"ray {j}: filtration dimensions decrease at {lam}")
+            prev = v.dim
+            if 0 < v.dim < m:
+                gaps[v.dim - 1] += 1
+                flags[v.dim - 1] = v
+                if pos[v.dim - 1] is None:
+                    pos[v.dim - 1] = lam
+        if prev != m:
+            raise ValueError(f"ray {j}: filtration does not saturate to the full space")
+        out.append(stability.RayFlags(j, tuple(gaps), tuple(flags), tuple(pos)))
+    return stability.FlagData(m, tuple(out))
+
+
+def _face_keys(fam, fan):
+    """Every (cone, lam) of every face box, one step below lo and one above
+    hi; each 2-cone also unsorted and with a repeated index."""
+    keys = []
+    for nu in fan.cones():
+        grid = restrict_to_face(fam, nu, fan)
+        box = list(itertools.product(*(range(a - 1, b + 2) for a, b in zip(grid.lo, grid.hi))))
+        keys += [(nu, lam) for lam in box]
+        if len(nu) == 2:
+            keys += [(nu[::-1], lam) for lam in box]
+            keys += [((nu[0], nu[0]), lam) for lam in box] + [((nu[1], nu[1]), lam) for lam in box]
+    return keys
+
+
+def test_faces_read_in_place_match_face_grids(corpus, amples, monkeypatch):
+    from toricsheaves import family
+    from test_family import random_oracle_families
+
+    h_of = {fan: h for fan, h in _oracle_fans(corpus, amples)}
+    cases = random_oracle_families(random.Random(167))[::2]
+    for fan in h_of:
+        fams = random_families(fan, 2, 3, seed=173)
+        cases += [(fan, f) for f in fams]
+        # a family that is missing a cone: its faces there read as zero
+        cases.append((fan, replace(fams[0], corners=fams[0].corners[1:])))
+    seen = set()
+    for fan, fam in cases:
+        h = h_of[fan]
+        new, old = stability._MeetTable(fam, fan), FaceGridMeets(fam, fan)
+        for key in _face_keys(fam, fan):
+            v = new.face(key[0]).value(key[1])
+            assert (SubspaceQ.zero(fam.rank) if v is None else v) == old.face(key[0]).value(key[1])
+            assert new.slot(key) == old.slot(key)
+            seen.add("below" if v is None else "value")
+        assert new.values == old.values
+        assert _outcome(stability._flag_data, new) == _outcome(flag_data_by_grids, old)
+        keys = _face_keys(fam, fan)[::3]
+        unit = WeightSystem(fam.rank, tuple((key, 1 + k % 3) for k, key in enumerate(keys)))
+        weights = [unit] + [w for w in [_outcome(mu_weights, fam, fan, h)]
+                            if isinstance(w, WeightSystem)]
+
+        def verdicts():
+            return [_outcome(mu_test, fam, fan, h), _outcome(gieseker_test, fam, fan, h)] + [
+                _outcome(git_test, fam, w, fan, 3, 5) for w in weights]
+
+        built = _count_calls(monkeypatch, family, "restrict_to_face")
+        got = verdicts()
+        assert built == []
+        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_MeetTable", FaceGridMeets)
+            m.setattr(stability, "_flag_data", flag_data_by_grids)
+            assert verdicts() == got
+        seen.update(type(g).__name__ if isinstance(g, stability.StabilityVerdict) else g[1][:20]
+                    for g in got)
+        seen.add(f"rank {fam.rank}")
+        seen.add(f"{len(fam.corners)} of {len(fan.max_cones)} cones")
+    assert {"below", "value", "StabilityVerdict", "rank 1", "rank 2", "rank 3",
+            "invalid family: tors", "characteristic funct"} <= seen
+    assert {f"{len(fan.max_cones) - 1} of {len(fan.max_cones)} cones" for fan in h_of} <= seen
+
+
+def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkeypatch):
+    from toricsheaves import family
+    from test_family import broken_variants
+
+    fans = _oracle_fans(corpus, amples)
+    axis_meets = _count_calls(monkeypatch, family, "_corners_are_axis_meets")
+    verdicts = {}
+    for fan, h in fans:
+        for fam in random_families(fan, 2, 6, seed=181):
+            del axis_meets[:]
+            v = mu_test(fam, fan, h)
+            assert len(axis_meets) == (v.verdict == STABLE)
+            verdicts.setdefault(v.verdict, v)
+    assert set(verdicts) == {STABLE, SEMISTABLE, UNSTABLE}
+    # an invalid family is refused whatever its verdict would be
+    would_be = set()
+    rng = random.Random(191)
+    for fan, h in fans:
+        for fam in random_families(fan, 2, 4, seed=193):
+            for bad in broken_variants(fam, rng):
+                if not family.validate_torsion_free(bad, fan):
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(stability, "require_torsion_free", lambda fam, fan: None)
+                    m.setattr(stability, "_corners_are_axis_meets", lambda fam: True)
+                    v = _outcome(mu_test, bad, fan, h)
+                if not isinstance(v, stability.StabilityVerdict):
+                    continue  # the flag data refuses it first
+                would_be.add(v.verdict)
+                with pytest.raises(ValueError, match="^invalid family: "):
+                    mu_test(bad, fan, h)
+    assert would_be == {STABLE, SEMISTABLE, UNSTABLE}
