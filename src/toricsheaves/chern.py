@@ -4,6 +4,9 @@ The Chern character is computed by the inclusion-exclusion weight formula:
 each cone contributes the finite differences of its limit dimension grid,
 signed by codimension, times the truncated exponential of minus its
 character divisor.  Everything depends on the characteristic function only.
+bracket_dims reads each face in place from the maximal-cone grid that
+restrict_to_face would cut it from, as stability does: no face grid is
+copied, and each shifted corner is a (sign, index offset) pair.
 The Hilbert polynomial is Riemann-Roch on a surface in closed form: it reads
 the Chern character and, of the fan and the polarization, only the degrees
 -K.V(rho_j), H.V(rho_j) and H^2, as the face weights of stability do.
@@ -11,12 +14,18 @@ the Chern character and, of the fan and the polarization, only the degrees
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import CharFunction, DeltaFamily, box_points, characteristic_function, restrict_to_face
+from .family import (
+    CharFunction,
+    DeltaFamily,
+    _face_axes,
+    box_points,
+    characteristic_function,
+    face_source,
+)
 from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
@@ -46,18 +55,41 @@ class BracketSlice:
 
 def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> BracketSlice:
     """For each lattice point of the cone's box, the alternating sum of the
-    limit dimensions over the 2^dim shifted corners."""
-    grid = restrict_to_face(as_char(x), cone, fan)
-    t = grid.ndim()
+    limit dimensions over the 2^dim shifted corners.
+
+    The face is read in place from the maximal-cone grid restrict_to_face
+    would cut it from: each corner is a (sign, index offset) pair, and a
+    corner below the box in some coordinate reads zero, so it is skipped.
+    A cone that no grid contains reads as zero and has no entries."""
+    nu = tuple(sorted(cone))
+    source = face_source(as_char(x).corner_map(), nu, fan)
+    if source is None:
+        # a grid that contains nu makes it a cone
+        if not fan.is_cone(nu):
+            raise ValueError(f"{list(nu)} is not a cone of the fan")
+        return BracketSlice(nu, ())
+    grid, positions = source
+    axes = _face_axes(grid, positions)
+    vals = grid.values
+    # the grid index and the coordinates at the bottom of the box (a bit mask)
+    # of each face point, in box order
+    index, low = [len(vals) - 1], [0]
+    # corner eps: (the bit mask of eps, (-1)^|eps|, the index offset of lam - eps)
+    corners = [(0, 1, 0)]
+    for k, (a, b, s) in enumerate(axes):
+        index = [i - (b - x) * s for i in index for x in range(a, b + 1)]
+        low = [m | (x == a) << k for m in low for x in range(a, b + 1)]
+        corners += [(mask | 1 << k, -sign, off + s) for mask, sign, off in corners]
     entries = []
-    for lam in box_points(grid.lo, grid.hi):
+    points = box_points([a for a, _, _ in axes], [b for _, b, _ in axes])
+    for lam, i, m in zip(points, index, low):
         total = 0
-        for eps in itertools.product((0, 1), repeat=t):
-            shifted = tuple(a - e for a, e in zip(lam, eps))
-            total += (-1) ** sum(eps) * grid.value(shifted)
+        for mask, sign, off in corners:
+            if not mask & m:
+                total += sign * vals[i - off]
         if total != 0:
             entries.append((lam, total))
-    return BracketSlice(tuple(sorted(cone)), tuple(entries))
+    return BracketSlice(nu, tuple(entries))
 
 
 def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface:

@@ -32,7 +32,7 @@ from .family import (
     validate_family,
 )
 from .fan import Fan, fan_from_json, validate_fan
-from .intersect import divisor, intersection_table, is_ample
+from .intersect import intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 
 
@@ -94,8 +94,13 @@ def _load_divisor(path: str, fan: Fan):
 
 def _load_ample(path: str, fan: Fan):
     d = _load_divisor(path, fan)
-    if not is_ample(divisor(d, fan), fan):
-        raise InputError(f"{path}: divisor is not ample")
+    try:
+        riemann_roch_degrees(d, fan)
+    except ValueError as e:
+        # d has the fan's length, so this is the ampleness check, unless the
+        # fan has no intersection table: then that error is raised again
+        intersection_table(fan)
+        raise InputError(f"{path}: divisor is not ample") from e
     return d
 
 

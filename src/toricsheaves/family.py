@@ -8,6 +8,12 @@ in any coordinate the value is zero, above the box a coordinate clamps to
 the top (saturation).  Directions in which the sheaf is genuinely bounded
 (lower-dimensional support) are encoded by explicit zero slabs at the top
 of the box, so the clamp pattern of the grid determines the support.
+
+A family file is decoded in integers.  The _RATIONAL pattern gates each
+basis entry (an int, or a string p or p/q with q > 0), which is read as a
+numerator and a denominator; each row is scaled by the lcm of its
+denominators, so the integer kernel of subspace gets int rows and no
+Fraction is built.  The box is then filled in one pass in box order.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .fan import APEX, ConeRef, Fan, _json_int, _json_of
@@ -613,6 +620,17 @@ def face_source(cmap: dict[int, _Grid], nu: ConeRef, fan: Fan):
     return None
 
 
+def _face_axes(grid: _Grid, positions: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """grid.face(positions) read in place: (lo, hi, stride) in grid for each
+    position, every other coordinate staying at the top of the box, so the
+    face value at lam is grid.values[-1] less (hi - lam) * stride per axis.
+    A repeated position reads the last of its coordinates, as the face grid
+    does: the earlier ones get stride 0."""
+    strides = _strides(grid.lo, grid.hi)
+    return tuple((grid.lo[p], grid.hi[p], 0 if p in positions[k + 1:] else strides[p])
+                 for k, p in enumerate(positions))
+
+
 def cone_shift(kvec: Sequence[int], cone: ConeRef) -> tuple[int, ...]:
     return tuple(int(kvec[j]) for j in cone)
 
@@ -731,12 +749,24 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # p or p/q with q > 0
 MAX_BOX_POINTS = 10_000
 
 
-def _rational(x) -> Fraction:
-    """A basis entry: an int (not a bool), or a string p or p/q with q > 0."""
-    is_int = isinstance(x, int) and not isinstance(x, bool)
-    if is_int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        return Fraction(x)
-    raise ValueError(f"basis entry {x!r} is not an integer or a rational string p/q with q > 0")
+def _basis_row(row) -> list[int]:
+    """A basis row as ints spanning the same line.  Each entry is an int (not
+    a bool), taken as p/1, or a string p or p/q with q > 0, read as p and q;
+    the row is scaled by the lcm of its q, so no Fraction is built."""
+    nums, dens = [], []
+    for x in _json_of(list, row, "basis row"):
+        if type(x) is int:
+            nums.append(x)
+            dens.append(1)
+        elif type(x) is str and _RATIONAL.fullmatch(x):
+            p, _, q = x.partition("/")
+            nums.append(int(p))
+            dens.append(int(q) if q else 1)
+        else:
+            raise ValueError(
+                f"basis entry {x!r} is not an integer or a rational string p/q with q > 0")
+    den = lcm(*dens)
+    return nums if den == 1 else [p * (den // q) for p, q in zip(nums, dens)]
 
 
 def family_from_json(text: str) -> DeltaFamily:
@@ -793,10 +823,8 @@ def family_from_json(text: str) -> DeltaFamily:
                                  f"entries for a cone of {len(cone)} rays")
             if at in explicit:
                 raise ValueError(f"family cone {index}: two jumps at {list(at)}")
-            rows = [
-                [_rational(x) for x in _json_of(list, row, "basis row")]
-                for row in _json_of(list, j["basis"], "basis")
-            ]
+            # every entry of the jump is read before span checks any row's length
+            rows = [_basis_row(row) for row in _json_of(list, j["basis"], "basis")]
             explicit[at] = SubspaceQ.span(rows, m)
         # a jump below lo acts from lo on; one above hi stays outside the box
         seeds: dict[tuple[int, ...], SubspaceQ] = {}

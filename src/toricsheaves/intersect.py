@@ -9,11 +9,12 @@ alone, so intersection_table builds it once per fan and every caller shares
 that table; on a smooth complete surface its entries are integers and it
 holds them as ints.  With -K = sum_j V(rho_j), the row sums of the table are
 the degrees -K.V(rho_j), and the sum of all its entries is K^2.  A
-polarization H is read through riemann_roch_degrees, in integers: with
-H = H'/e for the least e > 0 that makes H' integral, it computes the degrees
-H'.V(rho_j), checked positive, and H'^2 as ints, so an integral H builds no
-Fraction.  ample_degrees reads H.V(rho_j) off them, ints where integral, and
-the same record gives -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself
+divisor D is read in integers: with D = D'/e for the least e > 0 that makes
+D' integral, _integral_degrees computes the degrees D'.V(rho_j) as ints, so
+an integral D builds no Fraction.  is_ample and is_nef read their signs, and
+riemann_roch_degrees reads them for a polarization H, checked positive, with
+H'^2.  ample_degrees reads H.V(rho_j) off them, ints where integral, and the
+same record gives -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself
 is evaluated in closed form in chern.hilbert_polynomial; a lattice-point
 counter for nef divisors provides an independent Euler-characteristic
 oracle.
@@ -22,6 +23,7 @@ oracle.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,16 +99,6 @@ def pair(a: Sequence, b: Sequence, table: IntersectionTable) -> Fraction:
     return Fraction(total)
 
 
-def ray_degrees(d: Sequence, table: IntersectionTable) -> tuple[Fraction, ...]:
-    """D.V(rho_j) for every ray j: one row of the intersection matrix
-    combination, equal to pair(d, e_j, table)."""
-    n = len(table.matrix)
-    if len(d) != n:
-        raise ValueError("divisor length does not match the fan")
-    terms = [(a, row) for a, row in zip(d, table.matrix) if a != 0]
-    return tuple(Fraction(sum(a * row[j] for a, row in terms)) for j in range(n))
-
-
 def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
     """H.V(rho_j) for every ray j, ints where integral, for an ample H.
 
@@ -142,17 +134,24 @@ class RRDegrees(NamedTuple):
         return Fraction(self.h_int_sq, 2 * self.e * self.e)
 
 
-def riemann_roch_degrees(ample: Sequence, fan: Fan) -> RRDegrees:
-    """The RRDegrees of the ample divisor H = ample on fan.  Each coefficient
-    is read as Fraction(c) reads it; an int or a Fraction is taken as it is,
-    so integral input builds no Fraction."""
-    table = intersection_table(fan)
-    _check_length(ample, fan)
-    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in ample]
+def _integral_degrees(coeffs: Sequence, fan: Fan, table: IntersectionTable):
+    """(e, D', D'.V(rho_j) per ray) for D = coeffs on fan, in ints: D = D'/e
+    with D' integral and e > 0 the least such.  Each coefficient is read as
+    Fraction(c) reads it; an int or a Fraction is taken as it is, so integral
+    input builds no Fraction.  The length is checked before any entry."""
+    _check_length(coeffs, fan)
+    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
     e = math.lcm(*(c.denominator for c in coeffs))
-    h = [c.numerator * (e // c.denominator) for c in coeffs]  # H' = eH
-    terms = [(a, row) for a, row in zip(h, table.matrix) if a]
-    deg = tuple(sum(a * row[j] for a, row in terms) for j in range(len(h)))
+    d = [c.numerator * (e // c.denominator) for c in coeffs]
+    # the table is symmetric, so D'.V(rho_j) is row j of the table against D'
+    return e, d, tuple(sum(map(operator.mul, row, d)) for row in table.matrix)
+
+
+def riemann_roch_degrees(ample: Sequence, fan: Fan) -> RRDegrees:
+    """The RRDegrees of the ample divisor H = ample on fan, read as
+    _integral_degrees reads it."""
+    table = intersection_table(fan)
+    e, h, deg = _integral_degrees(ample, fan, table)
     if not all(x > 0 for x in deg):
         raise ValueError("polarization is not ample")
     return RRDegrees(e, deg, sum(a * d for a, d in zip(h, deg)),
@@ -186,13 +185,13 @@ def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
 def is_nef(d: Sequence, fan: Fan) -> bool:
     """Nef iff the support function is convex across every wall, i.e. the
     divisor meets every invariant curve nonnegatively."""
-    table = intersection_table(fan)
-    return all(x >= 0 for x in ray_degrees(divisor(d, fan), table))
+    _, _, deg = _integral_degrees(d, fan, intersection_table(fan))
+    return all(x >= 0 for x in deg)
 
 
 def is_ample(d: Sequence, fan: Fan) -> bool:
-    table = intersection_table(fan)
-    return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
+    _, _, deg = _integral_degrees(d, fan, intersection_table(fan))
+    return all(x > 0 for x in deg)
 
 
 # the largest sup-norm find_ample searches

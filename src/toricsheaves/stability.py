@@ -72,7 +72,7 @@ from .family import (
     DeltaFamily,
     KIND_PURE,
     _corners_are_axis_meets,
-    _strides,
+    _face_axes,
     characteristic_function,
     face_source,
     is_reflexive,
@@ -277,11 +277,7 @@ class _MeetTable:
                     raise ValueError(f"{list(nu)} is not a cone of the fan")
                 source = self.fam.empty_face(nu), range(len(nu))
             grid, positions = source
-            strides = _strides(grid.lo, grid.hi)
-            # a repeated index reads the last of its coordinates, as the face grid does
-            face = self._faces[cone] = _Face(grid.values, tuple(
-                (grid.lo[p], grid.hi[p], 0 if p in positions[k + 1:] else strides[p])
-                for k, p in enumerate(positions)))
+            face = self._faces[cone] = _Face(grid.values, _face_axes(grid, positions))
         return face
 
     @cached_property

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from toricsheaves.family import (
@@ -69,6 +71,16 @@ def slab_family(fan, ray, width=1):
         vals = [full if lam[pos] <= width - 1 else zero for lam in box_points(lo, hi)]
         corners.append((i, CornerFamily(mc, lo, hi, tuple(vals), 1)))
     return DeltaFamily(KIND_PURE, 1, tuple(corners), support=((ray,),))
+
+
+def ray_degrees(d, table):
+    """D.V(rho_j) for every ray j as Fractions: the Fraction route of the
+    package's integer ray degrees, equal to pair(d, e_j, table)."""
+    n = len(table.matrix)
+    if len(d) != n:
+        raise ValueError("divisor length does not match the fan")
+    terms = [(a, row) for a, row in zip(d, table.matrix) if a != 0]
+    return tuple(Fraction(sum(a * row[j] for a, row in terms)) for j in range(n))
 
 
 def eta_product(exponent, order):

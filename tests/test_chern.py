@@ -1,11 +1,24 @@
+import itertools
+import json
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, structure_sheaf
-from test_family import ideal_sheaf_of_point
+from conftest import line_bundle_family, rank2_three_lines, slab_family, structure_sheaf
+from test_family import (
+    ideal_sheaf_of_point,
+    oracle_fans,
+    random_family_doc,
+    random_oracle_families,
+    two_axes_family,
+)
+from toricsheaves import chern, family
 from toricsheaves.chern import (
+    BracketSlice,
+    as_char,
     bracket_dims,
     c1_fast,
     chern_character,
@@ -14,10 +27,13 @@ from toricsheaves.chern import (
     second_chern_number,
 )
 from toricsheaves.family import (
+    KIND_PURE,
     CharFunction,
     DimGrid,
     box_points,
     characteristic_function,
+    family_from_json,
+    restrict_to_face,
     tensor_line_bundle,
 )
 from toricsheaves.intersect import (
@@ -271,3 +287,105 @@ def test_restrict_apex_gives_saturation(p2, o_p2):
     grid = restrict_to_face(o_p2, (), p2)
     assert grid.ndim() == 0
     assert grid.value(()).is_full()
+
+
+# --- brackets read in place against the face-grid route --------------------------
+
+
+def bracket_dims_by_face_grids(x, cone, fan):
+    """The route bracket_dims replaced: cut the face grid with
+    restrict_to_face, then sum its clamped values over the 2^t corners."""
+    grid = restrict_to_face(as_char(x), cone, fan)
+    entries = []
+    for lam in box_points(grid.lo, grid.hi):
+        total = 0
+        for eps in itertools.product((0, 1), repeat=grid.ndim()):
+            shifted = tuple(a - e for a, e in zip(lam, eps))
+            total += (-1) ** sum(eps) * grid.value(shifted)
+        if total != 0:
+            entries.append((lam, total))
+    return BracketSlice(tuple(sorted(cone)), tuple(entries))
+
+
+def bracket_oracle_families():
+    """(fan, family) over P^2, P^1xP^1, F_1, F_2 and 1-3 blow-ups: reflexive
+    and torsion-free families of ranks 1-3, pure families with zero slabs,
+    and on every fan a family missing one cone."""
+    rng = random.Random(163)
+    out = random_oracle_families(rng)
+    for fan in oracle_fans():
+        out.append((fan, slab_family(fan, 0)))
+        out.append((fan, slab_family(fan, fan.n_rays() - 1, 2)))
+        for rank in (1, 2):
+            ray = rng.randrange(fan.n_rays())
+            doc = random_family_doc(fan, rank, rng, KIND_PURE, ((ray,),))
+            out.append((fan, family_from_json(json.dumps(doc))))
+        fam = next(f for fn, f in out if fn == fan and f.kind != KIND_PURE)
+        out.append((fan, replace(fam, corners=fam.corners[1:])))
+    return out
+
+
+def test_brackets_in_place_match_face_grids(p2, monkeypatch):
+    cases = bracket_oracle_families()
+    cases.append((p2, two_axes_family(p2)))
+    seen = {"apex": 0, "ray": 0, "two-cone": 0, "missing": 0, "pure": 0, "rank 3": 0}
+    for fan, fam in cases:
+        chi = characteristic_function(fam)
+        for nu in fan.cones():
+            for cone in {nu, nu[::-1]}:
+                got = bracket_dims(fam, cone, fan)
+                assert got == bracket_dims_by_face_grids(fam, cone, fan), (fam, cone)
+                assert bracket_dims(chi, cone, fan) == got
+            seen[("apex", "ray", "two-cone")[len(nu)]] += 1
+            seen["missing"] += not any(set(nu) <= set(g.cone) for _, g in fam.corners)
+        seen["pure"] += fam.kind == "pure"
+        seen["rank 3"] += fam.rank == 3
+        with monkeypatch.context() as m:
+            m.setattr(chern, "bracket_dims", bracket_dims_by_face_grids)
+            ch, c1 = chern_character(fam, fan), c1_fast(fam, fan)
+        assert chern_character(fam, fan) == ch and c1_fast(fam, fan) == c1
+        ample = find_ample(fan)
+        with monkeypatch.context() as m:
+            m.setattr(chern, "bracket_dims", bracket_dims_by_face_grids)
+            hd = hilbert_data(fam, fan, ample)
+        assert hilbert_data(fam, fan, ample) == hd
+    assert min(seen.values()) > 0, seen
+    # a repeated index reads the last of its coordinates, as the face grid does
+    for fan, fam in cases[::7]:
+        for cone in ((0, 0), (1, 1, 0), (1, 0, 1)):
+            if fan.is_cone(cone):
+                assert bracket_dims(fam, cone, fan) == bracket_dims_by_face_grids(fam, cone, fan)
+    for fan, fam in cases[:3]:
+        for bad in ((0, 1, 2), (0, fan.n_rays())):
+            with pytest.raises(ValueError, match=rf"\[{bad[0]}, .*\] is not a cone of the fan"):
+                bracket_dims(fam, bad, fan)
+            with pytest.raises(ValueError, match=rf"\[{bad[0]}, .*\] is not a cone of the fan"):
+                bracket_dims_by_face_grids(fam, bad, fan)
+
+
+def test_chern_character_builds_no_face_grid(corpus):
+    fams = [(fan, fam) for fan in corpus.values() for fam in random_families(fan, 2, 4, seed=167)]
+    watched = {family.restrict_to_face.__code__, family._Grid.value.__code__,
+               family._Grid.face.__code__}
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for fan, fam in fams:
+            chern_character(fam, fan)
+            c1_fast(fam, fan)
+    finally:
+        sys.setprofile(None)
+    assert called == []
+    # the same watch sees the face-grid route
+    fan, fam = fams[0]
+    sys.setprofile(profile)
+    try:
+        bracket_dims_by_face_grids(fam, (0,), fan)
+    finally:
+        sys.setprofile(None)
+    assert "restrict_to_face" in called and "value" in called

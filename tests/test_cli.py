@@ -314,8 +314,10 @@ PUBLIC_OPS = {
     "rank1_fixed_point_series", "rank2_p2_series",
     "enumerate_gauge_fixed_chi", "run",
 }
-# reached from no subcommand; it is the tests' independent Euler-characteristic oracle
-LIBRARY_ONLY = {"lattice_point_count"}
+# reached from no subcommand: lattice_point_count is the tests' independent
+# Euler-characteristic oracle, and restrict_to_face builds the face grids that
+# chern and stability read in place (xi_reconstruct and the oracles still call it)
+LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face"}
 
 
 def test_operation_coverage_table(files, p2):
@@ -393,6 +395,33 @@ def test_enumerate_negative_box_exit_2(files, capsys):
     )
     assert code == 2 and out == ""
     assert "box" in err
+
+
+def test_non_ample_polarization_exit_2(files, capsys):
+    polarized = ["--fan", files["fan"], "--family", files["o"]]
+    for entries in ([0, 0, 0], [1, -1, 0], [-1, 0, 0]):
+        path = files["dir"] / "flat.json"
+        path.write_text(json.dumps(entries))
+        for command in (["hilbert"], ["stability", "mu"], ["weights"]):
+            code, out, err = run_cli([*command, *polarized, "--ample", str(path)], capsys)
+            assert (code, out, err) == (2, "", f"error: {path}: divisor is not ample\n")
+
+
+def test_polarization_on_a_threefold_names_the_fan_exit_2(tmp_path, capsys):
+    # a valid rank-3 fan has no intersection table; the divisor is not blamed
+    cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    fan = tmp_path / "p3.json"
+    fan.write_text(json.dumps({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                               "max_cones": cones}))
+    fam = tmp_path / "o.json"
+    fam.write_text(json.dumps({"kind": "torsion-free", "rank": 1, "cones": [
+        {"index": i, "cone": c, "lo": [0, 0, 0], "hi": [0, 0, 0],
+         "jumps": [{"at": [0, 0, 0], "basis": [["1"]]}]} for i, c in enumerate(cones)]}))
+    ample = tmp_path / "h.json"
+    ample.write_text(json.dumps([1, 1, 1, 1]))
+    code, out, err = run_cli(["hilbert", "--fan", str(fan), "--family", str(fam),
+                              "--ample", str(ample)], capsys)
+    assert (code, out, err) == (2, "", "error: intersection table implemented for surfaces only\n")
 
 
 def test_series_rank1_order_capped_exit_2(files, capsys):

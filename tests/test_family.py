@@ -824,3 +824,111 @@ def test_grid_value_matches_clamp_route():
                              else "above" if above else "inside" if lam else "apex")
                     places[where] += 1
     assert min(places.values()) > 0, places
+
+
+# --- integer decoding of basis entries against the Fraction route -------------------
+
+def rational_by_fraction(x):
+    """The basis-entry reader the integer decoder replaced: an accepted entry
+    becomes a Fraction, and span scales the row back to ints."""
+    from toricsheaves.family import _RATIONAL
+
+    is_int = isinstance(x, int) and not isinstance(x, bool)
+    if is_int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        return Fraction(x)
+    raise ValueError(f"basis entry {x!r} is not an integer or a rational string p/q with q > 0")
+
+
+def decode_by_fractions(text, monkeypatch):
+    """family_from_json with every basis row read through rational_by_fraction."""
+    from toricsheaves import family
+    from toricsheaves.fan import _json_of
+
+    with monkeypatch.context() as m:
+        m.setattr(family, "_basis_row",
+                  lambda row: [rational_by_fraction(x) for x in _json_of(list, row, "basis row")])
+        return decoded(text)
+
+
+def decoded(text):
+    try:
+        return family_from_json(text)
+    except ValueError as e:
+        return str(e)
+
+
+def one_jump_file(basis, rank=2):
+    """A P^2 cone-0 file whose only jump, at lo, has the given basis."""
+    return json.dumps({"kind": "torsion-free", "rank": rank, "cones": [{
+        "index": 0, "cone": [0, 1], "lo": [0, 0], "hi": [1, 1],
+        "jumps": [{"at": [0, 0], "basis": basis}]}]})
+
+
+def test_integer_decoding_matches_fraction_route(monkeypatch):
+    rng = random.Random(151)
+    texts = [family_to_json(fam) for _, fam in random_oracle_families(rng)]
+    texts += [json.dumps(random_family_doc(fan, rank, rng))
+              for fan in oracle_fans() for rank in (1, 2, 3)]
+    big = 2 ** 70
+    bases = [
+        [["3/6", "1"]], [["-0", "1/007"]], [["1/007", "-3/6"], ["0", "5/010"]],
+        [[big, 1]], [[f"{big}/3", "-1"], ["1", f"-{big + 1}/{big}"]], [[f"{-big}", "7/2"]],
+        [[1, "1/2"], ["-2/3", 4]], [[0, "0/5"]], [[-3, "6"], ["2/3", 0]],
+        [["0", "1/3"], ["2", 0], [1, "-1/3"]], [],
+    ]
+    texts += [one_jump_file(b) for b in bases]
+    for text in texts:
+        got = decoded(text)
+        assert not isinstance(got, str), got
+        assert got == decode_by_fractions(text, monkeypatch)
+    x = SubspaceQ.span([(1, 2)], 2)
+    assert decoded(one_jump_file([["3/6", "1"]])).corners[0][1].values[0] == x
+    assert decoded(one_jump_file([[f"{big}/3", big]])).corners[0][1].values[0] \
+        == SubspaceQ.span([(1, 3)], 2)
+
+
+BAD_ENTRIES = ["1.5", 1.5, True, None, "1/0", "+1", " 1", "1_0", "1e3", "٣", "1/-2",
+               "", "1/", "/2", "- 1", "1/2/3", [1], {"p": 1}]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=[repr(e) for e in BAD_ENTRIES])
+def test_malformed_basis_entry_refused_as_before(entry, monkeypatch):
+    text = one_jump_file([["1", "0"], ["0", entry]])
+    message = (f"basis entry {entry!r} is not an integer or a rational string p/q "
+               "with q > 0")
+    assert decoded(text) == message
+    assert decode_by_fractions(text, monkeypatch) == message
+
+
+def test_bad_entry_reported_before_short_row(monkeypatch):
+    # every entry of a jump is read before any row length is checked
+    for basis, message in (
+        ([["1"], ["0", "1.5"]], "basis entry '1.5' is not"),
+        ([["1"], ["0", "1"]], "vector length 1 != ambient 2"),
+        ([["1", "0"], ["0", "1", "1"], ["x"]], "basis entry 'x' is not"),
+        ([["1", "0", "0"], ["0", "1"]], "vector length 3 != ambient 2"),
+        ("1", "basis is not a JSON array"),
+        ([["1", "0"], "0"], "basis row is not a JSON array"),
+    ):
+        text = one_jump_file(basis)
+        got = decoded(text)
+        assert isinstance(got, str) and got.startswith(message), (basis, got)
+        assert got == decode_by_fractions(text, monkeypatch)
+
+
+def test_decoding_builds_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(157)
+    texts = [family_to_json(fam) for _, fam in random_oracle_families(rng)[::4]]
+    texts.append(one_jump_file([["1/3", 2], ["-5/7", "2/21"]]))
+    assert any("/" in t for t in texts)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for text in texts:
+        family_from_json(text)
+    assert built == []

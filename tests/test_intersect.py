@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family
+from conftest import line_bundle_family, ray_degrees
 from toricsheaves import intersect
 from toricsheaves.chern import hilbert_polynomial
 from toricsheaves.intersect import (
@@ -17,7 +17,6 @@ from toricsheaves.intersect import (
     is_nef,
     lattice_point_count,
     pair,
-    ray_degrees,
 )
 from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import random_smooth_complete_fan
@@ -282,6 +281,55 @@ def test_ample_degrees_match_fraction_route(corpus):
             f([-1, "x"], fans["p2"])
         with pytest.raises(ValueError, match="Invalid literal"):
             f([-1, "x", 0], fans["p2"])
+
+
+def is_ample_by_fractions(d, fan):
+    """The Fraction route is_ample replaced: every ray degree of divisor(d) positive."""
+    table = intersection_table(fan)
+    return all(x > 0 for x in ray_degrees(divisor(d, fan), table))
+
+
+def is_nef_by_fractions(d, fan):
+    table = intersection_table(fan)
+    return all(x >= 0 for x in ray_degrees(divisor(d, fan), table))
+
+
+def test_ample_and_nef_match_fraction_route(corpus, monkeypatch):
+    fans = dict(corpus, f2=hirzebruch(2), f3=hirzebruch(3))
+    for blowups in (1, 2, 3):
+        fans[f"blowup-{blowups}"] = random_smooth_complete_fan(random.Random(blowups), blowups)
+    rng = random.Random(29)
+    verdicts = set()
+    for fan in fans.values():
+        h = find_ample(fan)
+        n = fan.n_rays()
+        ds = [h, [int(x) for x in h], [0] * n, [1] + [0] * (n - 1), [1] * n, [-1] * n,
+              [Fraction(x, 3) for x in h], [f"{x}/2" for x in h], [float(x) / 4 for x in h],
+              [True] + [0] * (n - 1), list(h[:-1]), ["x"] * n, [None] * n, ["1/0"] * n]
+        ds += [[rng.choice([0, 1, 2, -1, Fraction(rng.randint(-3, 7), rng.randint(1, 6)),
+                            f"{rng.randint(-2, 9)}/{rng.randint(1, 9)}"]) for _ in range(n)]
+               for _ in range(40)]
+        for d in ds:
+            for fast, slow in ((is_ample, is_ample_by_fractions), (is_nef, is_nef_by_fractions)):
+                got = _outcome(fast, d, fan)
+                assert got == _outcome(slow, d, fan), (fast.__name__, d)
+                assert type(got) is bool or type(got) is tuple
+                verdicts.add((fast.__name__, got if type(got) is bool else got[0]))
+    assert verdicts == {(f, v) for f in ("is_ample", "is_nef")
+                        for v in (True, False, "ValueError", "TypeError", "ZeroDivisionError")}
+    # the surface check comes first, then the length, then the entries
+    cube = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    for f in (is_ample, is_nef, is_ample_by_fractions, is_nef_by_fractions):
+        with pytest.raises(ValueError, match="surfaces only"):
+            f(["x"], cube)
+        with pytest.raises(ValueError, match="divisor has 2 coefficients"):
+            f([-1, "x"], fans["p2"])
+        with pytest.raises(ValueError, match="Invalid literal"):
+            f([-1, "x", 0], fans["p2"])
+    # find_ample keeps its search and its result
+    found = [find_ample(fan) for fan in fans.values()]
+    monkeypatch.setattr(intersect, "is_ample", is_ample_by_fractions)
+    assert [find_ample(fan) for fan in fans.values()] == found
 
 
 def test_integral_polarization_builds_no_fraction(corpus, monkeypatch):

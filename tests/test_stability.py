@@ -7,7 +7,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, structure_sheaf
+from conftest import line_bundle_family, rank2_three_lines, ray_degrees, structure_sheaf
 from toricsheaves import stability
 from toricsheaves.chern import chern_character, hilbert_polynomial
 from toricsheaves.family import (
@@ -26,7 +26,6 @@ from toricsheaves.intersect import (
     find_ample,
     intersection_table,
     pair,
-    ray_degrees,
 )
 from toricsheaves.polynomials import RatPoly
 from toricsheaves.sampling import random_families, random_smooth_complete_fan
