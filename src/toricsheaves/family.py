@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .fan import APEX, ConeRef, Fan, _json_int, _json_of
+from .fan import APEX, ConeRef, Fan, _json_int, _json_of, cone_index
 from .subspace import SubspaceQ, rref
 
 # ---------------------------------------------------------------------------
@@ -45,12 +45,10 @@ def _box_index(lo: Sequence[int], hi: Sequence[int], lam: Sequence[int]) -> int:
 
 def _strides(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
     """Index offset of one step up in each coordinate of the lo..hi box."""
-    out = []
-    step = 1
-    for a, b in zip(reversed(lo), reversed(hi)):
-        out.append(step)
-        step *= b - a + 1
-    return tuple(reversed(out))
+    out = [1] * len(lo)
+    for k in range(len(lo) - 1, 0, -1):
+        out[k - 1] = out[k] * (hi[k] - lo[k] + 1)
+    return tuple(out)
 
 
 class _Grid:
@@ -350,34 +348,45 @@ def reflexive_from_filtrations(filts: Sequence[RayFiltration], fan: Fan) -> Delt
 # validation
 
 def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
+    """Each pair of grids must agree at every value of their common rays, each
+    other coordinate at the top of its box.  The values are read in place by
+    stride, and two reads of one object need no comparison."""
     report = []
     idxs = sorted(grids)
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            ia, ib = idxs[a], idxs[b]
+    strides = {i: _strides(g.lo, g.hi) for i, g in grids.items()}
+    for a, ia in enumerate(idxs):
+        for ib in idxs[a + 1:]:
             ga, gb = grids[ia], grids[ib]
             common = sorted(set(ga.cone) & set(gb.cone))
             pa = [ga.cone.index(j) for j in common]
             pb = [gb.cone.index(j) for j in common]
-            ranges = []
-            for qa, qb in zip(pa, pb):
-                lo = min(ga.lo[qa], gb.lo[qb]) - 1
-                hi = max(ga.hi[qa], gb.hi[qb])
-                ranges.append(range(lo, hi + 1))
+            ranges = [range(min(ga.lo[qa], gb.lo[qb]) - 1, max(ga.hi[qa], gb.hi[qb]) + 1)
+                      for qa, qb in zip(pa, pb)]
             for lam in itertools.product(*ranges):
-                full_a = list(ga.hi)
-                full_b = list(gb.hi)
-                for qa, x in zip(pa, lam):
-                    full_a[qa] = x
-                for qb, x in zip(pb, lam):
-                    full_b[qb] = x
-                if ga.value(full_a) != gb.value(full_b):
+                va = _top_value(ga, strides[ia], pa, lam)
+                vb = _top_value(gb, strides[ib], pb, lam)
+                if va is not vb and va != vb:
                     report.append(
                         f"gluing mismatch between cones {ia} and {ib} at "
                         f"common-ray values {dict(zip(common, lam))}"
                     )
                     break
     return report
+
+
+def _top_value(grid: _Grid, strides: Sequence[int], positions: Sequence[int], lam: Sequence[int]):
+    """grid.value at lam in the given distinct positions and at the top of the
+    box in every other coordinate, read in place by stride.  A box with
+    lo > hi in some coordinate holds no value, and every point lies below it
+    there (or clamps to a top below it), so it reads zero."""
+    idx = len(grid.values) - 1
+    for p, x in zip(positions, lam):
+        a, b = grid.lo[p], grid.hi[p]
+        if x < a:
+            return grid._zero_value()
+        if x < b:
+            idx -= (b - x) * strides[p]
+    return grid.values[idx] if idx >= 0 else grid._zero_value()
 
 
 def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
@@ -612,11 +621,18 @@ def restrict_to_face(x: DeltaFamily | CharFunction, nu: ConeRef, fan: Fan):
 def face_source(cmap: dict[int, _Grid], nu: ConeRef, fan: Fan):
     """The grid restrict_to_face reads for the cone nu, with nu's positions in
     that grid's cone: the grid of the lowest-index maximal cone in cmap that
-    contains nu, or None if there is none."""
-    for i in sorted(cmap):
-        mc = fan.max_cones[i]
-        if set(nu) <= set(mc):
-            return cmap[i], [mc.index(j) for j in nu]
+    contains nu, or None if there is none.  The maximal cones containing nu
+    come from the fan's cone index.  A nu that repeats or reorders the rays
+    of a cone has the position of each of its rays, in its own order."""
+    containers = cone_index(fan).containers
+    found = containers.get(nu)
+    if found is None:  # not a cone as listed: read it through its set of rays
+        rays = tuple(sorted(set(nu)))
+        found = [(i, tuple(pos[rays.index(j)] for j in nu)) for i, pos in containers.get(rays, ())]
+    for i, positions in found:
+        grid = cmap.get(i)
+        if grid is not None:
+            return grid, positions
     return None
 
 

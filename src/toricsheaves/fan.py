@@ -11,9 +11,11 @@ angular cover; in higher rank the facet-pairing criterion is used.
 from __future__ import annotations
 
 import json
+import types
+import weakref
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 ConeRef = tuple[int, ...]
 APEX: ConeRef = ()
@@ -73,19 +75,47 @@ class Fan:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cones(self) -> list[ConeRef]:
-        """All cones of the fan (as sorted ray-index tuples), apex included."""
-        seen: set[ConeRef] = set()
-        for mc in self.max_cones:
-            m = len(mc)
-            for mask in range(1 << m):
-                face = tuple(mc[i] for i in range(m) if mask >> i & 1)
-                seen.add(face)
-        return sorted(seen, key=lambda c: (len(c), c))
+    def cones(self) -> tuple[ConeRef, ...]:
+        """All cones of the fan (as sorted ray-index tuples), apex included,
+        by dimension and then lexicographically; read off the cone index."""
+        return cone_index(self).cones
 
     def is_cone(self, ref: ConeRef) -> bool:
         s = set(ref)
         return any(s <= set(mc) for mc in self.max_cones)
+
+
+class ConeIndex(NamedTuple):
+    """The face lattice of a fan: its cones, and the maximal cones that
+    contain each one."""
+
+    cones: tuple[ConeRef, ...]
+    # cone -> (i, the cone's positions in max_cones[i]) for each maximal cone
+    # containing it, in index order; keyed in the order of cones, read-only
+    containers: types.MappingProxyType[ConeRef, tuple[tuple[int, tuple[int, ...]], ...]]
+
+
+# fan -> its cone index; an entry goes when the fan object that keys it is collected
+_INDEXES: weakref.WeakKeyDictionary[Fan, ConeIndex] = weakref.WeakKeyDictionary()
+
+
+def cone_index(fan: Fan) -> ConeIndex:
+    """The cone index of fan, built on the first call for an equal fan and
+    shared after that.  It asks nothing of the fan's validity or rank: the
+    cones are the subsets of the maximal cones as listed."""
+    index = _INDEXES.get(fan)
+    if index is not None:
+        return index
+    found: dict[ConeRef, dict[int, tuple[int, ...]]] = {}
+    for i, mc in enumerate(fan.max_cones):
+        m = len(mc)
+        for mask in range(1 << m):
+            face = tuple(mc[k] for k in range(m) if mask >> k & 1)
+            found.setdefault(face, {}).setdefault(i, tuple(mc.index(j) for j in face))
+    cones = tuple(sorted(found, key=lambda c: (len(c), c)))
+    containers = types.MappingProxyType({c: tuple(found[c].items()) for c in cones})
+    index = _INDEXES[fan] = ConeIndex(cones, containers)
+    return index
 
 
 def validate_fan(fan: Fan) -> list[str]:

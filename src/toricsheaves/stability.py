@@ -30,8 +30,12 @@ cap W) exactly because Xi reads only the boxes and E cap W keeps them.  Each
 public call therefore builds one meet table (the test set, and dim(V cap W)
 for each distinct face value V) and reads every margin off it as a dot
 product.  A face value E^nu(lam) is read in place from the maximal-cone grid
-that restrict_to_face would cut the face from: lam at the positions of nu,
-every other coordinate at the top of the box; no face grid is built.
+that restrict_to_face would cut the face from (found through the fan's cone
+index): lam at the positions of nu, in the order nu lists its rays, every
+other coordinate at the top of the box; no face grid is built.  The table
+scans the corner grids once, on first use, and gives each distinct proper
+value a slot, so a weight key's slot is index arithmetic on its face over
+the grid's slot array; the scanned values are the pool of the test set.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
@@ -79,7 +83,7 @@ from .family import (
     require_torsion_free,
     restrict_to_face,
 )
-from .fan import ConeRef, Fan
+from .fan import ConeRef, Fan, cone_index
 from .intersect import ample_degrees, intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 from .subspace import SubspaceQ
@@ -144,14 +148,15 @@ def _flag_data(meets: _MeetTable) -> FlagData:
         prev = 0
         for lam in range(lo, hi + 1):
             v = face.value((lam,))
-            if v.dim < prev:
+            d = v.dim
+            if d < prev:
                 raise ValueError(f"ray {j}: filtration dimensions decrease at {lam}")
-            prev = v.dim
-            if 0 < v.dim < m:
-                gaps[v.dim - 1] += 1
-                flags[v.dim - 1] = v
-                if pos[v.dim - 1] is None:
-                    pos[v.dim - 1] = lam
+            prev = d
+            if 0 < d < m:
+                gaps[d - 1] += 1
+                flags[d - 1] = v
+                if pos[d - 1] is None:
+                    pos[d - 1] = lam
         if prev != m:
             raise ValueError(f"ray {j}: filtration does not saturate to the full space")
         out.append(RayFlags(j, tuple(gaps), tuple(flags), tuple(pos)))
@@ -164,12 +169,18 @@ def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
     lines, which the closure cannot add to, so the pool is returned as it
     is.  In rank >= 3 each pair is combined once; a closure that adds more
     than CLOSURE_CAP subspaces raises ValueError."""
+    return _distinguished(_proper_values(fam), fam.rank)
+
+
+def _proper_values(fam: DeltaFamily) -> set[SubspaceQ]:
+    """The corner values other than 0 and the full space."""
     m = fam.rank
-    pool: set[SubspaceQ] = set()
-    for _, grid in fam.corners:
-        for v in grid.values:
-            if 0 < v.dim < m:
-                pool.add(v)
+    return {v for _, grid in fam.corners for v in grid.values if 0 < v.dim < m}
+
+
+def _distinguished(pool: set[SubspaceQ], m: int) -> list[SubspaceQ]:
+    """distinguished_subspaces from the set of proper corner values, which
+    the rank >= 3 closure extends in place."""
     todo = sorted(pool, key=_subspace_key)
     if m <= 2:
         return todo
@@ -204,15 +215,21 @@ def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
     corner value is a distinguished line, so that line meets each corner
     value in the generic dimension: 0 for 0 and for the other lines, 1 for
     the full space."""
-    ws = distinguished_subspaces(fam)
-    if fam.rank == 2:
+    return _tests_from_pool(_proper_values(fam), fam.rank)
+
+
+def _tests_from_pool(pool: set[SubspaceQ], m: int) -> tuple[list[SubspaceQ], bool]:
+    """test_subspaces from the set of proper corner values: the one place a
+    test set is built, for test_subspaces and for the meet table."""
+    ws = _distinguished(pool, m)
+    if m == 2:
         taken = set(ws)
         for vec in itertools.chain([(0, 1)], ((1, t) for t in itertools.count())):
             line = SubspaceQ.span([vec], 2)
             if line not in taken:
                 ws.append(line)
                 break
-    return ws, fam.rank <= 2
+    return ws, m <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +239,13 @@ class _Face(NamedTuple):
     """The face restrict_to_face(fam, nu, fan) read in place: the values of
     the maximal-cone grid it would be cut from, and (lo, hi, stride) in that
     grid for each coordinate of nu; every other coordinate stays at the top
-    of its box."""
+    of its box.  The same arithmetic reads the grid's slot array in place of
+    its values."""
 
-    values: tuple[SubspaceQ, ...]
+    values: tuple
     axes: tuple[tuple[int, int, int], ...]
 
-    def value(self, lam: Sequence[int]) -> SubspaceQ | None:
+    def value(self, lam: Sequence[int]):
         """The value at lam, each coordinate clamped to the top of its box;
         None, for zero, below the box."""
         idx = len(self.values) - 1
@@ -239,18 +257,25 @@ class _Face(NamedTuple):
         return self.values[idx]
 
 
+# the slots of a grid the scan has not seen: the one zero value of empty_face
+_ZERO_SLOTS = (None,)
+
+
 class _MeetTable:
     """One family's test set, its face values E^nu(lam) and, for each
     distinct proper face value V and each test subspace W, the integer
     dim(V cap W).  Every margin is linear in these integers, so each test
     reads it as a dot product with its own weights.
 
-    One table serves one public call.  Faces, the test set and the columns
-    are filled on first use, so a call computes only what it reads, and a
-    malformed weight key is reported before the test set is built.  Every
-    stability test and weight system builds one, so this is where a family
-    of rank 0 is refused: the zero sheaf has no slope and no reduced
-    Hilbert polynomial."""
+    One table serves one public call.  Faces, the scan, the test set and the
+    columns are filled on first use, so a call computes only what it reads:
+    the flag data reads ray faces alone, and a malformed weight key is
+    reported before the test set is built.  The scan reads every corner
+    grid once and gives each value its slot, so a weight key's slot is
+    index arithmetic on its face; the proper values it finds are the pool
+    the test set is built from.  Every stability test and weight system
+    builds one table, so this is where a family of rank 0 is refused: the
+    zero sheaf has no slope and no reduced Hilbert polynomial."""
 
     def __init__(self, fam: DeltaFamily, fan: Fan, samples: Sequence[SubspaceQ] = ()):
         if fam.rank < 1:
@@ -260,19 +285,22 @@ class _MeetTable:
         self._samples = list(samples)
         self._cmap = fam.corner_map()
         self._faces: dict[ConeRef, _Face] = {}
+        self._slot_faces: dict[ConeRef, _Face] = {}  # each face over its grid's slots
         self._slots: dict[SubspaceQ, int] = {}
         self.values: list[SubspaceQ] = []   # the distinct proper face values, by slot
         self._columns: list[tuple[int, ...] | None] = []
 
     def face(self, cone: ConeRef) -> _Face:
-        """restrict_to_face(fam, cone, fan) read in place, once per cone.  A
-        cone that no grid contains reads as the zero grid empty_face gives."""
+        """restrict_to_face(fam, cone, fan) read in place, once per cone, from
+        the grid face_source picks, with the coordinates in the cone's own
+        order: a repeated ray reads the last of its coordinates.  A cone that
+        no grid contains reads as the zero grid empty_face gives."""
         face = self._faces.get(cone)
         if face is None:
-            nu = tuple(sorted(cone))
-            source = face_source(self._cmap, nu, self.fan)
+            source = face_source(self._cmap, cone, self.fan)
             if source is None:
-                # a grid that contains nu makes it a cone
+                # a grid that contains the cone makes it one
+                nu = tuple(sorted(cone))
                 if not self.fan.is_cone(nu):
                     raise ValueError(f"{list(nu)} is not a cone of the fan")
                 source = self.fam.empty_face(nu), range(len(nu))
@@ -281,8 +309,30 @@ class _MeetTable:
         return face
 
     @cached_property
+    def _grid_slots(self) -> dict[int, tuple[int | None, ...]]:
+        """The scan: for each corner grid, keyed by the id of its values, the
+        slot of each value in box order.  Grids share value objects, so a
+        proper value is looked up by identity first and by equality only
+        when new; 0 and the full space have no slot."""
+        m = self.rank
+        seen: dict[int, int] = {}
+        out = {}
+        for _, grid in self.fam.corners:
+            row = []
+            for v in grid.values:
+                s = None
+                if 0 < v.dim < m:
+                    s = seen.get(id(v))
+                    if s is None:
+                        s = seen[id(v)] = self.slot_of(v)
+                row.append(s)
+            out[id(grid.values)] = tuple(row)
+        return out
+
+    @cached_property
     def _test_set(self) -> tuple[list[SubspaceQ], bool]:
-        ws, exhaustive = test_subspaces(self.fam)
+        self._grid_slots  # run the scan, which slots every proper corner value
+        ws, exhaustive = _tests_from_pool(set(self.values), self.rank)
         return ws + self._samples, exhaustive
 
     @property
@@ -297,7 +347,8 @@ class _MeetTable:
     def slot_of(self, v: SubspaceQ) -> int | None:
         """The slot of a face value, or None for 0 and the full space: a zero V
         adds nothing to a margin, and a full V adds c dim W to its left side and
-        c M to its total, which cancel in every margin."""
+        c M to its total, which cancel in every margin.  Only face values get
+        slots, so the slotted values are the proper corner values."""
         if not 0 < v.dim < self.rank:
             return None
         s = self._slots.get(v)
@@ -308,12 +359,17 @@ class _MeetTable:
         return s
 
     def slot(self, key: WeightKey) -> int | None:
+        """slot_of the face value at a weight key (cone, lam), read by index
+        arithmetic from the cone's face over its grid's slot array."""
         cone, lam = key
-        face = self.face(cone)
+        face = self._slot_faces.get(cone)
+        if face is None:
+            face = self.face(cone)
+            face = self._slot_faces[cone] = _Face(
+                self._grid_slots.get(id(face.values), _ZERO_SLOTS), face.axes)
         if len(lam) != len(face.axes):
             raise ValueError(f"weight key {key} does not match the family's shape")
-        v = face.value(lam)
-        return None if v is None else self.slot_of(v)
+        return face.value(lam)
 
     def column(self, s: int) -> tuple[int, ...]:
         """dim(V cap W) for the value V in slot s and every test subspace W."""
@@ -650,8 +706,11 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
 
     So the weights of a maximal cone's interior are the constant V_i.V_j (1
     on a smooth fan), a ray weight is linear in lam, and there is one vertex
-    weight.  Each weight is three integer sums, taken with H' = eH integral
-    (riemann_roch_degrees) in place of H, so that
+    weight.  No other cone weighs a maximal cone's box points, so those
+    weights are written out cone by cone, in key order; only the vertex and
+    ray weights are accumulated and sorted.  Each weight is three integer
+    sums, taken with H' = eH integral (riemann_roch_degrees) in place of H,
+    so that
 
         2 e^2 Xi = e^2 (2 + q) + e (H'.(-K) - 2 x.deg(H')) t + H'^2 t^2
 
@@ -669,43 +728,44 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         if g.value(g.hi) != chi.rank:
             raise ValueError(f"cone {i}: characteristic function does not saturate to the rank")
     mat = intersection_table(fan).matrix
-    sums: dict[WeightKey, list] = {}  # key -> [sum of 1, of 2 + q, of x.deg(H')]
-
-    def add(key, one, two_q, xh):
-        acc = sums.setdefault(key, [0, 0, 0])
-        acc[0] += one
-        acc[1] += two_q
-        acc[2] += xh
-
-    for nu in fan.cones():
-        # the bounds of restrict_to_face(chi, nu, fan), without building its values
-        grid, positions = face_source(gmap, nu, fan)
+    e, h_ak = rr.e, sum(deg_h)
+    one = two_q = xh = 0  # the vertex: sums of 1, of 2 + q and of x.deg(H')
+    rays: dict[WeightKey, list] = {}  # ray key -> [sum of 2 + q, of x.deg(H')]
+    interior = []  # (key, 2 e^2 Xi) at the box points of the 2-cones, in key order
+    for nu, containers in cone_index(fan).containers.items():
+        # the bounds of restrict_to_face(chi, nu, fan), without building its
+        # values: every maximal cone carries a grid, so the first one serves
+        c, positions = containers[0]
+        grid = gmap[c]
         lo = [grid.lo[p] for p in positions]
         s = (-1) ** (fan.rank - len(nu))
         cut = [grid.hi[p] + 1 for p in positions]
-        row = [[mat[i][j] for j in nu] for i in nu]  # M on the rays of nu
-        add(((), ()), s,
-            s * (2 + sum(x * r * y for x, rr in zip(cut, row) for r, y in zip(rr, cut))
-                 - sum(x * deg_ak[i] for x, i in zip(cut, nu))),
-            s * sum(x * deg_h[i] for x, i in zip(cut, nu)))
+        m_cut = [sum(mat[i][j] * y for j, y in zip(nu, cut)) for i in nu]  # (M cut)_i on nu
+        one += s
+        two_q += s * (2 + sum(x * (mx - deg_ak[i]) for x, mx, i in zip(cut, m_cut, nu)))
+        xh += s * sum(x * deg_h[i] for x, i in zip(cut, nu))
         for u, i in enumerate(nu):
-            m_ii = row[u][u]
-            rest = 2 * sum(r * x for v, (r, x) in enumerate(zip(row[u], cut)) if v != u)
-            rest -= deg_ak[i]
+            m_ii = mat[i][i]
+            rest = 2 * (m_cut[u] - m_ii * cut[u]) - deg_ak[i]
             for a in range(lo[u], cut[u]):
-                add(((i,), (a,)), 0, -s * (m_ii * (2 * a + 1) + rest), -s * deg_h[i])
-        if len(nu) == 2:
-            for lam in itertools.product(*(range(a, b) for a, b in zip(lo, cut))):
-                add((nu, lam), 0, s * 2 * row[0][1], 0)
-    e, h_ak = rr.e, sum(deg_h)
+                acc = rays.setdefault(((i,), (a,)), [0, 0])
+                acc[0] -= s * (m_ii * (2 * a + 1) + rest)
+                acc[1] -= s * deg_h[i]
+        if len(nu) == 2 and mat[nu[0]][nu[1]]:
+            # a maximal cone (s = 1) alone weighs its box points, each by 2 M_ij
+            # to 2 + q, so 2 e^2 Xi is the constant 2 e^2 M_ij
+            coeffs = (2 * e * e * mat[nu[0]][nu[1]],)
+            interior += [((nu, lam), coeffs)
+                         for lam in itertools.product(*(range(a, b) for a, b in zip(lo, cut)))]
     keyed = []  # (key, 2 e^2 Xi without its zero top coefficients), Xi nonzero
-    for key, (one, two_q, xh) in sums.items():
+    sums = [(((), ()), one, two_q, xh)] + [(key, 0, t, x) for key, (t, x) in sorted(rays.items())]
+    for key, one, two_q, xh in sums:
         coeffs = [e * e * two_q, e * (one * h_ak - 2 * xh), one * rr.h_int_sq]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         if coeffs:
             keyed.append((key, tuple(coeffs)))
-    keyed.sort(key=lambda kc: (len(kc[0][0]), kc[0]))
+    keyed += interior
     distinct: dict[tuple[int, ...], int] = {}
     index = tuple(distinct.setdefault(coeffs, len(distinct)) for _, coeffs in keyed)
     g = math.gcd(2 * e * e, *(c for coeffs in distinct for c in coeffs))

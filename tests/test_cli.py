@@ -315,9 +315,11 @@ PUBLIC_OPS = {
     "enumerate_gauge_fixed_chi", "run",
 }
 # reached from no subcommand: lattice_point_count is the tests' independent
-# Euler-characteristic oracle, and restrict_to_face builds the face grids that
-# chern and stability read in place (xi_reconstruct and the oracles still call it)
-LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face"}
+# Euler-characteristic oracle, restrict_to_face builds the face grids that
+# chern and stability read in place (xi_reconstruct and the oracles still call
+# it), and distinguished_subspaces is the test set's closure on its own, which
+# the stability commands reach through the meet table's scan instead
+LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces"}
 
 
 def test_operation_coverage_table(files, p2):

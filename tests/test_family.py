@@ -159,6 +159,20 @@ def test_gluing_violation_reported(p2, o_p2):
     assert any("gluing" in r for r in report)
 
 
+def test_gluing_reads_an_empty_box_as_zero(p2, o_p2):
+    # cone 0's box is empty (lo > hi in the coordinate of ray 0), and cone 2
+    # reaches past its lo on ray 0: that read once indexed an empty grid
+    corners = dict(o_p2.corners)
+    corners[0] = CornerFamily((0, 1), (2, 0), (0, 0), (), 1)
+    corners[2] = CornerFamily((0, 2), (2, 0), (3, 0), (SubspaceQ.full(1),) * 2, 1)
+    fam = DeltaFamily(KIND_TORSION_FREE, 1, tuple(sorted(corners.items())))
+    assert validate_torsion_free(fam, p2) == [
+        "cone 0: empty box (2, 0)..(0, 0)",
+        "gluing mismatch between cones 0 and 1 at common-ray values {1: 0}",
+        "gluing mismatch between cones 0 and 2 at common-ray values {0: 2}",
+    ]
+
+
 def test_reflexivity(p2, o_p2):
     assert is_reflexive(o_p2, p2)
     assert not is_reflexive(ideal_sheaf_of_point(p2), p2)
@@ -706,12 +720,40 @@ def reports(fan, fam):
     return family.validate_family(fam, fan), reflexive
 
 
+def gluing_by_value(fan, grids):
+    """The gluing check as it read each point: two coordinate lists per
+    common-ray value, each read by _Grid.value."""
+    report = []
+    idxs = sorted(grids)
+    for a in range(len(idxs)):
+        for b in range(a + 1, len(idxs)):
+            ia, ib = idxs[a], idxs[b]
+            ga, gb = grids[ia], grids[ib]
+            common = sorted(set(ga.cone) & set(gb.cone))
+            pa = [ga.cone.index(j) for j in common]
+            pb = [gb.cone.index(j) for j in common]
+            ranges = [range(min(ga.lo[qa], gb.lo[qb]) - 1, max(ga.hi[qa], gb.hi[qb]) + 1)
+                      for qa, qb in zip(pa, pb)]
+            for lam in itertools.product(*ranges):
+                full_a, full_b = list(ga.hi), list(gb.hi)
+                for qa, x in zip(pa, lam):
+                    full_a[qa] = x
+                for qb, x in zip(pb, lam):
+                    full_b[qb] = x
+                if ga.value(full_a) != gb.value(full_b):
+                    report.append(f"gluing mismatch between cones {ia} and {ib} at "
+                                  f"common-ray values {dict(zip(common, lam))}")
+                    break
+    return report
+
+
 def reports_by_value(fan, fam, monkeypatch):
     from toricsheaves import family
 
     with monkeypatch.context() as m:
         m.setattr(family, "_inclusion_breaks", inclusion_breaks_by_value)
         m.setattr(family, "_corners_are_axis_meets", axis_meets_by_value)
+        m.setattr(family, "_gluing_report", gluing_by_value)
         return reports(fan, fam)
 
 
@@ -784,8 +826,14 @@ def test_validation_matches_value_walks(p2, monkeypatch):
             for i, g in slab.corners), slab.support)
         fams.append((fan, slab))
         fams += [(fan, bad) for _ in range(4) for bad in broken_variants(slab, rng)]
+    # one cone's box empty in every coordinate, which both gluing routes read as zero
+    fams += [(fan, replace(fam, corners=((i, CornerFamily(g.cone, tuple(b + 1 for b in g.hi),
+                                                          g.hi, (), g.ambient)),)
+                           + tuple(c for c in fam.corners if c[0] != i)))
+             for fan, fam in fams[::9] for i, g in fam.corners[:1]]
     seen = {"valid": 0, "not monotone": 0, "not the full space": 0, "gluing mismatch": 0,
-            "declared reflexive": 0, "does not include": 0, "reflexive": 0, "not reflexive": 0}
+            "declared reflexive": 0, "does not include": 0, "reflexive": 0, "not reflexive": 0,
+            "empty box": 0}
     for fan, fam in fams:
         got = reports(fan, fam)
         assert got == reports_by_value(fan, fam, monkeypatch)

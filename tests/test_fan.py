@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from toricsheaves.family import face_source
 from toricsheaves.fan import (
+    ConeIndex,
     Fan,
     cone_count_identity,
+    cone_index,
     euler_characteristic,
     fan_from_json,
     fan_to_json,
@@ -121,3 +125,79 @@ def test_rays_out_of_cyclic_order_rejected():
     # correct cone combinatorics but rays listed out of angular order
     fan = Fan.make(2, [(1, 0), (-1, -1), (0, 1)], [(0, 2), (1, 2), (0, 1)])
     assert validate_fan(fan) != []
+
+
+# --- the cone index against the scans it replaced -------------------------------
+
+def cones_by_scan(fan):
+    """Fan.cones as it enumerated the cones on every call: every subset of
+    every maximal cone, sorted by dimension and then lexicographically."""
+    seen = set()
+    for mc in fan.max_cones:
+        m = len(mc)
+        for mask in range(1 << m):
+            seen.add(tuple(mc[i] for i in range(m) if mask >> i & 1))
+    return sorted(seen, key=lambda c: (len(c), c))
+
+
+def face_source_by_scan(cmap, nu, fan):
+    """face_source as it scanned the maximal cones on every call: the first
+    index in cmap whose maximal cone contains the rays of nu."""
+    for i in sorted(cmap):
+        mc = fan.max_cones[i]
+        if set(nu) <= set(mc):
+            return cmap[i], [mc.index(j) for j in nu]
+    return None
+
+
+def index_by_scan(fan):
+    """The cone index written out from its definition, by the same scans."""
+    cones = tuple(cones_by_scan(fan))
+    return ConeIndex(cones, {
+        nu: tuple((i, tuple(mc.index(j) for j in nu))
+                  for i, mc in enumerate(fan.max_cones) if set(nu) <= set(mc))
+        for nu in cones})
+
+
+def _index_oracle_fans():
+    rank3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    randoms = [random_smooth_complete_fan(random.Random(seed), blowups=seed % 4)
+               for seed in range(6)]
+    return [projective_plane(), p1_x_p1(), hirzebruch(1), hirzebruch(2), *randoms, rank3]
+
+
+def test_cone_index_matches_scan():
+    checked = 0
+    for fan in _index_oracle_fans():
+        assert fan.cones() == tuple(cones_by_scan(fan))
+        assert cone_index(fan) == index_by_scan(fan)
+        n = len(fan.max_cones)
+        # every non-empty set of maximal cones, as the partial maps of pure families carry
+        for size in range(1, n + 1):
+            for present in itertools.combinations(range(n), size):
+                cmap = {i: f"grid {i}" for i in present}
+                for nu in fan.cones():
+                    # also reordered, and with a repeated ray
+                    for cone in {nu, nu[::-1], nu + nu[:1]}:
+                        want = face_source_by_scan(cmap, cone, fan)
+                        got = face_source(cmap, cone, fan)
+                        assert got == (None if want is None else (want[0], tuple(want[1])))
+                        checked += 1
+    assert checked > 9_000
+    # a ray set that is no cone has no source
+    p2 = projective_plane()
+    assert face_source({0: "g", 1: "g", 2: "g"}, (0, 1, 2), p2) is None
+
+
+def test_cone_index_built_once_per_equal_fan():
+    a, b = hirzebruch(1), hirzebruch(1)
+    assert a is not b
+    assert cone_index(a) is cone_index(b)
+    assert a.cones() is b.cones()
+    # the stored cones cannot be changed through what cones() returns
+    with pytest.raises((TypeError, AttributeError)):
+        a.cones().append((0,))
+    with pytest.raises(TypeError):
+        cone_index(a).containers[(0,)] = ()
+    assert cone_index(a) == index_by_scan(a)

@@ -781,7 +781,8 @@ def test_stability_work_counts(monkeypatch, f1):
     chi = characteristic_function(fam)
     subfamilies = _count_calls(monkeypatch, family, "intersect_with_subspace")
     xis = _count_calls(monkeypatch, stability, "xi_weights")
-    tests = _count_calls(monkeypatch, stability, "test_subspaces")
+    # the meet table builds its test set through the helper test_subspaces shares
+    tests = _count_calls(monkeypatch, stability, "_tests_from_pool")
     gieseker_test(fam, f1, h)
     assert (len(xis), len(tests)) == (1, 1)
     del xis[:], tests[:]
@@ -913,22 +914,23 @@ def test_xi_weights_match_corner_sum(corpus, amples):
 
 
 def test_xi_face_bounds_match_restrict_to_face(corpus, amples, monkeypatch):
-    # xi_weights reads each cone's bounds off the grid restrict_to_face picks
-    def built_faces(cmap, nu, fan):  # the old route: build the face grid of chi
-        return restrict_to_face(chi, nu, fan), range(len(nu))
+    # xi_weights reads each cone's bounds off the grid restrict_to_face picks:
+    # the first maximal cone the cone index lists for the cone
+    from toricsheaves.family import face_source
+    from test_fan import index_by_scan
 
     for fan, h in _oracle_fans(corpus, amples):
         for fam in random_families(fan, 2, 4, seed=157):
             chi = tensor_line_bundle(characteristic_function(fam),
                                      [j % 3 - 1 for j in range(fan.n_rays())])
             for nu in fan.cones():
-                grid, positions = stability.face_source(chi.corner_map(), nu, fan)
+                grid, positions = face_source(chi.corner_map(), nu, fan)
                 face = restrict_to_face(chi, nu, fan)
                 assert tuple(grid.lo[p] for p in positions) == face.lo
                 assert tuple(grid.hi[p] for p in positions) == face.hi
             xi = xi_weights(chi, fan, h)
-            with monkeypatch.context() as m:
-                m.setattr(stability, "face_source", built_faces)
+            with monkeypatch.context() as m:  # the index as the scans build it
+                m.setattr(stability, "cone_index", index_by_scan)
                 assert xi_weights(chi, fan, h) == xi
 
 
@@ -1169,7 +1171,9 @@ def test_xi_scaled_matches_entries(corpus, amples, p2, p1p1):
 
 class FaceGridMeets(stability._MeetTable):
     """The meet table as it read faces before: each face a grid built by
-    restrict_to_face, once per cone, and every value read off that grid."""
+    restrict_to_face, once per cone, and every value read off that grid.  The
+    grid's coordinates are the cone's rays sorted, so lam is read in that
+    order by a stable sort: a repeated index reads its last coordinate."""
 
     def face(self, cone):
         grid = self._faces.get(cone)
@@ -1177,12 +1181,20 @@ class FaceGridMeets(stability._MeetTable):
             grid = self._faces[cone] = restrict_to_face(self.fam, cone, self.fan)
         return grid
 
-    def slot(self, key):
+    def value(self, key):
         cone, lam = key
         grid = self.face(cone)
         if len(lam) != grid.ndim():
             raise ValueError(f"weight key {key} does not match the family's shape")
-        return self.slot_of(grid.value(lam))
+        return grid.value([lam[k] for k in sorted(range(len(cone)), key=cone.__getitem__)])
+
+    def slot(self, key):
+        return self.slot_of(self.value(key))
+
+
+def slotted(meets, s):
+    """The value in slot s of a meet table, None for no slot."""
+    return None if s is None else meets.values[s]
 
 
 def flag_data_by_grids(meets):
@@ -1239,10 +1251,12 @@ def test_faces_read_in_place_match_face_grids(corpus, amples, monkeypatch):
         new, old = stability._MeetTable(fam, fan), FaceGridMeets(fam, fan)
         for key in _face_keys(fam, fan):
             v = new.face(key[0]).value(key[1])
-            assert (SubspaceQ.zero(fam.rank) if v is None else v) == old.face(key[0]).value(key[1])
-            assert new.slot(key) == old.slot(key)
+            assert (SubspaceQ.zero(fam.rank) if v is None else v) == old.value(key)
+            # the scan and the key order number the slots differently
+            assert slotted(new, new.slot(key)) == slotted(old, old.slot(key))
             seen.add("below" if v is None else "value")
-        assert new.values == old.values
+        assert sorted(new.values, key=stability._subspace_key) == \
+            sorted(old.values, key=stability._subspace_key)
         assert _outcome(stability._flag_data, new) == _outcome(flag_data_by_grids, old)
         keys = _face_keys(fam, fan)[::3]
         unit = WeightSystem(fam.rank, tuple((key, 1 + k % 3) for k, key in enumerate(keys)))
@@ -1302,3 +1316,83 @@ def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkey
                 with pytest.raises(ValueError, match="^invalid family: "):
                     mu_test(bad, fan, h)
     assert would_be == {STABLE, SEMISTABLE, UNSTABLE}
+
+
+# --- the meet table's scan against the per-key route it replaced -------------------
+
+def test_meet_table_scan_matches_slot_of_route():
+    """Each key's slot by index arithmetic over the scanned slot arrays against
+    the route that hashed its face value, slot_of(face.value(lam)), in the
+    same table; and the test set from the scanned pool against
+    test_subspaces plus the samples."""
+    from test_chern import bracket_oracle_families
+
+    seen = set()
+    for k, (fan, fam) in enumerate(bracket_oracle_families()):
+        samples = random_subspaces(fam.rank, 2, random.Random(k))
+        meets = stability._MeetTable(fam, fan, samples)
+        for key in _face_keys(fam, fan):
+            v = meets.face(key[0]).value(key[1])
+            assert meets.slot(key) == (None if v is None else meets.slot_of(v))
+            seen.add("below" if v is None else "zero or full" if meets.slot(key) is None
+                     else "proper")
+        tests = _outcome(stability.test_subspaces, fam)
+        if isinstance(tests[0], str):  # the rank >= 3 closure outgrew CLOSURE_CAP
+            assert _outcome(lambda: meets.tests) == tests
+            seen.add("closure refused")
+            continue
+        assert (meets.tests, meets.exhaustive) == (tests[0] + samples, tests[1])
+        # the scan slots exactly the proper corner values
+        assert set(meets.values) == stability._proper_values(fam)
+        seen.update({fam.kind, f"rank {fam.rank}"})
+    assert {"below", "zero or full", "proper", "pure", "torsion-free", "reflexive",
+            "rank 1", "rank 2", "rank 3", "closure refused"} <= seen
+
+
+def test_unsorted_weight_keys_read_in_their_own_order(p2):
+    """A weight key's lam is read in the key's own ray order: the weights of
+    choose_r with every 2-cone key written with its rays reversed give the
+    same GIT verdicts and margins, and a ray key ((j,), (a,)) written as
+    ((j, j), (b, a)) with b above the box reads a, the last of its
+    coordinates."""
+    h = find_ample(p2)
+    for fam in random_families(p2, 2, 40, seed=7):
+        _, w = choose_r(characteristic_function(fam), p2, h, [fam])
+        flipped = WeightSystem(w.ambient, tuple(
+            ((cone[::-1], lam[::-1]) if len(cone) == 2 else (cone, lam), x)
+            for (cone, lam), x in w.items()))
+        doubled = WeightSystem(w.ambient, tuple(
+            ((cone * 2, (lam[0] + 7, lam[0])) if len(cone) == 1 else (cone, lam), x)
+            for (cone, lam), x in w.items()))
+        want = git_test(fam, w, p2)
+        assert git_test(fam, flipped, p2) == want
+        assert git_test(fam, doubled, p2) == want
+
+
+def test_cone_index_and_validation_work_counts(monkeypatch, corpus, amples):
+    """Across the six stability calls on 20 families, each fan's cone index is
+    built once, and the torsion-free validator runs twice per family (in
+    mu_test and mu_weights), as before the index."""
+    import weakref
+
+    from toricsheaves import family, fan as fanmod
+
+    monkeypatch.setattr(fanmod, "_INDEXES", weakref.WeakKeyDictionary())
+    built, index = [], fanmod.ConeIndex
+    monkeypatch.setattr(fanmod, "ConeIndex", lambda *args: built.append(1) or index(*args))
+    validated = _count_calls(monkeypatch, family, "validate_torsion_free")
+    fams = [(fan, amples[name], fam) for name, fan in corpus.items()
+            for fam in random_families(fan, 2, 7, seed=4001)][:20]
+    for fan, h, fam in fams:
+        mu_test(fam, fan, h)
+        try:
+            w = mu_weights(fam, fan, h)
+        except ValueError:  # every flag gap is zero
+            pass
+        else:
+            git_test(fam, w, fan)
+        gieseker_test(fam, fan, h)
+        _, w = choose_r(characteristic_function(fam), fan, h, [fam])
+        git_test(fam, w, fan)
+    assert len(built) == len(corpus)
+    assert len(validated) == 2 * len(fams)
