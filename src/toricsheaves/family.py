@@ -624,7 +624,12 @@ def face_source(cmap: dict[int, _Grid], nu: ConeRef, fan: Fan):
     contains nu, or None if there is none.  The maximal cones containing nu
     come from the fan's cone index.  A nu that repeats or reorders the rays
     of a cone has the position of each of its rays, in its own order."""
-    containers = cone_index(fan).containers
+    return _face_source_in(cmap, nu, cone_index(fan).containers)
+
+
+def _face_source_in(cmap: dict[int, _Grid], nu: ConeRef, containers):
+    """face_source with the fan's cone index already looked up: containers is
+    cone_index(fan).containers."""
     found = containers.get(nu)
     if found is None:  # not a cone as listed: read it through its set of rays
         rays = tuple(sorted(set(nu)))

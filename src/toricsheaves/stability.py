@@ -26,16 +26,21 @@ Every margin is linear in the integers dim(E^nu(lam) cap W), for the face
 values E^nu(lam) and the test subspaces W: the slope test weights them by
 the flag gaps, the GIT test by the weights kappa, and the Gieseker test by
 the face weight polynomials Xi, which give P(E cap W) = sum Xi dim(E^nu(lam)
-cap W) exactly because Xi reads only the boxes and E cap W keeps them.  Each
-public call therefore builds one meet table (the test set, and dim(V cap W)
-for each distinct face value V) and reads every margin off it as a dot
-product.  A face value E^nu(lam) is read in place from the maximal-cone grid
-that restrict_to_face would cut the face from (found through the fan's cone
-index): lam at the positions of nu, in the order nu lists its rays, every
-other coordinate at the top of the box; no face grid is built.  The table
-scans the corner grids once, on first use, and gives each distinct proper
-value a slot, so a weight key's slot is index arithmetic on its face over
-the grid's slot array; the scanned values are the pool of the test set.
+cap W) exactly because Xi reads only the boxes and E cap W keeps them.  So
+every margin is a dot product read off one meet table per family and fan
+(the test set, and dim(V cap W) for each distinct face value V).  Each
+stability test builds its table; a weight system from mu_weights or
+choose_r carries the tables it was built against, and git_test reads the
+one for the very family and fan it is given, unless it draws samples.  The
+table is a pure function of (family, fan), so nothing it reports depends
+on whether it was carried or built.  A face value E^nu(lam) is read in
+place from the maximal-cone grid that restrict_to_face would cut the face
+from (found through the fan's cone index): lam at the positions of nu, in
+the order nu lists its rays, every other coordinate at the top of the box;
+no face grid is built.  The table scans the corner grids once, on first
+use, and gives each distinct proper value a slot, so a weight key's slot is
+index arithmetic on its face over the grid's slot array; the scanned values
+are the pool of the test set.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
@@ -77,8 +82,8 @@ from .family import (
     KIND_PURE,
     _corners_are_axis_meets,
     _face_axes,
+    _face_source_in,
     characteristic_function,
-    face_source,
     is_reflexive,
     require_torsion_free,
     restrict_to_face,
@@ -130,6 +135,8 @@ class RayFlags:
 class FlagData:
     rank: int
     rays: tuple[RayFlags, ...]
+    # the meet table the flags were read from, which mu_weights hands on
+    _meets: _MeetTable | None = field(default=None, compare=False, repr=False)
 
 
 def extract_flag_data(fam: DeltaFamily, fan: Fan) -> FlagData:
@@ -160,7 +167,7 @@ def _flag_data(meets: _MeetTable) -> FlagData:
         if prev != m:
             raise ValueError(f"ray {j}: filtration does not saturate to the full space")
         out.append(RayFlags(j, tuple(gaps), tuple(flags), tuple(pos)))
-    return FlagData(m, tuple(out))
+    return FlagData(m, tuple(out), meets)
 
 
 def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
@@ -204,7 +211,21 @@ def _distinguished(pool: set[SubspaceQ], m: int) -> list[SubspaceQ]:
 
 
 def _subspace_key(v: SubspaceQ):
-    return (v.dim, v.basis_str())
+    """(v.dim, v.basis_str()), written from the integer rows: each RREF entry
+    x/d, d the row's positive pivot entry, is x and d divided by their gcd,
+    as Fraction prints it.  The test set is sorted by this key."""
+    rows = []
+    for row in v.rows:
+        d = next(filter(None, row))
+        if d == 1:
+            rows.append(list(map(str, row)))
+            continue
+        out = []
+        for x in row:
+            g = math.gcd(x, d)
+            out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        rows.append(out)
+    return v.dim, rows
 
 
 def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
@@ -267,15 +288,19 @@ class _MeetTable:
     dim(V cap W).  Every margin is linear in these integers, so each test
     reads it as a dot product with its own weights.
 
-    One table serves one public call.  Faces, the scan, the test set and the
-    columns are filled on first use, so a call computes only what it reads:
-    the flag data reads ray faces alone, and a malformed weight key is
-    reported before the test set is built.  The scan reads every corner
-    grid once and gives each value its slot, so a weight key's slot is
-    index arithmetic on its face; the proper values it finds are the pool
-    the test set is built from.  Every stability test and weight system
-    builds one table, so this is where a family of rank 0 is refused: the
-    zero sheaf has no slope and no reduced Hilbert polynomial."""
+    A table is a pure function of (family, fan), so it may serve more than
+    one call: the weight systems of mu_weights and choose_r carry the tables
+    they were built against, and git_test reads one of them when it is given
+    that very family and fan and no samples.  Faces, the scan, the test set
+    and the columns are filled on first use, so a call computes only what
+    it reads: the flag data reads ray faces alone, and a malformed weight
+    key is reported before the test set is built.  The fan's cone index is
+    looked up once per table.  The scan reads every corner grid once and
+    gives each value its slot, so a weight key's slot is index arithmetic on
+    its face; the proper values it finds are the pool the test set is built
+    from.  Every stability test and weight system reads a table built for
+    its family, so this is where a family of rank 0 is refused: the zero
+    sheaf has no slope and no reduced Hilbert polynomial."""
 
     def __init__(self, fam: DeltaFamily, fan: Fan, samples: Sequence[SubspaceQ] = ()):
         if fam.rank < 1:
@@ -284,6 +309,7 @@ class _MeetTable:
         self.fam, self.fan, self.rank = fam, fan, fam.rank
         self._samples = list(samples)
         self._cmap = fam.corner_map()
+        self._containers = cone_index(fan).containers
         self._faces: dict[ConeRef, _Face] = {}
         self._slot_faces: dict[ConeRef, _Face] = {}  # each face over its grid's slots
         self._slots: dict[SubspaceQ, int] = {}
@@ -297,7 +323,7 @@ class _MeetTable:
         no grid contains reads as the zero grid empty_face gives."""
         face = self._faces.get(cone)
         if face is None:
-            source = face_source(self._cmap, cone, self.fan)
+            source = _face_source_in(self._cmap, cone, self._containers)
             if source is None:
                 # a grid that contains the cone makes it one
                 nu = tuple(sorted(cone))
@@ -525,6 +551,9 @@ WeightKey = tuple[ConeRef, tuple[int, ...]]
 class WeightSystem:
     ambient: int
     entries: tuple[tuple[WeightKey, int], ...]
+    # the meet tables of the families the weights were built against, which
+    # git_test reads for those very families on the same fan
+    _meets: tuple[_MeetTable, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for key, w in self.entries:
@@ -545,6 +574,7 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     deg = ample_degrees(ample, fan)
     m = fam.rank
     flags = extract_flag_data(fam, fan)
+    carried = (flags._meets,)
     flag_entries: list[tuple[WeightKey, int]] = []
     for rf in flags.rays:
         for k in range(m - 1):
@@ -557,7 +587,7 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
         raise ValueError("all flag gaps are zero; no slope-stable objects with this shape")
     reflexive = is_reflexive(fam, fan)
     if reflexive:
-        return WeightSystem(m, tuple(flag_entries))
+        return WeightSystem(m, tuple(flag_entries), carried)
     extra_entries: list[tuple[WeightKey, int]] = []
     n_sum = 0
     for i, grid in fam.corners:
@@ -568,10 +598,10 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
                 extra_entries.append(((grid.cone, lam), 1))
                 n_sum += v.dim
     if not extra_entries:
-        return WeightSystem(m, tuple(flag_entries))
+        return WeightSystem(m, tuple(flag_entries), carried)
     r_scale = m * m * n_sum + 1
     scaled = [(key, w * r_scale) for key, w in flag_entries]
-    return WeightSystem(m, tuple(scaled + extra_entries))
+    return WeightSystem(m, tuple(scaled + extra_entries), carried)
 
 
 def random_subspaces(ambient: int, count: int, rng: random.Random) -> list[SubspaceQ]:
@@ -591,14 +621,19 @@ def random_subspaces(ambient: int, count: int, rng: random.Random) -> list[Subsp
 def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
              n_random: int = 0, seed: int = 0) -> StabilityVerdict:
     """Weighted dimension inequality over the distinguished and sampled
-    subspaces; properly stable iff strict for every test subspace."""
+    subspaces; properly stable iff strict for every test subspace.  With no
+    samples, the meet table the weights carry for this very family and fan
+    (the same objects) serves; otherwise a table is built."""
     m = fam.rank
     _check_ambient(weights.ambient, m)
     if not 0 <= n_random <= MAX_SAMPLES:
         raise ValueError(f"random test subspaces: {n_random} requested, "
                          f"the count must lie in [0, {MAX_SAMPLES}]")
     samples = random_subspaces(m, n_random, random.Random(seed)) if n_random else ()
-    meets = _MeetTable(fam, fan, samples)
+    meets = None if samples else next(
+        (t for t in weights._meets if t.fam is fam and t.fan is fan), None)
+    if meets is None:
+        meets = _MeetTable(fam, fan, samples)
     margins = _git_margins(meets, weights)
     note = None if meets.exhaustive else "distinguished-set verdict (rank >= 3)"
     return _classify("git", margins, meets.exhaustive, note)
@@ -644,15 +679,17 @@ class XiWeights:
     def at(self, r: int) -> WeightSystem:
         return self._integral_at(r, [_horner(p, r) for p in self._scaled.polys])
 
-    def _integral_at(self, r: int, vals: Sequence[int]) -> WeightSystem:
+    def _integral_at(self, r: int, vals: Sequence[int],
+                     meets: tuple[_MeetTable, ...] = ()) -> WeightSystem:
         """The weight system at r, from vals[i] = (D Xi)(r) for each distinct
-        polynomial polys[i]; every weight Xi(r) must be an integer."""
+        polynomial polys[i], carrying the meet tables meets; every weight
+        Xi(r) must be an integer."""
         d, _, index = self._scaled
         for (key, _), i in zip(self.entries, index):
             if vals[i] % d:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
         return WeightSystem(self.ambient, tuple(
-            (key, vals[i] // d) for (key, _), i in zip(self.entries, index)))
+            (key, vals[i] // d) for (key, _), i in zip(self.entries, index)), meets)
 
 
 def _scaled_entries(entries) -> _ScaledXi:
@@ -802,15 +839,18 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
     is that of the integer N(R).  Each witness gets one meet table and its
     margins once; a witness whose characteristic function is chi reuses them
     for its Gieseker target.  Every trial R then evaluates the integer
-    polynomials D Xi and N by Horner's rule, with no Fraction."""
+    polynomials D Xi and N by Horner's rule, with no Fraction.  The weights
+    returned carry the witnesses' tables."""
     xi = xi_weights(chi, fan, ample)
     checks = []
+    tables = []
     for w in witnesses:
         if w.kind == KIND_PURE:
             raise ValueError(TORSION_FREE_ONLY)
         chi_w = characteristic_function(w)
         own = None if chi_w == chi else xi_weights(chi_w, fan, ample)
         meets = _MeetTable(w, fan)
+        tables.append(meets)
         margins = _gieseker_margins(meets, xi)
         target = margins if own is None else _gieseker_margins(meets, own)
         checks.append((w.rank, [nums for _, nums, _ in margins],
@@ -820,7 +860,7 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         vals = [_horner(p, r) for p in polys]
         if any(v <= 0 for v in vals):
             continue  # some weight is nonpositive at R
-        ws = xi._integral_at(r, vals)
+        ws = xi._integral_at(r, vals, tuple(tables))
         if all(_git_verdict_at(xi.ambient, m, nums, r) == t for m, nums, t in checks):
             return r, ws
     raise RuntimeError(f"no certified R found in [1, {R_MAX}]")

@@ -1396,3 +1396,151 @@ def test_cone_index_and_validation_work_counts(monkeypatch, corpus, amples):
         git_test(fam, w, fan)
     assert len(built) == len(corpus)
     assert len(validated) == 2 * len(fams)
+
+
+# --- meet tables carried by weight systems ---------------------------------------
+
+def test_carried_meet_tables_match_fresh_tables(monkeypatch):
+    """git_test on the meet table a weight system carries against the same
+    entries in a fresh WeightSystem(w.ambient, w.entries), which builds its
+    own table: the weights of mu_weights and of choose_r (with one witness
+    and with two), on families of rank 1-3 over P^2, P^1xP^1, F_1, F_2 and
+    1-3 blow-ups, give the same verdict, margin, witness, exhaustive flag and
+    note.  So do samples, an equal copy of the family and an equal rebuilt
+    fan, each of which gets a table of its own, and malformed keys raise the
+    same error."""
+    from test_family import random_oracle_families
+    from toricsheaves.family import family_from_json, family_to_json
+    from toricsheaves.fan import fan_from_json, fan_to_json
+
+    built = _count_calls(monkeypatch, stability, "_MeetTable")
+    bad_keys = [(((0,), (0, 0)), "does not match the family's shape"),
+                (((2, 1, 0), (0, 0, 0)), r"^\[0, 1, 2\] is not a cone of the fan$")]
+    seen = set()
+    cases = random_oracle_families(random.Random(191))
+    amples, rebuilt = {}, {}
+    for k, (fan, fam) in enumerate(cases):
+        if k // 2 % 3:
+            continue  # the first pair of each rank on each fan
+        if isinstance(_outcome(stability.test_subspaces, fam)[0], str):
+            if "closure refused" in seen:
+                continue  # one family whose rank-3 closure outgrows CLOSURE_CAP serves
+            seen.add("closure refused")
+        h = amples.setdefault(fan, find_ample(fan))
+        fan_copy = rebuilt.setdefault(fan, fan_from_json(fan_to_json(fan)))
+        assert fan_copy == fan and fan_copy is not fan
+        # the families come in three pairs of each rank on each fan: a
+        # reflexive one, then a cut of it, which gets the reflexive one as a
+        # second witness
+        witnesses = [fam] + ([cases[k - 1][1]] if k % 2 else [])
+        chi = characteristic_function(fam)
+        systems = [("mu", [fam], _outcome(mu_weights, fam, fan, h)),
+                   ("R", witnesses, _outcome(choose_r, chi, fan, h, witnesses)[-1])]
+        for source, targets, w in systems:
+            if not isinstance(w, WeightSystem):
+                seen.add(f"{source} refused")
+                continue
+            assert [t.fam for t in w._meets] == targets
+            fresh = WeightSystem(w.ambient, w.entries)
+            assert fresh == w and fresh._meets == ()
+            for target in targets:
+                copy = family_from_json(family_to_json(target))
+                assert copy == target and copy is not target
+                for f, fn, n_random in ((target, fan, 0), (target, fan, 4),
+                                        (copy, fan, 0), (target, fan_copy, 0)):
+                    want = _outcome(git_test, f, fresh, fn, n_random, k)
+                    del built[:]
+                    got = _outcome(git_test, f, w, fn, n_random, k)
+                    assert got == want
+                    # rank 1 has no proper subspace to sample
+                    samples = n_random and fam.rank > 1
+                    carried = f is target and fn is fan and not samples
+                    assert len(built) == (0 if carried else 1)
+                    if isinstance(got, stability.StabilityVerdict):
+                        seen.update({got.verdict, got.note, f"{source} rank {fam.rank}"})
+                    else:
+                        seen.add(got[1][:20])
+                for key, message in bad_keys:
+                    entries = w.entries[:1] + ((key, 1),) + w.entries[1:]
+                    for ws in (WeightSystem(w.ambient, entries, w._meets),
+                               WeightSystem(w.ambient, entries)):
+                        with pytest.raises(ValueError, match=message):
+                            git_test(target, ws, fan)
+            seen.add(f"{source} with {len(targets)} witnesses")
+    assert {STABLE, SEMISTABLE, UNSTABLE, None, "distinguished-set verdict (rank >= 3)",
+            "closure refused", "the rank >= 3 test s",
+            "mu rank 2", "mu rank 3", "R rank 1", "R rank 2", "R rank 3",
+            "mu with 1 witnesses", "R with 1 witnesses", "R with 2 witnesses"} <= seen
+
+
+def test_weight_systems_carry_their_tables_work_counts(corpus, amples, monkeypatch):
+    """The six stability calls per family build four meet tables: git_test
+    reads the table of mu_weights and that of choose_r."""
+    built = _count_calls(monkeypatch, stability, "_MeetTable")
+    fams = [(fan, amples[name], fam) for name, fan in corpus.items()
+            for fam in random_families(fan, 2, 4, seed=4001)]
+    for fan, h, fam in fams:
+        del built[:]
+        mu_test(fam, fan, h)
+        git_test(fam, mu_weights(fam, fan, h), fan)
+        gieseker_test(fam, fan, h)
+        git_test(fam, choose_r(characteristic_function(fam), fan, h, [fam])[1], fan)
+        assert len(built) == 4
+
+
+def test_meet_table_faces_match_face_source(monkeypatch):
+    """A meet table looks the fan's cone index up once and reads each face
+    from the grid face_source picks, at the positions it gives: every cone
+    as listed, reversed and with a repeated ray; a cone that no grid
+    contains reads as the zero face."""
+    from test_chern import bracket_oracle_families
+    from toricsheaves.family import _face_axes, face_source
+
+    seen = set()
+    for fan, fam in bracket_oracle_families()[::2]:
+        cones = [c for nu in fan.cones() for c in {nu, nu[::-1], nu[:1] * 2, nu[-1:] * 2}]
+        with monkeypatch.context() as m:
+            lookups = _count_calls(m, stability, "cone_index")
+            meets = stability._MeetTable(fam, fan)
+            faces = [_outcome(meets.face, c) for c in cones]
+        assert len(lookups) == 1
+        cmap = fam.corner_map()
+        for cone, face in zip(cones, faces):
+            source = face_source(cmap, cone, fan)
+            if source is None:
+                nu = tuple(sorted(cone))
+                if fan.is_cone(nu):  # every value of the face is zero
+                    assert {v.dim for v in face.values} == {0}
+                else:
+                    assert face == ("ValueError", f"{list(nu)} is not a cone of the fan")
+                seen.add("no grid")
+                continue
+            grid, positions = source
+            assert face == (grid.values, _face_axes(grid, positions))
+            seen.add("repeated" if len(set(cone)) < len(cone) else
+                     "unsorted" if list(cone) != sorted(cone) else "as listed")
+    assert seen == {"as listed", "unsorted", "repeated", "no grid"}
+
+
+def test_subspace_key_is_basis_str_from_integers(monkeypatch):
+    """stability._subspace_key is (dim, basis_str()) and so sorts alike, on
+    random subspaces of Q^2 to Q^4 with negative entries and pivots other
+    than 1; it builds no Fraction."""
+    from toricsheaves import subspace
+
+    rng = random.Random(197)
+    vs = []
+    for amb in (2, 3, 4):
+        for _ in range(150):
+            dim = rng.randrange(0, amb + 1)
+            vs.append(SubspaceQ.span(
+                [[rng.randrange(-5, 6) for _ in range(amb)] for _ in range(dim)], amb))
+    want = [(v.dim, v.basis_str()) for v in vs]
+    monkeypatch.setattr(subspace, "Fraction", None)
+    got = [stability._subspace_key(v) for v in vs]
+    assert got == want
+    by_key = sorted(range(len(vs)), key=lambda i: got[i])
+    assert by_key == sorted(range(len(vs)), key=lambda i: want[i])
+    entries = [x for v in vs for row in v.rows for x in row]
+    assert min(entries) < 0 and any(next(filter(None, row)) > 1 for v in vs for row in v.rows)
+    assert any("/" in x for _, rows in want for row in rows for x in row)
