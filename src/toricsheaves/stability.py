@@ -135,8 +135,6 @@ class RayFlags:
 class FlagData:
     rank: int
     rays: tuple[RayFlags, ...]
-    # the meet table the flags were read from, which mu_weights hands on
-    _meets: _MeetTable | None = field(default=None, compare=False, repr=False)
 
 
 def extract_flag_data(fam: DeltaFamily, fan: Fan) -> FlagData:
@@ -167,7 +165,7 @@ def _flag_data(meets: _MeetTable) -> FlagData:
         if prev != m:
             raise ValueError(f"ray {j}: filtration does not saturate to the full space")
         out.append(RayFlags(j, tuple(gaps), tuple(flags), tuple(pos)))
-    return FlagData(m, tuple(out), meets)
+    return FlagData(m, tuple(out))
 
 
 def distinguished_subspaces(fam: DeltaFamily) -> list[SubspaceQ]:
@@ -211,21 +209,7 @@ def _distinguished(pool: set[SubspaceQ], m: int) -> list[SubspaceQ]:
 
 
 def _subspace_key(v: SubspaceQ):
-    """(v.dim, v.basis_str()), written from the integer rows: each RREF entry
-    x/d, d the row's positive pivot entry, is x and d divided by their gcd,
-    as Fraction prints it.  The test set is sorted by this key."""
-    rows = []
-    for row in v.rows:
-        d = next(filter(None, row))
-        if d == 1:
-            rows.append(list(map(str, row)))
-            continue
-        out = []
-        for x in row:
-            g = math.gcd(x, d)
-            out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
-        rows.append(out)
-    return v.dim, rows
+    return (v.dim, v.basis_str())
 
 
 def test_subspaces(fam: DeltaFamily) -> tuple[list[SubspaceQ], bool]:
@@ -573,8 +557,9 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
         raise ValueError("no weight constructor is offered for pure kinds")
     deg = ample_degrees(ample, fan)
     m = fam.rank
-    flags = extract_flag_data(fam, fan)
-    carried = (flags._meets,)
+    meets = _MeetTable(fam, fan)
+    flags = _flag_data(meets)
+    carried = (meets,)
     flag_entries: list[tuple[WeightKey, int]] = []
     for rf in flags.rays:
         for k in range(m - 1):

@@ -6,8 +6,8 @@ RREF row is ``row / row[pivot]``.  That scaling is a bijection between RREF
 rows and primitive rows, so two equal subspaces have equal rows, and
 equality and hashing are operations on tuples of ints.  All elimination is
 fraction-free on Python ints (``rref``); ``Fraction`` is used only to clear
-the denominators of rational input and to print the RREF entries
-(``basis_str``).  Nothing here ever touches floats.
+the denominators of rational input; ``basis_str`` prints the RREF entries
+from the integer rows.  Nothing here ever touches floats.
 
 Invariant: a SubspaceQ is only ever built by ``span``, ``zero``, ``full`` or
 an elimination that yields canonical rows, so its rows are already the
@@ -165,11 +165,20 @@ class SubspaceQ:
         return f"SubspaceQ({self.ambient}, dim={self.dim})"
 
     def basis_str(self) -> list[list[str]]:
-        """The RREF basis as strings: each row divided by its pivot entry."""
+        """The RREF basis as strings: each row divided by its pivot entry d,
+        each entry x/d written in lowest terms as Fraction prints it, from
+        x and d divided by their gcd."""
         out = []
         for row in self.rows:
             d = row[_pivot(row)]
-            out.append([str(Fraction(x, d)) for x in row])
+            if d == 1:
+                out.append(list(map(str, row)))
+                continue
+            strs = []
+            for x in row:
+                g = gcd(x, d)
+                strs.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+            out.append(strs)
         return out
 
 

@@ -55,6 +55,9 @@ UNCALLED_PUBLIC = {
     # scan of the corner grids through the same helper, and the benchmark's
     # tracer wraps both names
     "distinguished_subspaces", "test_subspaces",
+    # the flag data of a family on its own; mu_test and mu_weights read it off
+    # the meet table they build, which mu_weights hands on with its weights
+    "extract_flag_data",
 }
 
 

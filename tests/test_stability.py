@@ -1521,26 +1521,3 @@ def test_meet_table_faces_match_face_source(monkeypatch):
                      "unsorted" if list(cone) != sorted(cone) else "as listed")
     assert seen == {"as listed", "unsorted", "repeated", "no grid"}
 
-
-def test_subspace_key_is_basis_str_from_integers(monkeypatch):
-    """stability._subspace_key is (dim, basis_str()) and so sorts alike, on
-    random subspaces of Q^2 to Q^4 with negative entries and pivots other
-    than 1; it builds no Fraction."""
-    from toricsheaves import subspace
-
-    rng = random.Random(197)
-    vs = []
-    for amb in (2, 3, 4):
-        for _ in range(150):
-            dim = rng.randrange(0, amb + 1)
-            vs.append(SubspaceQ.span(
-                [[rng.randrange(-5, 6) for _ in range(amb)] for _ in range(dim)], amb))
-    want = [(v.dim, v.basis_str()) for v in vs]
-    monkeypatch.setattr(subspace, "Fraction", None)
-    got = [stability._subspace_key(v) for v in vs]
-    assert got == want
-    by_key = sorted(range(len(vs)), key=lambda i: got[i])
-    assert by_key == sorted(range(len(vs)), key=lambda i: want[i])
-    entries = [x for v in vs for row in v.rows for x in row]
-    assert min(entries) < 0 and any(next(filter(None, row)) > 1 for v in vs for row in v.rows)
-    assert any("/" in x for _, rows in want for row in rows for x in row)

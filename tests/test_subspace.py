@@ -285,3 +285,26 @@ def test_integer_input_builds_no_fraction(monkeypatch):
             x.contains_vector(vecs[0])
             for v in results:
                 assert all(type(e) is int for row in v.rows for e in row)
+
+
+def test_basis_str_matches_fraction_and_builds_none(monkeypatch):
+    """basis_str writes each RREF entry x/d from the integer rows as
+    str(Fraction(x, d)) prints it, on random subspaces of Q^2 to Q^4 with
+    negative entries and pivots other than 1, so stability._subspace_key
+    sorts as the Fraction strings do; it builds no Fraction."""
+    def fraction_strs(v):
+        return [[str(Fraction(x, next(filter(None, row)))) for x in row] for row in v.rows]
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    rng = random.Random(197)
+    vs = [random_subspace(rng, amb, rng.randrange(0, amb + 1))
+          for amb in (2, 3, 4) for _ in range(150)]
+    want = [(v.dim, fraction_strs(v)) for v in vs]
+    monkeypatch.setattr(subspace, "Fraction", no_fraction)
+    got = [stability._subspace_key(v) for v in vs]
+    assert got == want
+    assert min(x for v in vs for row in v.rows for x in row) < 0
+    assert any(next(filter(None, row)) > 1 for v in vs for row in v.rows)
+    assert any("/" in x for _, rows in want for row in rows for x in row)
