@@ -533,6 +533,11 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     c2 repaired by cuts, and equal-slope split pairs under unbounded
     relative twists), and only the stable-capable core is finite and
     window-independent."""
+    if box_bound == 0:
+        # its only profiles have zero gaps, whose hulls O(A) + O(A) are never
+        # slope-stable, and every record would reach the window bound 0
+        raise BoxBoundError("rank-2 enumeration cannot certify a result at box 0; "
+                            "increase --box")
     points = (box_bound + 1) ** fan.n_rays() * (2 * box_bound + 1) ** 2
     if points > MAX_WINDOW_POINTS:
         raise ValueError(f"the rank-2 profile window has {points} points at box {box_bound}; "

@@ -46,9 +46,9 @@ The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
 margin P(E cap W)/dim W - P(E)/M is N(t)/(D M dim W) with N an integer
 polynomial.  xi_weights builds the D Xi in integers, from the polarization
-H = H'/e with H' integral (2 e^2 Xi is integral); margins are compared for
-t >> 0 in these integers, and a Fraction is built only for the coefficients
-of the reported margin and of the Xi themselves.
+H = H'/e with H' integral (2 e^2 Xi is integral), and keeps no other form of
+the Xi; margins are compared for t >> 0 in these integers, and a Fraction is
+built only for the coefficients of the reported margin.
 
 choose_r goes one step further: the GIT margins at the weights Xi(R) are
 the Xi margins evaluated at R, so each trial R evaluates the integer
@@ -75,7 +75,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .chern import as_char
 from .family import (
     CharFunction,
     DeltaFamily,
@@ -86,7 +85,6 @@ from .family import (
     characteristic_function,
     is_reflexive,
     require_torsion_free,
-    restrict_to_face,
 )
 from .fan import ConeRef, Fan, cone_index
 from .intersect import ample_degrees, intersection_table, riemann_roch_degrees
@@ -495,8 +493,8 @@ def _gieseker_margins(meets: _MeetTable,
     is the polynomial N(t) / den.  With L = sum_k D Xi_k dim(E_k cap W) and
     T = sum_k D Xi_k dim E_k, integer polynomials read off the meet table by
     one dot product per coefficient, N = M L - dim W T and den = D M dim W."""
-    d, polys, index = xi._scaled
-    weighted = [(meets.slot(key), polys[i]) for (key, _), i in zip(xi.entries, index)]
+    d, polys = xi.denominator, xi.polys
+    weighted = [(meets.slot(key), polys[i]) for key, i in zip(xi.keys, xi.index)]
     width = len(polys[0]) if polys else 0
     per_coeff = [meets.dots((s, p[i]) for s, p in weighted) for i in range(width)]
     m = meets.rank
@@ -640,55 +638,28 @@ def _git_margins(meets: _MeetTable, weights: WeightSystem) -> list[tuple[Subspac
 # ---------------------------------------------------------------------------
 # face weight polynomials (Gieseker-matching weights)
 
-class _ScaledXi(NamedTuple):
-    """D Xi in integers, for the least D > 0 that clears every denominator of
-    the Xi (1 or 2 for an integral polarization)."""
-
-    scale: int                          # D
-    polys: tuple[tuple[int, ...], ...]  # coefficients of D Xi, low degree first, one width
-    index: tuple[int, ...]              # entries[k] has the polynomial polys[index[k]]
-
-
 @dataclass(frozen=True)
 class XiWeights:
+    """The face weights as D Xi in integers, for the least D > 0 that clears
+    every denominator of the Xi (1 or 2 for an integral polarization)."""
+
     ambient: int
-    entries: tuple[tuple[WeightKey, RatPoly], ...]
-    # D Xi: xi_weights passes it, built in integers; otherwise it is read off
-    # the entries
-    _scaled: _ScaledXi | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self._scaled is None:
-            object.__setattr__(self, "_scaled", _scaled_entries(self.entries))
-
-    def at(self, r: int) -> WeightSystem:
-        return self._integral_at(r, [_horner(p, r) for p in self._scaled.polys])
+    keys: tuple[WeightKey, ...]
+    denominator: int                    # D
+    polys: tuple[tuple[int, ...], ...]  # coefficients of D Xi, low degree first, one width
+    index: tuple[int, ...]              # keys[k] has the polynomial polys[index[k]]
 
     def _integral_at(self, r: int, vals: Sequence[int],
                      meets: tuple[_MeetTable, ...] = ()) -> WeightSystem:
         """The weight system at r, from vals[i] = (D Xi)(r) for each distinct
         polynomial polys[i], carrying the meet tables meets; every weight
         Xi(r) must be an integer."""
-        d, _, index = self._scaled
-        for (key, _), i in zip(self.entries, index):
+        d = self.denominator
+        for key, i in zip(self.keys, self.index):
             if vals[i] % d:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
         return WeightSystem(self.ambient, tuple(
-            (key, vals[i] // d) for (key, _), i in zip(self.entries, index)), meets)
-
-
-def _scaled_entries(entries) -> _ScaledXi:
-    """The entries' polynomials times D, once per distinct polynomial."""
-    distinct: dict[RatPoly, int] = {}
-    index = tuple(distinct.setdefault(poly, len(distinct)) for _, poly in entries)
-    d = math.lcm(*(c.denominator for poly in distinct for c in poly.coeffs))
-    width = max((len(poly.coeffs) for poly in distinct), default=0)
-    polys = tuple(
-        tuple(c.numerator * (d // c.denominator) for c in poly.coeffs)
-        + (0,) * (width - len(poly.coeffs))
-        for poly in distinct
-    )
-    return _ScaledXi(d, polys, index)
+            (key, vals[i] // d) for key, i in zip(self.keys, self.index)), meets)
 
 
 def _horner(coeffs: Sequence[int], r: int) -> int:
@@ -737,7 +708,7 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
         2 e^2 Xi = e^2 (2 + q) + e (H'.(-K) - 2 x.deg(H')) t + H'^2 t^2
 
     is an integer polynomial.  D Xi is that divided by the gcd of 2 e^2 and
-    every coefficient, and each distinct polynomial becomes one RatPoly.
+    every coefficient, kept once per distinct polynomial; no Fraction is built.
     """
     if fan.rank != 2:
         raise ValueError("face weights implemented for surfaces only")
@@ -791,27 +762,10 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     distinct: dict[tuple[int, ...], int] = {}
     index = tuple(distinct.setdefault(coeffs, len(distinct)) for _, coeffs in keyed)
     g = math.gcd(2 * e * e, *(c for coeffs in distinct for c in coeffs))
-    d = 2 * e * e // g
     width = max(map(len, distinct), default=0)
     polys = tuple(tuple(c // g for c in coeffs) + (0,) * (width - len(coeffs))
                   for coeffs in distinct)
-    ratpolys = [RatPoly(tuple(Fraction(c // g, d) for c in coeffs)) for coeffs in distinct]
-    return XiWeights(chi.rank, tuple((key, ratpolys[i]) for (key, _), i in zip(keyed, index)),
-                     _ScaledXi(d, polys, index))
-
-
-def xi_reconstruct(xi: XiWeights, fam: DeltaFamily, fan: Fan) -> RatPoly:
-    """Evaluate sum Xi_(nu,lam)(t) dim E^nu(lam) for a concrete family."""
-    chi = as_char(fam)
-    out = RatPoly.zero()
-    cache: dict[ConeRef, object] = {}
-    for (cone, lam), poly in xi.entries:
-        if cone not in cache:
-            cache[cone] = restrict_to_face(chi, cone, fan)
-        d = cache[cone].value(lam)
-        if d:
-            out = out + poly.scale(d)
-    return out
+    return XiWeights(chi.rank, tuple(key for key, _ in keyed), 2 * e * e // g, polys, index)
 
 
 def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
@@ -840,9 +794,8 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         target = margins if own is None else _gieseker_margins(meets, own)
         checks.append((w.rank, [nums for _, nums, _ in margins],
                        _gieseker_verdict(meets, target).verdict))
-    polys = xi._scaled.polys
     for r in range(1, R_MAX + 1):
-        vals = [_horner(p, r) for p in polys]
+        vals = [_horner(p, r) for p in xi.polys]
         if any(v <= 0 for v in vals):
             continue  # some weight is nonpositive at R
         ws = xi._integral_at(r, vals, tuple(tables))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricsheaves.chern import as_char
 from toricsheaves.family import (
     KIND_PURE,
     CornerFamily,
@@ -9,9 +10,11 @@ from toricsheaves.family import (
     RayFiltration,
     box_points,
     reflexive_from_filtrations,
+    restrict_to_face,
 )
 from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.intersect import find_ample, intersection_table
+from toricsheaves.polynomials import RatPoly
 from toricsheaves.subspace import SubspaceQ
 
 
@@ -81,6 +84,30 @@ def ray_degrees(d, table):
         raise ValueError("divisor length does not match the fan")
     terms = [(a, row) for a, row in zip(d, table.matrix) if a != 0]
     return tuple(Fraction(sum(a * row[j] for a, row in terms)) for j in range(n))
+
+
+def xi_entries(xi):
+    """The face weights of an XiWeights as (key, Xi) pairs in key order, each
+    Xi a RatPoly read off D Xi; keys with one integer polynomial share one
+    RatPoly.  The Fraction view the tests' oracles compare."""
+    polys = [RatPoly.of([Fraction(c, xi.denominator) for c in p]) for p in xi.polys]
+    return tuple((key, polys[i]) for key, i in zip(xi.keys, xi.index))
+
+
+def xi_reconstruct(xi, fam, fan):
+    """sum Xi_(nu,lam)(t) dim E^nu(lam) for a concrete family, each face value
+    read off the grid restrict_to_face builds: the reconstruction oracle for
+    hilbert_polynomial."""
+    chi = as_char(fam)
+    out = RatPoly.zero()
+    faces = {}
+    for (cone, lam), poly in xi_entries(xi):
+        if cone not in faces:
+            faces[cone] = restrict_to_face(chi, cone, fan)
+        d = faces[cone].value(lam)
+        if d:
+            out = out + poly.scale(d)
+    return out
 
 
 def eta_product(exponent, order):

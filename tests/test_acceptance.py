@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import eta_product, line_bundle_family
+from conftest import eta_product, line_bundle_family, xi_reconstruct
 from toricsheaves.chern import c1_fast, chern_character, hilbert_polynomial
 from toricsheaves.family import (
     characteristic_function,
@@ -34,7 +34,6 @@ from toricsheaves.stability import (
     git_test,
     mu_test,
     mu_weights,
-    xi_reconstruct,
     xi_weights,
 )
 

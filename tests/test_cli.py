@@ -316,9 +316,9 @@ PUBLIC_OPS = {
 }
 # reached from no subcommand: lattice_point_count is the tests' independent
 # Euler-characteristic oracle, restrict_to_face builds the face grids that
-# chern and stability read in place (xi_reconstruct and the oracles still call
-# it), and distinguished_subspaces is the test set's closure on its own, which
-# the stability commands reach through the meet table's scan instead
+# chern and stability read in place (the tests' oracles call it), and
+# distinguished_subspaces is the test set's closure on its own, which the
+# stability commands reach through the meet table's scan instead
 LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces"}
 
 
@@ -457,6 +457,15 @@ def _enumerate(files, *args):
                      "lower --c2-max", id="enumerate-rank1-tuples"),
         pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "41"),
                      "lower --c2-max", id="enumerate-rank1-c2-above-40"),
+        # rank 2 at box 0 admits only zero-gap profiles, whose hulls are never
+        # slope-stable, so it is refused rather than answered with no records;
+        # rank 1 fails at its first record
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c1", f["ample"], "--c2-max", "1",
+                                          "--box", "0"),
+                     "cannot certify a result at box 0", id="enumerate-rank2-box-0"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c1", f["ample"], "--c2-max", "1",
+                                          "--box", "0"),
+                     "reaches the window bound 0", id="enumerate-rank1-box-0"),
     ],
 )
 def test_out_of_bound_work_exit_2(files, make_args, hint):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from dataclasses import replace
@@ -7,7 +8,14 @@ from functools import cmp_to_key
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, ray_degrees, structure_sheaf
+from conftest import (
+    line_bundle_family,
+    rank2_three_lines,
+    ray_degrees,
+    structure_sheaf,
+    xi_entries,
+    xi_reconstruct,
+)
 from toricsheaves import stability
 from toricsheaves.chern import chern_character, hilbert_polynomial
 from toricsheaves.family import (
@@ -43,7 +51,6 @@ from toricsheaves.stability import (
     mu_test,
     mu_weights,
     random_subspaces,
-    xi_reconstruct,
     xi_weights,
 )
 from toricsheaves.subspace import SubspaceQ
@@ -348,7 +355,7 @@ def test_xi_identity_structure_sheaf(p2, o_p2):
 def test_xi_degree_bound(p2):
     fam = rank2_three_lines(p2, lines=LINES)
     xi = xi_weights(characteristic_function(fam), p2, H_P2)
-    for (cone, _), poly in xi.entries:
+    for (cone, _), poly in xi_entries(xi):
         assert poly.degree <= 2 - len(cone)
 
 
@@ -370,7 +377,7 @@ def test_xi_weights_pinned(p2):
     ]
     assert len(expected) == 19
     assert xi.ambient == 2
-    assert xi.entries == tuple((key, RatPoly.of(cs)) for key, cs in expected)
+    assert xi_entries(xi) == tuple((key, RatPoly.of(cs)) for key, cs in expected)
 
 
 def test_xi_ray_leading_coefficient_is_ample_degree(p2, tables):
@@ -379,7 +386,7 @@ def test_xi_ray_leading_coefficient_is_ample_degree(p2, tables):
     n = 3
     unit = lambda j: tuple(Fraction(1 if i == j else 0) for i in range(n))
     h = tuple(Fraction(x) for x in H_P2)
-    for (cone, _), poly in xi.entries:
+    for (cone, _), poly in xi_entries(xi):
         if len(cone) == 1:
             assert poly.coeff(1) == pair(h, unit(cone[0]), tables["p2"])
             assert poly.coeff(1) > 0
@@ -657,13 +664,24 @@ def gieseker_by_subfamilies(fam, fan, h):
     return classify_for_large_t(margins, exhaustive, None if exhaustive else PARTIAL_NOTE)
 
 
+def weights_at(ambient, entries, r):
+    """The weight system of the (key, Xi) pairs entries at r, each weight
+    Xi(r) by RatPoly.__call__; every weight must be an integer."""
+    vals = [(key, poly(r)) for key, poly in entries]
+    for key, v in vals:
+        if v.denominator != 1:
+            raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
+    return WeightSystem(ambient, tuple((key, int(v)) for key, v in vals))
+
+
 def choose_r_by_git(chi, fan, h, witnesses, r_max=4000):
     xi = xi_weights(chi, fan, h)
+    entries = xi_entries(xi)
     targets = [gieseker_by_subfamilies(w, fan, h).verdict for w in witnesses]
     for r in range(1, r_max + 1):
-        if not all(poly(r) > 0 for _, poly in xi.entries):
+        if not all(poly(r) > 0 for _, poly in entries):
             continue
-        ws = xi.at(r)
+        ws = weights_at(xi.ambient, entries, r)
         if all(git_by_points(w, ws, fan).verdict == t for w, t in zip(witnesses, targets)):
             return r, ws
     raise RuntimeError(f"no certified R found in [1, {r_max}]")
@@ -851,7 +869,9 @@ def xi_by_corners(chi, fan, ample):
     """The face weights as the corner loop computed them: each cone, signed by
     its codimension, adds to each face F and box point lam the alternating
     sum of 2 + q and x.deg(H) over all 2^|F| shifted corners lam + eps, with
-    the other coordinates of the cone held at hi + 1."""
+    the other coordinates of the cone held at hi + 1.  Returns the ambient
+    rank and the (key, Xi) pairs, to compare with an XiWeights' ambient and
+    xi_entries."""
     table = intersection_table(fan)
     mat = table.matrix
     deg_ak = [sum(row) for row in mat]
@@ -884,7 +904,7 @@ def xi_by_corners(chi, fan, ample):
         ((k, p) for k, p in entries if not p.is_zero()),
         key=lambda kp: (len(kp[0][0]), kp[0]),
     ))
-    return stability.XiWeights(chi.rank, items)
+    return chi.rank, items
 
 
 def _oracle_chis(corpus, amples):
@@ -906,7 +926,8 @@ def test_xi_weights_match_corner_sum(corpus, amples):
     checked = 0
     lows = set()
     for fan, ample, chi in _oracle_chis(corpus, amples):
-        assert xi_weights(chi, fan, ample) == xi_by_corners(chi, fan, ample)
+        xi = xi_weights(chi, fan, ample)
+        assert (xi.ambient, xi_entries(xi)) == xi_by_corners(chi, fan, ample)
         lows.update(x < 0 for _, g in chi.corners for x in g.lo)
         checked += 1
     assert checked == 7 * 3 * 7 * 2 * 2
@@ -938,10 +959,12 @@ def test_xi_interior_weights_share_one_polynomial(corpus, amples):
     # every interior weight of a maximal cone is V_i.V_j = 1 on a smooth fan
     fan, h = corpus["f1"], amples["f1"]
     chi = characteristic_function(random_families(fan, 2, 1, seed=11)[0])
-    interior = [poly for (cone, _), poly in xi_weights(chi, fan, h).entries if len(cone) == 2]
+    xi = xi_weights(chi, fan, h)
+    interior = [i for (cone, _), i in zip(xi.keys, xi.index) if len(cone) == 2]
     assert len(interior) > len(fan.max_cones)
-    assert all(poly is interior[0] for poly in interior)
-    assert interior[0] == RatPoly.of([1])
+    assert set(interior) == {interior[0]}
+    one = xi.polys[interior[0]]
+    assert one == (xi.denominator,) + (0,) * (len(one) - 1)
 
 
 def closure_of_corner_values(fam):
@@ -981,7 +1004,7 @@ def test_distinguished_rank2_matches_closure(corpus, amples):
 # with RatPoly.__call__.
 
 def gieseker_margins_by_fractions(meets, xi):
-    weighted = [(meets.slot(key), poly) for key, poly in xi.entries]
+    weighted = [(meets.slot(key), poly) for key, poly in xi_entries(xi)]
     width = max((poly.degree for _, poly in weighted), default=-1) + 1
     per_coeff = [meets.dots((s, poly.coeff(i)) for s, poly in weighted) for i in range(width)]
     m = meets.rank
@@ -1005,14 +1028,11 @@ def choose_r_by_fractions(chi, fan, h, witnesses):
         meets = stability._MeetTable(w, fan)
         checks.append((w.rank, gieseker_margins_by_fractions(meets, xi),
                        gieseker_by_fractions(w, fan, h).verdict))
+    entries = xi_entries(xi)
     for r in range(1, stability.R_MAX + 1):
-        vals = [(key, poly(r)) for key, poly in xi.entries]
-        if any(v <= 0 for _, v in vals):
+        if any(poly(r) <= 0 for _, poly in entries):
             continue
-        for key, v in vals:
-            if v.denominator != 1:
-                raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
-        ws = WeightSystem(xi.ambient, tuple((key, int(v)) for key, v in vals))
+        ws = weights_at(xi.ambient, entries, r)
         verdicts = []
         for m, polys, _ in checks:
             if m != ws.ambient:
@@ -1043,7 +1063,7 @@ def test_integer_margins_match_fraction_route(corpus, amples, p2, p1p1, monkeypa
         for i, fam in enumerate(fams):
             assert gieseker_test(fam, fan, h) == gieseker_by_fractions(fam, fan, h)
             chi = characteristic_function(fam)
-            scales.add(xi_weights(chi, fan, h)._scaled.scale)
+            scales.add(xi_weights(chi, fan, h).denominator)
             witnesses = [fam] if i % 3 else [fam, fams[i - 1]]  # a witness with another chi
             got = _outcome(choose_r, chi, fan, h, witnesses)
             assert got == _outcome(choose_r_by_fractions, chi, fan, h, witnesses)
@@ -1111,9 +1131,9 @@ def _count_fraction_arithmetic(monkeypatch):
 
 def test_integer_margin_work_counts(monkeypatch, f1, p2, p1p1):
     # the polarization, the face weights, the margins and the R search are
-    # integer work: Fractions are only built, for the Xi and the reported
-    # margin, and never added, multiplied or divided; for find_ample's H and
-    # for the rational H of test_integer_margins_match_fraction_route
+    # integer work: Fractions are only built, for the reported margin, and
+    # never added, multiplied or divided; for find_ample's H and for the
+    # rational H of test_integer_margins_match_fraction_route
     monkeypatch.setattr(stability, "R_MAX", 200)
     cases = [(f1, find_ample(f1), random_families(f1, 2, 25, seed=4001)[14:15])]
     for fan, h in ((p2, (Fraction(1, 2), 0, 0)), (p1p1, (Fraction(1, 3), 1, 0, 0))):
@@ -1144,10 +1164,51 @@ def test_integer_margin_work_counts(monkeypatch, f1, p2, p1p1):
     assert max(searched) > 1  # several R are tried
 
 
+def test_xi_weights_build_no_fraction(monkeypatch, corpus, amples):
+    # with an integral polarization the face weights are integers throughout:
+    # once the fan's intersection table is built, xi_weights builds no Fraction
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    calls = 0
+    for name, fan in corpus.items():
+        fams = random_families(fan, 2, 4, seed=4001) + random_families(fan, 1, 1, seed=4001)
+        chis = [characteristic_function(fam) for fam in fams]
+        xi_weights(chis[0], fan, amples[name])  # builds the intersection table
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted)
+            for chi in chis:
+                xi_weights(chi, fan, amples[name])
+                calls += 1
+    assert calls == 15
+    assert built == []
+
+
+def scaled_by_entries(entries):
+    """(D, D Xi, index) read off (key, Xi) pairs: D the lcm of every
+    denominator, each distinct Xi once, low degree first and padded to one
+    width, and for each key the position of its Xi."""
+    distinct = {}
+    index = tuple(distinct.setdefault(poly, len(distinct)) for _, poly in entries)
+    d = math.lcm(*(c.denominator for poly in distinct for c in poly.coeffs))
+    width = max((len(poly.coeffs) for poly in distinct), default=0)
+    polys = tuple(
+        tuple(c.numerator * (d // c.denominator) for c in poly.coeffs)
+        + (0,) * (width - len(poly.coeffs))
+        for poly in distinct
+    )
+    return d, polys, index
+
+
 def test_xi_scaled_matches_entries(corpus, amples, p2, p1p1):
-    # xi_weights builds Xi and D Xi in integers: Xi against the corner sum, for
-    # rational polarizations too, and D Xi against the one XiWeights(ambient,
-    # entries) reads off the RatPolys
+    # xi_weights builds D Xi in integers: Xi, read off it, against the corner
+    # sum, for rational polarizations too, and D Xi against the form
+    # scaled_by_entries reads off those Xi, so D is their least common
+    # denominator and each distinct polynomial is kept once
     cases = list(_oracle_chis(corpus, amples))[::7]
     rational = [(p2, (Fraction(1, 2), 0, 0)), (p2, (Fraction(3, 7), Fraction(1, 5), 0)),
                 (p1p1, (Fraction(1, 3), 1, 0, 0)), (p1p1, ("2/9", 1, "1/6", 0))]
@@ -1158,10 +1219,9 @@ def test_xi_scaled_matches_entries(corpus, amples, p2, p1p1):
     scales = set()
     for fan, ample, chi in cases:
         xi = xi_weights(chi, fan, ample)
-        assert xi == xi_by_corners(chi, fan, divisor(ample, fan))
-        by_entries = stability.XiWeights(xi.ambient, xi.entries)
-        assert by_entries == xi and by_entries._scaled == xi._scaled
-        scales.add(xi._scaled.scale)
+        assert (xi.ambient, xi_entries(xi)) == xi_by_corners(chi, fan, divisor(ample, fan))
+        assert scaled_by_entries(xi_entries(xi)) == (xi.denominator, xi.polys, xi.index)
+        scales.add(xi.denominator)
     assert len(cases) > 100
     # D is 1 or 2 for an integral H, and up to 2 e^2 = 2450 for e = 35
     assert {1, 2, 3, 8, 18, 1225} <= scales
