@@ -19,8 +19,9 @@ a_j + <w, v_j> and changes no gauge-fixed characteristic function, and the
 profiles of one gaps form a single such orbit, so only the
 lexicographically first translate of each orbit that fits the window is
 built.  The hull's c2 is A.B plus g_i g_j at every maximal cone (i, j)
-whose flag lines differ, with A = -a and B = -(a + gaps), so hulls above
-the c2 bound are never built.
+whose flag lines differ, with A = -a and B = -(a + gaps); the flag
+patterns are walked ray by ray and cut as soon as a block is slope-unstable
+or the c2 bound fails, so such hulls are never built.
 
 Cuts per cone, c2 = c2(E**) + length: the quotient E**/E of a cut E is
 supported at the fixed points, so it splits into one quotient per maximal
@@ -61,7 +62,7 @@ from .intersect import (
     intersection_table,
     unimodular_solve,
 )
-from .stability import STABLE, UNSTABLE, margin_verdict
+from .stability import STABLE, margin_verdict
 from .subspace import SubspaceQ
 
 
@@ -191,10 +192,10 @@ MAX_RANK1_TUPLES = 5_000
 # The orbit loop costs 0.01 to 0.13 us per window point (P^2 box 8, 210,681
 # points: 5 ms; P^1 x P^1 box 8, 1.9 M points: 28 ms), so the window's cost
 # is the hulls it lets through, about 10 ms each, whose number grows like b^2
-# for c1 = 0 at c2 <= 1: 88 on P^2 at box 7 (0.64 s), 112 at box 8 (0.85 s),
-# 202 at box 11 (2.1 s); 65 on P^1 x P^1 and 50 on F_1 at box 5 (0.59 s,
-# 0.41 s).  The cap admits P^2 up to box 8 (q^5 needs box 7: c1 = H, c2 <= 5
-# takes 4.9 s and gives 969 records) and the four-ray fans up to box 5, so a
+# for c1 = 0 at c2 <= 1: 88 on P^2 at box 7 (0.44 s), 112 at box 8 (0.63 s),
+# 202 at box 11 (2.1 s); 65 on P^1 x P^1 and 50 on F_1 at box 5 (0.44 s,
+# 0.31 s).  The cap admits P^2 up to box 8 (q^5 needs box 7: c1 = H, c2 <= 5
+# takes 2.3 s and gives 969 records) and the four-ray fans up to box 5, so a
 # c2 <= 1 run stays under 1 s (Python 3.11, one core); cut work has its own
 # cap below.
 MAX_WINDOW_POINTS = 250_000
@@ -321,21 +322,6 @@ def _enumerate_rank1(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     return sorted(records.values(), key=lambda r: (r.c2, r.chi.canonical()))
 
 
-def _set_partitions(items: Sequence[int]) -> Iterable[tuple[tuple[int, ...], ...]]:
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield tuple(
-                tuple(sorted(block + (first,))) if i == j else block
-                for j, block in enumerate(sub)
-            )
-        yield tuple(sorted(sub + ((first,),)))
-
-
 _LINE_POOL = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (1, -1)]
 
 
@@ -435,10 +421,47 @@ def _profile_verdict(gaps, deg, pattern) -> str:
     return margin_verdict(max(margins))
 
 
-def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int):
+def _flag_patterns(gaps, deg, cones, room: int):
+    """(pattern, flag term) for each coincidence pattern of the gap rays that
+    is not slope-unstable and whose flag term (g_i g_j over the maximal
+    cones (i, j) split between two blocks) is at most room.  The gap rays
+    are placed from the last: into each block in turn, then alone in a new
+    first block with the others sorted after it, which is the order in
+    which a recursion on the first ray lists all set partitions.  A partial
+    pattern is cut once either bound fails (see _enumerate_rank2)."""
+    rays = [j for j, g in enumerate(gaps) if g]
+    weight = [g * d for g, d in zip(gaps, deg)]
+    total = sum(weight)
+    later = {j: [] for j in rays}  # (i, g_i g_j) for each gap ray i > j next to j
+    for i, j in cones:
+        if gaps[i] and gaps[j]:
+            later[min(i, j)].append((max(i, j), gaps[i] * gaps[j]))
+
+    def walk(k, blocks, sums, flag):
+        if k < 0:
+            yield tuple(sorted(blocks)), flag
+            return
+        j, w = rays[k], weight[rays[k]]
+        apart = flag + sum(c for _, c in later[j])
+        for p, block in enumerate(blocks):
+            cost = apart - sum(c for i, c in later[j] if i in block)
+            if 2 * (sums[p] + w) <= total and cost <= room:
+                yield from walk(k - 1, blocks[:p] + ((j,) + block,) + blocks[p + 1:],
+                                sums[:p] + (sums[p] + w,) + sums[p + 1:], cost)
+        if 2 * w <= total and apart <= room:
+            rest = sorted(zip(blocks, sums))
+            yield from walk(k - 1, ((j,),) + tuple(b for b, _ in rest),
+                            (w,) + tuple(s for _, s in rest), apart)
+
+    if room >= 0:
+        yield from walk(len(rays) - 1, (), (), 0)
+
+
+def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, viable):
     """One profile (a, gaps) per character orbit of class c1 that meets the
-    window [-b, b]^n x [0, b]^n: the lexicographically first translate of
-    each orbit that fits, sorted by (a, gaps).
+    window [-b, b]^n x [0, b]^n and whose untwisted profile passes
+    viable(a, gaps): the lexicographically first translate of each orbit
+    that fits, sorted by (a, gaps).
 
     The rays i0, i1 of the first maximal cone are a Z-basis of N, so
     2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_i0, a_i1
@@ -465,6 +488,8 @@ def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int):
         if any(t % 2 for t in twice):
             continue
         base = [t // 2 for t in twice]
+        if not viable(base, gaps):
+            continue
         for twist in twists:
             if all(abs(x + y) <= box_bound for x, y in zip(base, twist)):
                 orbits.append((tuple(x + y for x, y in zip(base, twist)), gaps))
@@ -479,16 +504,6 @@ def _split_c2(a_vec, gaps, matrix) -> int:
     b_vec = [x + g for x, g in zip(a_vec, gaps)]
     return sum(
         x * sum(m * y for m, y in zip(row, b_vec)) for x, row in zip(a_vec, matrix)
-    )
-
-
-def _hull_c2(split_c2: int, gaps, pattern, fan: Fan) -> int:
-    """c2 of the reflexive hull: the split part plus g_i g_j at every maximal
-    cone whose two gap rays carry distinct flag lines."""
-    block = {j: k for k, blk in enumerate(pattern) for j in blk}
-    return split_c2 + sum(
-        gaps[i] * gaps[j] for i, j in fan.max_cones
-        if gaps[i] and gaps[j] and block[i] != block[j]
     )
 
 
@@ -513,6 +528,15 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     are pruned before cut enumeration.  Only profiles of class c1 are
     generated, one per character orbit, and a hull is built only when its
     closed-form c2 is at most c2_max.
+
+    Both bounds cut before a hull is built, and both are exact: a block
+    with 2 sum g_j deg_j above the total makes a pattern unstable, and a
+    hull's c2 is A.B plus its flag term.  Placing gap rays one at a time
+    only raises block sums and the flag term (blocks never merge,
+    deg_j > 0), so a cut partial pattern has no surviving completion.  An
+    orbit is skipped before its twists are searched when its heaviest gap
+    ray alone breaks the slope bound or A.B exceeds c2_max; A.B is an
+    intersection number of classes, which a twist does not change.
 
     One translate per orbit gives the same records as all of them: a twist
     maps hulls, cuts, verdicts and c2 to their translates, so every
@@ -543,24 +567,20 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
         raise ValueError(f"the rank-2 profile window has {points} points at box {box_bound}; "
                          f"at most {MAX_WINDOW_POINTS} are accepted; lower --box")
     table = intersection_table(fan)
-    n = fan.n_rays()
     records: dict[str, ChiRecord] = {}
     candidates = 0
     c1_div = divisor(c1, fan)
     deg = ample_degrees(find_ample(fan), fan)
-    for a_vec, gaps in _class_orbits(fan, c1, box_bound):
+
+    def viable(base, gaps):
+        weights = [g * d for g, d in zip(gaps, deg)]
+        return 2 * max(weights) <= sum(weights) and _split_c2(base, gaps, table.matrix) <= c2_max
+
+    for a_vec, gaps in _class_orbits(fan, c1, box_bound, viable):
         split_c2 = _split_c2(a_vec, gaps, table.matrix)
-        if split_c2 > c2_max:
-            continue  # the flag term of every hull is >= 0
-        gap_rays = [j for j in range(n) if gaps[j] > 0]
-        for pattern in _set_partitions(gap_rays):
-            pat = tuple(sorted(pattern))
+        for pat, flag_c2 in _flag_patterns(gaps, deg, fan.max_cones, c2_max - split_c2):
             verdict = _profile_verdict(gaps, deg, pat)
-            if verdict == UNSTABLE:
-                continue
-            c2_hull = _hull_c2(split_c2, gaps, pat, fan)
-            if c2_hull > c2_max:
-                continue
+            c2_hull = split_c2 + flag_c2
             hull = _profile_hull(fan, a_vec, gaps, pat)
             ch = chern_character(hull, fan)
             if not divisor_class_equal(ch.d, c1_div, fan):

@@ -26,10 +26,6 @@ class RatPoly:
     def of(coeffs: Sequence) -> "RatPoly":
         return RatPoly(_trim([Fraction(c) for c in coeffs]))
 
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial

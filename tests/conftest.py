@@ -99,7 +99,7 @@ def xi_reconstruct(xi, fam, fan):
     read off the grid restrict_to_face builds: the reconstruction oracle for
     hilbert_polynomial."""
     chi = as_char(fam)
-    out = RatPoly.zero()
+    out = RatPoly(())
     faces = {}
     for (cone, lam), poly in xi_entries(xi):
         if cone not in faces:

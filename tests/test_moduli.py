@@ -31,11 +31,10 @@ from toricsheaves.moduli import (
     BoxBoundError,
     IntSeries,
     _class_orbits,
-    _hull_c2,
+    _flag_patterns,
     _pool_line,
     _profile_hull,
     _profile_verdict,
-    _set_partitions,
     _split_c2,
     enumerate_gauge_fixed_chi,
     partition_diagram,
@@ -267,7 +266,17 @@ def surface_fan(corpus, name):
         return Fan(p2.rank, p2.rays, p2.max_cones[1:] + p2.max_cones[:1])
     if name == "f2":
         return hirzebruch(2)
+    if name == "blowup":
+        return random_smooth_complete_fan(random.Random(1), 1)
+    if name == "dp6":  # P^2 blown up at its three fixed points
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+        return Fan.make(2, rays, [(j, (j + 1) % 6) for j in range(6)])
     return corpus[name]
+
+
+def every_orbit(fan, c1, box_bound, viable):
+    """_class_orbits with no orbit skipped."""
+    return _class_orbits(fan, c1, box_bound, lambda a, gaps: True)
 
 
 def scan_profiles(fan, c1, box_bound):
@@ -305,12 +314,13 @@ def test_class_profiles_match_scan(corpus, surface, c1, max_box):
         first = {}
         for a, gaps in scan_profiles(fan, c1, box):
             first.setdefault(gaps, (a, gaps))
-        assert _class_orbits(fan, c1, box) == sorted(first.values())
+        assert every_orbit(fan, c1, box, None) == sorted(first.values())
 
 
-def every_translate(fan, c1, box_bound):
+def every_translate(fan, c1, box_bound, viable):
     """Oracle: every profile (a, gaps) of class c1 in the window, each
-    translate of an orbit on its own, in lexicographic order."""
+    translate of an orbit on its own, in lexicographic order; no orbit is
+    skipped, whatever viable says."""
     n = fan.n_rays()
     i0, i1 = fan.max_cones[0]
     window = range(-box_bound, box_bound + 1)
@@ -367,6 +377,143 @@ def test_orbit_records_match_every_translate(corpus, monkeypatch, surface, c1, c
     orbits = record_digest(fan, c1, c2_max, box)
     monkeypatch.setattr(moduli, "_class_orbits", every_translate)
     assert orbits == record_digest(fan, c1, c2_max, box)
+
+
+def set_partitions(items):
+    """Oracle: every set partition of items, by recursion on the first item;
+    the pattern order of the enumeration."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield tuple(
+                tuple(sorted(block + (first,))) if i == j else block
+                for j, block in enumerate(sub)
+            )
+        yield tuple(sorted(sub + ((first,),)))
+
+
+def hull_c2(split_c2, gaps, pattern, fan):
+    """Oracle: c2 of the reflexive hull, the split part plus g_i g_j at every
+    maximal cone whose two gap rays carry distinct flag lines."""
+    block = {j: k for k, blk in enumerate(pattern) for j in blk}
+    return split_c2 + sum(
+        gaps[i] * gaps[j] for i, j in fan.max_cones
+        if gaps[i] and gaps[j] and block[i] != block[j]
+    )
+
+
+def every_flag_pattern(fan, seen=None):
+    """Oracle for _flag_patterns: the exhaustive loop it replaces, a slope
+    verdict and a closed-form flag term for every set partition of the gap
+    rays, in order; each verdict asked is appended to seen."""
+    def patterns(gaps, deg, cones, room):
+        if room < 0:
+            return
+        for pattern in set_partitions([j for j, g in enumerate(gaps) if g]):
+            pat = tuple(sorted(pattern))
+            verdict = _profile_verdict(gaps, deg, pat)
+            if seen is not None:
+                seen.append(verdict)
+            flag = hull_c2(0, gaps, pat, fan)
+            if verdict != UNSTABLE and flag <= room:
+                yield pat, flag
+    return patterns
+
+
+@pytest.mark.parametrize("surface", ["p2", "p1xp1", "f1", "f2", "blowup"])
+def test_flag_patterns_match_exhaustive_loop(corpus, surface):
+    """The pruned walk yields the patterns, flag terms and order of the
+    exhaustive loop for every gaps in {0, 1, 2}^n and room -1 to 8."""
+    fan = surface_fan(corpus, surface)
+    deg = ample_degrees(find_ample(fan), fan)
+    oracle = every_flag_pattern(fan)
+    kept = Counter()
+    for gaps in itertools.product(range(3), repeat=fan.n_rays()):
+        for room in range(-1, 9):
+            walked = list(_flag_patterns(gaps, deg, fan.max_cones, room))
+            assert walked == list(oracle(gaps, deg, fan.max_cones, room)), (gaps, room)
+            kept[len(walked) > 1] += 1
+    assert kept[True] > 0
+
+
+def pruned_and_exhaustive(fan, c1, c2_max, box, monkeypatch):
+    """record_digest of the enumeration, then of its exhaustive twin: every
+    orbit kept and every pattern given a verdict."""
+    import toricsheaves.moduli as moduli
+
+    pruned = record_digest(fan, c1, c2_max, box)
+    monkeypatch.setattr(moduli, "_class_orbits", every_orbit)
+    monkeypatch.setattr(moduli, "_flag_patterns", every_flag_pattern(fan))
+    return pruned, record_digest(fan, c1, c2_max, box)
+
+
+@pytest.mark.parametrize(
+    "surface, c1, c2_max, box",
+    [
+        pytest.param("p2", [0, 0, 0], 0, 5, id="p2-zero-c2le0-box5"),
+        pytest.param("p2", [0, 0, 0], 2, 1, id="p2-zero-c2le2-box1"),
+        pytest.param("p2", [1, 0, 0], 3, 5, id="p2-v0-c2le3-box5"),
+        pytest.param("p2", [2, -1, 3], 2, 2, id="p2-mixed-c2le2-box2"),
+        pytest.param("p1xp1", [0, 0, 0, 0], 1, 3, id="p1xp1-zero-c2le1-box3"),
+        pytest.param("p1xp1", [1, 0, 0, 0], 3, 3, id="p1xp1-v0-c2le3-box3"),
+        pytest.param("p1xp1", [1, 0, 2, -1], 0, 2, id="p1xp1-mixed-c2le0-box2"),
+        pytest.param("f1", [0, 0, 0, 0], 1, 2, id="f1-zero-c2le1-box2"),
+        pytest.param("f1", [1, 0, 0, 0], 3, 1, id="f1-v0-c2le3-box1"),
+        pytest.param("f1", [1, 0, 2, -1], 1, 5, id="f1-mixed-c2le1-box5"),
+        pytest.param("f2", [0, 0, 0, 0], 0, 4, id="f2-zero-c2le0-box4"),
+        pytest.param("f2", [1, 0, 0, 0], 2, 5, id="f2-v0-c2le2-box5"),
+        pytest.param("f2", [1, 0, 2, -1], 1, 2, id="f2-mixed-c2le1-box2"),
+        pytest.param("blowup", [0, 0, 0, 0, 0], 1, 2, id="blowup-zero-c2le1-box2"),
+        pytest.param("blowup", [1, 0, 0, 0, 0], 2, 3, id="blowup-v0-c2le2-box3"),
+        pytest.param("blowup", [1, 0, 2, -1, 0], 0, 2, id="blowup-mixed-c2le0-box2"),
+        # three pairwise non-adjacent gap rays: stable hulls with no flag term
+        pytest.param("dp6", [1, 0, 1, 0, 1, 0], 0, 1, id="dp6-c2le0-box1"),
+        pytest.param("dp6", [0, 1, 0, 1, 0, 1], 0, 2, id="dp6-c2le0-box2"),
+    ],
+)
+def test_pruned_enumeration_matches_exhaustive_loop(corpus, monkeypatch, surface, c1, c2_max, box):
+    """Skipped orbits and cut patterns change no record, witness or strata
+    order: the digests equal those of the exhaustive loop."""
+    pruned, exhaustive = pruned_and_exhaustive(
+        surface_fan(corpus, surface), c1, c2_max, box, monkeypatch)
+    assert pruned == exhaustive
+
+
+def test_pruned_enumeration_keeps_strata_order(f1, monkeypatch):
+    """F_1, c1 = V_0, c2 <= 2, box 4: a walk that put a new block last would
+    keep every record but not the order of the strata."""
+    pruned, exhaustive = pruned_and_exhaustive(f1, [1, 0, 0, 0], 2, 4, monkeypatch)
+    assert pruned == exhaustive
+    assert pruned.startswith("5e4b7561c75a")
+
+
+@pytest.mark.parametrize("surface, c1, box, leaves, exhaustive", [
+    pytest.param("p2", [1, 0, 0], 3, 1, 100, id="p2-h-box3"),
+    pytest.param("f1", [1, 0, 0, 0], 5, 2, 3101, id="f1-v0-box5"),
+])
+def test_verdicts_asked_only_of_surviving_patterns(corpus, monkeypatch, surface, c1, box,
+                                                   leaves, exhaustive):
+    """At c2 <= 1, a slope verdict is asked only of a pattern that passes
+    both bounds, and each builds one hull; the exhaustive loop asks one of
+    every pattern of every orbit within the split c2 bound."""
+    import toricsheaves.moduli as moduli
+
+    fan = corpus[surface]
+    verdicts, built = [], []
+    verdict, hull = moduli._profile_verdict, moduli._profile_hull
+    monkeypatch.setattr(moduli, "_profile_verdict", lambda *a: verdicts.append(a) or verdict(*a))
+    monkeypatch.setattr(moduli, "_profile_hull", lambda *a: built.append(a) or hull(*a))
+    enumerate_gauge_fixed_chi(fan, 2, c1, 1, box_bound=box)
+    assert len(verdicts) == len(built) == leaves
+    seen = []
+    monkeypatch.setattr(moduli, "_class_orbits", every_orbit)
+    monkeypatch.setattr(moduli, "_flag_patterns", every_flag_pattern(fan, seen))
+    enumerate_gauge_fixed_chi(fan, 2, c1, 1, box_bound=box)
+    assert len(seen) == exhaustive
 
 
 def test_one_hull_per_orbit(p2, monkeypatch):
@@ -558,11 +705,11 @@ def test_hull_c2_closed_form(corpus, surface):
     for a in itertools.product(range(-1, 2), repeat=n):
         for gaps in itertools.product(range(2), repeat=n):
             split = _split_c2(a, gaps, matrix)
-            for pattern in _set_partitions([j for j in range(n) if gaps[j]]):
+            for pattern in set_partitions([j for j in range(n) if gaps[j]]):
                 pat = tuple(sorted(pattern))
                 hull = _profile_hull(fan, a, gaps, pat)
                 ch = chern_character(hull, fan)
-                assert second_chern_number(ch, table) == _hull_c2(split, gaps, pat, fan)
+                assert second_chern_number(ch, table) == hull_c2(split, gaps, pat, fan)
                 checked += 1
     assert checked == {3: 405, 4: 4212}[n]
 
@@ -579,8 +726,8 @@ def test_profile_verdict_matches_mu_test(corpus):
         ample = find_ample(fan)
         deg = ample_degrees(ample, fan)
         for c1 in ([0] * n, [1] + [0] * (n - 1)):
-            for a, gaps in _class_orbits(fan, c1, 1):
-                for pattern in _set_partitions([j for j in range(n) if gaps[j]]):
+            for a, gaps in every_orbit(fan, c1, 1, None):
+                for pattern in set_partitions([j for j in range(n) if gaps[j]]):
                     pat = tuple(sorted(pattern))
                     hull = _profile_hull(fan, a, gaps, pat)
                     want = mu_test(hull, fan, ample).verdict

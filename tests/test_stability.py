@@ -74,7 +74,7 @@ def classify_for_large_t(margins, exhaustive, note):
     if not margins:
         return stability._verdict("gieseker", None, None, -1, exhaustive, note)
     worst_w, worst = max(margins, key=cmp_to_key(lambda a, b: compare_for_large_t(a[1], b[1])))
-    sign = compare_for_large_t(worst, RatPoly.zero())
+    sign = compare_for_large_t(worst, RatPoly(()))
     return stability._verdict("gieseker", worst_w, worst, sign, exhaustive, note)
 
 
@@ -198,7 +198,7 @@ def test_gieseker_cut_split_unstable(p2):
     assert v.verdict == UNSTABLE
     assert v.witness == SubspaceQ.span([(1, 0)], 2)
     # the margin polynomial is the constant 1/2 excess of the subsheaf
-    assert compare_for_large_t(v.margin, RatPoly.zero()) > 0
+    assert compare_for_large_t(v.margin, RatPoly(())) > 0
 
 
 def test_gieseker_consistent_with_mu(corpus, amples):
@@ -550,7 +550,7 @@ def test_verdicts_against_brute_force_line_sweep(p2, amples):
             ) - Fraction(1, 2) * total
             worst_mu = m if worst_mu is None else max(worst_mu, m)
             diff = hilbert_polynomial(intersect_with_subspace(fam, w), p2, h) - p_e
-            sign = compare_for_large_t(diff, RatPoly.zero())
+            sign = compare_for_large_t(diff, RatPoly(()))
             worst_g = sign if worst_g is None else max(worst_g, sign)
         expect_mu = {STABLE: -1, SEMISTABLE: 0, UNSTABLE: 1}[mu.verdict]
         got_mu = (worst_mu > 0) - (worst_mu < 0)
