@@ -4,9 +4,10 @@ The Chern character is computed by the inclusion-exclusion weight formula:
 each cone contributes the finite differences of its limit dimension grid,
 signed by codimension, times the truncated exponential of minus its
 character divisor.  Everything depends on the characteristic function only.
-bracket_dims reads each face in place from the maximal-cone grid that
-restrict_to_face would cut it from, as stability does: no face grid is
-copied, and each shifted corner is a (sign, index offset) pair.
+bracket_dims reads each face through the face reader of family, in place
+from the maximal-cone grid that restrict_to_face would cut it from: no face
+grid is copied, each shifted corner is a (sign, index offset) pair, and a
+cone that no grid holds reads the zero face, whose brackets are empty.
 The Hilbert polynomial is Riemann-Roch on a surface in closed form: it reads
 the Chern character and, of the fan and the polarization, only the degrees
 -K.V(rho_j), H.V(rho_j) and H^2, as the face weights of stability do.
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import (
-    CharFunction,
-    DeltaFamily,
-    _face_axes,
-    box_points,
-    characteristic_function,
-    face_source,
-)
+from .family import CharFunction, DeltaFamily, _Faces, box_points, characteristic_function
 from .fan import ConeRef, Fan
 from .intersect import (
     ChowClassSurface,
@@ -49,9 +43,6 @@ class BracketSlice:
     cone: ConeRef
     entries: tuple[tuple[tuple[int, ...], int], ...]
 
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
 
 def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> BracketSlice:
     """For each lattice point of the cone's box, the alternating sum of the
@@ -60,28 +51,21 @@ def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> Brac
     The face is read in place from the maximal-cone grid restrict_to_face
     would cut it from: each corner is a (sign, index offset) pair, and a
     corner below the box in some coordinate reads zero, so it is skipped.
-    A cone that no grid contains reads as zero and has no entries."""
+    A cone that no grid holds reads the zero face, which has no entries."""
     nu = tuple(sorted(cone))
-    source = face_source(as_char(x).corner_map(), nu, fan)
-    if source is None:
-        # a grid that contains nu makes it a cone
-        if not fan.is_cone(nu):
-            raise ValueError(f"{list(nu)} is not a cone of the fan")
-        return BracketSlice(nu, ())
-    grid, positions = source
-    axes = _face_axes(grid, positions)
-    vals = grid.values
+    face = _Faces(as_char(x), fan).face(nu)
+    vals = face.values
     # the grid index and the coordinates at the bottom of the box (a bit mask)
     # of each face point, in box order
     index, low = [len(vals) - 1], [0]
     # corner eps: (the bit mask of eps, (-1)^|eps|, the index offset of lam - eps)
     corners = [(0, 1, 0)]
-    for k, (a, b, s) in enumerate(axes):
+    for k, (a, b, s) in enumerate(face.axes):
         index = [i - (b - x) * s for i in index for x in range(a, b + 1)]
         low = [m | (x == a) << k for m in low for x in range(a, b + 1)]
         corners += [(mask | 1 << k, -sign, off + s) for mask, sign, off in corners]
     entries = []
-    points = box_points([a for a, _, _ in axes], [b for _, b, _ in axes])
+    points = box_points([a for a, _, _ in face.axes], [b for _, b, _ in face.axes])
     for lam, i, m in zip(points, index, low):
         total = 0
         for mask, sign, off in corners:

@@ -9,6 +9,11 @@ the top (saturation).  Directions in which the sheaf is genuinely bounded
 (lower-dimensional support) are encoded by explicit zero slabs at the top
 of the box, so the clamp pattern of the grid determines the support.
 
+This module is the one face reader: _Faces resolves a cone to the grid
+that holds it, and _Face reads the face there in place, by stride.  Gluing,
+reflexivity, restrict_to_face, the Chern brackets, the face weights and the
+stability meet table all read faces through them.
+
 A family file is decoded in integers.  The _RATIONAL pattern gates each
 basis entry (an int, or a string p or p/q with q > 0), which is read as a
 numerator and a denominator; each row is scaled by the lcm of its
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fan import APEX, ConeRef, Fan, _json_int, _json_of, cone_index
 from .subspace import SubspaceQ, rref
@@ -179,7 +184,13 @@ class CornerFamily(_Grid):
         return SubspaceQ.zero(self.ambient)
 
     def dims(self) -> DimGrid:
-        return DimGrid(self.cone, self.lo, self.hi, tuple(v.dim for v in self.values))
+        """The dimension grid, kept once built like the faces of _face_of, so
+        characteristic functions of one family share its grids and faces."""
+        grid = self.__dict__.get("_dims")
+        if grid is None:
+            grid = self.__dict__["_dims"] = DimGrid(
+                self.cone, self.lo, self.hi, tuple(v.dim for v in self.values))
+        return grid
 
     def map_values(self, f) -> "CornerFamily":
         return self._make(self.cone, self.lo, self.hi, tuple(f(v) for v in self.values))
@@ -306,9 +317,6 @@ class DeltaFamily:
     def corner_map(self) -> dict[int, CornerFamily]:
         return dict(self.corners)
 
-    def corner(self, i: int) -> CornerFamily:
-        return self.corner_map()[i]
-
     def empty_face(self, nu: ConeRef) -> CornerFamily:
         """The zero grid on a face no cone of the data contains."""
         return CornerFamily(nu, (0,) * len(nu), (0,) * len(nu), (SubspaceQ.zero(self.rank),), self.rank)
@@ -345,26 +353,111 @@ def reflexive_from_filtrations(filts: Sequence[RayFiltration], fan: Fan) -> Delt
 
 
 # ---------------------------------------------------------------------------
+# faces read in place
+
+class _Face(NamedTuple):
+    """A face of a grid read in place: the grid's values, (lo, hi, stride) in
+    the grid per face coordinate, and the grid's zero; every other
+    coordinate stays at the top of its box.  The same arithmetic reads any
+    array in the grid's box order, such as a table of slots."""
+
+    values: tuple
+    axes: tuple[tuple[int, int, int], ...]
+    zero: object
+
+    def value(self, lam: Sequence[int]):
+        """The value at lam, clamped to the top of the box: zero below it, and
+        in a box with no points."""
+        idx = len(self.values) - 1
+        for x, (a, b, stride) in zip(lam, self.axes):
+            if x < a:
+                return self.zero
+            if x < b:
+                idx -= (b - x) * stride
+        return self.values[idx] if idx >= 0 else self.zero
+
+    def line(self) -> list:
+        """The values of a face with one coordinate, lo to hi, as value reads
+        them."""
+        (a, b, stride), = self.axes
+        top = len(self.values) - 1
+        if top < 0:
+            return [self.zero] * (b - a + 1)
+        return [self.values[top - (b - x) * stride] for x in range(a, b + 1)]
+
+
+def _face_of(grid: _Grid, positions: tuple[int, ...]) -> _Face:
+    """grid.face(positions) read in place.  A repeated position reads the
+    last of its coordinates, as the face grid does: the earlier ones get
+    stride 0.  The grid keeps, once built, (lo, hi, stride) per coordinate,
+    its zero and its faces by positions, in its instance dict as a cached
+    property would; a grid is frozen, so they stay valid."""
+    kept = grid.__dict__.get("_faces")
+    if kept is None:
+        kept = grid.__dict__["_faces"] = (
+            tuple(zip(grid.lo, grid.hi, _strides(grid.lo, grid.hi))), grid._zero_value(), {})
+    axes, zero, faces = kept
+    face = faces.get(positions)
+    if face is None:
+        face = faces[positions] = _Face(grid.values, tuple(
+            [(*axes[p][:2], 0) if p in positions[k + 1:] else axes[p]
+             for k, p in enumerate(positions)]), zero)
+    return face
+
+
+class _Faces:
+    """The faces of x, a family or a characteristic function, on a fan; the
+    corner map and the fan's cone index are looked up once."""
+
+    def __init__(self, x: DeltaFamily | CharFunction, fan: Fan):
+        self._x, self._fan = x, fan
+        self._cmap = x.corner_map()
+        self._containers = cone_index(fan).containers
+
+    def source(self, nu: ConeRef) -> tuple[_Grid, tuple[int, ...]]:
+        """(grid, nu's positions in its cone) for the lowest-index maximal cone
+        that contains nu and carries a grid; a nu that repeats or reorders
+        rays gets each ray's position in its own order.  With no such grid,
+        x.empty_face of the sorted rays; ValueError if they are no cone."""
+        found = self._containers.get(nu)
+        if found is None:  # not a cone as listed: read it through its set of rays
+            rays = tuple(sorted(set(nu)))
+            found = [(i, tuple(pos[rays.index(j)] for j in nu))
+                     for i, pos in self._containers.get(rays, ())]
+        for i, positions in found:
+            grid = self._cmap.get(i)
+            if grid is not None:
+                return grid, positions
+        nu = tuple(sorted(nu))
+        if not self._fan.is_cone(nu):  # a grid that contains nu makes it a cone
+            raise ValueError(f"{list(nu)} is not a cone of the fan")
+        return self._x.empty_face(nu), tuple(range(len(nu)))
+
+    def face(self, nu: ConeRef) -> _Face:
+        """restrict_to_face(x, nu, fan) read in place, in nu's own order."""
+        return _face_of(*self.source(nu))
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
     """Each pair of grids must agree at every value of their common rays, each
-    other coordinate at the top of its box.  The values are read in place by
-    stride, and two reads of one object need no comparison."""
+    other coordinate at the top of its box: the face of their common rays,
+    read in place in each grid.  Two reads of one object need no
+    comparison."""
     report = []
     idxs = sorted(grids)
-    strides = {i: _strides(g.lo, g.hi) for i, g in grids.items()}
     for a, ia in enumerate(idxs):
         for ib in idxs[a + 1:]:
             ga, gb = grids[ia], grids[ib]
             common = sorted(set(ga.cone) & set(gb.cone))
-            pa = [ga.cone.index(j) for j in common]
-            pb = [gb.cone.index(j) for j in common]
-            ranges = [range(min(ga.lo[qa], gb.lo[qb]) - 1, max(ga.hi[qa], gb.hi[qb]) + 1)
-                      for qa, qb in zip(pa, pb)]
+            fa = _face_of(ga, tuple(map(ga.cone.index, common)))
+            fb = _face_of(gb, tuple(map(gb.cone.index, common)))
+            ranges = [range(min(la, lb) - 1, max(ha, hb) + 1)
+                      for (la, ha, _), (lb, hb, _) in zip(fa.axes, fb.axes)]
             for lam in itertools.product(*ranges):
-                va = _top_value(ga, strides[ia], pa, lam)
-                vb = _top_value(gb, strides[ib], pb, lam)
+                va, vb = fa.value(lam), fb.value(lam)
                 if va is not vb and va != vb:
                     report.append(
                         f"gluing mismatch between cones {ia} and {ib} at "
@@ -372,21 +465,6 @@ def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
                     )
                     break
     return report
-
-
-def _top_value(grid: _Grid, strides: Sequence[int], positions: Sequence[int], lam: Sequence[int]):
-    """grid.value at lam in the given distinct positions and at the top of the
-    box in every other coordinate, read in place by stride.  A box with
-    lo > hi in some coordinate holds no value, and every point lies below it
-    there (or clamps to a top below it), so it reads zero."""
-    idx = len(grid.values) - 1
-    for p, x in zip(positions, lam):
-        a, b = grid.lo[p], grid.hi[p]
-        if x < a:
-            return grid._zero_value()
-        if x < b:
-            idx -= (b - x) * strides[p]
-    return grid.values[idx] if idx >= 0 else grid._zero_value()
 
 
 def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
@@ -469,15 +547,12 @@ def is_reflexive(fam: DeltaFamily, fan: Fan) -> bool:
 def _corners_are_axis_meets(fam: DeltaFamily) -> bool:
     """is_reflexive for a family already known to be valid torsion-free."""
     for _, grid in fam.corners:
-        vals, lo = grid.values, grid.lo
-        top = len(vals) - 1
-        # axis limit k at x: the value at x in coordinate k and the top in the others
-        axes = [[vals[top - (b - x) * stride] for x in range(a, b + 1)]
-                for a, b, stride in zip(lo, grid.hi, _strides(lo, grid.hi))]
+        # axis limit k at x: the ray face of coordinate k at x
+        axes = [_face_of(grid, (k,)).line() for k in range(grid.ndim())]
         full = SubspaceQ.full(grid.ambient)
-        for v, lam in zip(vals, grid.points()):
+        for v, lam in zip(grid.values, grid.points()):
             expect = full
-            for axis, x, a in zip(axes, lam, lo):
+            for axis, x, a in zip(axes, lam, grid.lo):
                 expect = expect.intersect(axis[x - a])
             if v is not expect and v != expect:
                 return False
@@ -608,48 +683,8 @@ def restrict_to_face(x: DeltaFamily | CharFunction, nu: ConeRef, fan: Fan):
     """The family (or characteristic function) on the open chart of nu:
     finite coordinates along the rays of nu, all other coordinates sent to
     infinity (clamped)."""
-    nu = tuple(sorted(nu))
-    if not fan.is_cone(nu):
-        raise ValueError(f"{list(nu)} is not a cone of the fan")
-    source = face_source(x.corner_map(), nu, fan)
-    if source is None:
-        return x.empty_face(nu)
-    grid, positions = source
+    grid, positions = _Faces(x, fan).source(tuple(sorted(nu)))
     return grid.face(positions)
-
-
-def face_source(cmap: dict[int, _Grid], nu: ConeRef, fan: Fan):
-    """The grid restrict_to_face reads for the cone nu, with nu's positions in
-    that grid's cone: the grid of the lowest-index maximal cone in cmap that
-    contains nu, or None if there is none.  The maximal cones containing nu
-    come from the fan's cone index.  A nu that repeats or reorders the rays
-    of a cone has the position of each of its rays, in its own order."""
-    return _face_source_in(cmap, nu, cone_index(fan).containers)
-
-
-def _face_source_in(cmap: dict[int, _Grid], nu: ConeRef, containers):
-    """face_source with the fan's cone index already looked up: containers is
-    cone_index(fan).containers."""
-    found = containers.get(nu)
-    if found is None:  # not a cone as listed: read it through its set of rays
-        rays = tuple(sorted(set(nu)))
-        found = [(i, tuple(pos[rays.index(j)] for j in nu)) for i, pos in containers.get(rays, ())]
-    for i, positions in found:
-        grid = cmap.get(i)
-        if grid is not None:
-            return grid, positions
-    return None
-
-
-def _face_axes(grid: _Grid, positions: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
-    """grid.face(positions) read in place: (lo, hi, stride) in grid for each
-    position, every other coordinate staying at the top of the box, so the
-    face value at lam is grid.values[-1] less (hi - lam) * stride per axis.
-    A repeated position reads the last of its coordinates, as the face grid
-    does: the earlier ones get stride 0."""
-    strides = _strides(grid.lo, grid.hi)
-    return tuple((grid.lo[p], grid.hi[p], 0 if p in positions[k + 1:] else strides[p])
-                 for k, p in enumerate(positions))
 
 
 def cone_shift(kvec: Sequence[int], cone: ConeRef) -> tuple[int, ...]:

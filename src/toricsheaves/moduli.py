@@ -191,10 +191,10 @@ MAX_RANK1_C2 = 40
 MAX_RANK1_TUPLES = 5_000
 # The orbit loop costs 0.01 to 0.13 us per window point (P^2 box 8, 210,681
 # points: 5 ms; P^1 x P^1 box 8, 1.9 M points: 28 ms), so the window's cost
-# is the hulls it lets through, about 10 ms each, whose number grows like b^2
-# for c1 = 0 at c2 <= 1: 88 on P^2 at box 7 (0.44 s), 112 at box 8 (0.63 s),
-# 202 at box 11 (2.1 s); 65 on P^1 x P^1 and 50 on F_1 at box 5 (0.44 s,
-# 0.31 s).  The cap admits P^2 up to box 8 (q^5 needs box 7: c1 = H, c2 <= 5
+# is the hulls it lets through, about 10 ms each; c1 = 0 at c2 <= 1 builds
+# none, as no orbit has a stable pattern (P^2 box 8 takes 14 ms, P^1 x P^1
+# and F_1 box 5 14 and 17 ms, where their 112, 65 and 50 semistable hulls
+# took 0.63, 0.44 and 0.31 s).  The cap admits P^2 up to box 8 (q^5 needs box 7: c1 = H, c2 <= 5
 # takes 2.3 s and gives 969 records) and the four-ray fans up to box 5, so a
 # c2 <= 1 run stays under 1 s (Python 3.11, one core); cut work has its own
 # cap below.
@@ -457,6 +457,14 @@ def _flag_patterns(gaps, deg, cones, room: int):
         yield from walk(len(rays) - 1, (), (), 0)
 
 
+def _orbit_patterns(gaps, deg, cones, room: int):
+    """(pattern, flag term, slope verdict) for each pattern _flag_patterns
+    keeps; none when no verdict is stable (see _enumerate_rank2)."""
+    patterns = [(pat, flag, _profile_verdict(gaps, deg, pat))
+                for pat, flag in _flag_patterns(gaps, deg, cones, room)]
+    return patterns if any(v == STABLE for _, _, v in patterns) else []
+
+
 def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, viable):
     """One profile (a, gaps) per character orbit of class c1 that meets the
     window [-b, b]^n x [0, b]^n and whose untwisted profile passes
@@ -536,7 +544,10 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     deg_j > 0), so a cut partial pattern has no surviving completion.  An
     orbit is skipped before its twists are searched when its heaviest gap
     ray alone breaks the slope bound or A.B exceeds c2_max; A.B is an
-    intersection number of classes, which a twist does not change.
+    intersection number of classes, which a twist does not change.  An
+    orbit with no slope-stable pattern builds no hull: a record is kept only
+    with a stable stratum, and its strata all come from its own orbit (its
+    gaps are read off the ray faces, which cuts leave alone).
 
     One translate per orbit gives the same records as all of them: a twist
     maps hulls, cuts, verdicts and c2 to their translates, so every
@@ -578,8 +589,8 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
 
     for a_vec, gaps in _class_orbits(fan, c1, box_bound, viable):
         split_c2 = _split_c2(a_vec, gaps, table.matrix)
-        for pat, flag_c2 in _flag_patterns(gaps, deg, fan.max_cones, c2_max - split_c2):
-            verdict = _profile_verdict(gaps, deg, pat)
+        for pat, flag_c2, verdict in _orbit_patterns(gaps, deg, fan.max_cones,
+                                                     c2_max - split_c2):
             c2_hull = split_c2 + flag_c2
             hull = _profile_hull(fan, a_vec, gaps, pat)
             ch = chern_character(hull, fan)

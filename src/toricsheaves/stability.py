@@ -34,13 +34,12 @@ choose_r carries the tables it was built against, and git_test reads the
 one for the very family and fan it is given, unless it draws samples.  The
 table is a pure function of (family, fan), so nothing it reports depends
 on whether it was carried or built.  A face value E^nu(lam) is read in
-place from the maximal-cone grid that restrict_to_face would cut the face
-from (found through the fan's cone index): lam at the positions of nu, in
-the order nu lists its rays, every other coordinate at the top of the box;
-no face grid is built.  The table scans the corner grids once, on first
-use, and gives each distinct proper value a slot, so a weight key's slot is
-index arithmetic on its face over the grid's slot array; the scanned values
-are the pool of the test set.
+place through the face reader of family (lam in the order nu lists its
+rays); no face grid is built, and the face weights read their bounds off
+the same faces.  The table scans the corner grids once, on first use, and
+gives each distinct proper value a slot, so a weight key's slot is index
+arithmetic on its face over the grid's slot array; the scanned values are
+the pool of the test set.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
@@ -73,20 +72,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .family import (
     CharFunction,
     DeltaFamily,
     KIND_PURE,
     _corners_are_axis_meets,
-    _face_axes,
-    _face_source_in,
+    _Face,
+    _Faces,
     characteristic_function,
     is_reflexive,
     require_torsion_free,
 )
-from .fan import ConeRef, Fan, cone_index
+from .fan import ConeRef, Fan
 from .intersect import ample_degrees, intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 from .subspace import SubspaceQ
@@ -149,8 +148,7 @@ def _flag_data(meets: _MeetTable) -> FlagData:
         flags: list[SubspaceQ | None] = [None] * (m - 1)
         pos: list[int | None] = [None] * (m - 1)
         prev = 0
-        for lam in range(lo, hi + 1):
-            v = face.value((lam,))
+        for lam, v in zip(range(lo, hi + 1), face.line()):
             d = v.dim
             if d < prev:
                 raise ValueError(f"ray {j}: filtration dimensions decrease at {lam}")
@@ -238,28 +236,6 @@ def _tests_from_pool(pool: set[SubspaceQ], m: int) -> tuple[list[SubspaceQ], boo
 # ---------------------------------------------------------------------------
 # the meet table
 
-class _Face(NamedTuple):
-    """The face restrict_to_face(fam, nu, fan) read in place: the values of
-    the maximal-cone grid it would be cut from, and (lo, hi, stride) in that
-    grid for each coordinate of nu; every other coordinate stays at the top
-    of its box.  The same arithmetic reads the grid's slot array in place of
-    its values."""
-
-    values: tuple
-    axes: tuple[tuple[int, int, int], ...]
-
-    def value(self, lam: Sequence[int]):
-        """The value at lam, each coordinate clamped to the top of its box;
-        None, for zero, below the box."""
-        idx = len(self.values) - 1
-        for x, (a, b, stride) in zip(lam, self.axes):
-            if x < a:
-                return None
-            if x < b:
-                idx -= (b - x) * stride
-        return self.values[idx]
-
-
 # the slots of a grid the scan has not seen: the one zero value of empty_face
 _ZERO_SLOTS = (None,)
 
@@ -290,8 +266,7 @@ class _MeetTable:
                 f"stability is defined for rank >= 1; the family has rank {fam.rank}")
         self.fam, self.fan, self.rank = fam, fan, fam.rank
         self._samples = list(samples)
-        self._cmap = fam.corner_map()
-        self._containers = cone_index(fan).containers
+        self._reader = _Faces(fam, fan)
         self._faces: dict[ConeRef, _Face] = {}
         self._slot_faces: dict[ConeRef, _Face] = {}  # each face over its grid's slots
         self._slots: dict[SubspaceQ, int] = {}
@@ -299,21 +274,12 @@ class _MeetTable:
         self._columns: list[tuple[int, ...] | None] = []
 
     def face(self, cone: ConeRef) -> _Face:
-        """restrict_to_face(fam, cone, fan) read in place, once per cone, from
-        the grid face_source picks, with the coordinates in the cone's own
-        order: a repeated ray reads the last of its coordinates.  A cone that
-        no grid contains reads as the zero grid empty_face gives."""
+        """restrict_to_face(fam, cone, fan) read in place, once per cone, with
+        the coordinates in the cone's own order: a repeated ray reads the
+        last of its coordinates."""
         face = self._faces.get(cone)
         if face is None:
-            source = _face_source_in(self._cmap, cone, self._containers)
-            if source is None:
-                # a grid that contains the cone makes it one
-                nu = tuple(sorted(cone))
-                if not self.fan.is_cone(nu):
-                    raise ValueError(f"{list(nu)} is not a cone of the fan")
-                source = self.fam.empty_face(nu), range(len(nu))
-            grid, positions = source
-            face = self._faces[cone] = _Face(grid.values, _face_axes(grid, positions))
+            face = self._faces[cone] = self._reader.face(cone)
         return face
 
     @cached_property
@@ -374,7 +340,7 @@ class _MeetTable:
         if face is None:
             face = self.face(cone)
             face = self._slot_faces[cone] = _Face(
-                self._grid_slots.get(id(face.values), _ZERO_SLOTS), face.axes)
+                self._grid_slots.get(id(face.values), _ZERO_SLOTS), face.axes, None)
         if len(lam) != len(face.axes):
             raise ValueError(f"weight key {key} does not match the family's shape")
         return face.value(lam)
@@ -725,14 +691,13 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     one = two_q = xh = 0  # the vertex: sums of 1, of 2 + q and of x.deg(H')
     rays: dict[WeightKey, list] = {}  # ray key -> [sum of 2 + q, of x.deg(H')]
     interior = []  # (key, 2 e^2 Xi) at the box points of the 2-cones, in key order
-    for nu, containers in cone_index(fan).containers.items():
-        # the bounds of restrict_to_face(chi, nu, fan), without building its
-        # values: every maximal cone carries a grid, so the first one serves
-        c, positions = containers[0]
-        grid = gmap[c]
-        lo = [grid.lo[p] for p in positions]
+    faces = _Faces(chi, fan)
+    for nu in fan.cones():
+        # the bounds of restrict_to_face(chi, nu, fan), without building its values
+        axes = faces.face(nu).axes
+        lo = [a for a, _, _ in axes]
         s = (-1) ** (fan.rank - len(nu))
-        cut = [grid.hi[p] + 1 for p in positions]
+        cut = [b + 1 for _, b, _ in axes]
         m_cut = [sum(mat[i][j] * y for j, y in zip(nu, cut)) for i in nu]  # (M cut)_i on nu
         one += s
         two_q += s * (2 + sum(x * (mx - deg_ak[i]) for x, mx, i in zip(cut, m_cut, nu)))

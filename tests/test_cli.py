@@ -348,7 +348,9 @@ def test_operation_coverage_table(files, p2):
         ["weights", *polarized, "--kind", "mu"],
         ["weights", *polarized, "--kind", "xi"],
         ["enumerate", "--fan", files["fan"], "--rank", "1", "--c2-max", "1"],
-        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c2-max", "0", "--box", "1"],
+        # c1 = H: an orbit with a stable pattern, so a hull is built
+        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c1", files["ample"],
+         "--c2-max", "1", "--box", "3"],
         ["series", "rank1", "--fan", files["fan"], "--order", "3"],
         ["series", "rank2-p2", "--order", "3"],
     ]
@@ -449,9 +451,13 @@ def _enumerate(files, *args):
                      "at least 0", id="series-rank2-p2-order-minus-3"),
         pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "1", "--box", "40"),
                      "lower --box", id="enumerate-rank2-window"),
-        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "8", "--box", "1"),
+        # c1 = H: at c1 = 0 and box 1 no orbit has a stable pattern, so no hull
+        # is built and nothing counts toward the cut cap
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c1", f["ample"], "--c2-max", "8",
+                                          "--box", "1"),
                      "lower --c2-max", id="enumerate-rank2-cuts"),
-        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "100000", "--box", "1"),
+        pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c1", f["ample"],
+                                          "--c2-max", "100000", "--box", "1"),
                      "lower --c2-max", id="enumerate-rank2-cuts-huge-c2"),
         pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c2-max", "12", "--box", "40"),
                      "lower --c2-max", id="enumerate-rank1-tuples"),
@@ -801,3 +807,166 @@ def test_malformed_file_named_in_error(files, capsys, command, extra, flags, slo
     assert_input_error(subprocess.CompletedProcess(argv, code, out.out, out.err))
     assert out.out == ""
     assert str(bad) in out.err
+
+
+# --- CLI stdout pinned against recorded digests ----------------------------------
+
+def _golden_argvs(files, p2):
+    """(label, argv) for every subcommand on the fixture files, one input the
+    CLI refuses, and the rank-2 enumeration of the benchmark (P^2, c1 = H,
+    c2 <= 1, box 3); each label names the files by role, not by path."""
+    from test_family import ideal_sheaf_of_point
+
+    extra = {
+        "slab": family_to_json(slab_family(p2, 0)),
+        "ideal": family_to_json(ideal_sheaf_of_point(p2)),
+        "unstable": family_to_json(rank2_three_lines(
+            p2, gaps=[2, 2, 2], lines=[SubspaceQ.span([(1, 0)], 2)] * 3)),
+        "zero-ample": json.dumps([0, 0, 0]),
+    }
+    paths = {k: files[k] for k in ("fan", "family", "o", "ample")}
+    for name, text in extra.items():
+        paths[name] = str(files["dir"] / f"golden-{name}.json")
+        Path(paths[name]).write_text(text)
+    templates = [
+        "fan-check --fan fan",
+        "family-check --fan fan --family family",
+        "family-check --fan fan --family ideal",
+        "family-check --fan fan --family slab",
+        "chern --fan fan --family family",
+        "chern --fan fan --family slab",
+        "hilbert --fan fan --family family --ample ample",
+        "hilbert --fan fan --family ideal --ample ample",
+        "stability mu --fan fan --family family --ample ample",
+        "stability mu --fan fan --family unstable --ample ample",
+        "stability gieseker --fan fan --family family --ample ample",
+        "stability gieseker --fan fan --family ideal --ample ample",
+        "stability git --fan fan --family family --ample ample --weights-from mu",
+        "stability git --fan fan --family family --ample ample --weights-from xi",
+        "stability git --fan fan --family family --ample ample --samples 5 --seed 3",
+        "weights --fan fan --family family --ample ample --kind mu",
+        "weights --fan fan --family family --ample ample --kind xi",
+        "weights --fan fan --family ideal --ample ample --kind mu",
+        "enumerate --fan fan --rank 1 --c2-max 2 --box 4",
+        "enumerate --fan fan --rank 2 --c1 ample --c2-max 1 --box 3",
+        "series rank1 --fan fan --order 4",
+        "series rank2-p2 --order 4",
+        "hilbert --fan fan --family o --ample zero-ample",
+    ]
+    out = []
+    for template in templates:
+        for fmt in ("text", "json"):
+            words = template.split()
+            argv = [paths.get(w, w) if k and words[k - 1].startswith("--") else w
+                    for k, w in enumerate(words)]
+            out.append((f"{template} --format {fmt}", argv + ["--format", fmt]))
+    return out
+
+
+# (exit code, sha256 of stdout) per command, recorded before family became the
+# one module that reads faces; stderr, which names the input paths, is not pinned
+GOLDEN = {
+    'fan-check --fan fan --format text':
+        (0, 'f50a1a253aacce1cf8d0f2bbe2b18e0841fafe7dbe61b22cbef55cd96406d7f8'),
+    'fan-check --fan fan --format json':
+        (0, 'a363bc868ee4e71ea4e037f28bb04a141bbcd620cee0fd4c0d2ab78d1c10893c'),
+    'family-check --fan fan --family family --format text':
+        (0, '41a92ea881328082a7427fc06c37e8c75315eb9f07b5ca73e700fd76fa75a725'),
+    'family-check --fan fan --family family --format json':
+        (0, '9109c123a460991cb0e6d9350db2073d29d2b2c6c9239963bb8e83f3f4f83879'),
+    'family-check --fan fan --family ideal --format text':
+        (0, '20b371a28590973424391c45408c28098a7e8d0ff86fa71302d9376270c3a4b1'),
+    'family-check --fan fan --family ideal --format json':
+        (0, 'd8be2e66c411729bf53ed1e5943ed7d3e99fb4db9ede0bef9ef697c06283b72f'),
+    'family-check --fan fan --family slab --format text':
+        (0, '67a59104e6e2fa0b81c6b8634209fbbf097477bd3b83b76d6ce66e745712d2ee'),
+    'family-check --fan fan --family slab --format json':
+        (0, '7f3a864e33569eef9e9a6807fcd06bccd0bc4d095c4c2195139871ecd5104aad'),
+    'chern --fan fan --family family --format text':
+        (0, '2c11ed0775c02d17276ba146d396e9aaa60ffc3d99c467a7dd8576f8b4319e10'),
+    'chern --fan fan --family family --format json':
+        (0, '47e14282bce549fa924ba63caa0fa87e108d35be756e883750aa70b2ed045833'),
+    'chern --fan fan --family slab --format text':
+        (0, '81fb83b93a2ef87337b9a03b21f390f29053f9413ab7de4eba73e328c0239347'),
+    'chern --fan fan --family slab --format json':
+        (0, 'ed252ffd40eef0851d005b3ac7e4a487f093f83651345032950f9d80214dbf5c'),
+    'hilbert --fan fan --family family --ample ample --format text':
+        (0, '9c0aac8aec12d51c4baecda23c956896c9a05cf2e724f661b66c305da5ba7257'),
+    'hilbert --fan fan --family family --ample ample --format json':
+        (0, 'dd530f7602dc277d14e50cbfe03ce84035443521d85db9e122f637875df9f88c'),
+    'hilbert --fan fan --family ideal --ample ample --format text':
+        (0, 'c18b19af047e4ee1dcfd35f62a19925083ee45f4cae0dec230a77ed9086c9ac6'),
+    'hilbert --fan fan --family ideal --ample ample --format json':
+        (0, '11ca356f58ff0ac5023a0422e412747c66a897e07f944a75f4b4719f80b822b1'),
+    'stability mu --fan fan --family family --ample ample --format text':
+        (0, 'bdabe2f5089ee841552d04932232d12de616cb1c559b02fad341f1e39865ee54'),
+    'stability mu --fan fan --family family --ample ample --format json':
+        (0, '2dedb0d69d9cf040993dafe17aa0b40dc4845313dcd82a051a76cf1b9caffe1c'),
+    'stability mu --fan fan --family unstable --ample ample --format text':
+        (1, '7d1b44a0f33b430941687a9e9d2c819987d536b27feb31225aeb70a653ccbc2c'),
+    'stability mu --fan fan --family unstable --ample ample --format json':
+        (1, '05d4e0274bbd8ee2989a93b66e771401e469a73e1bb3cd2224973479be05290c'),
+    'stability gieseker --fan fan --family family --ample ample --format text':
+        (0, '579464852eab2d312a0a53a8e8037779632a5e5a3bd162a34fb003abb2e90cd0'),
+    'stability gieseker --fan fan --family family --ample ample --format json':
+        (0, '19bc116486e42ee7f3072df7cb24f587515d1d5eb26bd3df9348d0c526333b42'),
+    'stability gieseker --fan fan --family ideal --ample ample --format text':
+        (0, '62d7f800160b59507529e7dc7ecb723c8ed4274747ff724e9fa81134eb4565b4'),
+    'stability gieseker --fan fan --family ideal --ample ample --format json':
+        (0, '1b884d3b92422eaf4f175bf9b21d6e302b38f7f3e3b8167c90a069aadeeddaad'),
+    'stability git --fan fan --family family --ample ample --weights-from mu --format text':
+        (0, '85cd7095d84b4e25d04c91aadb91f5d31240e89595ee831a9bdff382980ed090'),
+    'stability git --fan fan --family family --ample ample --weights-from mu --format json':
+        (0, '2cfd6678413933b35cc5cc29e049bbb1531b130b7898d4e2fc56517f24e443bb'),
+    'stability git --fan fan --family family --ample ample --weights-from xi --format text':
+        (0, 'f0882865cb31b48495ccfc6eb27935f28fd081ee00dea312077756322d70a03d'),
+    'stability git --fan fan --family family --ample ample --weights-from xi --format json':
+        (0, 'db921d6842705bb4d27a6fff32ef003b1e272a4eae8f09a640f24cfa642fad65'),
+    'stability git --fan fan --family family --ample ample --samples 5 --seed 3 --format text':
+        (0, 'f0882865cb31b48495ccfc6eb27935f28fd081ee00dea312077756322d70a03d'),
+    'stability git --fan fan --family family --ample ample --samples 5 --seed 3 --format json':
+        (0, 'db921d6842705bb4d27a6fff32ef003b1e272a4eae8f09a640f24cfa642fad65'),
+    'weights --fan fan --family family --ample ample --kind mu --format text':
+        (0, '5b15517e57429be1096eedd27cfcfbd0cafb6dc3484e5154a27a75f4acdfea45'),
+    'weights --fan fan --family family --ample ample --kind mu --format json':
+        (0, 'fb108b4b5ce00531836e9bf0156b017c9638964fb28abf3fe9ec1b6afff875c8'),
+    'weights --fan fan --family family --ample ample --kind xi --format text':
+        (0, '8e20b15c04c5d609e09146d7b51911357faa14c4e2abd7bb4dc97d886d7cb397'),
+    'weights --fan fan --family family --ample ample --kind xi --format json':
+        (0, '2ad9960e3e12beb3721d270275b4370b78a62b1ad41a2ce9790cd47e046a0bcc'),
+    'weights --fan fan --family ideal --ample ample --kind mu --format text':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'weights --fan fan --family ideal --ample ample --kind mu --format json':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'enumerate --fan fan --rank 1 --c2-max 2 --box 4 --format text':
+        (0, 'ae32eebf10a8a22a9a1df21cea27457db92a48b0de0bda67ce5e7472ca5af803'),
+    'enumerate --fan fan --rank 1 --c2-max 2 --box 4 --format json':
+        (0, '3dc87d8db5b13832d48d681d395680d8b1cd9dbf27ef17e97ad79816bc01b3b3'),
+    'enumerate --fan fan --rank 2 --c1 ample --c2-max 1 --box 3 --format text':
+        (0, 'cc62cc335ef27c67d1c72d454c24e306b653510ebd43c1abd47e653d2570f9c5'),
+    'enumerate --fan fan --rank 2 --c1 ample --c2-max 1 --box 3 --format json':
+        (0, '62144659d664eb638117c1437e4010083dda1c9b55f70008b318ffc7f53b258e'),
+    'series rank1 --fan fan --order 4 --format text':
+        (0, 'f30ba89c453f8be1bdc8e4c154ca863c48713de3c059f7c09c32b84dc5e8bb8e'),
+    'series rank1 --fan fan --order 4 --format json':
+        (0, '750540eeacb12a8d1f3723ff5f1122fd5e1ad750a491113937288ac30e565b00'),
+    'series rank2-p2 --order 4 --format text':
+        (0, '2ce9ab49d05b1b8d451bc77c9919cd19bf4b3e1834f2dc4d399b5ca6ff17e1d3'),
+    'series rank2-p2 --order 4 --format json':
+        (0, 'd779034d4fe1aad76b38d505bc1343f0620c902195af350f63578ba385897bdf'),
+    'hilbert --fan fan --family o --ample zero-ample --format text':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'hilbert --fan fan --family o --ample zero-ample --format json':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+def test_cli_stdout_matches_golden_digests(files, p2, capsys):
+    import hashlib
+
+    got = {}
+    for label, argv in _golden_argvs(files, p2):
+        code, out, _ = run_cli(argv, capsys)
+        got[label] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert {code for code, _ in got.values()} == {0, 1, 2}
+    assert got == GOLDEN

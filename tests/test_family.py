@@ -104,7 +104,7 @@ def test_two_lines_intersect_to_zero(p2):
         RayFiltration(2, ((0, full),)),
     ]
     fam = reflexive_from_filtrations(filts, p2)
-    grid = fam.corner(0)  # cone with rays 0, 1
+    grid = fam.corner_map()[0]  # cone with rays 0, 1
     assert grid.value((0, 0)).is_zero()  # la cap lb = 0
     assert grid.value((0, 1)) == la
     assert grid.value((1, 0)) == lb
@@ -184,17 +184,17 @@ def test_reflexivity(p2, o_p2):
 # --- support detection and purity ---------------------------------------------
 
 def test_detect_support_torsion_free(p2, o_p2):
-    assert detect_support(o_p2.corner(0)) == {()}
+    assert detect_support(o_p2.corner_map()[0]) == {()}
 
 
 def test_detect_support_slab(p2):
     fam = slab_family(p2, 0)
-    assert detect_support(fam.corner(0)) == {(0,)}
+    assert detect_support(fam.corner_map()[0]) == {(0,)}
 
 
 def test_detect_support_two_axes(p2):
     fam = two_axes_family(p2)
-    assert detect_support(fam.corner(0)) == {(0,), (1,)}
+    assert detect_support(fam.corner_map()[0]) == {(0,), (1,)}
 
 
 def test_detect_support_zero_rejected(p2):
@@ -298,7 +298,7 @@ def test_restrict_pure_to_noncontaining_face_is_zero(p2):
 
 def test_restrict_to_carrying_cone_is_identity(p2, o_p2):
     grid = restrict_to_face(o_p2, p2.max_cones[0], p2)
-    assert grid == o_p2.corner(0)
+    assert grid == o_p2.corner_map()[0]
 
 
 def test_restrict_to_maximal_cone_returns_its_grid(corpus):
@@ -344,7 +344,7 @@ def test_tensor_structure_sheaf_gives_line_bundle(p2, o_p2):
     twisted = tensor_line_bundle(o_p2, kvec)
     expected = line_bundle_family(p2, kvec)
     for i in range(3):
-        a, b = twisted.corner(i), expected.corner(i)
+        a, b = twisted.corner_map()[i], expected.corner_map()[i]
         assert a.lo == b.lo and a.value(a.lo) == b.value(b.lo)
 
 

@@ -1,9 +1,10 @@
 import itertools
 import random
+import types
 
 import pytest
 
-from toricsheaves.family import face_source
+from toricsheaves.family import _Faces
 from toricsheaves.fan import (
     ConeIndex,
     Fan,
@@ -140,6 +141,14 @@ def cones_by_scan(fan):
     return sorted(seen, key=lambda c: (len(c), c))
 
 
+def face_source(cmap, nu, fan):
+    """The source a face reader gives for nu over the corner map cmap, or None
+    where it falls back to the empty face."""
+    x = types.SimpleNamespace(corner_map=lambda: cmap, empty_face=lambda nu: None)
+    grid, positions = _Faces(x, fan).source(nu)
+    return None if grid is None else (grid, positions)
+
+
 def face_source_by_scan(cmap, nu, fan):
     """face_source as it scanned the maximal cones on every call: the first
     index in cmap whose maximal cone contains the rays of nu."""
@@ -185,9 +194,10 @@ def test_cone_index_matches_scan():
                         assert got == (None if want is None else (want[0], tuple(want[1])))
                         checked += 1
     assert checked > 9_000
-    # a ray set that is no cone has no source
+    # a ray set that is no cone is refused
     p2 = projective_plane()
-    assert face_source({0: "g", 1: "g", 2: "g"}, (0, 1, 2), p2) is None
+    with pytest.raises(ValueError, match=r"^\[0, 1, 2\] is not a cone of the fan$"):
+        face_source({0: "g", 1: "g", 2: "g"}, (0, 1, 2), p2)
 
 
 def test_cone_index_built_once_per_equal_fan():

@@ -69,18 +69,21 @@ UNCALLED_PUBLIC = {
 
 
 def test_every_public_function_is_called_from_package_code():
-    """Each public top-level function and public method is referenced, by name
-    or as an attribute, somewhere in the package outside its own body, or is
-    listed in UNCALLED_PUBLIC; every listed name is still defined.  A static
-    method counts as referenced only as Class.name, so a call of another
-    class's method of the same name does not count for it."""
+    """Each public top-level function and public method is referenced
+    somewhere in the package outside its own body, or is listed in
+    UNCALLED_PUBLIC; every listed name is still defined.  A function counts
+    as referenced by name or as an attribute, a method only as an attribute
+    (x.name), so a local variable or a parameter of the same name does not
+    count for it, and a static method only as Class.name, so a call of
+    another class's method of the same name does not count for it."""
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(toricsheaves.__file__).parent.glob("*.py"))]
 
     def references(node):
         nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
         return Counter(
-            [n.id if isinstance(n, ast.Name) else n.attr for n in nodes]
+            [n.id for n in nodes if isinstance(n, ast.Name)]
+            + [f".{n.attr}" for n in nodes if isinstance(n, ast.Attribute)]
             + [f"{n.value.id}.{n.attr}" for n in nodes
                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)])
 
@@ -88,16 +91,18 @@ def test_every_public_function_is_called_from_package_code():
         return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
 
     everywhere = sum((references(tree) for tree in trees), Counter())
-    defined = []  # (the name it is referenced by, its definition)
+    defined = []  # (its name, the reference keys that count for it, its definition)
     for tree in trees:
         for node in tree.body:
             cls = node.name if isinstance(node, ast.ClassDef) else None
             members = node.body if cls else [node]
-            defined += [(f"{cls}.{f.name}" if cls and is_static(f) else f.name, f)
+            defined += [(f.name, [f"{cls}.{f.name}"] if cls and is_static(f) else
+                         [f".{f.name}"] if cls else [f.name, f".{f.name}"], f)
                         for f in members
                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-    assert UNCALLED_PUBLIC <= {key for key, _ in defined}
-    uncalled = {key for key, f in defined if everywhere[key] == references(f)[key]}
+    assert UNCALLED_PUBLIC <= {name for name, _, _ in defined}
+    uncalled = {name for name, keys, f in defined
+                if sum(everywhere[k] for k in keys) == sum(references(f)[k] for k in keys)}
     assert uncalled == UNCALLED_PUBLIC
 
 

@@ -440,14 +440,25 @@ def test_flag_patterns_match_exhaustive_loop(corpus, surface):
     assert kept[True] > 0
 
 
+def every_orbit_pattern(gaps, deg, cones, room):
+    """_orbit_patterns with no orbit dropped: every pattern _flag_patterns
+    keeps, with its verdict, whether or not one of them is stable."""
+    import toricsheaves.moduli as moduli
+
+    return [(pat, flag, _profile_verdict(gaps, deg, pat))
+            for pat, flag in moduli._flag_patterns(gaps, deg, cones, room)]
+
+
 def pruned_and_exhaustive(fan, c1, c2_max, box, monkeypatch):
     """record_digest of the enumeration, then of its exhaustive twin: every
-    orbit kept and every pattern given a verdict."""
+    orbit kept, with or without a stable pattern, and every pattern given a
+    verdict."""
     import toricsheaves.moduli as moduli
 
     pruned = record_digest(fan, c1, c2_max, box)
     monkeypatch.setattr(moduli, "_class_orbits", every_orbit)
     monkeypatch.setattr(moduli, "_flag_patterns", every_flag_pattern(fan))
+    monkeypatch.setattr(moduli, "_orbit_patterns", every_orbit_pattern)
     return pruned, record_digest(fan, c1, c2_max, box)
 
 
@@ -514,6 +525,31 @@ def test_verdicts_asked_only_of_surviving_patterns(corpus, monkeypatch, surface,
     monkeypatch.setattr(moduli, "_flag_patterns", every_flag_pattern(fan, seen))
     enumerate_gauge_fixed_chi(fan, 2, c1, 1, box_bound=box)
     assert len(seen) == exhaustive
+
+
+@pytest.mark.parametrize("surface, c1, c2_max, box, hulls, every", [
+    pytest.param("p2", [0, 0, 0], 1, 4, 0, 34, id="p2-zero-c2le1-box4"),
+    pytest.param("p1xp1", [0, 0, 0, 0], 1, 2, 0, 17, id="p1xp1-zero-c2le1-box2"),
+    pytest.param("f1", [0, 0, 0, 0], 1, 2, 0, 14, id="f1-zero-c2le1-box2"),
+    pytest.param("p1xp1", [0, 0, 0, 0], 2, 2, 10, 41, id="p1xp1-zero-c2le2-box2"),
+])
+def test_orbits_without_a_stable_pattern_build_no_hull(corpus, monkeypatch, surface, c1,
+                                                       c2_max, box, hulls, every):
+    """An orbit none of whose surviving patterns is slope-stable is dropped
+    before its first hull: at c1 = 0 and c2 <= 1 no hull is built at all.
+    With every orbit kept the same records come from more hulls."""
+    import toricsheaves.moduli as moduli
+
+    fan = surface_fan(corpus, surface)
+    built = []
+    hull = moduli._profile_hull
+    monkeypatch.setattr(moduli, "_profile_hull", lambda *a: built.append(a) or hull(*a))
+    dropped = record_digest(fan, c1, c2_max, box)
+    assert len(built) == hulls
+    del built[:]
+    monkeypatch.setattr(moduli, "_orbit_patterns", every_orbit_pattern)
+    assert record_digest(fan, c1, c2_max, box) == dropped
+    assert len(built) == every
 
 
 def test_one_hull_per_orbit(p2, monkeypatch):

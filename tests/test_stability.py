@@ -937,7 +937,8 @@ def test_xi_weights_match_corner_sum(corpus, amples):
 def test_xi_face_bounds_match_restrict_to_face(corpus, amples, monkeypatch):
     # xi_weights reads each cone's bounds off the grid restrict_to_face picks:
     # the first maximal cone the cone index lists for the cone
-    from toricsheaves.family import face_source
+    from toricsheaves import family, fan as fan_module
+    from toricsheaves.family import _Faces
     from test_fan import index_by_scan
 
     for fan, h in _oracle_fans(corpus, amples):
@@ -945,13 +946,14 @@ def test_xi_face_bounds_match_restrict_to_face(corpus, amples, monkeypatch):
             chi = tensor_line_bundle(characteristic_function(fam),
                                      [j % 3 - 1 for j in range(fan.n_rays())])
             for nu in fan.cones():
-                grid, positions = face_source(chi.corner_map(), nu, fan)
+                grid, positions = _Faces(chi, fan).source(nu)
                 face = restrict_to_face(chi, nu, fan)
                 assert tuple(grid.lo[p] for p in positions) == face.lo
                 assert tuple(grid.hi[p] for p in positions) == face.hi
             xi = xi_weights(chi, fan, h)
             with monkeypatch.context() as m:  # the index as the scans build it
-                m.setattr(stability, "cone_index", index_by_scan)
+                m.setattr(family, "cone_index", index_by_scan)
+                m.setattr(fan_module, "cone_index", index_by_scan)
                 assert xi_weights(chi, fan, h) == xi
 
 
@@ -1294,6 +1296,11 @@ def _face_keys(fam, fan):
     return keys
 
 
+def below(face, lam):
+    """Whether lam lies below the box of a face read in place."""
+    return any(x < a for x, (a, _, _) in zip(lam, face.axes))
+
+
 def test_faces_read_in_place_match_face_grids(corpus, amples, monkeypatch):
     from toricsheaves import family
     from test_family import random_oracle_families
@@ -1311,10 +1318,10 @@ def test_faces_read_in_place_match_face_grids(corpus, amples, monkeypatch):
         new, old = stability._MeetTable(fam, fan), FaceGridMeets(fam, fan)
         for key in _face_keys(fam, fan):
             v = new.face(key[0]).value(key[1])
-            assert (SubspaceQ.zero(fam.rank) if v is None else v) == old.value(key)
+            assert v == old.value(key)
             # the scan and the key order number the slots differently
             assert slotted(new, new.slot(key)) == slotted(old, old.slot(key))
-            seen.add("below" if v is None else "value")
+            seen.add("below" if below(new.face(key[0]), key[1]) else "value")
         assert sorted(new.values, key=stability._subspace_key) == \
             sorted(old.values, key=stability._subspace_key)
         assert _outcome(stability._flag_data, new) == _outcome(flag_data_by_grids, old)
@@ -1393,9 +1400,9 @@ def test_meet_table_scan_matches_slot_of_route():
         meets = stability._MeetTable(fam, fan, samples)
         for key in _face_keys(fam, fan):
             v = meets.face(key[0]).value(key[1])
-            assert meets.slot(key) == (None if v is None else meets.slot_of(v))
-            seen.add("below" if v is None else "zero or full" if meets.slot(key) is None
-                     else "proper")
+            assert meets.slot(key) == meets.slot_of(v)
+            seen.add("below" if below(meets.face(key[0]), key[1]) else
+                     "zero or full" if meets.slot(key) is None else "proper")
         tests = _outcome(stability.test_subspaces, fam)
         if isinstance(tests[0], str):  # the rank >= 3 closure outgrew CLOSURE_CAP
             assert _outcome(lambda: meets.tests) == tests
@@ -1550,23 +1557,25 @@ def test_weight_systems_carry_their_tables_work_counts(corpus, amples, monkeypat
 
 def test_meet_table_faces_match_face_source(monkeypatch):
     """A meet table looks the fan's cone index up once and reads each face
-    from the grid face_source picks, at the positions it gives: every cone
-    as listed, reversed and with a repeated ray; a cone that no grid
-    contains reads as the zero face."""
+    from the grid of the lowest-index maximal cone that holds it, at the
+    positions of the cone's rays: every cone as listed, reversed and with a
+    repeated ray, each value against the face grid cut from that grid; a
+    cone that no grid contains reads as the zero face."""
     from test_chern import bracket_oracle_families
-    from toricsheaves.family import _face_axes, face_source
+    from test_fan import face_source_by_scan
+    from toricsheaves import family
 
     seen = set()
     for fan, fam in bracket_oracle_families()[::2]:
         cones = [c for nu in fan.cones() for c in {nu, nu[::-1], nu[:1] * 2, nu[-1:] * 2}]
         with monkeypatch.context() as m:
-            lookups = _count_calls(m, stability, "cone_index")
+            lookups = _count_calls(m, family, "cone_index")
             meets = stability._MeetTable(fam, fan)
             faces = [_outcome(meets.face, c) for c in cones]
         assert len(lookups) == 1
         cmap = fam.corner_map()
         for cone, face in zip(cones, faces):
-            source = face_source(cmap, cone, fan)
+            source = face_source_by_scan(cmap, cone, fan)
             if source is None:
                 nu = tuple(sorted(cone))
                 if fan.is_cone(nu):  # every value of the face is zero
@@ -1576,7 +1585,10 @@ def test_meet_table_faces_match_face_source(monkeypatch):
                 seen.add("no grid")
                 continue
             grid, positions = source
-            assert face == (grid.values, _face_axes(grid, positions))
+            assert face.values is grid.values and face.zero == SubspaceQ.zero(fam.rank)
+            cut = grid.face(positions)
+            for lam in itertools.product(*(range(a - 1, b + 2) for a, b in zip(cut.lo, cut.hi))):
+                assert face.value(lam) == cut.value(lam)
             seen.add("repeated" if len(set(cone)) < len(cone) else
                      "unsorted" if list(cone) != sorted(cone) else "as listed")
     assert seen == {"as listed", "unsorted", "repeated", "no grid"}
