@@ -109,7 +109,7 @@ def c1_fast(x: DeltaFamily | CharFunction, fan: Fan) -> tuple[Fraction, ...]:
     coeffs = []
     for j in range(fan.n_rays()):
         sl = bracket_dims(chi, (j,), fan)
-        coeffs.append(-sum(Fraction(lam[0] * mult) for lam, mult in sl.entries))
+        coeffs.append(Fraction(-sum(lam[0] * mult for lam, mult in sl.entries)))
     return tuple(coeffs)
 
 

@@ -27,7 +27,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -724,10 +723,10 @@ def gauge_fix(x: DeltaFamily | CharFunction, fan: Fan):
     # rays * u = bounds for the unimodular cone: RREF of the augmented matrix,
     # each of whose rows holds a multiple of its RREF row (pivot, ..., u_p)
     red = rref([list(fan.rays[j]) + [b] for j, b in zip(grid.cone, bounds)])
-    solved = [Fraction(row[-1], next(x for x in row if x)) for row in red]
-    if any(x.denominator != 1 for x in solved):
+    pivots = [next(x for x in row if x) for row in red]
+    if any(row[-1] % p for row, p in zip(red, pivots)):
         raise ValueError("non-integral solution; cone is not unimodular")
-    u = [int(x) for x in solved]
+    u = [row[-1] // p for row, p in zip(red, pivots)]
     kvec = tuple(
         sum(ui * nj for ui, nj in zip(u, fan.rays[j])) for j in range(fan.n_rays())
     )

@@ -9,15 +9,18 @@ alone, so intersection_table builds it once per fan and every caller shares
 that table; on a smooth complete surface its entries are integers and it
 holds them as ints.  With -K = sum_j V(rho_j), the row sums of the table are
 the degrees -K.V(rho_j), and the sum of all its entries is K^2.  A
-divisor D is read in integers: with D = D'/e for the least e > 0 that makes
-D' integral, _integral_degrees computes the degrees D'.V(rho_j) as ints, so
-an integral D builds no Fraction.  is_ample and is_nef read their signs, and
-riemann_roch_degrees reads them for a polarization H, checked positive, with
-H'^2.  ample_degrees reads H.V(rho_j) off them, ints where integral, and the
-same record gives -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself
-is evaluated in closed form in chern.hilbert_polynomial; a lattice-point
-counter for nef divisors provides an independent Euler-characteristic
-oracle.
+divisor D is read in integers: one clearing routine, _cleared, writes
+D = D'/e for the least e > 0 that makes D' integral, and it serves degrees,
+pairing and class equality alike.  _integral_degrees computes the degrees
+D'.V(rho_j) as ints, pair sums D'.E' in ints and divides once, and
+divisor_class_equal tests the integral difference of the two cleared
+divisors, so integral divisors build no Fraction on the way.  is_ample and
+is_nef read the signs of the degrees, and riemann_roch_degrees reads them
+for a polarization H, checked positive, with H'^2.  ample_degrees reads
+H.V(rho_j) off them, ints where integral, and the same record gives
+-K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself is evaluated in
+closed form in chern.hilbert_polynomial; a lattice-point counter for nef
+divisors provides an independent Euler-characteristic oracle.
 """
 
 from __future__ import annotations
@@ -92,11 +95,13 @@ def pair(a: Sequence, b: Sequence, table: IntersectionTable) -> Fraction:
     n = len(table.matrix)
     if len(a) != n or len(b) != n:
         raise ValueError("divisor length does not match the fan")
+    ea, a = _cleared(a)
+    eb, b = _cleared(b)
     total = 0
     for ai, row in zip(a, table.matrix):
-        if ai != 0:
-            total += ai * sum(bj * m for bj, m in zip(b, row) if bj != 0)
-    return Fraction(total)
+        if ai:
+            total += ai * sum(map(operator.mul, b, row))
+    return Fraction(total, ea * eb)
 
 
 def ample_degrees(ample: Sequence, fan: Fan) -> tuple:
@@ -134,15 +139,20 @@ class RRDegrees(NamedTuple):
         return Fraction(self.h_int_sq, 2 * self.e * self.e)
 
 
-def _integral_degrees(coeffs: Sequence, fan: Fan, table: IntersectionTable):
-    """(e, D', D'.V(rho_j) per ray) for D = coeffs on fan, in ints: D = D'/e
-    with D' integral and e > 0 the least such.  Each coefficient is read as
-    Fraction(c) reads it; an int or a Fraction is taken as it is, so integral
-    input builds no Fraction.  The length is checked before any entry."""
-    _check_length(coeffs, fan)
+def _cleared(coeffs: Sequence) -> tuple[int, list[int]]:
+    """(e, D') for D = coeffs, in ints: D = D'/e with D' integral and e > 0
+    the least such.  Each coefficient is read as Fraction(c) reads it; an int
+    or a Fraction is taken as it is, so integral input builds no Fraction."""
     coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
     e = math.lcm(*(c.denominator for c in coeffs))
-    d = [c.numerator * (e // c.denominator) for c in coeffs]
+    return e, [c.numerator * (e // c.denominator) for c in coeffs]
+
+
+def _integral_degrees(coeffs: Sequence, fan: Fan, table: IntersectionTable):
+    """(e, D', D'.V(rho_j) per ray) for D = coeffs on fan, with (e, D') from
+    _cleared.  The length is checked before any entry."""
+    _check_length(coeffs, fan)
+    e, d = _cleared(coeffs)
     # the table is symmetric, so D'.V(rho_j) is row j of the table against D'
     return e, d, tuple(sum(map(operator.mul, row, d)) for row in table.matrix)
 
@@ -171,12 +181,15 @@ class ChowClassSurface:
 def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
     """D1 ~ D2 over Q: D = D1 - D2 is sum_j <u, v_j> V(rho_j) for some u in
     M_Q.  The rays i0, i1 of the first maximal cone are a basis of N, so the
-    only candidate is the u with <u, v_i0> = D_i0 and <u, v_i1> = D_i1."""
+    only candidate is the u with <u, v_i0> = D_i0 and <u, v_i1> = D_i1.
+    D1 and D2 are cleared together, so e.D is integral and so is that u."""
     if fan.rank != 2:
         raise ValueError("divisor classes implemented for surfaces only")
-    if len(d1) != fan.n_rays() or len(d2) != fan.n_rays():
+    n = fan.n_rays()
+    if len(d1) != n or len(d2) != n:
         raise ValueError("divisor length does not match the fan")
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(d1, d2)]
+    _, d = _cleared([*d1, *d2])
+    diff = [a - b for a, b in zip(d[:n], d[n:])]
     i0, i1 = fan.max_cones[0]
     u = unimodular_solve(fan.rays[i0], fan.rays[i1], diff[i0], diff[i1])
     return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
@@ -222,12 +235,18 @@ def find_ample(fan: Fan) -> Divisor:
     raise ValueError("no small ample divisor found")
 
 
-def unimodular_solve(n1: Sequence[int], n2: Sequence[int], b1, b2):
-    """The u in M_Q with <u, n1> = b1 and <u, n2> = b2, for rays n1, n2 that
-    form a Z-basis of N (det +-1): integral whenever b1 and b2 are."""
+def _basis_det(n1: Sequence[int], n2: Sequence[int]) -> int:
+    """det(n1, n2), checked to be +-1, that is n1, n2 a Z-basis of N."""
     det = n1[0] * n2[1] - n1[1] * n2[0]
     if det not in (1, -1):
         raise ValueError(f"rays {list(n1)}, {list(n2)} are not a Z-basis")
+    return det
+
+
+def unimodular_solve(n1: Sequence[int], n2: Sequence[int], b1, b2):
+    """The u in M_Q with <u, n1> = b1 and <u, n2> = b2, for rays n1, n2 that
+    form a Z-basis of N (det +-1): integral whenever b1 and b2 are."""
+    det = _basis_det(n1, n2)
     # 1/det = det
     return (det * (b1 * n2[1] - b2 * n1[1]), det * (b2 * n1[0] - b1 * n2[0]))
 

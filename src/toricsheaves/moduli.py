@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,12 +56,11 @@ from .family import (
 )
 from .fan import Fan, euler_characteristic, validate_fan
 from .intersect import (
+    _basis_det,
     ample_degrees,
-    divisor,
     divisor_class_equal,
     find_ample,
     intersection_table,
-    unimodular_solve,
 )
 from .stability import STABLE, margin_verdict
 from .subspace import SubspaceQ
@@ -476,23 +476,34 @@ def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, viable):
     and the gaps.  Two such u of one gaps differ by some 2w with w in M
     (their difference is even on the Z-basis), so the profiles of one gaps
     are the single orbit a + <w, .>, w in M, and its parity is decided
-    once, on the translate with a_i0 = a_i1 = 0."""
+    once, on the translate with a_i0 = a_i1 = 0.
+
+    Twists and profiles are read off the coordinates (alpha_j, beta_j) of
+    each ray in that basis, v_j = alpha_j v_i0 + beta_j v_i1.  They are
+    integers because the cone is unimodular: det(v_i0, v_i1) = +-1, else
+    the `not a Z-basis` error.  The u with <u, v_i0> = p0 and
+    <u, v_i1> = p1 has <u, v_j> = alpha_j p0 + beta_j p1, so a twist is
+    (alpha_j t0 + beta_j t1)_j, and a profile's <u, v_j> takes p0 and p1
+    from its gaps and c1 on the first cone.  These are the integer vectors
+    that solving for each w or u gave, entry for entry, so sorting them
+    gives the twists in the order the scan gave, and with them the same
+    orbits in the same order."""
     n = fan.n_rays()
     i0, i1 = fan.max_cones[0]
     v0, v1 = fan.rays[i0], fan.rays[i1]
+    det = _basis_det(v0, v1)  # 1/det = det
+    alpha = [det * (v[0] * v1[1] - v[1] * v1[0]) for v in fan.rays]
+    beta = [det * (v0[0] * v[1] - v0[1] * v[0]) for v in fan.rays]
     window = range(-box_bound, box_bound + 1)
     # the twists (<w, v_j>)_j that can move a_i0 = a_i1 = 0 into the window,
     # in lexicographic order: adding one profile to each keeps that order, so
     # the first twist that fits gives the lexicographically first translate
-    twists = []
-    for t0, t1 in itertools.product(window, repeat=2):
-        w = unimodular_solve(v0, v1, t0, t1)
-        twists.append(tuple(w[0] * v[0] + w[1] * v[1] for v in fan.rays))
-    twists.sort()
+    twists = sorted(tuple(a * t0 + b * t1 for a, b in zip(alpha, beta))
+                    for t0, t1 in itertools.product(window, repeat=2))
     orbits = []
     for gaps in itertools.product(range(box_bound + 1), repeat=n):
-        u = unimodular_solve(v0, v1, gaps[i0] + c1[i0], gaps[i1] + c1[i1])
-        twice = [u[0] * v[0] + u[1] * v[1] - c1[j] - gaps[j] for j, v in enumerate(fan.rays)]
+        p0, p1 = gaps[i0] + c1[i0], gaps[i1] + c1[i1]
+        twice = [a * p0 + b * p1 - c - g for a, b, c, g in zip(alpha, beta, c1, gaps)]
         if any(t % 2 for t in twice):
             continue
         base = [t // 2 for t in twice]
@@ -510,9 +521,7 @@ def _split_c2(a_vec, gaps, matrix) -> int:
     """A.B for A = -a and B = -(a + gaps) (the signs cancel): c2 of the
     split hull O(A) + O(B)."""
     b_vec = [x + g for x, g in zip(a_vec, gaps)]
-    return sum(
-        x * sum(m * y for m, y in zip(row, b_vec)) for x, row in zip(a_vec, matrix)
-    )
+    return sum(x * sum(map(operator.mul, row, b_vec)) for x, row in zip(a_vec, matrix) if x)
 
 
 def _profile_hull(fan: Fan, a_vec, gaps, pattern) -> DeltaFamily:
@@ -580,7 +589,6 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     table = intersection_table(fan)
     records: dict[str, ChiRecord] = {}
     candidates = 0
-    c1_div = divisor(c1, fan)
     deg = ample_degrees(find_ample(fan), fan)
 
     def viable(base, gaps):
@@ -594,7 +602,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
             c2_hull = split_c2 + flag_c2
             hull = _profile_hull(fan, a_vec, gaps, pat)
             ch = chern_character(hull, fan)
-            if not divisor_class_equal(ch.d, c1_div, fan):
+            if not divisor_class_equal(ch.d, c1, fan):
                 raise AssertionError("hull c1 drifted from the profile")
             if second_chern_number(ch, table) != c2_hull:
                 raise AssertionError("hull c2 differs from its closed form")

@@ -13,7 +13,7 @@ from toricsheaves.family import (
     restrict_to_face,
 )
 from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
-from toricsheaves.intersect import find_ample, intersection_table
+from toricsheaves.intersect import find_ample, intersection_table, unimodular_solve
 from toricsheaves.polynomials import RatPoly
 from toricsheaves.subspace import SubspaceQ
 
@@ -84,6 +84,32 @@ def ray_degrees(d, table):
         raise ValueError("divisor length does not match the fan")
     terms = [(a, row) for a, row in zip(d, table.matrix) if a != 0]
     return tuple(Fraction(sum(a * row[j] for a, row in terms)) for j in range(n))
+
+
+def pair_by_fractions(a, b, table):
+    """The pair that multiplied raw entries and wrapped the sum in a Fraction:
+    the oracle for intersect.pair, which clears denominators first."""
+    n = len(table.matrix)
+    if len(a) != n or len(b) != n:
+        raise ValueError("divisor length does not match the fan")
+    total = 0
+    for ai, row in zip(a, table.matrix):
+        if ai != 0:
+            total += ai * sum(bj * m for bj, m in zip(b, row) if bj != 0)
+    return Fraction(total)
+
+
+def class_equal_by_fractions(d1, d2, fan):
+    """The divisor_class_equal that solved for u in Fractions: the oracle for
+    the class test on cleared denominators."""
+    if fan.rank != 2:
+        raise ValueError("divisor classes implemented for surfaces only")
+    if len(d1) != fan.n_rays() or len(d2) != fan.n_rays():
+        raise ValueError("divisor length does not match the fan")
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(d1, d2)]
+    i0, i1 = fan.max_cones[0]
+    u = unimodular_solve(fan.rays[i0], fan.rays[i1], diff[i0], diff[i1])
+    return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
 
 
 def xi_entries(xi):

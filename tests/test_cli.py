@@ -12,7 +12,7 @@ from conftest import rank2_three_lines, slab_family, structure_sheaf
 import toricsheaves
 from toricsheaves import cli
 from toricsheaves.family import RayFiltration, family_to_json, reflexive_from_filtrations
-from toricsheaves.fan import fan_to_json, p1_x_p1, projective_plane
+from toricsheaves.fan import fan_to_json, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import random_families
 from toricsheaves.subspace import SubspaceQ
 
@@ -813,16 +813,23 @@ def test_malformed_file_named_in_error(files, capsys, command, extra, flags, slo
 
 def _golden_argvs(files, p2):
     """(label, argv) for every subcommand on the fixture files, one input the
-    CLI refuses, and the rank-2 enumeration of the benchmark (P^2, c1 = H,
-    c2 <= 1, box 3); each label names the files by role, not by path."""
+    CLI refuses, the rank-2 enumeration of the benchmark (P^2, c1 = H,
+    c2 <= 1, box 3), and off P^2 the rank-2 enumeration on F_1 and on
+    P^1 x P^1 (c1 = V_0, c2 <= 1, box 5) and the Chern classes of an F_1
+    family; each label names the files by role, not by path."""
     from test_family import ideal_sheaf_of_point
 
+    f1 = hirzebruch(1)
     extra = {
         "slab": family_to_json(slab_family(p2, 0)),
         "ideal": family_to_json(ideal_sheaf_of_point(p2)),
         "unstable": family_to_json(rank2_three_lines(
             p2, gaps=[2, 2, 2], lines=[SubspaceQ.span([(1, 0)], 2)] * 3)),
         "zero-ample": json.dumps([0, 0, 0]),
+        "f1-fan": fan_to_json(f1),
+        "p1xp1-fan": fan_to_json(p1_x_p1()),
+        "v0": json.dumps([1, 0, 0, 0]),
+        "f1-family": family_to_json(rank2_three_lines(f1, gaps=[1, 2, 1, 1])),
     }
     paths = {k: files[k] for k in ("fan", "family", "o", "ample")}
     for name, text in extra.items():
@@ -852,6 +859,9 @@ def _golden_argvs(files, p2):
         "series rank1 --fan fan --order 4",
         "series rank2-p2 --order 4",
         "hilbert --fan fan --family o --ample zero-ample",
+        "enumerate --fan f1-fan --rank 2 --c1 v0 --c2-max 1 --box 5",
+        "enumerate --fan p1xp1-fan --rank 2 --c1 v0 --c2-max 1 --box 5",
+        "chern --fan f1-fan --family f1-family",
     ]
     out = []
     for template in templates:
@@ -958,6 +968,20 @@ GOLDEN = {
         (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'hilbert --fan fan --family o --ample zero-ample --format json':
         (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    # off P^2, recorded before the enumeration read its orbit twists off the
+    # rays' basis coordinates and tested classes on cleared denominators
+    'enumerate --fan f1-fan --rank 2 --c1 v0 --c2-max 1 --box 5 --format text':
+        (0, '22a7cc955060dab70607e7fd0d942d6303e2248331d28765918f16e1ad2a6d62'),
+    'enumerate --fan f1-fan --rank 2 --c1 v0 --c2-max 1 --box 5 --format json':
+        (0, '14485cb0f1f3d0727d81e26c6541789871cfd9d59edc9274eccbb04a95261288'),
+    'enumerate --fan p1xp1-fan --rank 2 --c1 v0 --c2-max 1 --box 5 --format text':
+        (0, 'cf0c163a428fe1d99aff23f97ee68ef85719f7682af64b36d403a2993e087e25'),
+    'enumerate --fan p1xp1-fan --rank 2 --c1 v0 --c2-max 1 --box 5 --format json':
+        (0, 'a37c57bff0c8199bded7deddefec5a99794429e979ab0d54f8fa05f615817348'),
+    'chern --fan f1-fan --family f1-family --format text':
+        (0, '154fb2ae4e3875f0ddcb0f8d7b256cf073f3b6de492c9a7a6b5c52ec1e94fffb'),
+    'chern --fan f1-fan --family f1-family --format json':
+        (0, '28232423ddb985d146bec123e6dbad88d16823035e40082940ace1ecf84fed07'),
 }
 
 

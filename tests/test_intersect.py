@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family, ray_degrees
+from conftest import class_equal_by_fractions, line_bundle_family, pair_by_fractions, ray_degrees
 from toricsheaves import intersect
 from toricsheaves.chern import hilbert_polynomial
 from toricsheaves.intersect import (
@@ -391,6 +391,67 @@ def test_divisor_class_equal_matches_relation_space(corpus):
             assert divisor_class_equal(d1, d2, fan) == want, (name, d1, d2)
             matches += want
         assert 40 <= matches < 200, name
+
+
+def test_pair_and_class_test_match_fraction_oracles(corpus):
+    """pair and divisor_class_equal on cleared denominators agree with the
+    Fraction routes they replaced, on integral, half-integral and rational
+    divisors given as ints, as Fractions or mixed, zero vectors included."""
+    fans = dict(corpus, f2=hirzebruch(2))
+    for blowups in (1, 2, 3):
+        fans[f"blowup-{blowups}"] = random_smooth_complete_fan(random.Random(blowups), blowups)
+    rng = random.Random(31)
+    entry = {
+        "int": lambda: rng.randint(-4, 4),
+        "integral": lambda: Fraction(rng.randint(-4, 4)),
+        "half": lambda: Fraction(rng.randint(-9, 9), 2),
+        "rational": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+    }
+    mixes = [["int"], ["integral"], ["half"], ["rational"], ["int", "half"],
+             ["int", "rational"], ["integral", "half", "rational"]]
+    for name, fan in fans.items():
+        n = fan.n_rays()
+        table = intersection_table(fan)
+        ds = [[0] * n, [Fraction(0)] * n]
+        ds += [[entry[rng.choice(kinds)]() for _ in range(n)] for kinds in mixes for _ in range(4)]
+        # d plus a relation (<u, v_j>)_j with u integral, half-integral or rational,
+        # and that sum moved off the class at one ray
+        shifted = []
+        for d in ds:
+            u = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(2)]
+            moved = [x + u[0] * v[0] + u[1] * v[1] for x, v in zip(d, fan.rays)]
+            shifted.append((d, moved))
+            moved = list(moved)
+            moved[rng.randrange(n)] += Fraction(1, rng.choice([1, 2, 5]))
+            shifted.append((d, moved))
+        verdicts = set()
+        for a in ds:
+            for b in ds:
+                got = pair(a, b, table)
+                assert type(got) is Fraction and got == pair_by_fractions(a, b, table), (name, a, b)
+                same = divisor_class_equal(a, b, fan)
+                assert same == class_equal_by_fractions(a, b, fan), (name, a, b)
+                verdicts.add(same)
+        for a, b in shifted:
+            for x, y in ((a, b), (b, a)):
+                same = divisor_class_equal(x, y, fan)
+                assert same == class_equal_by_fractions(x, y, fan), (name, x, y)
+                verdicts.add(same)
+        assert verdicts == {True, False}, name
+    # the length errors are those of the Fraction routes
+    p2 = fans["p2"]
+    table = intersection_table(p2)
+    for f in (pair, pair_by_fractions):
+        for a, b in (([1, 0], [1, 0, 0]), ([1, 0, 0], [Fraction(1, 2)] * 4), ([], [])):
+            with pytest.raises(ValueError, match="^divisor length does not match the fan$"):
+                f(a, b, table)
+    cube = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    for f in (divisor_class_equal, class_equal_by_fractions):
+        for a, b in (([1, 0], [1, 0, 0]), ([1, 0, 0], [Fraction(1, 2)] * 4)):
+            with pytest.raises(ValueError, match="^divisor length does not match the fan$"):
+                f(a, b, p2)
+        with pytest.raises(ValueError, match="surfaces only"):
+            f([1], [1, 2], cube)
 
 
 # --- one table per fan ---------------------------------------------------------

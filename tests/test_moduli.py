@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import eta_product
+from conftest import class_equal_by_fractions, eta_product
+from toricsheaves import intersect, moduli
 from toricsheaves.chern import chern_character, second_chern_number
 from toricsheaves.family import (
     KIND_TORSION_FREE,
@@ -21,8 +22,6 @@ from toricsheaves.family import (
 from toricsheaves.fan import Fan, hirzebruch, projective_plane
 from toricsheaves.intersect import (
     ample_degrees,
-    divisor,
-    divisor_class_equal,
     find_ample,
     intersection_table,
     unimodular_solve,
@@ -258,12 +257,15 @@ def test_enumerate_rank2_box_7_accepted(p2):
 
 
 def surface_fan(corpus, name):
-    """A corpus fan, F_2, or P^2 with its maximal cones listed from the
-    second: its first cone then holds rays 1 and 2, so a twist's
-    lexicographic order is not that of its values on the first cone."""
-    if name == "p2-cones-rotated":
+    """A corpus fan, F_2, dP_6, a one-blow-up fan, or P^2 with its maximal
+    cones listed from the second or from the third.  From the second, its
+    first cone holds rays 1 and 2, so a twist's lexicographic order is not
+    that of its values on the first cone; from the third, the first cone
+    (0, 2) has det(v_0, v_2) = -1."""
+    if name in ("p2-cones-rotated", "p2-cones-third"):
         p2 = corpus["p2"]
-        return Fan(p2.rank, p2.rays, p2.max_cones[1:] + p2.max_cones[:1])
+        k = 1 if name == "p2-cones-rotated" else 2
+        return Fan(p2.rank, p2.rays, p2.max_cones[k:] + p2.max_cones[:k])
     if name == "f2":
         return hirzebruch(2)
     if name == "blowup":
@@ -281,17 +283,14 @@ def every_orbit(fan, c1, box_bound, viable):
 
 def scan_profiles(fan, c1, box_bound):
     """Oracle: scan every profile (a, gaps) in the window and keep those
-    whose class -(2a + gaps) equals c1, by rational linear algebra."""
+    whose class -(2a + gaps) equals c1, by the Fraction class test."""
     n = fan.n_rays()
     window = range(-box_bound, box_bound + 1)
-    c1_div = divisor(c1, fan)
     return [
         (a, gaps)
         for a in itertools.product(window, repeat=n)
         for gaps in itertools.product(range(box_bound + 1), repeat=n)
-        if divisor_class_equal(
-            divisor([-(2 * x + g) for x, g in zip(a, gaps)], fan), c1_div, fan
-        )
+        if class_equal_by_fractions([-(2 * x + g) for x, g in zip(a, gaps)], c1, fan)
     ]
 
 
@@ -305,6 +304,9 @@ def scan_profiles(fan, c1, box_bound):
         pytest.param("f1", [0, 0, 0, 0], 1, id="f1-zero"),
         pytest.param("f1", [1, 0, 2, -1], 1, id="f1-mixed"),
         pytest.param("p2-cones-rotated", [2, -1, 3], 2, id="p2-cones-rotated"),
+        pytest.param("p2-cones-third", [2, -1, 3], 2, id="p2-cones-third"),
+        pytest.param("dp6", [1, 0, -1, 2, 0, 1], 1, id="dp6"),
+        pytest.param("blowup", [1, -1, 0, 2, 1], 1, id="blowup"),
     ],
 )
 def test_class_profiles_match_scan(corpus, surface, c1, max_box):
@@ -315,6 +317,37 @@ def test_class_profiles_match_scan(corpus, surface, c1, max_box):
         for a, gaps in scan_profiles(fan, c1, box):
             first.setdefault(gaps, (a, gaps))
         assert every_orbit(fan, c1, box, None) == sorted(first.values())
+
+
+def test_rotated_p2_first_cones_have_both_orientations(corpus):
+    """The two rotated P^2 inputs of the profile scan read the rays' basis
+    coordinates off a first cone of det +1 and of det -1."""
+    dets = {}
+    for name in ("p2-cones-rotated", "p2-cones-third"):
+        fan = surface_fan(corpus, name)
+        (x0, y0), (x1, y1) = (fan.rays[i] for i in fan.max_cones[0])
+        dets[name] = (fan.max_cones[0], x0 * y1 - y0 * x1)
+    assert dets == {"p2-cones-rotated": ((1, 2), 1), "p2-cones-third": ((0, 2), -1)}
+
+
+def test_rank2_enumeration_solves_once(p2, monkeypatch):
+    """The orbit search reads its twists and profiles off the rays' basis
+    coordinates, so a P^2 enumeration solves one 2x2 system: the hull's class
+    test.  Solving once per twist and per profile made 114 solves (49 twists,
+    64 profiles).  moduli no longer imports unimodular_solve; its name is
+    patched there as well, so that a solve through it would be counted."""
+    calls = []
+    solve = intersect.unimodular_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(intersect, "unimodular_solve", counted)
+    monkeypatch.setattr(moduli, "unimodular_solve", counted, raising=False)
+    records = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    assert records
+    assert len(calls) == 1
 
 
 def every_translate(fan, c1, box_bound, viable):
