@@ -8,6 +8,8 @@ bracket_dims reads each face through the face reader of family, in place
 from the maximal-cone grid that restrict_to_face would cut it from: no face
 grid is copied, each shifted corner is a (sign, index offset) pair, and a
 cone that no grid holds reads the zero face, whose brackets are empty.
+chern_character and c1_fast build one face resolver (_Faces) per call and
+read every cone's brackets through it (_brackets).
 The Hilbert polynomial is Riemann-Roch on a surface in closed form: it reads
 the Chern character and, of the fan and the polarization, only the degrees
 -K.V(rho_j), H.V(rho_j) and H^2, as the face weights of stability do.
@@ -52,8 +54,13 @@ def bracket_dims(x: DeltaFamily | CharFunction, cone: ConeRef, fan: Fan) -> Brac
     would cut it from: each corner is a (sign, index offset) pair, and a
     corner below the box in some coordinate reads zero, so it is skipped.
     A cone that no grid holds reads the zero face, which has no entries."""
+    return _brackets(_Faces(as_char(x), fan), cone)
+
+
+def _brackets(faces: _Faces, cone: ConeRef) -> BracketSlice:
+    """bracket_dims of the characteristic function faces reads, on its fan."""
     nu = tuple(sorted(cone))
-    face = _Faces(as_char(x), fan).face(nu)
+    face = faces.face(nu)
     vals = face.values
     # the grid index and the coordinates at the bottom of the box (a bit mask)
     # of each face point, in box order
@@ -84,7 +91,7 @@ def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface
     doubled point parts are integer sums over the bracket entries."""
     if fan.rank != 2:
         raise ValueError("Chern character truncation implemented for surfaces only")
-    chi = as_char(x)
+    faces = _Faces(as_char(x), fan)
     n = fan.n_rays()
     mat = intersection_table(fan).matrix
     r0 = 0
@@ -93,7 +100,7 @@ def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface
     for cone in fan.cones():
         sign = (-1) ** (fan.rank - len(cone))
         pairs = [(a, b, mat[i][j]) for a, i in enumerate(cone) for b, j in enumerate(cone)]
-        for lam, mult in bracket_dims(chi, cone, fan).entries:
+        for lam, mult in _brackets(faces, cone).entries:
             w = sign * mult
             r0 += w
             for j, l in zip(cone, lam):
@@ -105,10 +112,10 @@ def chern_character(x: DeltaFamily | CharFunction, fan: Fan) -> ChowClassSurface
 def c1_fast(x: DeltaFamily | CharFunction, fan: Fan) -> tuple[Fraction, ...]:
     """First Chern class from the ray filtration jumps alone:
     minus the jump-weighted positions, ray by ray."""
-    chi = as_char(x)
+    faces = _Faces(as_char(x), fan)
     coeffs = []
     for j in range(fan.n_rays()):
-        sl = bracket_dims(chi, (j,), fan)
+        sl = _brackets(faces, (j,))
         coeffs.append(Fraction(-sum(lam[0] * mult for lam, mult in sl.entries)))
     return tuple(coeffs)
 

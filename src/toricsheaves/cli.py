@@ -7,6 +7,16 @@ command, reported in one line as an internal error.  Output is
 deterministic for fixed inputs and seed; rationals are printed exactly as
 p/q, never as floats.
 
+Each command decodes and validates each input file once: a fan in
+``_load_fan`` (``fan-check`` validates and reports it itself) and a family in
+``_load_family``.  Where a library function the command calls would
+validate the same object again, the command calls its private entry
+instead, which takes the object as valid: ``_mu_test``, ``_mu_weights``,
+``_intersection_table``, ``_rank1_fixed_point_series`` and
+``_enumerate_gauge_fixed_chi`` with ``validated=True``, and
+``_cone_count_identity`` and ``_euler_characteristic``.  The public
+functions keep validating.
+
 ``run`` builds its argument parser once per process (``build_parser`` still
 returns a fresh one): parsing keeps no state in the parser, every default is
 immutable, and help and usage text are formatted when they are printed.  Only
@@ -27,12 +37,21 @@ from .chern import c1_fast, chern_character, hilbert_data, second_chern_number
 from .family import (
     DeltaFamily,
     KIND_PURE,
+    KIND_REFLEXIVE,
+    _corners_are_axis_meets,
     characteristic_function,
     family_from_json,
     validate_family,
 )
-from .fan import Fan, fan_from_json, validate_fan
-from .intersect import intersection_table, riemann_roch_degrees
+from .fan import (
+    Fan,
+    _cone_count_identity,
+    _euler_characteristic,
+    fan_from_json,
+    star,
+    validate_fan,
+)
+from .intersect import _intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 
 
@@ -93,13 +112,15 @@ def _load_divisor(path: str, fan: Fan):
 
 
 def _load_ample(path: str, fan: Fan):
+    """The divisor in the file at path, ample on fan, which _load_fan has
+    validated: a fan with no intersection table is named first, and the
+    table is built without validating the fan again."""
     d = _load_divisor(path, fan)
+    _intersection_table(fan, validated=True)
     try:
         riemann_roch_degrees(d, fan)
     except ValueError as e:
-        # d has the fan's length, so this is the ampleness check, unless the
-        # fan has no intersection table: then that error is raised again
-        intersection_table(fan)
+        # d has the fan's length and the fan a table: the ampleness check
         raise InputError(f"{path}: divisor is not ample") from e
     return d
 
@@ -128,11 +149,9 @@ def _cmd_fan_check(args) -> int:
     doc = {"valid": not report, "report": report}
     lines = ["valid"] if not report else [f"invalid: {r}" for r in report]
     if not report:
-        from .fan import cone_count_identity, euler_characteristic, star
-
-        doc["euler_characteristic"] = euler_characteristic(fan)
+        doc["euler_characteristic"] = _euler_characteristic(fan)
         doc["cone_count_identity"] = {
-            str(list(tau)): cone_count_identity(fan, tau) for tau in fan.cones()
+            str(list(tau)): _cone_count_identity(fan, tau) for tau in fan.cones()
         }
         doc["star_sizes"] = {str(list(tau)): len(star(fan, tau)) for tau in fan.cones()}
         lines.append(f"euler characteristic: {doc['euler_characteristic']}")
@@ -154,10 +173,9 @@ def _cmd_family_check(args) -> int:
     else:
         lines.append("valid")
         if fam.kind != KIND_PURE:
-            from .family import _corners_are_axis_meets
-
-            # validate_family has just validated it as torsion-free
-            doc["reflexive"] = _corners_are_axis_meets(fam)
+            # validate_family has just validated it as torsion-free, and a
+            # family of the reflexive kind as reflexive
+            doc["reflexive"] = fam.kind == KIND_REFLEXIVE or _corners_are_axis_meets(fam)
             lines.append(f"reflexive: {doc['reflexive']}")
     _emit(doc, args.format, lines)
     return 0 if not report else 1
@@ -166,7 +184,7 @@ def _cmd_family_check(args) -> int:
 def _cmd_chern(args) -> int:
     fan = _load_fan(args.fan)
     fam = _load_family(args.family, fan)
-    table = intersection_table(fan)
+    table = _intersection_table(fan, validated=True)
     ch = chern_character(fam, fan)
     c1 = c1_fast(fam, fan)
     c2 = second_chern_number(ch, table)
@@ -232,12 +250,12 @@ def _cmd_stability(args) -> int:
         raise InputError(stability.TORSION_FREE_ONLY)
     weights = None
     if args.mode == "mu":
-        v = stability.mu_test(fam, fan, ample)
+        v = stability._mu_test(fam, fan, ample, validated=True)
     elif args.mode == "gieseker":
         v = stability.gieseker_test(fam, fan, ample)
     else:
         if args.weights_from == "mu":
-            weights = stability.mu_weights(fam, fan, ample)
+            weights = stability._mu_weights(fam, fan, ample, validated=True)
         else:
             chi = characteristic_function(fam)
             _, weights = stability.choose_r(chi, fan, ample, [fam])
@@ -264,7 +282,7 @@ def _cmd_weights(args) -> int:
     fam = _load_family(args.family, fan)
     ample = _load_ample(args.ample, fan)
     if args.kind == "mu":
-        w = stability.mu_weights(fam, fan, ample)
+        w = stability._mu_weights(fam, fan, ample, validated=True)
         doc = {"kind": "mu", "entries": _weight_entries(w)}
         lines = [f"kappa[{cone} @ {list(lam)}] = {wt}" for (cone, lam), wt in w.items()]
     else:
@@ -288,8 +306,8 @@ def _cmd_enumerate(args) -> int:
     fan = _load_fan(args.fan)
     c1 = _load_divisor(args.c1, fan) if args.c1 else [0] * fan.n_rays()
     try:
-        records = moduli.enumerate_gauge_fixed_chi(
-            fan, args.rank, c1, args.c2_max, box_bound=args.box
+        records = moduli._enumerate_gauge_fixed_chi(
+            fan, args.rank, c1, args.c2_max, args.box, validated=True
         )
     except moduli.BoxBoundError as e:
         raise InputError(str(e)) from e
@@ -329,8 +347,10 @@ def _cmd_series(args) -> int:
         if not args.fan:
             raise InputError("series rank1 requires --fan")
         fan = _load_fan(args.fan)
-        s = moduli.rank1_fixed_point_series(fan, args.order)
+        s = moduli._rank1_fixed_point_series(fan, args.order, validated=True)
     else:
+        if args.fan:
+            raise InputError("series rank2-p2 takes no --fan: it counts on P^2 only")
         s = moduli.rank2_p2_series(args.order)
     doc = {"series": list(s.coeffs), "order": s.order}
     lines = [f"q^{k}: {c}" for k, c in enumerate(s.coeffs)]

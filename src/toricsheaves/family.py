@@ -10,9 +10,12 @@ the top (saturation).  Directions in which the sheaf is genuinely bounded
 of the box, so the clamp pattern of the grid determines the support.
 
 This module is the one face reader: _Faces resolves a cone to the grid
-that holds it, and _Face reads the face there in place, by stride.  Gluing,
-reflexivity, restrict_to_face, the Chern brackets, the face weights and the
-stability meet table all read faces through them.
+that holds it, and _Face reads the face there in place, by stride.
+Reflexivity, restrict_to_face, the Chern brackets, the face weights and the
+stability meet table read faces through them.  The gluing check reads each
+pair's common face by the same stride arithmetic, with no _Face: one list
+of values per grid, zero below the box and clamped above it, so nothing it
+builds outlives the check.
 
 A family file is decoded in integers.  The _RATIONAL pattern gates each
 basis entry (an int, or a string p or p/q with q > 0), which is read as a
@@ -442,28 +445,71 @@ class _Faces:
 
 def _gluing_report(fan: Fan, grids: dict[int, _Grid]) -> list[str]:
     """Each pair of grids must agree at every value of their common rays, each
-    other coordinate at the top of its box: the face of their common rays,
-    read in place in each grid.  Two reads of one object need no
-    comparison."""
+    other coordinate at the top of its box, over the union of the two boxes
+    on those rays, one step below it included.  Each grid's values there are
+    read by stride as one list: every common ray but the last turns each
+    index (None for a zero) into one per step along it, and the last reads
+    each index's run (_run).  Lists that are equal agree; only lists that
+    differ are searched for their first mismatch.  Two reads of one object
+    need no comparison."""
     report = []
-    idxs = sorted(grids)
-    for a, ia in enumerate(idxs):
-        for ib in idxs[a + 1:]:
-            ga, gb = grids[ia], grids[ib]
-            common = sorted(set(ga.cone) & set(gb.cone))
-            fa = _face_of(ga, tuple(map(ga.cone.index, common)))
-            fb = _face_of(gb, tuple(map(gb.cone.index, common)))
-            ranges = [range(min(la, lb) - 1, max(ha, hb) + 1)
-                      for (la, ha, _), (lb, hb, _) in zip(fa.axes, fb.axes)]
-            for lam in itertools.product(*ranges):
-                va, vb = fa.value(lam), fb.value(lam)
-                if va is not vb and va != vb:
-                    report.append(
-                        f"gluing mismatch between cones {ia} and {ib} at "
-                        f"common-ray values {dict(zip(common, lam))}"
-                    )
-                    break
+    reads = []  # per grid, in index order: (index, ray -> (lo, hi, stride), values, zero)
+    for i, g in sorted(grids.items()):
+        axes, stride = {}, 1
+        for j, a, b in zip(reversed(g.cone), reversed(g.lo), reversed(g.hi)):
+            axes[j] = (a, b, stride)
+            stride *= b - a + 1
+        reads.append((i, axes, g.values, g._zero_value()))
+    for k, (ia, axes_a, vals_a, zero_a) in enumerate(reads):
+        for ib, axes_b, vals_b, zero_b in reads[k + 1:]:
+            common = sorted(axes_a.keys() & axes_b.keys())
+            # the top corner of each box, or None (zero) for a box with no points
+            tops_a = [len(vals_a) - 1 if vals_a else None]
+            tops_b = [len(vals_b) - 1 if vals_b else None]
+            ranges = []
+            for j in common:
+                (a, b, s), (c, d, u) = axes_a[j], axes_b[j]
+                r = range(min(a, c) - 1, max(b, d) + 1)
+                ranges.append(r)
+                if len(ranges) < len(common):
+                    down_a = [None if x < a else (b - x) * s if x < b else 0 for x in r]
+                    down_b = [None if x < c else (d - x) * u if x < d else 0 for x in r]
+                    tops_a = [None if t is None or e is None else t - e
+                              for t in tops_a for e in down_a]
+                    tops_b = [None if t is None or e is None else t - e
+                              for t in tops_b for e in down_b]
+            if common:
+                va = _run(vals_a, zero_a, tops_a, axes_a[common[-1]], ranges[-1])
+                vb = _run(vals_b, zero_b, tops_b, axes_b[common[-1]], ranges[-1])
+            else:
+                va = [zero_a if t is None else vals_a[t] for t in tops_a]
+                vb = [zero_b if t is None else vals_b[t] for t in tops_b]
+            if va != vb:
+                at = next(at for at, (x, y) in enumerate(zip(va, vb)) if x is not y and x != y)
+                lam = next(itertools.islice(itertools.product(*ranges), at, None))
+                report.append(
+                    f"gluing mismatch between cones {ia} and {ib} at "
+                    f"common-ray values {dict(zip(common, lam))}"
+                )
     return report
+
+
+def _run(vals: Sequence, zero, tops: list, axis: tuple[int, int, int], r: range) -> list:
+    """The values along one coordinate with the given (lo, hi, stride), at each
+    x of r, from each index of tops (None for a zero): a run of zeros below
+    the box, one strided slice of the values inside it and a run of the top
+    value above it.  r starts below the box and ends at or above its top."""
+    a, b, s = axis
+    below, above = [zero] * (a - r.start), r.stop - 1 - b
+    out = []
+    for t in tops:
+        if t is None:
+            out += [zero] * len(r)
+        else:
+            out += below
+            out += vals[t - (b - a) * s:t + 1:s]
+            out += [vals[t]] * above
+    return out
 
 
 def _inclusion_breaks(grid: CornerFamily, drop_ok: bool):
@@ -892,4 +938,7 @@ def family_from_json(text: str) -> DeltaFamily:
     support = tuple(
         ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")
     )
+    if doc["kind"] != KIND_PURE and support != (APEX,):
+        raise ValueError(f"family support {[list(t) for t in support]} is not the apex [[]]: "
+                         f"a {doc['kind']} family is supported on the whole variety")
     return DeltaFamily(doc["kind"], m, tuple(corners), support)

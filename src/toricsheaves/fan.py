@@ -236,8 +236,12 @@ def cone_count_identity(fan: Fan, tau: ConeRef) -> int:
 
     For a complete simplicial fan the value is 1 for every tau.
     """
-    if validate_fan(fan):
-        raise ValueError("fan is not a valid complete fan")
+    _require_valid(fan)
+    return _cone_count_identity(fan, tau)
+
+
+def _cone_count_identity(fan: Fan, tau: ConeRef) -> int:
+    """cone_count_identity for a fan the caller has validated."""
     tau = tuple(sorted(tau))
     s = len(tau)
     counts: dict[int, int] = {}
@@ -252,9 +256,18 @@ def cone_count_identity(fan: Fan, tau: ConeRef) -> int:
 def euler_characteristic(fan: Fan) -> int:
     """Topological Euler characteristic of the toric variety: the number of
     maximal cones of a smooth complete fan."""
+    _require_valid(fan)
+    return _euler_characteristic(fan)
+
+
+def _euler_characteristic(fan: Fan) -> int:
+    """euler_characteristic for a fan the caller has validated."""
+    return len(fan.max_cones)
+
+
+def _require_valid(fan: Fan) -> None:
     if validate_fan(fan):
         raise ValueError("fan is not a valid complete fan")
-    return len(fan.max_cones)
 
 
 # --- the corpus surfaces -------------------------------------------------

@@ -61,12 +61,18 @@ _TABLES: weakref.WeakKeyDictionary[Fan, IntersectionTable] = weakref.WeakKeyDict
 def intersection_table(fan: Fan) -> IntersectionTable:
     """The intersection table of fan, built and validated on the first call
     for an equal fan and shared after that."""
+    return _intersection_table(fan, validated=False)
+
+
+def _intersection_table(fan: Fan, validated: bool) -> IntersectionTable:
+    """intersection_table; with validated, for a fan the caller has
+    validated, which is not validated again when its table is built."""
     table = _TABLES.get(fan)
     if table is not None:
         return table
     if fan.rank != 2:
         raise ValueError("intersection table implemented for surfaces only")
-    report = validate_fan(fan)
+    report = [] if validated else validate_fan(fan)
     if report:
         raise ValueError("invalid fan: " + "; ".join(report))
     n = fan.n_rays()

@@ -36,10 +36,10 @@ table is a pure function of (family, fan), so nothing it reports depends
 on whether it was carried or built.  A face value E^nu(lam) is read in
 place through the face reader of family (lam in the order nu lists its
 rays); no face grid is built, and the face weights read their bounds off
-the same faces.  The table scans the corner grids once, on first use, and
-gives each distinct proper value a slot, so a weight key's slot is index
-arithmetic on its face over the grid's slot array; the scanned values are
-the pool of the test set.
+the grid the face reader resolves each cone to.  The table scans the
+corner grids once, on first use, and gives each distinct proper value a
+slot, so a weight key's slot is index arithmetic on its face over the
+grid's slot array; the scanned values are the pool of the test set.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
@@ -376,6 +376,12 @@ class _MeetTable:
 # slope test
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
+    return _mu_test(fam, fan, ample, validated=False)
+
+
+def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) -> StabilityVerdict:
+    """mu_test; with validated, for a family the caller has validated as
+    torsion-free on fan, which is not validated again."""
     deg = ample_degrees(ample, fan)
     m = fam.rank
     meets = _MeetTable(fam, fan)
@@ -391,16 +397,19 @@ def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     note = None if meets.exhaustive else PARTIAL_NOTE
     stable = all(mg < 0 for _, mg in margins)
     return _classify("mu", margins, meets.exhaustive, note,
-                     stable_caveat=_mu_stable_caveat(fam, fan, stable))
+                     stable_caveat=_mu_stable_caveat(fam, fan, stable, validated))
 
 
-def _mu_stable_caveat(fam: DeltaFamily, fan: Fan, stable: bool) -> str | None:
+def _mu_stable_caveat(fam: DeltaFamily, fan: Fan, stable: bool,
+                      validated: bool) -> str | None:
     """The caveat on a stable verdict for non-reflexive torsion-free input.  A
-    torsion-free family is validated whatever its verdict; whether it is
-    reflexive is asked only when the verdict is stable, the one it qualifies."""
+    torsion-free family is validated whatever its verdict, unless validated
+    says the caller has; whether it is reflexive is asked only when the
+    verdict is stable, the one it qualifies."""
     if fam.kind == KIND_PURE:
         return None
-    require_torsion_free(fam, fan)
+    if not validated:
+        require_torsion_free(fam, fan)
     if not stable or _corners_are_axis_meets(fam):
         return None
     return ("stable verdict certified against equivariant subobjects only "
@@ -517,6 +526,13 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     non-flag Grassmannian factors present (general torsion-free data) the
     flag weights are scaled by R with sum(n_alpha)/R < 1/M^2 and the extra
     factors get weight 1."""
+    return _mu_weights(fam, fan, ample, validated=False)
+
+
+def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) -> WeightSystem:
+    """mu_weights; with validated, for a family the caller has validated as
+    torsion-free on fan, so that reflexivity is asked of it without
+    validating it again."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
     deg = ample_degrees(ample, fan)
@@ -534,7 +550,7 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
                 flag_entries.append((((rf.ray,), (rf.positions[k],)), int(kappa)))
     if not flag_entries:
         raise ValueError("all flag gaps are zero; no slope-stable objects with this shape")
-    reflexive = is_reflexive(fam, fan)
+    reflexive = _corners_are_axis_meets(fam) if validated else is_reflexive(fam, fan)
     if reflexive:
         return WeightSystem(m, tuple(flag_entries), carried)
     extra_entries: list[tuple[WeightKey, int]] = []
@@ -693,11 +709,12 @@ def xi_weights(chi: CharFunction, fan: Fan, ample: Sequence) -> XiWeights:
     interior = []  # (key, 2 e^2 Xi) at the box points of the 2-cones, in key order
     faces = _Faces(chi, fan)
     for nu in fan.cones():
-        # the bounds of restrict_to_face(chi, nu, fan), without building its values
-        axes = faces.face(nu).axes
-        lo = [a for a, _, _ in axes]
+        # the bounds of restrict_to_face(chi, nu, fan), read off the grid that
+        # holds nu, with no face built
+        grid, positions = faces.source(nu)
+        lo = [grid.lo[p] for p in positions]
         s = (-1) ** (fan.rank - len(nu))
-        cut = [b + 1 for _, b, _ in axes]
+        cut = [grid.hi[p] + 1 for p in positions]
         m_cut = [sum(mat[i][j] * y for j, y in zip(nu, cut)) for i in nu]  # (M cut)_i on nu
         one += s
         two_q += s * (2 + sum(x * (mx - deg_ak[i]) for x, mx, i in zip(cut, m_cut, nu)))

@@ -14,7 +14,9 @@ an elimination that yields canonical rows, so its rows are already the
 canonical form.  The structural fast paths of ``intersect``, ``sum`` and
 ``contains`` rely on it: equal rows mean equal subspaces, a subspace of
 equal dimension is contained only if it is equal, and an operand that is
-zero, full or a line can be answered without a fresh elimination.  Every
+zero or full, a line met with anything, or a line joined to a hyperplane
+can be answered without a fresh elimination: the meet is the line or 0, the
+join the hyperplane or the full space, by one ``contains_vector``.  Every
 fast path returns exactly what the generic elimination (``_zassenhaus``,
 ``span``) would.
 """
@@ -101,10 +103,8 @@ class SubspaceQ:
 
     @staticmethod
     def full(ambient: int) -> "SubspaceQ":
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)
-        )
-        return SubspaceQ(ambient, rows)
+        zero = (0,) * ambient
+        return SubspaceQ(ambient, tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -144,6 +144,12 @@ class SubspaceQ:
             return self
         if not self.rows or other.dim == other.ambient:
             return other
+        if self.dim + other.dim == self.ambient and 1 in (self.dim, other.dim):
+            line, hyper = (self, other) if self.dim == 1 else (other, self)
+            # a hyperplane holds the line, or the two span everything
+            if hyper.contains_vector(line.rows[0]):
+                return hyper
+            return SubspaceQ.full(self.ambient)
         return SubspaceQ(self.ambient, tuple(map(tuple, rref(self.rows + other.rows))))
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":

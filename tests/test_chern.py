@@ -340,13 +340,15 @@ def test_brackets_in_place_match_face_grids(p2, monkeypatch):
             seen["missing"] += not any(set(nu) <= set(g.cone) for _, g in fam.corners)
         seen["pure"] += fam.kind == "pure"
         seen["rank 3"] += fam.rank == 3
+        # chern_character and c1_fast read each cone's brackets through _brackets
+        by_face_grids = lambda faces, cone: bracket_dims_by_face_grids(fam, cone, fan)
         with monkeypatch.context() as m:
-            m.setattr(chern, "bracket_dims", bracket_dims_by_face_grids)
+            m.setattr(chern, "_brackets", by_face_grids)
             ch, c1 = chern_character(fam, fan), c1_fast(fam, fan)
         assert chern_character(fam, fan) == ch and c1_fast(fam, fan) == c1
         ample = find_ample(fan)
         with monkeypatch.context() as m:
-            m.setattr(chern, "bracket_dims", bracket_dims_by_face_grids)
+            m.setattr(chern, "_brackets", by_face_grids)
             hd = hilbert_data(fam, fan, ample)
         assert hilbert_data(fam, fan, ample) == hd
     assert min(seen.values()) > 0, seen

@@ -128,6 +128,58 @@ def test_family_check_validates_torsion_free_once(files, p2, capsys, monkeypatch
         assert len(calls) == 1
 
 
+def test_each_decoded_input_is_validated_once(files, p2, monkeypatch):
+    """Every subcommand validates each fan it decodes once (validate_fan) and
+    each family once (validate_torsion_free), wherever the library would
+    validate them again."""
+    from test_family import ideal_sheaf_of_point, slab_family
+    from toricsheaves import family, fan, intersect, moduli
+
+    decoded = []  # (kind, object) for every fan and family a command decodes
+    for name, kind in (("fan_from_json", "fan"), ("family_from_json", "family")):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda text, real=real, kind=kind:
+                            decoded.append((kind, real(text))) or decoded[-1][1])
+    validated = []  # (kind, id of the object) per validation
+    real_fan, real_family = fan.validate_fan, family.validate_torsion_free
+    for module in (fan, intersect, moduli, cli):
+        monkeypatch.setattr(module, "validate_fan",
+                            lambda f: validated.append(("fan", id(f))) or real_fan(f))
+    monkeypatch.setattr(family, "validate_torsion_free",
+                        lambda fam, f: validated.append(("family", id(fam))) or real_family(fam, f))
+
+    extra = {"ideal": ideal_sheaf_of_point(p2), "slab": slab_family(p2, 0)}
+    for name, fam in extra.items():
+        (files["dir"] / f"{name}.json").write_text(family_to_json(fam))
+    polarized = ["--fan", files["fan"], "--family", files["family"], "--ample", files["ample"]]
+    commands = [
+        ["fan-check", "--fan", files["fan"]],
+        *(["family-check", "--fan", files["fan"], "--family", path]
+          for path in (files["family"], files["o"], str(files["dir"] / "ideal.json"),
+                       str(files["dir"] / "slab.json"))),
+        ["chern", "--fan", files["fan"], "--family", files["family"]],
+        ["hilbert", *polarized],
+        *(["stability", mode, *polarized] for mode in ("mu", "gieseker")),
+        *(["stability", "git", *polarized, "--weights-from", w] for w in ("mu", "xi")),
+        *(["stability", "mu", "--fan", files["fan"], "--family", str(files["dir"] / "ideal.json"),
+           "--ample", files["ample"]],),
+        *(["weights", *polarized, "--kind", kind] for kind in ("mu", "xi")),
+        ["enumerate", "--fan", files["fan"], "--rank", "1", "--c2-max", "1"],
+        ["enumerate", "--fan", files["fan"], "--rank", "2", "--c1", files["ample"],
+         "--c2-max", "1", "--box", "3"],
+        ["series", "rank1", "--fan", files["fan"], "--order", "3"],
+    ]
+    for argv in commands:
+        del decoded[:], validated[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) in (0, 1), argv
+        assert decoded, argv
+        for kind, obj in decoded:
+            # the slab is a pure family, which validate_pure checks instead
+            want = 0 if kind == "family" and obj.kind == "pure" else 1
+            assert validated.count((kind, id(obj))) == want, (argv, kind)
+
+
 def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
     """A sequence of runs in one process prints and returns exactly what it
     does with a fresh parser per run, and builds the parser once."""
@@ -316,10 +368,20 @@ PUBLIC_OPS = {
 }
 # reached from no subcommand: lattice_point_count is the tests' independent
 # Euler-characteristic oracle, restrict_to_face builds the face grids that
-# chern and stability read in place (the tests' oracles call it), and
+# chern and stability read in place (the tests' oracles call it),
 # distinguished_subspaces is the test set's closure on its own, which the
-# stability commands reach through the meet table's scan instead
-LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces"}
+# stability commands reach through the meet table's scan instead,
+# is_reflexive validates the family first, where the commands ask
+# reflexivity of a family they have validated, and bracket_dims resolves
+# one cone's face, where chern_character and c1_fast read every bracket
+# through one face resolver per call
+LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces",
+                "is_reflexive", "bracket_dims"}
+# reached through their private entry, "_" and the name: each validates its
+# fan or family, which the subcommands validate once on loading, so they
+# call the entry that does not validate it again
+VIA_PRIVATE_ENTRY = {"cone_count_identity", "euler_characteristic", "mu_test", "mu_weights",
+                     "rank1_fixed_point_series", "enumerate_gauge_fixed_chi"}
 
 
 def test_operation_coverage_table(files, p2):
@@ -373,7 +435,8 @@ def test_operation_coverage_table(files, p2):
     modules = [chern, family, fan, intersect, moduli, stability, cli]
     reached = set()
     for op in PUBLIC_OPS:
-        funcs = [getattr(m, op) for m in modules if hasattr(m, op)]
+        name = "_" + op if op in VIA_PRIVATE_ENTRY else op
+        funcs = [getattr(m, name) for m in modules if hasattr(m, name)]
         assert funcs, op
         if any(f.__code__ in called for f in funcs):
             reached.add(op)
@@ -449,6 +512,9 @@ def _enumerate(files, *args):
                      "at least 0", id="series-rank2-p2-negative-order"),
         pytest.param(lambda f: ["series", "rank2-p2", "--order", "-3"],
                      "at least 0", id="series-rank2-p2-order-minus-3"),
+        # rank2-p2 counts on P^2 alone: a --fan is refused, read or not
+        pytest.param(lambda f: ["series", "rank2-p2", "--fan", "nonexistent.json", "--order", "2"],
+                     "takes no --fan", id="series-rank2-p2-fan"),
         pytest.param(lambda f: _enumerate(f, "--rank", "2", "--c2-max", "1", "--box", "40"),
                      "lower --box", id="enumerate-rank2-window"),
         # c1 = H: at c1 = 0 and box 1 no orbit has a stable pattern, so no hull
@@ -571,6 +637,9 @@ def _bad_divisor(files, flag, entries):
         pytest.param(lambda f: _bad_family(f, ["cones"], _duplicate_first_cone),
                      id="family-duplicate-cone"),
         pytest.param(lambda f: _bad_family(f, ["rank"], lambda _: -1), id="family-rank-negative"),
+        # a torsion-free or reflexive family is supported at the apex; there is no ray 7
+        pytest.param(lambda f: _bad_family(f, ["support"], lambda _: [[7]]),
+                     id="family-support-not-apex"),
     ],
 )
 def test_malformed_numbers_exit_2(files, make_args):
@@ -603,7 +672,7 @@ def test_refused_family_named_in_error(files, capsys, keys, value, message):
 @pytest.mark.parametrize("module, name, argv, exc, line", [
     ("moduli", "rank2_p2_series", ["series", "rank2-p2"], ZeroDivisionError("division by zero"),
      "error: internal error (ZeroDivisionError): division by zero"),
-    ("stability", "mu_test", ["stability", "mu"], KeyError("cone"),
+    ("stability", "_mu_test", ["stability", "mu"], KeyError("cone"),
      "error: internal error (KeyError): 'cone'"),
 ], ids=["zero-division", "key-error"])
 def test_internal_error_exits_2(files, capsys, monkeypatch, module, name, argv, exc, line):

@@ -173,6 +173,30 @@ def test_gluing_reads_an_empty_box_as_zero(p2, o_p2):
     ]
 
 
+def test_gluing_reads_two_common_rays_on_a_threefold():
+    # on P^3 any two maximal cones share two rays, so each pair's gluing reads
+    # a face with two coordinates in each grid, against the value walk
+    from toricsheaves import family
+
+    p3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                  [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    lines = [SubspaceQ.span([v], 2) for v in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    filts = [RayFiltration(j, ((j % 2 - 1, lines[j]), (j % 3 + 1, SubspaceQ.full(2))))
+             for j in range(4)]
+    fam = reflexive_from_filtrations(filts, p3)
+    assert validate_torsion_free(fam, p3) == []
+    other = SubspaceQ.span([(1, 2)], 2)
+    two_rays = 0
+    for i, g in fam.corners:
+        for k in range(len(g.values)):
+            grids = dict(fam.corners)
+            grids[i] = replace(g, values=g.values[:k] + (other,) + g.values[k + 1:])
+            got = family._gluing_report(p3, grids)
+            assert got == gluing_by_value(p3, grids)
+            two_rays += sum(r.count(": ") == 2 for r in got)
+    assert two_rays > 0
+
+
 def test_reflexivity(p2, o_p2):
     assert is_reflexive(o_p2, p2)
     assert not is_reflexive(ideal_sheaf_of_point(p2), p2)

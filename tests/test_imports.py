@@ -65,6 +65,13 @@ UNCALLED_PUBLIC = {
     # the flag data of a family on its own; mu_test and mu_weights read it off
     # the meet table they build, which mu_weights hands on with its weights
     "extract_flag_data",
+    # the validating library entries of operations whose private entry, "_"
+    # and the name, the CLI calls on a fan or family it has validated once
+    "cone_count_identity", "euler_characteristic", "mu_test", "mu_weights",
+    "rank1_fixed_point_series", "enumerate_gauge_fixed_chi",
+    # one cone's brackets; chern_character and c1_fast read every cone's
+    # through one face resolver per call
+    "bracket_dims",
 }
 
 

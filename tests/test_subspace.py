@@ -95,6 +95,9 @@ def _operand_pairs(rng, amb):
     yield a, SubspaceQ.span(_combination(rng, a, 1), amb)  # a line inside a, or zero
     yield random_subspace(rng, amb, 1), b  # a line, usually outside b
     yield random_subspace(rng, amb, 1), random_subspace(rng, amb, 1)
+    hyper = random_subspace(rng, amb, amb - 1)
+    yield random_subspace(rng, amb, 1), hyper  # a line, usually outside the hyperplane
+    yield SubspaceQ.span(_combination(rng, hyper, 1), amb), hyper  # a line inside it, or zero
 
 
 @pytest.mark.parametrize("amb", [1, 2, 3, 4, 5])
@@ -126,7 +129,10 @@ def test_fast_path_shapes_are_exercised():
                         seen.add("nested")
                     if 1 == b.dim < a.dim < amb:
                         seen.add("line inside" if a.contains(b) else "line outside")
-    assert seen == {"zero", "full", "equal", "nested", "line inside", "line outside"}
+                    if 1 == b.dim and a.dim == amb - 1 and a != b:
+                        seen.add("line in hyperplane" if a.contains(b) else "line and hyperplane")
+    assert seen == {"zero", "full", "equal", "nested", "line inside", "line outside",
+                    "line in hyperplane", "line and hyperplane"}
 
 
 # --- the Fraction kernel, kept as the reference the integer kernel must match --
