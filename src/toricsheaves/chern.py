@@ -134,27 +134,27 @@ class HilbertData:
 
 
 def hilbert_polynomial(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> RatPoly:
+    """The Hilbert polynomial P(t) of hilbert_data."""
+    return hilbert_data(x, fan, ample).polynomial
+
+
+def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:
     """P(t) = deg{ch . exp(tH) . td}_2 as an exact rational polynomial.  With
     td = 1 - K/2 + [pt] and r, c1, ch2 the parts of ch, that is
 
         P(t) = ch2 + r + c1.(-K)/2 + (c1.H + r H.(-K)/2) t + r (H^2/2) t^2,
 
-    where -K = sum_j V(rho_j), read with H through riemann_roch_degrees."""
+    where -K = sum_j V(rho_j), read with H once through riemann_roch_degrees.
+    Rank, degree and slope follow the extraction conventions: writing
+    P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
+    degree = a_1(E) - a_1(O) rank.  The structure sheaf has a_2(O) = H^2 and
+    a_1(O) = H.(-K)/2, so P_O itself is never built."""
     rr = riemann_roch_degrees(ample, fan)
     ch = chern_character(x, fan)
     c1_ak = sum(c * d for c, d in zip(ch.d, rr.ak))  # c1.(-K)
     c1_h = sum(c * d for c, d in zip(ch.d, rr.h))
-    return RatPoly.of([ch.p + ch.r0 + Fraction(c1_ak, 2), c1_h + ch.r0 * rr.h_td,
-                       ch.r0 * rr.h_sq])
-
-
-def hilbert_data(x: DeltaFamily | CharFunction, fan: Fan, ample: Sequence) -> HilbertData:
-    """Hilbert polynomial with the rank/degree/slope extraction conventions:
-    writing P(t) = sum a_i t^i / i!, rank = a_2(E)/a_2(O) and
-    degree = a_1(E) - a_1(O) rank.  The structure sheaf has a_2(O) = H^2 and
-    a_1(O) = H.(-K)/2, so P_O itself is never built."""
-    p = hilbert_polynomial(x, fan, ample)
-    rr = riemann_roch_degrees(ample, fan)
+    p = RatPoly.of([ch.p + ch.r0 + Fraction(c1_ak, 2), c1_h + ch.r0 * rr.h_td,
+                    ch.r0 * rr.h_sq])
     rank = p.coeff(2) / rr.h_sq
     deg = p.coeff(1) - rank * rr.h_td
     slope = deg / rank if rank != 0 else None

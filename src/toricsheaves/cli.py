@@ -9,13 +9,12 @@ p/q, never as floats.
 
 Each command decodes and validates each input file once: a fan in
 ``_load_fan`` (``fan-check`` validates and reports it itself) and a family in
-``_load_family``.  Where a library function the command calls would
-validate the same object again, the command calls its private entry
-instead, which takes the object as valid: ``_mu_test``, ``_mu_weights``,
-``_intersection_table``, ``_rank1_fixed_point_series`` and
-``_enumerate_gauge_fixed_chi`` with ``validated=True``, and
-``_cone_count_identity`` and ``_euler_characteristic``.  The public
-functions keep validating.
+``_load_family``.  A fan keeps its validation report on the object, so the
+library functions the command calls on it read that report and do not
+validate it again.  A family keeps nothing, so the slope commands call
+``_mu_test`` and ``_mu_weights``, the entries of ``mu_test`` and
+``mu_weights`` that take the family as valid; the public functions validate
+it first.
 
 ``run`` builds its argument parser once per process (``build_parser`` still
 returns a fresh one): parsing keeps no state in the parser, every default is
@@ -45,13 +44,14 @@ from .family import (
 )
 from .fan import (
     Fan,
-    _cone_count_identity,
-    _euler_characteristic,
+    _report,
+    _require_valid,
+    cone_count_identity,
+    euler_characteristic,
     fan_from_json,
     star,
-    validate_fan,
 )
-from .intersect import _intersection_table, riemann_roch_degrees
+from .intersect import intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 
 
@@ -78,9 +78,10 @@ def _decode(path: str, parse):
 
 def _load_fan(path: str) -> Fan:
     fan = _decode(path, fan_from_json)
-    report = validate_fan(fan)
-    if report:
-        raise InputError(f"{path}: invalid fan: " + "; ".join(report))
+    try:
+        _require_valid(fan)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
     return fan
 
 
@@ -113,10 +114,9 @@ def _load_divisor(path: str, fan: Fan):
 
 def _load_ample(path: str, fan: Fan):
     """The divisor in the file at path, ample on fan, which _load_fan has
-    validated: a fan with no intersection table is named first, and the
-    table is built without validating the fan again."""
+    validated: a fan with no intersection table is named first."""
     d = _load_divisor(path, fan)
-    _intersection_table(fan, validated=True)
+    intersection_table(fan)
     try:
         riemann_roch_degrees(d, fan)
     except ValueError as e:
@@ -145,13 +145,13 @@ def _emit(doc: dict, fmt: str, lines) -> None:
 
 def _cmd_fan_check(args) -> int:
     fan = _decode(args.fan, fan_from_json)
-    report = validate_fan(fan)
+    report = _report(fan)
     doc = {"valid": not report, "report": report}
     lines = ["valid"] if not report else [f"invalid: {r}" for r in report]
     if not report:
-        doc["euler_characteristic"] = _euler_characteristic(fan)
+        doc["euler_characteristic"] = euler_characteristic(fan)
         doc["cone_count_identity"] = {
-            str(list(tau)): _cone_count_identity(fan, tau) for tau in fan.cones()
+            str(list(tau)): cone_count_identity(fan, tau) for tau in fan.cones()
         }
         doc["star_sizes"] = {str(list(tau)): len(star(fan, tau)) for tau in fan.cones()}
         lines.append(f"euler characteristic: {doc['euler_characteristic']}")
@@ -184,7 +184,7 @@ def _cmd_family_check(args) -> int:
 def _cmd_chern(args) -> int:
     fan = _load_fan(args.fan)
     fam = _load_family(args.family, fan)
-    table = _intersection_table(fan, validated=True)
+    table = intersection_table(fan)
     ch = chern_character(fam, fan)
     c1 = c1_fast(fam, fan)
     c2 = second_chern_number(ch, table)
@@ -250,12 +250,12 @@ def _cmd_stability(args) -> int:
         raise InputError(stability.TORSION_FREE_ONLY)
     weights = None
     if args.mode == "mu":
-        v = stability._mu_test(fam, fan, ample, validated=True)
+        v = stability._mu_test(fam, fan, ample)
     elif args.mode == "gieseker":
         v = stability.gieseker_test(fam, fan, ample)
     else:
         if args.weights_from == "mu":
-            weights = stability._mu_weights(fam, fan, ample, validated=True)
+            weights = stability._mu_weights(fam, fan, ample)
         else:
             chi = characteristic_function(fam)
             _, weights = stability.choose_r(chi, fan, ample, [fam])
@@ -282,7 +282,7 @@ def _cmd_weights(args) -> int:
     fam = _load_family(args.family, fan)
     ample = _load_ample(args.ample, fan)
     if args.kind == "mu":
-        w = stability._mu_weights(fam, fan, ample, validated=True)
+        w = stability._mu_weights(fam, fan, ample)
         doc = {"kind": "mu", "entries": _weight_entries(w)}
         lines = [f"kappa[{cone} @ {list(lam)}] = {wt}" for (cone, lam), wt in w.items()]
     else:
@@ -306,9 +306,7 @@ def _cmd_enumerate(args) -> int:
     fan = _load_fan(args.fan)
     c1 = _load_divisor(args.c1, fan) if args.c1 else [0] * fan.n_rays()
     try:
-        records = moduli._enumerate_gauge_fixed_chi(
-            fan, args.rank, c1, args.c2_max, args.box, validated=True
-        )
+        records = moduli.enumerate_gauge_fixed_chi(fan, args.rank, c1, args.c2_max, args.box)
     except moduli.BoxBoundError as e:
         raise InputError(str(e)) from e
     doc = {
@@ -347,7 +345,7 @@ def _cmd_series(args) -> int:
         if not args.fan:
             raise InputError("series rank1 requires --fan")
         fan = _load_fan(args.fan)
-        s = moduli._rank1_fixed_point_series(fan, args.order, validated=True)
+        s = moduli.rank1_fixed_point_series(fan, args.order)
     else:
         if args.fan:
             raise InputError("series rank2-p2 takes no --fan: it counts on P^2 only")

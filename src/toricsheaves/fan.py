@@ -237,11 +237,6 @@ def cone_count_identity(fan: Fan, tau: ConeRef) -> int:
     For a complete simplicial fan the value is 1 for every tau.
     """
     _require_valid(fan)
-    return _cone_count_identity(fan, tau)
-
-
-def _cone_count_identity(fan: Fan, tau: ConeRef) -> int:
-    """cone_count_identity for a fan the caller has validated."""
     tau = tuple(sorted(tau))
     s = len(tau)
     counts: dict[int, int] = {}
@@ -257,17 +252,26 @@ def euler_characteristic(fan: Fan) -> int:
     """Topological Euler characteristic of the toric variety: the number of
     maximal cones of a smooth complete fan."""
     _require_valid(fan)
-    return _euler_characteristic(fan)
-
-
-def _euler_characteristic(fan: Fan) -> int:
-    """euler_characteristic for a fan the caller has validated."""
     return len(fan.max_cones)
 
 
+def _report(fan: Fan) -> tuple[str, ...]:
+    """validate_fan's report on fan, run on the first call for this fan
+    object and kept in its instance dict, as a cached property would; a fan
+    is frozen, so the report stays valid.  It is kept by object, not by
+    equality: an equal fan decoded anew is validated anew."""
+    report = fan.__dict__.get("_report")
+    if report is None:
+        report = fan.__dict__["_report"] = tuple(validate_fan(fan))
+    return report
+
+
 def _require_valid(fan: Fan) -> None:
-    if validate_fan(fan):
-        raise ValueError("fan is not a valid complete fan")
+    """Raise ValueError with the report unless fan is a valid smooth
+    complete fan."""
+    report = _report(fan)
+    if report:
+        raise ValueError("invalid fan: " + "; ".join(report))
 
 
 # --- the corpus surfaces -------------------------------------------------

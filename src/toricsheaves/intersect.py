@@ -19,7 +19,7 @@ is_nef read the signs of the degrees, and riemann_roch_degrees reads them
 for a polarization H, checked positive, with H'^2.  ample_degrees reads
 H.V(rho_j) off them, ints where integral, and the same record gives
 -K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself is evaluated in
-closed form in chern.hilbert_polynomial; a lattice-point counter for nef
+closed form in chern.hilbert_data; a lattice-point counter for nef
 divisors provides an independent Euler-characteristic oracle.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .fan import Fan, validate_fan
+from .fan import Fan, _require_valid
 
 Divisor = tuple[Fraction, ...]
 
@@ -59,22 +59,14 @@ _TABLES: weakref.WeakKeyDictionary[Fan, IntersectionTable] = weakref.WeakKeyDict
 
 
 def intersection_table(fan: Fan) -> IntersectionTable:
-    """The intersection table of fan, built and validated on the first call
-    for an equal fan and shared after that."""
-    return _intersection_table(fan, validated=False)
-
-
-def _intersection_table(fan: Fan, validated: bool) -> IntersectionTable:
-    """intersection_table; with validated, for a fan the caller has
-    validated, which is not validated again when its table is built."""
+    """The intersection table of fan, built on the first call for an equal
+    fan, which is checked valid then, and shared after that."""
     table = _TABLES.get(fan)
     if table is not None:
         return table
     if fan.rank != 2:
         raise ValueError("intersection table implemented for surfaces only")
-    report = [] if validated else validate_fan(fan)
-    if report:
-        raise ValueError("invalid fan: " + "; ".join(report))
+    _require_valid(fan)
     n = fan.n_rays()
     mat = [[0] * n for _ in range(n)]
     adjacent = {frozenset(c) for c in fan.max_cones}

@@ -54,10 +54,9 @@ from .family import (
     reflexive_from_filtrations,
     validate_torsion_free,
 )
-from .fan import Fan, _euler_characteristic, validate_fan
+from .fan import Fan, _require_valid, euler_characteristic
 from .intersect import (
     _basis_det,
-    _intersection_table,
     ample_degrees,
     divisor_class_equal,
     find_ample,
@@ -131,21 +130,14 @@ def partition_diagram(parts: Sequence[int]) -> frozenset[tuple[int, int]]:
 def rank1_fixed_point_series(fan: Fan, order: int) -> IntSeries:
     """Coefficient of q^c: the number of tuples of 2D partitions, one per
     maximal cone, of total size c."""
-    return _rank1_fixed_point_series(fan, order, validated=False)
-
-
-def _rank1_fixed_point_series(fan: Fan, order: int, validated: bool) -> IntSeries:
-    """rank1_fixed_point_series; with validated, for a fan the caller has
-    validated, which is not validated again."""
     if fan.rank != 2:
         raise ValueError("fixed point enumeration implemented for surfaces only")
-    if not validated and validate_fan(fan):
-        raise ValueError("fan is not a valid smooth complete surface fan")
+    e = euler_characteristic(fan)  # refuses an invalid fan before the order
     if order < 0:
         raise ValueError(f"order {order} is negative; it must be at least 0")
     if order > 40:
         raise ValueError("order capped at 40")
-    return _partitions_power(_euler_characteristic(fan), order)
+    return _partitions_power(e, order)
 
 
 def rank2_p2_series(order: int) -> IntSeries:
@@ -248,20 +240,9 @@ def enumerate_gauge_fixed_chi(
     """All gauge-fixed characteristic functions with the given rank, first
     Chern class and second Chern number at most c2_max, each with a
     realizing witness family and (for rank 2) its flag-line strata."""
-    return _enumerate_gauge_fixed_chi(fan, rank, c1, c2_max, box_bound, validated=False)
-
-
-def _enumerate_gauge_fixed_chi(fan: Fan, rank: int, c1: Sequence[int], c2_max: int,
-                               box_bound: int, validated: bool) -> list[ChiRecord]:
-    """enumerate_gauge_fixed_chi; with validated, for a fan the caller has
-    validated, which is not validated again.  Either way the fan's
-    intersection table is built here without a second validation, so every
-    intersection_table call of the run reads it."""
     if fan.rank != 2:
         raise ValueError("enumeration implemented for surfaces only")
-    if not validated and validate_fan(fan):
-        raise ValueError("fan is not a valid smooth complete surface fan")
-    _intersection_table(fan, validated=True)
+    _require_valid(fan)
     if rank not in (1, 2):
         raise ValueError(f"enumeration implemented for ranks 1 and 2, not rank {rank}")
     if box_bound < 0:
@@ -305,7 +286,7 @@ def _enumerate_rank1(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     if c2_max > MAX_RANK1_C2:
         raise ValueError(f"rank-1 enumeration accepts c2 <= {MAX_RANK1_C2}, not {c2_max}; "
                          "lower --c2-max")
-    tuples = sum(_rank1_fixed_point_series(fan, c2_max, validated=True).coeffs)
+    tuples = sum(rank1_fixed_point_series(fan, c2_max).coeffs)
     if tuples > MAX_RANK1_TUPLES:
         raise ValueError(f"rank-1 enumeration with c2 <= {c2_max} builds {tuples} staircase "
                          f"tuples; at most {MAX_RANK1_TUPLES} are accepted; lower --c2-max")

@@ -82,7 +82,6 @@ from .family import (
     _Face,
     _Faces,
     characteristic_function,
-    is_reflexive,
     require_torsion_free,
 )
 from .fan import ConeRef, Fan
@@ -376,12 +375,15 @@ class _MeetTable:
 # slope test
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
-    return _mu_test(fam, fan, ample, validated=False)
+    if fam.kind != KIND_PURE:
+        require_torsion_free(fam, fan)
+    return _mu_test(fam, fan, ample)
 
 
-def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) -> StabilityVerdict:
-    """mu_test; with validated, for a family the caller has validated as
-    torsion-free on fan, which is not validated again."""
+def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
+    """mu_test for a family the caller has validated on fan.  Whether a
+    torsion-free family is reflexive is asked only when the verdict is
+    stable, the one its caveat qualifies."""
     deg = ample_degrees(ample, fan)
     m = fam.rank
     meets = _MeetTable(fam, fan)
@@ -395,25 +397,12 @@ def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) -> St
     )
     margins = [(w, Fraction(d) - Fraction(w.dim, m) * total) for w, d in zip(meets.tests, lhs)]
     note = None if meets.exhaustive else PARTIAL_NOTE
-    stable = all(mg < 0 for _, mg in margins)
-    return _classify("mu", margins, meets.exhaustive, note,
-                     stable_caveat=_mu_stable_caveat(fam, fan, stable, validated))
-
-
-def _mu_stable_caveat(fam: DeltaFamily, fan: Fan, stable: bool,
-                      validated: bool) -> str | None:
-    """The caveat on a stable verdict for non-reflexive torsion-free input.  A
-    torsion-free family is validated whatever its verdict, unless validated
-    says the caller has; whether it is reflexive is asked only when the
-    verdict is stable, the one it qualifies."""
-    if fam.kind == KIND_PURE:
-        return None
-    if not validated:
-        require_torsion_free(fam, fan)
-    if not stable or _corners_are_axis_meets(fam):
-        return None
-    return ("stable verdict certified against equivariant subobjects only "
-            "(non-reflexive torsion-free input)")
+    caveat = None
+    if (fam.kind != KIND_PURE and all(mg < 0 for _, mg in margins)
+            and not _corners_are_axis_meets(fam)):
+        caveat = ("stable verdict certified against equivariant subobjects only "
+                  "(non-reflexive torsion-free input)")
+    return _classify("mu", margins, meets.exhaustive, note, stable_caveat=caveat)
 
 
 def _classify(test, margins, exhaustive, note, stable_caveat=None) -> StabilityVerdict:
@@ -526,13 +515,13 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     non-flag Grassmannian factors present (general torsion-free data) the
     flag weights are scaled by R with sum(n_alpha)/R < 1/M^2 and the extra
     factors get weight 1."""
-    return _mu_weights(fam, fan, ample, validated=False)
+    if fam.kind != KIND_PURE:
+        require_torsion_free(fam, fan)
+    return _mu_weights(fam, fan, ample)
 
 
-def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) -> WeightSystem:
-    """mu_weights; with validated, for a family the caller has validated as
-    torsion-free on fan, so that reflexivity is asked of it without
-    validating it again."""
+def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
+    """mu_weights for a family the caller has validated on fan."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
     deg = ample_degrees(ample, fan)
@@ -550,8 +539,7 @@ def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence, validated: bool) ->
                 flag_entries.append((((rf.ray,), (rf.positions[k],)), int(kappa)))
     if not flag_entries:
         raise ValueError("all flag gaps are zero; no slope-stable objects with this shape")
-    reflexive = _corners_are_axis_meets(fam) if validated else is_reflexive(fam, fan)
-    if reflexive:
+    if _corners_are_axis_meets(fam):
         return WeightSystem(m, tuple(flag_entries), carried)
     extra_entries: list[tuple[WeightKey, int]] = []
     n_sum = 0

@@ -133,7 +133,7 @@ def test_each_decoded_input_is_validated_once(files, p2, monkeypatch):
     each family once (validate_torsion_free), wherever the library would
     validate them again."""
     from test_family import ideal_sheaf_of_point, slab_family
-    from toricsheaves import family, fan, intersect, moduli
+    from toricsheaves import family, fan
 
     decoded = []  # (kind, object) for every fan and family a command decodes
     for name, kind in (("fan_from_json", "fan"), ("family_from_json", "family")):
@@ -142,9 +142,8 @@ def test_each_decoded_input_is_validated_once(files, p2, monkeypatch):
                             decoded.append((kind, real(text))) or decoded[-1][1])
     validated = []  # (kind, id of the object) per validation
     real_fan, real_family = fan.validate_fan, family.validate_torsion_free
-    for module in (fan, intersect, moduli, cli):
-        monkeypatch.setattr(module, "validate_fan",
-                            lambda f: validated.append(("fan", id(f))) or real_fan(f))
+    monkeypatch.setattr(fan, "validate_fan",
+                        lambda f: validated.append(("fan", id(f))) or real_fan(f))
     monkeypatch.setattr(family, "validate_torsion_free",
                         lambda fam, f: validated.append(("family", id(fam))) or real_family(fam, f))
 
@@ -372,16 +371,16 @@ PUBLIC_OPS = {
 # distinguished_subspaces is the test set's closure on its own, which the
 # stability commands reach through the meet table's scan instead,
 # is_reflexive validates the family first, where the commands ask
-# reflexivity of a family they have validated, and bracket_dims resolves
+# reflexivity of a family they have validated, bracket_dims resolves
 # one cone's face, where chern_character and c1_fast read every bracket
-# through one face resolver per call
+# through one face resolver per call, and hilbert_polynomial is the
+# polynomial of hilbert_data, which the hilbert command calls
 LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces",
-                "is_reflexive", "bracket_dims"}
+                "is_reflexive", "bracket_dims", "hilbert_polynomial"}
 # reached through their private entry, "_" and the name: each validates its
-# fan or family, which the subcommands validate once on loading, so they
-# call the entry that does not validate it again
-VIA_PRIVATE_ENTRY = {"cone_count_identity", "euler_characteristic", "mu_test", "mu_weights",
-                     "rank1_fixed_point_series", "enumerate_gauge_fixed_chi"}
+# family, which the subcommands validate once on loading, so they call the
+# entry that does not validate it again
+VIA_PRIVATE_ENTRY = {"mu_test", "mu_weights"}
 
 
 def test_operation_coverage_table(files, p2):

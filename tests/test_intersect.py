@@ -1,10 +1,12 @@
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import class_equal_by_fractions, line_bundle_family, pair_by_fractions, ray_degrees
+from toricsheaves import fan as fan_module
 from toricsheaves import intersect
 from toricsheaves.chern import hilbert_polynomial
 from toricsheaves.intersect import (
@@ -18,7 +20,15 @@ from toricsheaves.intersect import (
     lattice_point_count,
     pair,
 )
-from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
+from toricsheaves.fan import (
+    Fan,
+    cone_count_identity,
+    euler_characteristic,
+    hirzebruch,
+    p1_x_p1,
+    projective_plane,
+)
+from toricsheaves.moduli import enumerate_gauge_fixed_chi, rank1_fixed_point_series
 from toricsheaves.sampling import random_smooth_complete_fan
 from toricsheaves.subspace import SubspaceQ
 
@@ -469,11 +479,33 @@ def test_equal_fans_share_one_table():
     # not a surface
     Fan.make(1, [(1,), (-1,)], [(0,), (1,)]),
 ])
-def test_invalid_fan_raises_on_every_call(fan):
-    for _ in range(3):
-        with pytest.raises(ValueError):
-            intersection_table(fan)
-    assert fan not in intersect._TABLES
+def test_invalid_fan_raises_on_every_call(fan, monkeypatch):
+    """Every fan-validating entry refuses an invalid fan, with validate_fan's
+    report, and the entries that need a surface refuse any other rank, on
+    every call; validate_fan runs once per fan object whatever entries are
+    called, and again for an equal fan that is a new object."""
+    report = fan_module.validate_fan(fan)
+    calls = []
+    monkeypatch.setattr(fan_module, "validate_fan",
+                        lambda f, real=fan_module.validate_fan: calls.append(f) or real(f))
+    refused = [intersection_table, lambda f: rank1_fixed_point_series(f, 3),
+               lambda f: enumerate_gauge_fixed_chi(f, 1, [0] * f.n_rays(), 1)]
+    accepted = [euler_characteristic, lambda f: cone_count_identity(f, ())]
+    message = "surfaces only$"
+    if report:
+        refused, accepted = refused + accepted, []
+        message = "^invalid fan: " + re.escape("; ".join(report)) + "$"
+    for _ in range(2):
+        fan = Fan.make(fan.rank, fan.rays, fan.max_cones)
+        del calls[:]
+        for _ in range(3):
+            for entry in refused:
+                with pytest.raises(ValueError, match=message):
+                    entry(fan)
+            for entry in accepted:
+                entry(fan)
+        assert [f is fan for f in calls] == [True]
+        assert fan not in intersect._TABLES
 
 
 def test_table_memo_forgets_dropped_fans():

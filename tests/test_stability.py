@@ -1365,7 +1365,8 @@ def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkey
             assert len(axis_meets) == (v.verdict == STABLE)
             verdicts.setdefault(v.verdict, v)
     assert set(verdicts) == {STABLE, SEMISTABLE, UNSTABLE}
-    # an invalid family is refused whatever its verdict would be
+    # an invalid family is refused, by both slope functions and before anything
+    # else, whatever its verdict would be
     would_be = set()
     rng = random.Random(191)
     for fan, h in fans:
@@ -1373,15 +1374,15 @@ def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkey
             for bad in broken_variants(fam, rng):
                 if not family.validate_torsion_free(bad, fan):
                     continue
+                for f in (mu_test, mu_weights):
+                    with pytest.raises(ValueError, match="^invalid family: "):
+                        f(bad, fan, h)
                 with monkeypatch.context() as m:
                     m.setattr(stability, "require_torsion_free", lambda fam, fan: None)
                     m.setattr(stability, "_corners_are_axis_meets", lambda fam: True)
                     v = _outcome(mu_test, bad, fan, h)
-                if not isinstance(v, stability.StabilityVerdict):
-                    continue  # the flag data refuses it first
-                would_be.add(v.verdict)
-                with pytest.raises(ValueError, match="^invalid family: "):
-                    mu_test(bad, fan, h)
+                if isinstance(v, stability.StabilityVerdict):
+                    would_be.add(v.verdict)
     assert would_be == {STABLE, SEMISTABLE, UNSTABLE}
 
 
