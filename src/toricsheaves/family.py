@@ -119,35 +119,38 @@ class _Grid:
 
     def trim(self):
         """Canonical minimal box: drop all-zero bottom slabs and clamp-redundant
-        top slabs; evaluation is unchanged."""
+        top slabs; evaluation is unchanged.  The values are read by index: a
+        slab is the sub-box with one coordinate held, listed by stride, and the
+        point one step down in coordinate k lies strides[k] before its own.
+
+        One pass over the coordinates suffices.  A dropped slab is all zero
+        or repeats the slab below it, so its points pass or fail every check
+        of another coordinate exactly as the points kept beside them do, and
+        no drop in one coordinate lets another coordinate drop more."""
         lo, hi = list(self.lo), list(self.hi)
-        zero = self._zero_value()
+        vals, zero, strides = self.values, self._zero_value(), _strides(self.lo, self.hi)
 
-        def slab(coord, at):
-            return box_points(
-                [l if k != coord else at for k, l in enumerate(lo)],
-                [h if k != coord else at for k, h in enumerate(hi)],
-            )
+        def indices(a, b):  # the a..b sub-box, in box order
+            out = [0]
+            for base, s, x0, x1 in zip(self.lo, strides, a, b):
+                out = [i + (x - base) * s for i in out for x in range(x0, x1 + 1)]
+            return out
 
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(lo)):
-                while hi[k] > lo[k] and all(
-                    self._entry(lam) == self._entry(tuple(x - (1 if i == k else 0) for i, x in enumerate(lam)))
-                    for lam in slab(k, hi[k])
-                ):
-                    hi[k] -= 1
-                    changed = True
-                while lo[k] < hi[k] and all(self._entry(lam) == zero for lam in slab(k, lo[k])):
-                    lo[k] += 1
-                    changed = True
-        vals = tuple(self._entry(lam) for lam in box_points(lo, hi))
-        return self._make(self.cone, tuple(lo), tuple(hi), vals)
+        def slab(k, at):
+            return indices(lo[:k] + [at] + lo[k + 1:], hi[:k] + [at] + hi[k + 1:])
+
+        for k, step in enumerate(strides):
+            while hi[k] > lo[k] and all(vals[i] == vals[i - step] for i in slab(k, hi[k])):
+                hi[k] -= 1
+            while lo[k] < hi[k] and all(vals[i] == zero for i in slab(k, lo[k])):
+                lo[k] += 1
+        if (tuple(lo), tuple(hi)) == (self.lo, self.hi):
+            return self  # grids are frozen, so a minimal box is its own trim
+        return self._make(self.cone, tuple(lo), tuple(hi), tuple(vals[i] for i in indices(lo, hi)))
 
     def nonzero_points(self):
         zero = self._zero_value()
-        return [lam for lam in self.points() if self._entry(lam) != zero]
+        return [lam for lam, v in zip(self.points(), self.values) if v != zero]
 
 
 @dataclass(frozen=True)

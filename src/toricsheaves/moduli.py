@@ -317,7 +317,7 @@ def _enumerate_rank1(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                         gf, c2, fam,
                         [StratumRecord((), STABLE, True, False)],
                     )
-    return sorted(records.values(), key=lambda r: (r.c2, r.chi.canonical()))
+    return [r for _, r in sorted(records.items(), key=lambda kv: (kv[1].c2, kv[0]))]
 
 
 _LINE_POOL = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (1, -1)]
@@ -566,8 +566,13 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     for the window exactly when some translate fits it.
 
     A record's c2 is its hull's plus the cut length, checked once on its
-    witness.  The window check reads the records in (c2, chi) order, so
-    the box it names does not depend on the order in which cuts arrive.
+    witness.  Each hull's Chern character is computed once: it checks the
+    class and the closed-form c2, and it is the witness check's c2 for a
+    record whose witness is that very hull (a budget of 0, where
+    _rank2_cuts yields the hull itself).  Each record's canonical key is
+    built once and orders the result.  The window check reads the records
+    in (c2, chi) order, so the box it names does not depend on the order in
+    which cuts arrive.
 
     Only characteristic functions with a slope-stable stratum are
     returned; semistable strata of those functions are recorded alongside.
@@ -586,6 +591,7 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                          f"at most {MAX_WINDOW_POINTS} are accepted; lower --box")
     table = intersection_table(fan)
     records: dict[str, ChiRecord] = {}
+    witness_c2: dict[str, Fraction] = {}  # key -> c2, for a record whose witness is its hull
     candidates = 0
     deg = ample_degrees(find_ample(fan), fan)
 
@@ -602,7 +608,8 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
             ch = chern_character(hull, fan)
             if not divisor_class_equal(ch.d, c1, fan):
                 raise AssertionError("hull c1 drifted from the profile")
-            if second_chern_number(ch, table) != c2_hull:
+            c2_ch = second_chern_number(ch, table)
+            if c2_ch != c2_hull:
                 raise AssertionError("hull c2 differs from its closed form")
             budget = c2_max - c2_hull
             if budget:
@@ -617,6 +624,8 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                 key = gf.canonical()
                 if key not in records:
                     records[key] = ChiRecord(gf, Fraction(c2_hull + length), fam, [])
+                    if fam is hull:
+                        witness_c2[key] = c2_ch
                 rec = records[key]
                 existing = next((s for s in rec.strata if s.pattern == pat), None)
                 if existing is None:
@@ -627,12 +636,15 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                     rec.strata.remove(existing)
                     rec.strata.append(StratumRecord(pat, verdict, False, True))
     kept = sorted(
-        (r for r in records.values() if any(s.mu_verdict == STABLE for s in r.strata)),
-        key=lambda r: (r.c2, r.chi.canonical()),
+        ((key, r) for key, r in records.items()
+         if any(s.mu_verdict == STABLE for s in r.strata)),
+        key=lambda kv: (kv[1].c2, kv[0]),
     )
-    for r in kept:
-        ch = chern_character(r.witness, fan)
-        if validate_torsion_free(r.witness, fan) or second_chern_number(ch, table) != r.c2:
+    for key, r in kept:
+        c2 = witness_c2.get(key)
+        if c2 is None:
+            c2 = second_chern_number(chern_character(r.witness, fan), table)
+        if validate_torsion_free(r.witness, fan) or c2 != r.c2:
             raise AssertionError("cut witness is invalid or its c2 is not c2(hull) + length")
         _window_check(r.chi, box_bound)
-    return kept
+    return [r for _, r in kept]

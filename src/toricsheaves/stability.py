@@ -619,15 +619,18 @@ class XiWeights:
     polys: tuple[tuple[int, ...], ...]  # coefficients of D Xi, low degree first, one width
     index: tuple[int, ...]              # keys[k] has the polynomial polys[index[k]]
 
-    def _integral_at(self, r: int, vals: Sequence[int],
-                     meets: tuple[_MeetTable, ...] = ()) -> WeightSystem:
-        """The weight system at r, from vals[i] = (D Xi)(r) for each distinct
-        polynomial polys[i], carrying the meet tables meets; every weight
-        Xi(r) must be an integer."""
+    def _require_integral(self, r: int, vals: Sequence[int]) -> None:
+        """Every weight Xi(r) must be an integer, from vals[i] = (D Xi)(r) for
+        each distinct polynomial polys[i]; the error names the first key
+        whose weight is not."""
         d = self.denominator
         for key, i in zip(self.keys, self.index):
             if vals[i] % d:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
+
+    def _system_at(self, vals: Sequence[int], meets: tuple[_MeetTable, ...]) -> WeightSystem:
+        """The weight system from integral vals, carrying the meet tables meets."""
+        d = self.denominator
         return WeightSystem(self.ambient, tuple(
             (key, vals[i] // d) for key, i in zip(self.keys, self.index)), meets)
 
@@ -748,8 +751,9 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
     is that of the integer N(R).  Each witness gets one meet table and its
     margins once; a witness whose characteristic function is chi reuses them
     for its Gieseker target.  Every trial R then evaluates the integer
-    polynomials D Xi and N by Horner's rule, with no Fraction.  The weights
-    returned carry the witnesses' tables."""
+    polynomials D Xi and N by Horner's rule, with no Fraction, and checks
+    that the weights are integers there.  The weight system is built once,
+    at the R returned, and carries the witnesses' tables."""
     xi = xi_weights(chi, fan, ample)
     checks = []
     tables = []
@@ -768,9 +772,9 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
         vals = [_horner(p, r) for p in xi.polys]
         if any(v <= 0 for v in vals):
             continue  # some weight is nonpositive at R
-        ws = xi._integral_at(r, vals, tuple(tables))
+        xi._require_integral(r, vals)
         if all(_git_verdict_at(xi.ambient, m, nums, r) == t for m, nums, t in checks):
-            return r, ws
+            return r, xi._system_at(vals, tuple(tables))
     raise RuntimeError(f"no certified R found in [1, {R_MAX}]")
 
 

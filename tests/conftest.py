@@ -136,6 +136,36 @@ def xi_reconstruct(xi, fam, fan):
     return out
 
 
+def trim_by_points(grid):
+    """The trim that re-read each slab point by point through _entry on every
+    shrink step, and swept the coordinates again until none shrank: the
+    oracle for _Grid.trim, which reads by index and stride in one sweep."""
+    lo, hi = list(grid.lo), list(grid.hi)
+    zero = grid._zero_value()
+
+    def slab(coord, at):
+        return box_points(
+            [l if k != coord else at for k, l in enumerate(lo)],
+            [h if k != coord else at for k, h in enumerate(hi)],
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(lo)):
+            while hi[k] > lo[k] and all(
+                grid._entry(lam) == grid._entry(tuple(x - (1 if i == k else 0) for i, x in enumerate(lam)))
+                for lam in slab(k, hi[k])
+            ):
+                hi[k] -= 1
+                changed = True
+            while lo[k] < hi[k] and all(grid._entry(lam) == zero for lam in slab(k, lo[k])):
+                lo[k] += 1
+                changed = True
+    vals = tuple(grid._entry(lam) for lam in box_points(lo, hi))
+    return grid._make(grid.cone, tuple(lo), tuple(hi), vals)
+
+
 def eta_product(exponent, order):
     """Coefficients of prod_{k>=1} (1 - q^k)^exponent up to q^order, built
     factor by factor: a positive exponent multiplies by 1 - q^k, a negative

@@ -924,6 +924,7 @@ def _golden_argvs(files, p2):
         "weights --fan fan --family ideal --ample ample --kind mu",
         "enumerate --fan fan --rank 1 --c2-max 2 --box 4",
         "enumerate --fan fan --rank 2 --c1 ample --c2-max 1 --box 3",
+        "enumerate --fan fan --rank 2 --c1 ample --c2-max 3 --box 5",
         "series rank1 --fan fan --order 4",
         "series rank2-p2 --order 4",
         "hilbert --fan fan --family o --ample zero-ample",
@@ -1024,6 +1025,12 @@ GOLDEN = {
         (0, 'cc62cc335ef27c67d1c72d454c24e306b653510ebd43c1abd47e653d2570f9c5'),
     'enumerate --fan fan --rank 2 --c1 ample --c2-max 1 --box 3 --format json':
         (0, '62144659d664eb638117c1437e4010083dda1c9b55f70008b318ffc7f53b258e'),
+    # a case whose hulls have a cut budget, recorded before gauge fixing
+    # trimmed by index and a hull's Chern character served both its checks
+    'enumerate --fan fan --rank 2 --c1 ample --c2-max 3 --box 5 --format text':
+        (0, '9800cc8aa86e112a36c22cf5ddf4129be21d4d3b08a41e858d348c566cbcfc2d'),
+    'enumerate --fan fan --rank 2 --c1 ample --c2-max 3 --box 5 --format json':
+        (0, '648b9751efda7a1f2952e1e9f572f8f1a8cbe892692ae0a021f4ef1c5737e3e2'),
     'series rank1 --fan fan --order 4 --format text':
         (0, 'f30ba89c453f8be1bdc8e4c154ca863c48713de3c059f7c09c32b84dc5e8bb8e'),
     'series rank1 --fan fan --order 4 --format json':

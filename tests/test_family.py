@@ -6,10 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, slab_family, structure_sheaf
+from conftest import (
+    line_bundle_family,
+    rank2_three_lines,
+    slab_family,
+    structure_sheaf,
+    trim_by_points,
+)
 from toricsheaves.family import (
     CornerFamily,
     DeltaFamily,
+    DimGrid,
     KIND_PURE,
     KIND_REFLEXIVE,
     KIND_TORSION_FREE,
@@ -479,6 +486,54 @@ def test_gauge_fix_twist_matches_fraction_route():
             twisted = tensor_line_bundle(fam, kvec)
             for x in (twisted, characteristic_function(twisted)):
                 assert gauge_fix(x, fan)[1] == _fraction_route_twist(x, fan)
+
+
+def _hand_grids():
+    """Small grids for the trim oracle: two all-zero bottom slabs and two
+    repeated top slabs in one coordinate and one of each in the other, in
+    both orders; one-point boxes; and a three-coordinate grid."""
+    rows = [  # x from -2 to 4, y from -2 to 2; trims to x in 0..2, y in -1..1
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
+        (0, 0, 1, 1, 1),
+        (0, 1, 1, 2, 2),
+        (0, 1, 2, 2, 2),
+        (0, 1, 2, 2, 2),
+        (0, 1, 2, 2, 2),
+    ]
+    yield DimGrid((0, 1), (-2, -2), (4, 2), tuple(v for row in rows for v in row))
+    yield DimGrid((0, 1), (-2, -2), (2, 4), tuple(v for row in zip(*rows) for v in row))
+    yield DimGrid((1, 2), (4, -3), (4, -3), (2,))
+    yield DimGrid((1, 2), (4, -3), (4, -3), (0,))
+    yield DimGrid((2,), (-1,), (2,), (0, 0, 0, 0))
+    yield DimGrid((2,), (-1,), (2,), (0, 1, 2, 2))
+    # zero at x = -1 and repeated at z = 2: trims to (0, 0, -1)..(1, 2, 1)
+    yield DimGrid((0, 1, 2), (-1, 0, -1), (1, 2, 2), tuple(
+        0 if x < 0 else max(0, min(2, x + y + min(z, 1)))
+        for x, y, z in box_points((-1, 0, -1), (1, 2, 2))))
+
+
+def test_trim_matches_point_by_point_oracle(corpus):
+    """_Grid.trim, by index in one sweep, equals the slab loop that re-read
+    every point through _entry, on dimension and subspace grids of random
+    families twisted below 0 and on the hand-made grids; nonzero_points
+    equals the point-by-point list on the same grids."""
+    rng = random.Random(197)
+    grids = list(_hand_grids())
+    for name in ("p2", "f1"):
+        fan = corpus[name]
+        for fam in random_families(fan, 2, 3, seed=199):
+            kvec = tuple(rng.randrange(-3, 1) for _ in range(fan.n_rays()))
+            twisted = tensor_line_bundle(fam, kvec)
+            grids += [g for _, g in twisted.corners]
+            grids += [g for _, g in characteristic_function(twisted).corners]
+    trimmed = 0
+    for grid in grids:
+        assert grid.trim() == trim_by_points(grid)
+        zero = grid._zero_value()
+        assert grid.nonzero_points() == [lam for lam in grid.points() if grid._entry(lam) != zero]
+        trimmed += grid.trim() != grid
+    assert trimmed >= len(grids) // 2
 
 
 def test_gauge_fix_non_unimodular_cone_rejected():

@@ -350,6 +350,19 @@ def test_rank2_enumeration_solves_once(p2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_hull_chern_character_serves_both_checks(p2, monkeypatch):
+    """A hull's Chern character is computed once: it checks the hull's class
+    and closed-form c2, and it gives the c2 of a record whose witness is that
+    very hull.  This case builds one hull, with no cut budget; computing the
+    witness's character again made 2 calls."""
+    calls = []
+    chern = moduli.chern_character
+    monkeypatch.setattr(moduli, "chern_character", lambda *a: calls.append(a) or chern(*a))
+    records = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    assert records
+    assert len(calls) == 1
+
+
 def every_translate(fan, c1, box_bound, viable):
     """Oracle: every profile (a, gaps) of class c1 in the window, each
     translate of an orbit on its own, in lexicographic order; no orbit is

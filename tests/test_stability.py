@@ -813,6 +813,23 @@ def test_stability_work_counts(monkeypatch, f1):
     assert subfamilies == []
 
 
+def test_choose_r_builds_one_weight_system(monkeypatch, f1):
+    """choose_r checks integrality at every trial R with all weights positive,
+    and builds the weight system once, at the R it returns.  This case has
+    all weights positive at an R whose verdicts do not match, before R = 7;
+    building a system at each such R made 2."""
+    h = find_ample(f1)
+    fam = random_families(f1, 2, 25, seed=4001)[10]
+    chi = characteristic_function(fam)
+    built = []
+    check = stability.WeightSystem.__post_init__
+    monkeypatch.setattr(stability.WeightSystem, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    r, w = choose_r(chi, f1, h, [fam])
+    assert r == 7
+    assert len(built) == 1 and built[0] is w
+
+
 def generic_line_by_scan(fam, avoid):
     """The generic-line search test_subspaces replaced: skip the lines in
     avoid and keep the first candidate that meets every corner value in the
