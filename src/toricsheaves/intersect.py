@@ -14,13 +14,14 @@ D = D'/e for the least e > 0 that makes D' integral, and it serves degrees,
 pairing and class equality alike.  _integral_degrees computes the degrees
 D'.V(rho_j) as ints, pair sums D'.E' in ints and divides once, and
 divisor_class_equal tests the integral difference of the two cleared
-divisors, so integral divisors build no Fraction on the way.  is_ample and
-is_nef read the signs of the degrees, and riemann_roch_degrees reads them
-for a polarization H, checked positive, with H'^2.  ample_degrees reads
+divisors, so integral divisors build no Fraction on the way.  is_ample
+reads the signs of the degrees, and riemann_roch_degrees reads them for a
+polarization H, checked positive, with H'^2.  ample_degrees reads
 H.V(rho_j) off them, ints where integral, and the same record gives
--K.V(rho_j), H.(-K)/2 and H^2/2.  Riemann-Roch itself is evaluated in
-closed form in chern.hilbert_data; a lattice-point counter for nef
-divisors provides an independent Euler-characteristic oracle.
+-K.V(rho_j), H.(-K)/2 and H^2/2.  find_ample walks the nonnegative integer
+vectors of each sup-norm in lexicographic order, one entry at a time, and
+drops a prefix as soon as a ray degree it fixes is not positive.
+Riemann-Roch itself is evaluated in closed form in chern.hilbert_data.
 """
 
 from __future__ import annotations
@@ -193,13 +194,6 @@ def divisor_class_equal(d1: Sequence, d2: Sequence, fan: Fan) -> bool:
     return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
 
 
-def is_nef(d: Sequence, fan: Fan) -> bool:
-    """Nef iff the support function is convex across every wall, i.e. the
-    divisor meets every invariant curve nonnegatively."""
-    _, _, deg = _integral_degrees(d, fan, intersection_table(fan))
-    return all(x >= 0 for x in deg)
-
-
 def is_ample(d: Sequence, fan: Fan) -> bool:
     _, _, deg = _integral_degrees(d, fan, intersection_table(fan))
     return all(x > 0 for x in deg)
@@ -210,26 +204,39 @@ AMPLE_SEARCH_RADIUS = 4
 
 
 def find_ample(fan: Fan) -> Divisor:
-    """Deterministic small ample divisor, by increasing sup-norm then lex."""
-    n = fan.n_rays()
+    """Deterministic small ample divisor, by increasing sup-norm then lex.
 
-    def vectors(radius):
-        def rec(i):
-            if i == n:
-                yield ()
-                return
-            for x in range(radius + 1):
-                for rest in rec(i + 1):
-                    yield (x,) + rest
+    At radius r the entries are chosen one at a time in ray order, smallest
+    first, so the first complete vector reached is the lexicographically
+    first ample one in {0..r}^n.  Its sup-norm is exactly r, since an
+    ample vector of smaller sup-norm would have been returned at an earlier
+    radius.  D.V(rho_j) reads only the entries i with V(rho_i).V(rho_j) != 0,
+    so a prefix is dropped as soon as it fixes a ray degree that is not
+    positive."""
+    rows = intersection_table(fan).matrix
+    # fixed[k]: the rays j whose degree the entries 0..k fix; the table is
+    # symmetric, so row j holds V(rho_i).V(rho_j) for every i
+    fixed: list[list[int]] = [[] for _ in rows]
+    for j, row in enumerate(rows):
+        fixed[max((i for i, x in enumerate(row) if x), default=0)].append(j)
 
-        for v in sorted(rec(0), key=lambda w: (max(w), w)):
-            if max(v) == radius:
-                yield v
+    def walk(k, deg, radius):
+        if k == len(rows):
+            return ()
+        for x in range(radius + 1):
+            d = [a + x * b for a, b in zip(deg, rows[k])] if x else deg
+            if all(d[j] > 0 for j in fixed[k]):
+                rest = walk(k + 1, d, radius)
+                if rest is not None:
+                    return (x, *rest)
+        return None
 
     for radius in range(1, AMPLE_SEARCH_RADIUS + 1):
-        for v in vectors(radius):
-            if is_ample(v, fan):
-                return divisor(v, fan)
+        v = walk(0, [0] * len(rows), radius)
+        if v is not None:
+            if not is_ample(v, fan):
+                raise AssertionError("the ample search returned a divisor that is not ample")
+            return divisor(v, fan)
     raise ValueError("no small ample divisor found")
 
 
@@ -247,34 +254,3 @@ def unimodular_solve(n1: Sequence[int], n2: Sequence[int], b1, b2):
     det = _basis_det(n1, n2)
     # 1/det = det
     return (det * (b1 * n2[1] - b2 * n1[1]), det * (b2 * n1[0] - b1 * n2[0]))
-
-
-def lattice_point_count(coeffs: Sequence, fan: Fan) -> int:
-    """#(P_D cap M) for the polytope P_D = {m : <m, n(rho)> >= -a_rho}.
-
-    Requires D nef; on a smooth complete toric surface the count then equals
-    chi(O(D)), giving an oracle independent of Riemann-Roch.
-    """
-    if fan.rank != 2:
-        raise ValueError("lattice point count implemented for surfaces only")
-    a = divisor(coeffs, fan)
-    if not is_nef(a, fan):
-        raise ValueError("divisor is not nef; count would not equal chi")
-    vertices = [
-        unimodular_solve(fan.rays[c[0]], fan.rays[c[1]], -a[c[0]], -a[c[1]])
-        for c in fan.max_cones
-    ]
-    xlo = min(math.floor(v[0]) for v in vertices)
-    xhi = max(math.ceil(v[0]) for v in vertices)
-    ylo = min(math.floor(v[1]) for v in vertices)
-    yhi = max(math.ceil(v[1]) for v in vertices)
-    count = 0
-    for x in range(xlo, xhi + 1):
-        for y in range(ylo, yhi + 1):
-            if all(
-                x * fan.rays[j][0] + y * fan.rays[j][1] >= -a[j]
-                for j in range(fan.n_rays())
-            ):
-                count += 1
-    return count
-

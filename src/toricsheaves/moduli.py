@@ -6,7 +6,8 @@ staircase (a 2D partition) at each maximal cone, twisted by a line bundle,
 so the generating function of the counts is the e(X)-th power of the
 partition series sum p(k) q^k = 1/prod(1-q^k).  The rank-2 P^2 series is a
 double sum times its sixth power, and one kernel, _partitions_power,
-computes both powers.  Rank-2 data is a reflexive hull determined by ray
+divides by prod(1-q^k)^e for both: 1 for the rank-1 series, the double
+sum for the rank-2 one.  Rank-2 data is a reflexive hull determined by ray
 profiles and flag lines, cut down at finitely many interior grid points;
 strata are labelled by the coincidence pattern of the flag lines.
 
@@ -80,31 +81,17 @@ class IntSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient count must be order + 1")
 
-    def __mul__(self, other: "IntSeries") -> "IntSeries":
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return IntSeries(n, tuple(out))
 
-
-def _partitions_power(e: int, order: int) -> IntSeries:
-    """(sum_k p(k) q^k)^e = 1/prod_{k>=1} (1 - q^k)^e for e >= 0, truncated:
-    p(k) by admitting parts 1, 2, ... in turn, then e products."""
-    counts = [1] + [0] * order
+def _partitions_power(e: int, order: int, base: Sequence[int] = (1,)) -> IntSeries:
+    """base/prod_{k>=1} (1 - q^k)^e for e >= 0, truncated at q^order; the
+    base 1 gives (sum_k p(k) q^k)^e.  Each factor 1/(1 - q^k) is the running
+    sum c[n] += c[n - k], so every part k is admitted e times in turn."""
+    c = [*base, *[0] * (order + 1 - len(base))]
     for part in range(1, order + 1):
-        for k in range(part, order + 1):
-            counts[k] += counts[k - part]
-    per_cone = IntSeries(order, tuple(counts))
-    acc = IntSeries(order, (1,) + (0,) * order)
-    for _ in range(e):
-        acc = acc * per_cone
-    return acc
+        for _ in range(e):
+            for n in range(part, order + 1):
+                c[n] += c[n - part]
+    return IntSeries(order, tuple(c))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,7 @@ def rank2_p2_series(order: int) -> IntSeries:
             while e <= order:
                 inner[e] += 1
                 e += step
-    return IntSeries(order, tuple(inner)) * _partitions_power(6, order)
+    return _partitions_power(6, order, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +619,8 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
                     rec.strata.append(
                         StratumRecord(pat, verdict, len(pat) <= 3 and not free_used, free_used)
                     )
-                elif free_used and not existing.free_line:
-                    rec.strata.remove(existing)
-                    rec.strata.append(StratumRecord(pat, verdict, False, True))
+                elif free_used != existing.free_line:
+                    raise AssertionError("a stratum came back with a different free line")
     kept = sorted(
         ((key, r) for key, r in records.items()
          if any(s.mu_verdict == STABLE for s in r.strata)),

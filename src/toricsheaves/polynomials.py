@@ -65,19 +65,3 @@ class RatPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return " + ".join(parts)
-

@@ -71,12 +71,13 @@ def random_torsion_free_family(fan: Fan, rank: int, rng: random.Random) -> Delta
     return DeltaFamily(KIND_TORSION_FREE, rank, tuple(sorted(corners.items())))
 
 
-def random_families(fan: Fan, rank: int, count: int, seed: int,
-                    torsion_free_share: float = 0.5) -> list[DeltaFamily]:
+def random_families(fan: Fan, rank: int, count: int, seed: int) -> list[DeltaFamily]:
+    """count seeded families; in rank 2 each is cut torsion-free with
+    probability 1/2, and otherwise reflexive."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        if rank >= 2 and rng.random() < torsion_free_share:
+        if rank >= 2 and rng.random() < 0.5:
             out.append(random_torsion_free_family(fan, rank, rng))
         else:
             out.append(random_reflexive_family(fan, rank, rng))

@@ -133,10 +133,6 @@ class FlagData:
     rays: tuple[RayFlags, ...]
 
 
-def extract_flag_data(fam: DeltaFamily, fan: Fan) -> FlagData:
-    return _flag_data(_MeetTable(fam, fan))
-
-
 def _flag_data(meets: _MeetTable) -> FlagData:
     m = meets.rank
     out = []

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from toricsheaves import intersect
 from toricsheaves.chern import as_char
 from toricsheaves.family import (
     KIND_PURE,
@@ -13,8 +15,17 @@ from toricsheaves.family import (
     restrict_to_face,
 )
 from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
-from toricsheaves.intersect import find_ample, intersection_table, unimodular_solve
+from toricsheaves.intersect import (
+    AMPLE_SEARCH_RADIUS,
+    divisor,
+    find_ample,
+    intersection_table,
+    is_ample,
+    unimodular_solve,
+)
+from toricsheaves.moduli import IntSeries
 from toricsheaves.polynomials import RatPoly
+from toricsheaves.stability import _flag_data, _MeetTable
 from toricsheaves.subspace import SubspaceQ
 
 
@@ -110,6 +121,92 @@ def class_equal_by_fractions(d1, d2, fan):
     i0, i1 = fan.max_cones[0]
     u = unimodular_solve(fan.rays[i0], fan.rays[i1], diff[i0], diff[i1])
     return all(d == u[0] * v[0] + u[1] * v[1] for d, v in zip(diff, fan.rays))
+
+
+def is_nef(d, fan):
+    """Nef iff the support function is convex across every wall, i.e. the
+    divisor meets every invariant curve nonnegatively: the integer ray
+    degrees that is_ample reads, taken as nonnegative."""
+    _, _, deg = intersect._integral_degrees(d, fan, intersection_table(fan))
+    return all(x >= 0 for x in deg)
+
+
+def lattice_point_count(coeffs, fan):
+    """#(P_D cap M) for the polytope P_D = {m : <m, n(rho)> >= -a_rho}.
+
+    Requires D nef; on a smooth complete toric surface the count then equals
+    chi(O(D)), giving an oracle independent of Riemann-Roch.
+    """
+    if fan.rank != 2:
+        raise ValueError("lattice point count implemented for surfaces only")
+    a = divisor(coeffs, fan)
+    if not is_nef(a, fan):
+        raise ValueError("divisor is not nef; count would not equal chi")
+    vertices = [
+        unimodular_solve(fan.rays[c[0]], fan.rays[c[1]], -a[c[0]], -a[c[1]])
+        for c in fan.max_cones
+    ]
+    xlo = min(math.floor(v[0]) for v in vertices)
+    xhi = max(math.ceil(v[0]) for v in vertices)
+    ylo = min(math.floor(v[1]) for v in vertices)
+    yhi = max(math.ceil(v[1]) for v in vertices)
+    count = 0
+    for x in range(xlo, xhi + 1):
+        for y in range(ylo, yhi + 1):
+            if all(
+                x * fan.rays[j][0] + y * fan.rays[j][1] >= -a[j]
+                for j in range(fan.n_rays())
+            ):
+                count += 1
+    return count
+
+
+def find_ample_by_sorting(fan):
+    """The search that listed all (r+1)^n nonnegative vectors of each radius
+    r, sorted them by (sup-norm, lex) and tested those of sup-norm r with
+    is_ample: the oracle for find_ample's walk.  Its work and memory grow as
+    (r+1)^n, so it is run only on fans with few rays."""
+    n = fan.n_rays()
+
+    def vectors(radius):
+        def rec(i):
+            if i == n:
+                yield ()
+                return
+            for x in range(radius + 1):
+                for rest in rec(i + 1):
+                    yield (x,) + rest
+
+        for v in sorted(rec(0), key=lambda w: (max(w), w)):
+            if max(v) == radius:
+                yield v
+
+    for radius in range(1, AMPLE_SEARCH_RADIUS + 1):
+        for v in vectors(radius):
+            if is_ample(v, fan):
+                return divisor(v, fan)
+    raise ValueError("no small ample divisor found")
+
+
+def extract_flag_data(fam, fan):
+    """The flag data of a family on its own, read off a meet table built for
+    it: mu_test and mu_weights read it off the table they build."""
+    return _flag_data(_MeetTable(fam, fan))
+
+
+def series_product(a, b):
+    """The product of two truncated IntSeries, to the lesser order: the
+    oracle that multiplies the rank-2 series back by an eta power."""
+    n = min(a.order, b.order)
+    out = [0] * (n + 1)
+    for i, x in enumerate(a.coeffs[: n + 1]):
+        if x == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return IntSeries(n, tuple(out))
 
 
 def xi_entries(xi):

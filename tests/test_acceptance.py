@@ -9,7 +9,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import eta_product, line_bundle_family, xi_reconstruct
+from conftest import (
+    eta_product,
+    extract_flag_data,
+    is_nef,
+    lattice_point_count,
+    line_bundle_family,
+    xi_reconstruct,
+)
 from toricsheaves.chern import c1_fast, chern_character, hilbert_polynomial
 from toricsheaves.family import (
     characteristic_function,
@@ -17,19 +24,22 @@ from toricsheaves.family import (
     tensor_line_bundle,
 )
 from toricsheaves.fan import cone_count_identity
-from toricsheaves.intersect import intersection_table, is_nef, lattice_point_count, pair
+from toricsheaves.intersect import intersection_table, pair
 from toricsheaves.moduli import (
     enumerate_gauge_fixed_chi,
     rank1_fixed_point_series,
     rank2_p2_series,
 )
-from toricsheaves.sampling import random_families
+from toricsheaves.sampling import (
+    random_families,
+    random_reflexive_family,
+    random_torsion_free_family,
+)
 from toricsheaves.stability import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
     choose_r,
-    extract_flag_data,
     gieseker_test,
     git_test,
     mu_test,
@@ -47,13 +57,24 @@ def _report(num, label, elapsed, budget=None):
         print(f"[criterion {num}] {label}: PASS ({elapsed:.2f} s < {budget} s)")
 
 
+def _rank2_families(fan, count, seed, make):
+    """count rank-2 families, each built by make, on the draws random_families
+    makes: one rng.random() per family, which picks its kind there."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rng.random()
+        out.append(make(fan, 2, rng))
+    return out
+
+
 def _corpus_families(fan, count, seed):
     """Half reflexive, half cut torsion-free, ranks 1 and 2."""
     per = count // 4
-    fams = random_families(fan, 1, per, seed=seed, torsion_free_share=0.0)
-    fams += random_families(fan, 1, per, seed=seed + 1, torsion_free_share=1.0)
-    fams += random_families(fan, 2, per, seed=seed + 2, torsion_free_share=0.0)
-    fams += random_families(fan, 2, count - 3 * per, seed=seed + 3, torsion_free_share=1.0)
+    fams = random_families(fan, 1, per, seed=seed)
+    fams += random_families(fan, 1, per, seed=seed + 1)
+    fams += _rank2_families(fan, per, seed + 2, random_reflexive_family)
+    fams += _rank2_families(fan, count - 3 * per, seed + 3, random_torsion_free_family)
     return fams
 
 

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import line_bundle_family, rank2_three_lines, slab_family, structure_sheaf
+from conftest import (
+    is_nef,
+    lattice_point_count,
+    line_bundle_family,
+    rank2_three_lines,
+    slab_family,
+    structure_sheaf,
+)
 from test_family import (
     ideal_sheaf_of_point,
     oracle_fans,
@@ -40,8 +47,6 @@ from toricsheaves.intersect import (
     divisor_class_equal,
     find_ample,
     intersection_table,
-    is_nef,
-    lattice_point_count,
     pair,
 )
 from toricsheaves.polynomials import RatPoly

@@ -355,7 +355,7 @@ def test_entry_point_runs():
 
 PUBLIC_OPS = {
     "validate_fan", "star", "cone_count_identity", "euler_characteristic",
-    "intersection_table", "pair", "lattice_point_count",
+    "intersection_table", "pair",
     "reflexive_from_filtrations", "validate_torsion_free", "is_reflexive",
     "detect_support", "validate_pure", "restrict_to_face",
     "tensor_line_bundle", "characteristic_function", "gauge_fix",
@@ -365,8 +365,7 @@ PUBLIC_OPS = {
     "rank1_fixed_point_series", "rank2_p2_series",
     "enumerate_gauge_fixed_chi", "run",
 }
-# reached from no subcommand: lattice_point_count is the tests' independent
-# Euler-characteristic oracle, restrict_to_face builds the face grids that
+# reached from no subcommand: restrict_to_face builds the face grids that
 # chern and stability read in place (the tests' oracles call it),
 # distinguished_subspaces is the test set's closure on its own, which the
 # stability commands reach through the meet table's scan instead,
@@ -375,8 +374,8 @@ PUBLIC_OPS = {
 # one cone's face, where chern_character and c1_fast read every bracket
 # through one face resolver per call, and hilbert_polynomial is the
 # polynomial of hilbert_data, which the hilbert command calls
-LIBRARY_ONLY = {"lattice_point_count", "restrict_to_face", "distinguished_subspaces",
-                "is_reflexive", "bracket_dims", "hilbert_polynomial"}
+LIBRARY_ONLY = {"restrict_to_face", "distinguished_subspaces", "is_reflexive",
+                "bracket_dims", "hilbert_polynomial"}
 # reached through their private entry, "_" and the name: each validates its
 # family, which the subcommands validate once on loading, so they call the
 # entry that does not validate it again

@@ -41,14 +41,14 @@ def test_package_modules_use_every_imported_name():
     assert unused == []
 
 
-# Public functions that no package code calls, each kept for a reason.
+# Public functions that no package code calls, each kept for a reason: a
+# serialization function, an input generator, or a name the benchmark's
+# tracer wraps.  Code that only the tests call lives in tests/conftest.py.
 UNCALLED_PUBLIC = {
     # serialization, the inverse of the CLI's loaders
     "family_to_json", "fan_to_json",
     # seeded input generators for tests and the benchmark
     "random_families", "random_smooth_complete_fan",
-    # independent oracles
-    "lattice_point_count",
     # builds a face grid on its own; the tests' face-grid oracle, which chern
     # and stability read in place, and the benchmark's tracer wraps it
     "restrict_to_face",
@@ -62,11 +62,9 @@ UNCALLED_PUBLIC = {
     # scan of the corner grids through the same helper, and the benchmark's
     # tracer wraps both names
     "distinguished_subspaces", "test_subspaces",
-    # the flag data of a family on its own; mu_test and mu_weights read it off
-    # the meet table they build, which mu_weights hands on with its weights
-    "extract_flag_data",
     # the validating library entries of operations whose private entry, "_"
-    # and the name, the CLI calls on a family it has validated once (TWINS)
+    # and the name, the CLI calls on a family it has validated once (TWINS);
+    # the benchmark's tracer wraps both
     "mu_test", "mu_weights",
     # validates the family first; the package asks reflexivity of families it
     # has validated, and the benchmark's tracer wraps it

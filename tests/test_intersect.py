@@ -1,11 +1,21 @@
 import gc
 import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import class_equal_by_fractions, line_bundle_family, pair_by_fractions, ray_degrees
+from conftest import (
+    class_equal_by_fractions,
+    find_ample_by_sorting,
+    is_nef,
+    lattice_point_count,
+    line_bundle_family,
+    pair_by_fractions,
+    ray_degrees,
+)
 from toricsheaves import fan as fan_module
 from toricsheaves import intersect
 from toricsheaves.chern import hilbert_polynomial
@@ -16,8 +26,6 @@ from toricsheaves.intersect import (
     find_ample,
     intersection_table,
     is_ample,
-    is_nef,
-    lattice_point_count,
     pair,
 )
 from toricsheaves.fan import (
@@ -203,6 +211,57 @@ def test_ample_positive_on_all_rays(corpus, amples, tables):
         assert pair(h, h, t) > 0
         for j in range(fan.n_rays()):
             assert pair(h, unit(j, fan.n_rays()), t) > 0
+
+
+def _ample_outcome(search, fan):
+    try:
+        return search(fan)
+    except ValueError as e:
+        return str(e)
+
+
+def test_find_ample_matches_sorting_oracle(corpus):
+    # the fan of seven rays that no divisor of sup-norm <= 4 polarizes
+    unpolarized = Fan.make(2, [(1, 0), (2, 1), (3, 2), (1, 1), (0, 1), (-1, 1), (0, -1)],
+                           [(i, (i + 1) % 7) for i in range(7)])
+    fans = dict(corpus, **{f"f{a}": hirzebruch(a) for a in range(4)}, seven=unpolarized)
+    sevens = 0
+    for seed in range(40):
+        fan = random_smooth_complete_fan(random.Random(seed), 1 + seed % 3)
+        # the oracle lists 5^n vectors at radius 4, so take few fans of 7 rays
+        if fan.n_rays() == 7:
+            if sevens == 2:
+                continue
+            sevens += 1
+        fans[f"blowup-{seed}"] = fan
+    outcomes = {name: _ample_outcome(find_ample, fan) for name, fan in fans.items()}
+    assert outcomes == {name: _ample_outcome(find_ample_by_sorting, fan)
+                        for name, fan in fans.items()}
+    assert outcomes["seven"] == "no small ample divisor found"
+    assert {fan.n_rays() for fan in fans.values()} == {3, 4, 5, 6, 7}
+
+
+def test_find_ample_on_eight_rays_keeps_no_vector_list():
+    fan = random_smooth_complete_fan(random.Random(0), 4)
+    intersection_table(fan)
+    tracemalloc.start()
+    try:
+        h = find_ample(fan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h == (2, 3, 2, 2, 3, 2, 4, 3)
+    # listing the 5^8 vectors of radius 4 and sorting them took about 66 MiB
+    assert peak < 1 << 20
+
+
+def test_find_ample_refuses_twelve_rays_in_bounded_time():
+    fan = random_smooth_complete_fan(random.Random(11), 8)
+    assert fan.n_rays() == 12
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^no small ample divisor found$"):
+        find_ample(fan)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_is_integral_and_pair_exact(corpus):

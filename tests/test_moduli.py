@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import class_equal_by_fractions, eta_product
+from conftest import class_equal_by_fractions, eta_product, series_product
 from toricsheaves import intersect, moduli
 from toricsheaves.chern import chern_character, second_chern_number
 from toricsheaves.family import (
@@ -69,7 +69,7 @@ def oracle_partition_count(n):
 def test_int_series_ops():
     a = IntSeries(4, (1, 2, 3, 0, 0))
     b = IntSeries(4, (1, -1, 0, 0, 0))
-    assert (a * b).coeffs == (1, 1, 1, -3, 0)
+    assert series_product(a, b).coeffs == (1, 1, 1, -3, 0)
     with pytest.raises(ValueError):
         IntSeries(3, (1,))
 
@@ -144,13 +144,13 @@ def p2_inner(order):
 def test_rank2_series_product_round_trip():
     # series * prod(1-q^k)^6 recovers the double sum part
     order = 12
-    back = rank2_p2_series(order) * IntSeries(order, eta_product(6, order))
+    back = series_product(rank2_p2_series(order), IntSeries(order, eta_product(6, order)))
     assert back == p2_inner(order)
 
 
 def test_rank2_series_is_inner_times_eta_product():
     for n in range(31):
-        assert rank2_p2_series(n) == p2_inner(n) * IntSeries(n, eta_product(-6, n)), n
+        assert rank2_p2_series(n) == series_product(p2_inner(n), IntSeries(n, eta_product(-6, n))), n
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -750,6 +750,28 @@ def test_corrupted_cut_length_caught(p2, monkeypatch):
     ))
     with pytest.raises(AssertionError, match="c2"):
         enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 2, box_bound=4)
+
+
+def test_stratum_returning_with_another_free_line_caught(p2, monkeypatch):
+    """A (record, pattern) that arrives twice must bring the same free-line
+    flag both times; a stratum is never re-labelled after it is recorded."""
+    import toricsheaves.moduli as moduli
+
+    cuts = moduli._rank2_cuts
+    args = (p2, 2, [1, 0, 0], 1)
+    once = enumerate_gauge_fixed_chi(*args, box_bound=3)
+    assert once
+    monkeypatch.setattr(moduli, "_rank2_cuts", lambda hull, budget: (
+        cut for fam, free, length in cuts(hull, budget)
+        for cut in ((fam, free, length), (fam, free, length))
+    ))
+    assert enumerate_gauge_fixed_chi(*args, box_bound=3) == once
+    monkeypatch.setattr(moduli, "_rank2_cuts", lambda hull, budget: (
+        cut for fam, free, length in cuts(hull, budget)
+        for cut in ((fam, free, length), (fam, not free, length))
+    ))
+    with pytest.raises(AssertionError, match="free line"):
+        enumerate_gauge_fixed_chi(*args, box_bound=3)
 
 
 def test_cut_candidates_count_the_cuts_checked(corpus, monkeypatch):

@@ -9,6 +9,7 @@ from functools import cmp_to_key
 import pytest
 
 from conftest import (
+    extract_flag_data,
     line_bundle_family,
     rank2_three_lines,
     ray_degrees,
@@ -45,7 +46,6 @@ from toricsheaves.stability import (
     WeightSystem,
     choose_r,
     distinguished_subspaces,
-    extract_flag_data,
     gieseker_test,
     git_test,
     mu_test,
