@@ -269,10 +269,7 @@ def _cmd_stability(args) -> int:
         lines.append(f"note: {v.note}")
     if weights is not None:
         doc["weights"] = _weight_entries(weights)
-        lines += [
-            f"kappa[{list(cone)} @ {list(lam)}] = {wt}"
-            for (cone, lam), wt in weights.items()
-        ]
+        lines += _weight_lines(weights)
     _emit(doc, args.format, lines)
     return 0 if v.verdict != stability.UNSTABLE else 1
 
@@ -284,13 +281,12 @@ def _cmd_weights(args) -> int:
     if args.kind == "mu":
         w = stability._mu_weights(fam, fan, ample)
         doc = {"kind": "mu", "entries": _weight_entries(w)}
-        lines = [f"kappa[{cone} @ {list(lam)}] = {wt}" for (cone, lam), wt in w.items()]
+        lines = _weight_lines(w)
     else:
         chi = characteristic_function(fam)
         r, w = stability.choose_r(chi, fan, ample, [fam])
         doc = {"kind": "xi", "R": r, "entries": _weight_entries(w)}
-        lines = [f"R = {r}"]
-        lines += [f"kappa[{cone} @ {list(lam)}] = {wt}" for (cone, lam), wt in w.items()]
+        lines = [f"R = {r}", *_weight_lines(w)]
     _emit(doc, args.format, lines)
     return 0
 
@@ -300,6 +296,11 @@ def _weight_entries(w: stability.WeightSystem) -> list[dict]:
         {"cone": list(cone), "at": list(lam), "weight": wt}
         for (cone, lam), wt in w.items()
     ]
+
+
+def _weight_lines(w: stability.WeightSystem) -> list[str]:
+    """The text lines of a weight system, each key's cone and point as lists."""
+    return [f"kappa[{list(cone)} @ {list(lam)}] = {wt}" for (cone, lam), wt in w.items()]
 
 
 def _cmd_enumerate(args) -> int:

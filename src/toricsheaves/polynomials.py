@@ -26,10 +26,6 @@ class RatPoly:
     def of(coeffs: Sequence) -> "RatPoly":
         return RatPoly(_trim([Fraction(c) for c in coeffs]))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
@@ -62,6 +58,3 @@ class RatPoly:
         for c in reversed(self.coeffs):
             acc = acc * Fraction(t) + c
         return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs

@@ -28,18 +28,26 @@ the flag gaps, the GIT test by the weights kappa, and the Gieseker test by
 the face weight polynomials Xi, which give P(E cap W) = sum Xi dim(E^nu(lam)
 cap W) exactly because Xi reads only the boxes and E cap W keeps them.  So
 every margin is a dot product read off one meet table per family and fan
-(the test set, and dim(V cap W) for each distinct face value V).  Each
-stability test builds its table; a weight system from mu_weights or
-choose_r carries the tables it was built against, and git_test reads the
-one for the very family and fan it is given, unless it draws samples.  The
-table is a pure function of (family, fan), so nothing it reports depends
-on whether it was carried or built.  A face value E^nu(lam) is read in
-place through the face reader of family (lam in the order nu lists its
-rays); no face grid is built, and the face weights read their bounds off
-the grid the face reader resolves each cone to.  The table scans the
-corner grids once, on first use, and gives each distinct proper value a
-slot, so a weight key's slot is index arithmetic on its face over the
-grid's slot array; the scanned values are the pool of the test set.
+(the test set, and dim(V cap W) for each distinct face value V).  The
+module keeps one record per thread, of the last (family, fan) pair a
+stability call was given, matched by identity (_Record): it holds that
+pair's torsion-free validation, its meet table and flag data, whether the
+family is reflexive, and the Xi with their Gieseker margins at the last
+polarization asked about, each filled on first use.  The calls on one
+family (mu_test, mu_weights, gieseker_test, git_test without samples, and
+choose_r for each witness whose characteristic function is the one given)
+read it, and a call on any other family or fan replaces it, so nothing
+outlives the next family.  All it holds is a pure function of the pair
+(and the polarization), so no result depends on whether it was read or
+built.  A weight system is just its ambient and its entries.
+
+A face value E^nu(lam) is read in place through the face reader of family
+(lam in the order nu lists its rays); no face grid is built, and the face
+weights read their bounds off the grid the face reader resolves each cone
+to.  The table scans the corner grids once, on first use, and gives each
+distinct proper value a slot, so a weight key's slot is index arithmetic on
+its face over the grid's slot array; the scanned values are the pool of the
+test set.
 
 The Gieseker margins are scaled integers.  The coefficients of all Xi share
 one denominator D, their lcm (1 or 2 for an integral polarization), so the
@@ -68,7 +76,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -241,19 +250,18 @@ class _MeetTable:
     dim(V cap W).  Every margin is linear in these integers, so each test
     reads it as a dot product with its own weights.
 
-    A table is a pure function of (family, fan), so it may serve more than
-    one call: the weight systems of mu_weights and choose_r carry the tables
-    they were built against, and git_test reads one of them when it is given
-    that very family and fan and no samples.  Faces, the scan, the test set
-    and the columns are filled on first use, so a call computes only what
-    it reads: the flag data reads ray faces alone, and a malformed weight
-    key is reported before the test set is built.  The fan's cone index is
-    looked up once per table.  The scan reads every corner grid once and
-    gives each value its slot, so a weight key's slot is index arithmetic on
-    its face; the proper values it finds are the pool the test set is built
-    from.  Every stability test and weight system reads a table built for
-    its family, so this is where a family of rank 0 is refused: the zero
-    sheaf has no slope and no reduced Hilbert polynomial."""
+    A table is a pure function of (family, fan), so the record of the last
+    pair (_Record) keeps one for every call on that pair; git_test with
+    samples builds its own.  Faces, the scan, the test set and the columns
+    are filled on first use, so a call computes only what it reads: the flag
+    data reads ray faces alone, and a malformed weight key is reported
+    before the test set is built.  The fan's cone index is looked up once
+    per table.  The scan reads every corner grid once and gives each value
+    its slot, so a weight key's slot is index arithmetic on its face; the
+    proper values it finds are the pool the test set is built from.  Every
+    stability test and weight system reads a table built for its family, so
+    this is where a family of rank 0 is refused: the zero sheaf has no slope
+    and no reduced Hilbert polynomial."""
 
     def __init__(self, fam: DeltaFamily, fan: Fan, samples: Sequence[SubspaceQ] = ()):
         if fam.rank < 1:
@@ -368,22 +376,100 @@ class _MeetTable:
 
 
 # ---------------------------------------------------------------------------
+# the record of the last (family, fan) pair
+
+class _Record:
+    """What the stability calls on one (family, fan) pair share, each part
+    filled on first use: the torsion-free validation, the meet table and its
+    flag data, whether the family is reflexive, its characteristic function,
+    and the Xi with their Gieseker margins at the last polarization asked
+    about.  A part whose computation raises stores nothing, so it raises
+    again on the next read.
+
+    The module holds one record per thread, of the last pair a stability
+    call in that thread was given (_record), so no two threads fill the same
+    table.  A call keeps its own reference to each record it reads, so a
+    record that a later call puts in its place changes nothing it reads."""
+
+    def __init__(self, fam: DeltaFamily, fan: Fan):
+        self.fam, self.fan = fam, fan
+        self._valid = False
+        self._gieseker = None  # (the polarization's entries, Xi, margins)
+
+    def require_valid(self) -> None:
+        """require_torsion_free, until it has passed once."""
+        if not self._valid:
+            require_torsion_free(self.fam, self.fan)
+            self._valid = True
+
+    @cached_property
+    def meets(self) -> _MeetTable:
+        return _MeetTable(self.fam, self.fan)
+
+    @cached_property
+    def flag_data(self) -> FlagData:
+        return _flag_data(self.meets)
+
+    @cached_property
+    def reflexive(self) -> bool:
+        """_corners_are_axis_meets, for a family known to be torsion-free."""
+        return _corners_are_axis_meets(self.fam)
+
+    @cached_property
+    def chi(self) -> CharFunction:
+        return characteristic_function(self.fam)
+
+    def held(self, ample: Sequence) -> tuple[XiWeights, list] | None:
+        """The Xi and Gieseker margins held for a polarization with these
+        entries, or None.  Equal entries read as equal Fractions, so they
+        give equal results."""
+        got = self._gieseker
+        return got[1:] if got is not None and got[0] == tuple(ample) else None
+
+    def gieseker(self, ample: Sequence, xi: XiWeights | None = None) -> tuple[XiWeights, list]:
+        """The Xi of the family's characteristic function at ample and its
+        Gieseker margins (_gieseker_margins): the pair held for ample, or else
+        built, from xi when the caller has the Xi of an equal characteristic
+        function, and held in place of the last."""
+        got = self.held(ample)
+        if got is None:
+            if xi is None:
+                xi = xi_weights(self.chi, self.fan, ample)
+            got = xi, _gieseker_margins(self.meets, xi)
+            self._gieseker = (tuple(ample), *got)
+        return got
+
+
+_LAST = threading.local()  # .record: this thread's _Record, once it has one
+
+
+def _record(fam: DeltaFamily, fan: Fan) -> _Record:
+    """The record of (fam, fan), matched by identity: the one this thread
+    holds if it is theirs, or else a new one, which replaces it."""
+    rec = getattr(_LAST, "record", None)
+    if rec is None or rec.fam is not fam or rec.fan is not fan:
+        rec = _LAST.record = _Record(fam, fan)
+    return rec
+
+
+# ---------------------------------------------------------------------------
 # slope test
 
 def mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     if fam.kind != KIND_PURE:
-        require_torsion_free(fam, fan)
+        _record(fam, fan).require_valid()
     return _mu_test(fam, fan, ample)
 
 
 def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
-    """mu_test for a family the caller has validated on fan.  Whether a
-    torsion-free family is reflexive is asked only when the verdict is
-    stable, the one its caveat qualifies."""
+    """mu_test for a family the caller has validated on fan, read off the
+    record of (fam, fan).  Whether a torsion-free family is reflexive is
+    asked only when the verdict is stable, the one its caveat qualifies."""
+    rec = _record(fam, fan)
     deg = ample_degrees(ample, fan)
     m = fam.rank
-    meets = _MeetTable(fam, fan)
-    flags = _flag_data(meets)
+    meets = rec.meets
+    flags = rec.flag_data
     # flags[k] has dimension k + 1 and is set exactly where gaps[k] > 0
     lhs, total = meets.dots(
         (meets.slot_of(rf.flags[k]), rf.gaps[k] * deg[rf.ray])
@@ -394,8 +480,7 @@ def _mu_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdict:
     margins = [(w, Fraction(d) - Fraction(w.dim, m) * total) for w, d in zip(meets.tests, lhs)]
     note = None if meets.exhaustive else PARTIAL_NOTE
     caveat = None
-    if (fam.kind != KIND_PURE and all(mg < 0 for _, mg in margins)
-            and not _corners_are_axis_meets(fam)):
+    if fam.kind != KIND_PURE and all(mg < 0 for _, mg in margins) and not rec.reflexive:
         caveat = ("stable verdict certified against equivariant subobjects only "
                   "(non-reflexive torsion-free input)")
     return _classify("mu", margins, meets.exhaustive, note, stable_caveat=caveat)
@@ -439,9 +524,9 @@ def gieseker_test(fam: DeltaFamily, fan: Fan, ample: Sequence) -> StabilityVerdi
     exact."""
     if fam.kind == KIND_PURE:
         raise ValueError(TORSION_FREE_ONLY)
-    xi = xi_weights(characteristic_function(fam), fan, ample)
-    meets = _MeetTable(fam, fan)
-    return _gieseker_verdict(meets, _gieseker_margins(meets, xi))
+    rec = _record(fam, fan)
+    _, margins = rec.gieseker(ample)
+    return _gieseker_verdict(rec.meets, margins)
 
 
 def _gieseker_margins(meets: _MeetTable,
@@ -493,9 +578,6 @@ WeightKey = tuple[ConeRef, tuple[int, ...]]
 class WeightSystem:
     ambient: int
     entries: tuple[tuple[WeightKey, int], ...]
-    # the meet tables of the families the weights were built against, which
-    # git_test reads for those very families on the same fan
-    _meets: tuple[_MeetTable, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for key, w in self.entries:
@@ -512,19 +594,19 @@ def mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
     flag weights are scaled by R with sum(n_alpha)/R < 1/M^2 and the extra
     factors get weight 1."""
     if fam.kind != KIND_PURE:
-        require_torsion_free(fam, fan)
+        _record(fam, fan).require_valid()
     return _mu_weights(fam, fan, ample)
 
 
 def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
-    """mu_weights for a family the caller has validated on fan."""
+    """mu_weights for a family the caller has validated on fan, read off the
+    record of (fam, fan)."""
     if fam.kind == KIND_PURE:
         raise ValueError("no weight constructor is offered for pure kinds")
+    rec = _record(fam, fan)
     deg = ample_degrees(ample, fan)
     m = fam.rank
-    meets = _MeetTable(fam, fan)
-    flags = _flag_data(meets)
-    carried = (meets,)
+    flags = rec.flag_data
     flag_entries: list[tuple[WeightKey, int]] = []
     for rf in flags.rays:
         for k in range(m - 1):
@@ -535,8 +617,8 @@ def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
                 flag_entries.append((((rf.ray,), (rf.positions[k],)), int(kappa)))
     if not flag_entries:
         raise ValueError("all flag gaps are zero; no slope-stable objects with this shape")
-    if _corners_are_axis_meets(fam):
-        return WeightSystem(m, tuple(flag_entries), carried)
+    if rec.reflexive:
+        return WeightSystem(m, tuple(flag_entries))
     extra_entries: list[tuple[WeightKey, int]] = []
     n_sum = 0
     for i, grid in fam.corners:
@@ -547,10 +629,10 @@ def _mu_weights(fam: DeltaFamily, fan: Fan, ample: Sequence) -> WeightSystem:
                 extra_entries.append(((grid.cone, lam), 1))
                 n_sum += v.dim
     if not extra_entries:
-        return WeightSystem(m, tuple(flag_entries), carried)
+        return WeightSystem(m, tuple(flag_entries))
     r_scale = m * m * n_sum + 1
     scaled = [(key, w * r_scale) for key, w in flag_entries]
-    return WeightSystem(m, tuple(scaled + extra_entries), carried)
+    return WeightSystem(m, tuple(scaled + extra_entries))
 
 
 def random_subspaces(ambient: int, count: int, rng: random.Random) -> list[SubspaceQ]:
@@ -571,18 +653,15 @@ def git_test(fam: DeltaFamily, weights: WeightSystem, fan: Fan,
              n_random: int = 0, seed: int = 0) -> StabilityVerdict:
     """Weighted dimension inequality over the distinguished and sampled
     subspaces; properly stable iff strict for every test subspace.  With no
-    samples, the meet table the weights carry for this very family and fan
-    (the same objects) serves; otherwise a table is built."""
+    samples, the meet table of the record of (fam, fan) serves; with
+    samples, a table of its own is built and not kept."""
     m = fam.rank
     _check_ambient(weights.ambient, m)
     if not 0 <= n_random <= MAX_SAMPLES:
         raise ValueError(f"random test subspaces: {n_random} requested, "
                          f"the count must lie in [0, {MAX_SAMPLES}]")
     samples = random_subspaces(m, n_random, random.Random(seed)) if n_random else ()
-    meets = None if samples else next(
-        (t for t in weights._meets if t.fam is fam and t.fan is fan), None)
-    if meets is None:
-        meets = _MeetTable(fam, fan, samples)
+    meets = _MeetTable(fam, fan, samples) if samples else _record(fam, fan).meets
     margins = _git_margins(meets, weights)
     note = None if meets.exhaustive else "distinguished-set verdict (rank >= 3)"
     return _classify("git", margins, meets.exhaustive, note)
@@ -624,11 +703,11 @@ class XiWeights:
             if vals[i] % d:
                 raise ValueError(f"weight polynomial at {key} is not integer-valued at {r}")
 
-    def _system_at(self, vals: Sequence[int], meets: tuple[_MeetTable, ...]) -> WeightSystem:
-        """The weight system from integral vals, carrying the meet tables meets."""
+    def _system_at(self, vals: Sequence[int]) -> WeightSystem:
+        """The weight system from integral vals."""
         d = self.denominator
         return WeightSystem(self.ambient, tuple(
-            (key, vals[i] // d) for key, i in zip(self.keys, self.index)), meets)
+            (key, vals[i] // d) for key, i in zip(self.keys, self.index)))
 
 
 def _horner(coeffs: Sequence[int], r: int) -> int:
@@ -744,33 +823,37 @@ def choose_r(chi: CharFunction, fan: Fan, ample: Sequence,
 
     A GIT margin is linear in the weights, so its value at the weights Xi(R)
     is the margin _gieseker_margins builds from Xi, evaluated at R; its sign
-    is that of the integer N(R).  Each witness gets one meet table and its
-    margins once; a witness whose characteristic function is chi reuses them
-    for its Gieseker target.  Every trial R then evaluates the integer
-    polynomials D Xi and N by Horner's rule, with no Fraction, and checks
-    that the weights are integers there.  The weight system is built once,
-    at the R returned, and carries the witnesses' tables."""
-    xi = xi_weights(chi, fan, ample)
+    is that of the integer N(R).  Each witness's meet table and Gieseker
+    margins are read off its record; a witness whose characteristic function
+    is chi reuses them as its margins at Xi, so when the held record is such
+    a witness with Xi at this polarization, Xi is read off it too.  Every
+    trial R then evaluates the integer polynomials D Xi and N by Horner's
+    rule, with no Fraction, and checks that the weights are integers there.
+    The weight system is built once, at the R returned."""
+    last = getattr(_LAST, "record", None)
+    held = None
+    if last is not None and last.fan is fan and any(w is last.fam for w in witnesses):
+        held = last.held(ample)
+    xi = held[0] if held and last.chi == chi else xi_weights(chi, fan, ample)
     checks = []
-    tables = []
     for w in witnesses:
         if w.kind == KIND_PURE:
             raise ValueError(TORSION_FREE_ONLY)
-        chi_w = characteristic_function(w)
-        own = None if chi_w == chi else xi_weights(chi_w, fan, ample)
-        meets = _MeetTable(w, fan)
-        tables.append(meets)
-        margins = _gieseker_margins(meets, xi)
-        target = margins if own is None else _gieseker_margins(meets, own)
+        rec = _record(w, fan)
+        if rec.chi == chi:
+            margins = target = rec.gieseker(ample, xi)[1]
+        else:
+            target = rec.gieseker(ample)[1]
+            margins = _gieseker_margins(rec.meets, xi)
         checks.append((w.rank, [nums for _, nums, _ in margins],
-                       _gieseker_verdict(meets, target).verdict))
+                       _gieseker_verdict(rec.meets, target).verdict))
     for r in range(1, R_MAX + 1):
         vals = [_horner(p, r) for p in xi.polys]
         if any(v <= 0 for v in vals):
             continue  # some weight is nonpositive at R
         xi._require_integral(r, vals)
         if all(_git_verdict_at(xi.ambient, m, nums, r) == t for m, nums, t in checks):
-            return r, xi._system_at(vals, tuple(tables))
+            return r, xi._system_at(vals)
     raise RuntimeError(f"no certified R found in [1, {R_MAX}]")
 
 

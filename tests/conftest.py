@@ -11,6 +11,8 @@ from toricsheaves.family import (
     DeltaFamily,
     RayFiltration,
     box_points,
+    family_from_json,
+    family_to_json,
     reflexive_from_filtrations,
     restrict_to_face,
 )
@@ -190,7 +192,7 @@ def find_ample_by_sorting(fan):
 
 def extract_flag_data(fam, fan):
     """The flag data of a family on its own, read off a meet table built for
-    it: mu_test and mu_weights read it off the table they build."""
+    it: mu_test and mu_weights read it off the table of the family's record."""
     return _flag_data(_MeetTable(fam, fan))
 
 
@@ -207,6 +209,22 @@ def series_product(a, b):
             if y:
                 out[i + j] += x * y
     return IntSeries(n, tuple(out))
+
+
+def poly_degree(p):
+    """The degree of a RatPoly, -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def poly_is_zero(p):
+    return not p.coeffs
+
+
+def fresh_copy(fam):
+    """An equal family that is a new object, decoded from the family's JSON:
+    stability keeps a record of the last (family, fan) pair it was given,
+    matched by identity, and a copy is never that family."""
+    return family_from_json(family_to_json(fam))
 
 
 def xi_entries(xi):

@@ -1005,11 +1005,11 @@ GOLDEN = {
     'stability git --fan fan --family family --ample ample --samples 5 --seed 3 --format json':
         (0, 'db921d6842705bb4d27a6fff32ef003b1e272a4eae8f09a640f24cfa642fad65'),
     'weights --fan fan --family family --ample ample --kind mu --format text':
-        (0, '5b15517e57429be1096eedd27cfcfbd0cafb6dc3484e5154a27a75f4acdfea45'),
+        (0, '299617b27d5997cf18e21e11af0e0d393b21eaf44349a181df098ed01a801d2d'),
     'weights --fan fan --family family --ample ample --kind mu --format json':
         (0, 'fb108b4b5ce00531836e9bf0156b017c9638964fb28abf3fe9ec1b6afff875c8'),
     'weights --fan fan --family family --ample ample --kind xi --format text':
-        (0, '8e20b15c04c5d609e09146d7b51911357faa14c4e2abd7bb4dc97d886d7cb397'),
+        (0, '27ccb3dcc71ceb732e3ff6f7999de317ef337d29f4e714483934857249ce09ff'),
     'weights --fan fan --family family --ample ample --kind xi --format json':
         (0, '2ad9960e3e12beb3721d270275b4370b78a62b1ad41a2ce9790cd47e046a0bcc'),
     'weights --fan fan --family ideal --ample ample --kind mu --format text':

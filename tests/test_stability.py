@@ -10,7 +10,10 @@ import pytest
 
 from conftest import (
     extract_flag_data,
+    fresh_copy,
     line_bundle_family,
+    poly_degree,
+    poly_is_zero,
     rank2_three_lines,
     ray_degrees,
     structure_sheaf,
@@ -62,7 +65,7 @@ LINES = [SubspaceQ.span([v], 2) for v in [(1, 0), (0, 1), (1, 1)]]
 def compare_for_large_t(p, q):
     """Sign of p - q for t >> 0: lexicographic on coefficients from the top."""
     d = p - q
-    if d.is_zero():
+    if poly_is_zero(d):
         return 0
     return 1 if d.coeffs[-1] > 0 else -1
 
@@ -356,7 +359,7 @@ def test_xi_degree_bound(p2):
     fam = rank2_three_lines(p2, lines=LINES)
     xi = xi_weights(characteristic_function(fam), p2, H_P2)
     for (cone, _), poly in xi_entries(xi):
-        assert poly.degree <= 2 - len(cone)
+        assert poly_degree(poly) <= 2 - len(cone)
 
 
 def test_xi_weights_pinned(p2):
@@ -803,13 +806,20 @@ def test_stability_work_counts(monkeypatch, f1):
     tests = _count_calls(monkeypatch, stability, "_tests_from_pool")
     gieseker_test(fam, f1, h)
     assert (len(xis), len(tests)) == (1, 1)
-    del xis[:], tests[:]
+    # the record of fam holds Xi, its margins and the test set
     r, w = choose_r(chi, f1, h, [fam])
     assert r > 1  # several R are tried
-    assert (len(xis), len(tests)) == (1, 1)
     mu_test(fam, f1, h)
-    git_test(fam, w, f1, n_random=3)
+    git_test(fam, w, f1)
     git_test(fam, mu_weights(fam, f1, h), f1)
+    assert (len(xis), len(tests)) == (1, 1)
+    # samples: a table and a test set of its own
+    git_test(fam, w, f1, n_random=3)
+    assert (len(xis), len(tests)) == (1, 2)
+    # on a copy, which no record holds, choose_r computes Xi and a test set once
+    del xis[:], tests[:]
+    assert choose_r(chi, f1, h, [fresh_copy(fam)]) == (r, w)
+    assert (len(xis), len(tests)) == (1, 1)
     assert subfamilies == []
 
 
@@ -918,7 +928,7 @@ def xi_by_corners(chi, fan, ample):
     entries = ((key, RatPoly.of([Fraction(c0x2, 2), s * h_td - hx, s * h_sq]))
                for key, (s, c0x2, hx) in sums.items())
     items = tuple(sorted(
-        ((k, p) for k, p in entries if not p.is_zero()),
+        ((k, p) for k, p in entries if not poly_is_zero(p)),
         key=lambda kp: (len(kp[0][0]), kp[0]),
     ))
     return chi.rank, items
@@ -1024,7 +1034,7 @@ def test_distinguished_rank2_matches_closure(corpus, amples):
 
 def gieseker_margins_by_fractions(meets, xi):
     weighted = [(meets.slot(key), poly) for key, poly in xi_entries(xi)]
-    width = max((poly.degree for _, poly in weighted), default=-1) + 1
+    width = max((poly_degree(poly) for _, poly in weighted), default=-1) + 1
     per_coeff = [meets.dots((s, poly.coeff(i)) for s, poly in weighted) for i in range(width)]
     m = meets.rank
     return [
@@ -1131,7 +1141,7 @@ def test_gieseker_reported_margin_against_compare_for_large_t(corpus, amples):
                 assert all(compare_for_large_t(v.margin, mg) >= 0 for _, mg in margins)
                 first = next(w for w, mg in margins if mg == v.margin)
                 assert v.witness == (None if v.verdict == STABLE else first)
-                below_top_degree += v.margin.degree < max(mg.degree for _, mg in margins)
+                below_top_degree += poly_degree(v.margin) < max(poly_degree(mg) for _, mg in margins)
     assert below_top_degree > 0
 
 
@@ -1165,11 +1175,13 @@ def test_integer_margin_work_counts(monkeypatch, f1, p2, p1p1):
         for fam in fams:
             chi = characteristic_function(fam)
             gieseker_test(fam, fan, h)  # fills the fan's intersection table
+            # copies, which no record holds, so each call does all its work
+            copies = fresh_copy(fam), fresh_copy(fam)
             with monkeypatch.context() as m:
                 ops = _count_fraction_arithmetic(m)
                 xi = xi_weights(chi, fan, h)
-                gieseker_test(fam, fan, h)
-                got = _outcome(choose_r, chi, fan, h, [fam])
+                gieseker_test(copies[0], fan, h)
+                got = _outcome(choose_r, chi, fan, h, [copies[1]])
                 meets = stability._MeetTable(fam, fan)
                 stability._gieseker_verdict(meets, stability._gieseker_margins(meets, xi))
             assert ops == []
@@ -1347,18 +1359,19 @@ def test_faces_read_in_place_match_face_grids(corpus, amples, monkeypatch):
         weights = [unit] + [w for w in [_outcome(mu_weights, fam, fan, h)]
                             if isinstance(w, WeightSystem)]
 
-        def verdicts():
-            return [_outcome(mu_test, fam, fan, h), _outcome(gieseker_test, fam, fan, h)] + [
-                _outcome(git_test, fam, w, fan, 3, 5) for w in weights]
+        def verdicts(f):
+            return [_outcome(mu_test, f, fan, h), _outcome(gieseker_test, f, fan, h)] + [
+                _outcome(git_test, f, w, fan, 3, 5) for w in weights]
 
         built = _count_calls(monkeypatch, family, "restrict_to_face")
-        got = verdicts()
+        got = verdicts(fam)
         assert built == []
         monkeypatch.undo()
+        # on a copy, whose record builds its table with the patched steps
         with monkeypatch.context() as m:
             m.setattr(stability, "_MeetTable", FaceGridMeets)
             m.setattr(stability, "_flag_data", flag_data_by_grids)
-            assert verdicts() == got
+            assert verdicts(fresh_copy(fam)) == got
         seen.update(type(g).__name__ if isinstance(g, stability.StabilityVerdict) else g[1][:20]
                     for g in got)
         seen.add(f"rank {fam.rank}")
@@ -1381,6 +1394,11 @@ def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkey
             v = mu_test(fam, fan, h)
             assert len(axis_meets) == (v.verdict == STABLE)
             verdicts.setdefault(v.verdict, v)
+            # the record keeps the answer: mu_weights asks it at most once per family
+            assert mu_test(fam, fan, h) == v
+            w = _outcome(mu_weights, fam, fan, h)
+            _outcome(mu_weights, fam, fan, h)
+            assert len(axis_meets) == (v.verdict == STABLE or isinstance(w, WeightSystem))
     assert set(verdicts) == {STABLE, SEMISTABLE, UNSTABLE}
     # an invalid family is refused, by both slope functions and before anything
     # else, whatever its verdict would be
@@ -1391,13 +1409,15 @@ def test_mu_test_asks_reflexivity_only_of_stable_verdicts(corpus, amples, monkey
             for bad in broken_variants(fam, rng):
                 if not family.validate_torsion_free(bad, fan):
                     continue
-                for f in (mu_test, mu_weights):
+                # on every call: a failed validation is not kept
+                for f in (mu_test, mu_weights, mu_test):
                     with pytest.raises(ValueError, match="^invalid family: "):
                         f(bad, fan, h)
+                # a copy, which no record holds, reads the patched steps
                 with monkeypatch.context() as m:
                     m.setattr(stability, "require_torsion_free", lambda fam, fan: None)
                     m.setattr(stability, "_corners_are_axis_meets", lambda fam: True)
-                    v = _outcome(mu_test, bad, fan, h)
+                    v = _outcome(mu_test, fresh_copy(bad), fan, h)
                 if isinstance(v, stability.StabilityVerdict):
                     would_be.add(v.verdict)
     assert would_be == {STABLE, SEMISTABLE, UNSTABLE}
@@ -1456,8 +1476,8 @@ def test_unsorted_weight_keys_read_in_their_own_order(p2):
 
 def test_cone_index_and_validation_work_counts(monkeypatch, corpus, amples):
     """Across the six stability calls on 20 families, each fan's cone index is
-    built once, and the torsion-free validator runs twice per family (in
-    mu_test and mu_weights), as before the index."""
+    built once, and the torsion-free validator runs once per family: mu_test
+    validates, and mu_weights reads the record."""
     import weakref
 
     from toricsheaves import family, fan as fanmod
@@ -1480,22 +1500,34 @@ def test_cone_index_and_validation_work_counts(monkeypatch, corpus, amples):
         _, w = choose_r(characteristic_function(fam), fan, h, [fam])
         git_test(fam, w, fan)
     assert len(built) == len(corpus)
-    assert len(validated) == 2 * len(fams)
+    assert len(validated) == len(fams)
 
 
-# --- meet tables carried by weight systems ---------------------------------------
+# --- the record of the last (family, fan) pair -----------------------------------
 
-def test_carried_meet_tables_match_fresh_tables(monkeypatch):
-    """git_test on the meet table a weight system carries against the same
-    entries in a fresh WeightSystem(w.ambient, w.entries), which builds its
-    own table: the weights of mu_weights and of choose_r (with one witness
-    and with two), on families of rank 1-3 over P^2, P^1xP^1, F_1, F_2 and
-    1-3 blow-ups, give the same verdict, margin, witness, exhaustive flag and
-    note.  So do samples, an equal copy of the family and an equal rebuilt
-    fan, each of which gets a table of its own, and malformed keys raise the
-    same error."""
+def _held():
+    """The record stability holds in this thread, or None."""
+    return getattr(stability._LAST, "record", None)
+
+
+def _holds(f, fn):
+    """Whether the record stability holds is that of the family f on the fan fn."""
+    last = _held()
+    return last is not None and last.fam is f and last.fan is fn
+
+
+def test_record_meet_tables_match_fresh_tables(monkeypatch):
+    """git_test on the meet table of a family's record against the same call
+    on a fresh copy of the family, whose new record builds its own table:
+    the weights of mu_weights and of choose_r (with one witness and with
+    two), on families of rank 1-3 over P^2, P^1xP^1, F_1, F_2 and 1-3
+    blow-ups, give the same verdict, margin, witness, exhaustive flag and
+    note.  A call builds a table unless the record it finds is that of its
+    very family and fan, and a repeated call builds none; samples get a
+    table of their own, which is not kept, an equal copy of the family and
+    an equal rebuilt fan each get a record of their own, and malformed keys
+    raise the same error either way."""
     from test_family import random_oracle_families
-    from toricsheaves.family import family_from_json, family_to_json
     from toricsheaves.fan import fan_from_json, fan_to_json
 
     built = _count_calls(monkeypatch, stability, "_MeetTable")
@@ -1525,32 +1557,30 @@ def test_carried_meet_tables_match_fresh_tables(monkeypatch):
             if not isinstance(w, WeightSystem):
                 seen.add(f"{source} refused")
                 continue
-            assert [t.fam for t in w._meets] == targets
-            fresh = WeightSystem(w.ambient, w.entries)
-            assert fresh == w and fresh._meets == ()
             for target in targets:
-                copy = family_from_json(family_to_json(target))
+                copy = fresh_copy(target)
                 assert copy == target and copy is not target
                 for f, fn, n_random in ((target, fan, 0), (target, fan, 4),
                                         (copy, fan, 0), (target, fan_copy, 0)):
-                    want = _outcome(git_test, f, fresh, fn, n_random, k)
-                    del built[:]
-                    got = _outcome(git_test, f, w, fn, n_random, k)
-                    assert got == want
                     # rank 1 has no proper subspace to sample
                     samples = n_random and fam.rank > 1
-                    carried = f is target and fn is fan and not samples
-                    assert len(built) == (0 if carried else 1)
+                    for _ in range(2):
+                        last, held = _held(), _holds(f, fn)
+                        del built[:]
+                        got = _outcome(git_test, f, w, fn, n_random, k)
+                        assert len(built) == (0 if held and not samples else 1)
+                        # the record is the call's own, unless samples were drawn
+                        assert _held() is last if samples else _holds(f, fn)
+                    assert got == _outcome(git_test, fresh_copy(f), w, fn, n_random, k)
                     if isinstance(got, stability.StabilityVerdict):
                         seen.update({got.verdict, got.note, f"{source} rank {fam.rank}"})
                     else:
                         seen.add(got[1][:20])
                 for key, message in bad_keys:
-                    entries = w.entries[:1] + ((key, 1),) + w.entries[1:]
-                    for ws in (WeightSystem(w.ambient, entries, w._meets),
-                               WeightSystem(w.ambient, entries)):
+                    bad = WeightSystem(w.ambient, w.entries[:1] + ((key, 1),) + w.entries[1:])
+                    for f in (target, target, fresh_copy(target)):
                         with pytest.raises(ValueError, match=message):
-                            git_test(target, ws, fan)
+                            git_test(f, bad, fan)
             seen.add(f"{source} with {len(targets)} witnesses")
     assert {STABLE, SEMISTABLE, UNSTABLE, None, "distinguished-set verdict (rank >= 3)",
             "closure refused", "the rank >= 3 test s",
@@ -1558,19 +1588,188 @@ def test_carried_meet_tables_match_fresh_tables(monkeypatch):
             "mu with 1 witnesses", "R with 1 witnesses", "R with 2 witnesses"} <= seen
 
 
-def test_weight_systems_carry_their_tables_work_counts(corpus, amples, monkeypatch):
-    """The six stability calls per family build four meet tables: git_test
-    reads the table of mu_weights and that of choose_r."""
-    built = _count_calls(monkeypatch, stability, "_MeetTable")
+def _certify(fam, fan, h, other, seed, take):
+    """The stability calls of one family's certification, one outcome per
+    call, each on take(f) for every family f it is given: mu_test,
+    mu_weights and git_test with its weights, then choose_r with fam and
+    with fam and other as witnesses, each after gieseker_test on its last
+    witness and followed by git_test at its weights, without samples and
+    with them."""
+    chi = characteristic_function(fam)
+    yield _outcome(mu_test, take(fam), fan, h)
+    w = _outcome(mu_weights, take(fam), fan, h)
+    yield w
+    if isinstance(w, WeightSystem):
+        yield _outcome(git_test, take(fam), w, fan)
+    for witnesses in ([fam], [fam, other]):
+        # the record then holds the last witness, with its Xi at h
+        yield _outcome(gieseker_test, take(witnesses[-1]), fan, h)
+        got = _outcome(choose_r, chi, fan, h, [take(f) for f in witnesses])
+        yield got
+        if isinstance(got[-1], WeightSystem):
+            yield _outcome(git_test, take(fam), got[-1], fan)
+            yield _outcome(git_test, take(fam), got[-1], fan, 4, seed)
+
+
+def test_record_matches_fresh_copies(monkeypatch):
+    """Every verdict, margin, witness, note, exhaustive flag, weight system, R
+    and error of the calls of _certify, made in turn on the same objects, so
+    that each reads the record the calls before it filled, equals that of
+    the same call on a fresh copy of each family, which no record holds.
+    The families: ranks 1-3 on P^2, P^1xP^1, F_1, F_2 and a blow-up, invalid
+    ones, rank 0 and a pure one; each is certified on its fan, and every
+    third once more on an equal rebuilt fan, and the certifications of two
+    families A and B also run call by call in the order A, B, A."""
+    from conftest import slab_family
+    from test_family import broken_variants, oracle_fans, random_oracle_families
+    from toricsheaves.fan import fan_from_json, fan_to_json
+
+    # both runs read R_MAX; a smaller one keeps the failed searches short
+    monkeypatch.setattr(stability, "R_MAX", 200)
+    fans = oracle_fans()[:5]
+    rng = random.Random(197)
+    # the first pair of each rank on each fan; rank 3, whose test sets are
+    # slow to close, on P^2 alone
+    cases = [(fan, fam) for k, (fan, fam) in enumerate(random_oracle_families(rng))
+             if fan in fans and k % 6 < 2 and (fam.rank < 3 or fan == fans[0])]
+    cases += [(fan, bad) for fan, fam in cases[1::7] for bad in broken_variants(fam, rng)]
+    cases += [(fans[0], structure_sheaf(fans[0], rank=0)), (fans[0], slab_family(fans[0], 0))]
+    amples = {fan: find_ample(fan) for fan in fans}
+    rebuilt = {fan: fan_from_json(fan_to_json(fan)) for fan in fans}
+    seen = set()
+
+    def run(take):
+        out = []
+        for k, (fan, fam) in enumerate(cases):
+            other = cases[k - 1][1]
+            for fn in (fan, rebuilt[fan])[:1 + (k % 3 == 0)]:
+                out += _certify(fam, fn, amples[fan], other, k, take)
+        a, b = cases[3], cases[8]
+        runs = [_certify(fam, fan, amples[fan], other[1], 5, take)
+                for (fan, fam), other in ((a, b), (b, a), (a, b))]
+        out += itertools.chain.from_iterable(itertools.zip_longest(*runs))
+        return out
+
+    shared, fresh = run(lambda f: f), run(fresh_copy)
+    assert len(shared) == len(fresh) > 300
+    for got, want in zip(shared, fresh):
+        assert got == want
+        if isinstance(got, stability.StabilityVerdict):
+            seen.update({f"{got.test} {got.verdict}", got.note})
+        elif isinstance(got, tuple) and isinstance(got[-1], str):
+            seen.add(" ".join(got[-1].split()[:2]))
+        else:
+            seen.add(type(got[-1] if isinstance(got, tuple) else got).__name__)
+    assert {"mu stable", "mu strictly-semistable", "mu unstable", "git stable", "git unstable",
+            "gieseker stable", "gieseker strictly-semistable", "gieseker unstable",
+            PARTIAL_NOTE, "WeightSystem", "invalid family:", "stability is", "stability tests",
+            "weight system", "no certified"} <= seen
+
+
+def test_record_keeps_no_failure(p2):
+    """A call that is refused stores nothing: the same refusal comes again,
+    with the same message, on every call on the same family, before and
+    after calls that succeed.  So do rank 0, a polarization that is not
+    ample, an invalid family (which the slope calls validate) and a rank-3
+    test set that outgrows CLOSURE_CAP."""
+    from test_family import broken_variants, random_oracle_families
+
+    fam = random_families(p2, 2, 1, seed=223)[0]
+    bad = next(broken_variants(fam, random.Random(227)))
+    closure = next((fan, f) for fan, f in random_oracle_families(random.Random(191))
+                   if isinstance(_outcome(stability.test_subspaces, f)[0], str))
+    every = (mu_test, mu_weights, mu_test, gieseker_test, gieseker_test)
+    tested = (mu_test, gieseker_test, mu_test, gieseker_test)  # the calls that read the test set
+    h3 = find_ample(closure[0])
+    refusals = [  # (fan, family, H, message, the refused calls, a call between them that passes)
+        (p2, structure_sheaf(p2, rank=0), H_P2, "stability is defined for rank >= 1", every, None),
+        (p2, fam, (1, -1, 0), "polarization is not ample", every,
+         lambda: gieseker_test(fam, p2, H_P2) and mu_weights(fam, p2, H_P2)),
+        (p2, bad, H_P2, "invalid family: ", every[:3], None),
+        (*closure, h3, "the rank >= 3 test set does not close", tested,
+         lambda: mu_weights(closure[1], closure[0], h3)),
+    ]
+    for fan, f, h, message, calls, between in refusals:
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(f, fan, h)
+            if between:
+                assert between()
+        assert _holds(f, fan)
+
+
+def test_record_does_not_outlive_the_next_family(p2):
+    """The record holds the last family's meet table, and a call on another
+    family drops it: once collected, neither the record nor its table is
+    left, although the first family and its weight systems are.  A weight
+    system is just its ambient and its entries."""
+    import dataclasses
+    import gc
+    import weakref
+
+    a, b = random_families(p2, 2, 2, seed=211)
+    weights = [mu_weights(a, p2, H_P2), choose_r(characteristic_function(a), p2, H_P2, [a])[1]]
+    assert [f.name for f in dataclasses.fields(WeightSystem)] == ["ambient", "entries"]
+    record = weakref.ref(_held())
+    table = weakref.ref(_held().meets)
+    assert record().fam is a and git_test(a, weights[1], p2).test == "git"
+    mu_test(b, p2, H_P2)
+    gc.collect()
+    assert record() is None and table() is None
+    assert _holds(b, p2) and len(weights) == 2
+
+
+def test_threads_hold_records_of_their_own(p2, p1p1):
+    """Each thread holds a record of its own, so threads share no table: two
+    threads that certify the same family objects at once, switching often,
+    each get the results of a run in one thread, and the record of the
+    thread that started them is left as it was."""
+    import threading
+
+    jobs = [(fam, fan, find_ample(fan)) for fan in (p2, p1p1)
+            for fam in random_families(fan, 2, 5, seed=229)]
+
+    def certify_all():
+        return [list(_certify(fam, fan, h, fam, 0, lambda f: f)) for fam, fan, h in jobs]
+
+    want = certify_all()
+    mu_test(jobs[0][0], p2, jobs[0][2])
+    mine = _held()
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(certify_all())) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want]
+    assert _held() is mine
+
+
+def test_stability_calls_share_one_table_work_counts(corpus, amples, monkeypatch):
+    """The six stability calls per family build one meet table, its flag
+    data and Xi, validate once and ask reflexivity once: each call reads the
+    record of the family that the first call fills."""
+    from toricsheaves import family
+
+    steps = ((stability, "_MeetTable"), (stability, "_flag_data"), (stability, "xi_weights"),
+             (family, "validate_torsion_free"), (family, "_corners_are_axis_meets"))
+    counts = {name: _count_calls(monkeypatch, module, name) for module, name in steps}
     fams = [(fan, amples[name], fam) for name, fan in corpus.items()
             for fam in random_families(fan, 2, 4, seed=4001)]
     for fan, h, fam in fams:
-        del built[:]
         mu_test(fam, fan, h)
         git_test(fam, mu_weights(fam, fan, h), fan)
         gieseker_test(fam, fan, h)
         git_test(fam, choose_r(characteristic_function(fam), fan, h, [fam])[1], fan)
-        assert len(built) == 4
+        assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 1)
+        for calls in counts.values():
+            del calls[:]
 
 
 def test_meet_table_faces_match_face_source(monkeypatch):
