@@ -11,10 +11,17 @@ Each command decodes and validates each input file once: a fan in
 ``_load_fan`` (``fan-check`` validates and reports it itself) and a family in
 ``_load_family``.  A fan keeps its validation report on the object, so the
 library functions the command calls on it read that report and do not
-validate it again.  A family keeps nothing, so the slope commands call
-``_mu_test`` and ``_mu_weights``, the entries of ``mu_test`` and
-``mu_weights`` that take the family as valid; the public functions validate
-it first.
+validate it again.  A family keeps no report.  Its grids keep only what the
+decoder proved: a grid whose fill proved it monotone carries that record, and
+validation skips its inclusion scan but runs every other check.  So the slope
+commands call ``_mu_test`` and ``_mu_weights``, the entries of ``mu_test``
+and ``mu_weights`` that take the family as valid; the public functions
+validate it first.
+
+``fan-check`` lists the star of every cone, at a cost that grows with the
+square of the number of cones, so it refuses (exit 2) a fan whose maximal
+cones have more than ``fan.MAX_LISTED_FACES`` faces, counted once per
+maximal cone, before it builds the face lattice.
 
 ``run`` builds its argument parser once per process (``build_parser`` still
 returns a fresh one): parsing keeps no state in the parser, every default is
@@ -43,6 +50,7 @@ from .family import (
     validate_family,
 )
 from .fan import (
+    MAX_LISTED_FACES,
     Fan,
     _report,
     _require_valid,
@@ -149,6 +157,10 @@ def _cmd_fan_check(args) -> int:
     doc = {"valid": not report, "report": report}
     lines = ["valid"] if not report else [f"invalid: {r}" for r in report]
     if not report:
+        faces = sum(1 << len(mc) for mc in fan.max_cones)  # counted before any is built
+        if faces > MAX_LISTED_FACES:
+            raise InputError(f"{args.fan}: its maximal cones have {faces} faces, each counted "
+                             f"once per maximal cone; fan-check accepts at most {MAX_LISTED_FACES}")
         doc["euler_characteristic"] = euler_characteristic(fan)
         doc["cone_count_identity"] = {
             str(list(tau)): cone_count_identity(fan, tau) for tau in fan.cones()

@@ -21,7 +21,25 @@ A family file is decoded in integers.  The _RATIONAL pattern gates each
 basis entry (an int, or a string p or p/q with q > 0), which is read as a
 numerator and a denominator; each row is scaled by the lcm of its
 denominators, so the integer kernel of subspace gets int rows and no
-Fraction is built.  The box is then filled in one pass in box order.
+Fraction is built.  Every cone entry's box is read and counted before any
+value is built.  Each box is then filled in one pass in box order.
+
+The fill proves a grid monotone, or leaves it to validation.  A point's
+value is its jump if it has one, else its join: the sum of the seeds at or
+below it, a seed being a jump in the box or one below lo moved up onto lo.
+The join grows along every axis, and every value lies in its own join,
+since a jump is a seed at its point.  So when every jump in the box
+contains `below` at its point, the sum of the joins one step down, each
+value includes into the value one step up: into a join, since the join
+there contains the join here; into a jump, since the join here is part of
+`below` there.  The decoder checks this at each jump, and records a grid
+that passes as monotone in its instance dict, as _face_of keeps faces;
+validation then skips that grid's inclusion scan (_proved_monotone).  The
+condition is sufficient, not necessary: a jump moved up from below lo onto
+the point of a jump enlarges the join there but not the value, so the jump
+one step up may fail it in a monotone grid.  Such a grid, and any grid
+built in memory, is scanned.  Gluing, the box top and the other per-cone
+checks run on every grid.
 """
 
 from __future__ import annotations
@@ -559,9 +577,11 @@ def _cone_report(fam: DeltaFamily, fan: Fan, carrying: set[int], missing: str,
 def _limit_report(i: int, grid: CornerFamily, full: bool) -> list[str]:
     """One cone of a torsion-free family: monotone, with the value at the
     box top the full space (full) or only nonzero (a pure family supported
-    on the whole surface)."""
-    report = [f"cone {i}: not monotone at {lam} direction {k}"
-              for lam, k in _inclusion_breaks(grid, drop_ok=False)]
+    on the whole surface).  A grid the decoder proved monotone is not
+    scanned."""
+    report = [] if _proved_monotone(grid) else [
+        f"cone {i}: not monotone at {lam} direction {k}"
+        for lam, k in _inclusion_breaks(grid, drop_ok=False)]
     top = grid._entry(grid.hi)
     if full and not top.is_full():
         report.append(f"cone {i}: value at the box top is not the full space")
@@ -631,8 +651,9 @@ def _pure_cone_report(i: int, grid: CornerFamily, patterns: list[tuple[int, ...]
         report.append(
             f"cone {i}: support pattern {sorted(detected)} does not match declared {sorted(expected)}"
         )
-    for lam, k in _inclusion_breaks(grid, drop_ok=True):
-        report.append(f"cone {i}: value at {lam} does not include into direction {k}")
+    if not _proved_monotone(grid):  # a monotone grid has no break, with drops or without
+        for lam, k in _inclusion_breaks(grid, drop_ok=True):
+            report.append(f"cone {i}: value at {lam} does not include into direction {k}")
     bounded = sorted(set(p for T in patterns for p in T))
     if not bounded:
         return report
@@ -794,21 +815,27 @@ def intersect_with_subspace(fam: DeltaFamily, w: SubspaceQ) -> DeltaFamily:
 # serialization
 
 def _box_joins(lo, hi, ambient: int, seed) -> list[SubspaceQ]:
-    """The joins over the lo..hi box in box order, in one pass.  At each point
-    lam (index i), `below` is the sum of the joins one step down in each
-    coordinate inside the box; seed(i, lam, below) returns the subspace seeded
-    at lam, or None, and the join at lam is below plus the seed.  So the join
-    at lam is the sum of every seed at a point mu <= lam."""
+    """The joins over the lo..hi box in box order, in one pass.  At the point
+    of index i, `below` is the sum of the joins one step down in each
+    coordinate inside the box; seed(i, below) returns the subspace seeded at
+    i, or None, and the join at i is below plus the seed.  So the join at a
+    point is the sum of every seed at a point at or below it.  Neighbours
+    often share one join object: it is added once, and the grid keeps the
+    sharing, which the gluing check and the meet table's slots test by
+    identity before they compare values."""
     joins: list[SubspaceQ] = []
     zero = SubspaceQ.zero(ambient)
-    steps = tuple(zip(lo, _strides(lo, hi)))
-    for i, lam in enumerate(box_points(lo, hi)):
+    # per point, the index offset of the step down in each coordinate, 0 at lo
+    downs = itertools.product(*([s * (x > a) for x in range(a, b + 1)]
+                                for a, b, s in zip(lo, hi, _strides(lo, hi))))
+    for i, steps in enumerate(downs):
         below = zero
-        for x, (a, stride) in zip(lam, steps):
-            down = joins[i - stride] if x > a else below
-            if down is not below:  # neighbours often share one join object
-                below = below.sum(down) if below.rows else down
-        v = seed(i, lam, below)
+        for s in steps:
+            if s:
+                down = joins[i - s]
+                if down is not below:
+                    below = below.sum(down) if below.rows else down
+        v = seed(i, below)
         joins.append(below if v is None else below.sum(v) if below.rows else v)
     return joins
 
@@ -816,17 +843,18 @@ def _box_joins(lo, hi, ambient: int, seed) -> list[SubspaceQ]:
 def _grid_jumps(grid: CornerFamily) -> list[dict]:
     """Minimal explicit entries: a point is written iff the join of the
     already-written entries below it does not reproduce the value."""
-    entries: list[tuple[tuple[int, ...], SubspaceQ]] = []
+    written: list[int] = []
 
-    def seed(i, lam, below):
+    def seed(i, below):
         actual = grid.values[i]
         if below != actual:
-            entries.append((lam, actual))
+            written.append(i)
             return actual
         return None
 
     _box_joins(grid.lo, grid.hi, grid.ambient, seed)
-    return [{"at": list(lam), "basis": v.basis_str()} for lam, v in entries]
+    points = list(grid.points())
+    return [{"at": list(points[i]), "basis": grid.values[i].basis_str()} for i in written]
 
 
 def family_to_json(fam: DeltaFamily) -> str:
@@ -851,6 +879,17 @@ def family_to_json(fam: DeltaFamily) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # p or p/q with q > 0
 # lattice points one cone's lo..hi box may hold; every point stores a subspace
 MAX_BOX_POINTS = 10_000
+# lattice points the boxes of all cone entries of one file may hold together
+MAX_FAMILY_POINTS = 20_000
+
+
+def _ints(x, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple: one type check per entry, and
+    _json_int only to name the first entry that is not a JSON integer."""
+    for v in _json_of(list, x, what):
+        if type(v) is not int:
+            return tuple(_json_int(y, what + " entry") for y in x)
+    return tuple(x)
 
 
 def _basis_row(row) -> list[int]:
@@ -873,7 +912,69 @@ def _basis_row(row) -> list[int]:
     return nums if den == 1 else [p * (den // q) for p, q in zip(nums, dens)]
 
 
+def _proved_monotone(grid: CornerFamily) -> bool:
+    """True if family_from_json proved grid monotone as it filled it; the
+    record lives in the grid's instance dict, so a grid rebuilt from it
+    (map_values, shift, trim) carries none."""
+    return "_monotone" in grid.__dict__
+
+
+def _grid_from_jumps(jumps, index: int, cone, lo, hi, m: int) -> CornerFamily:
+    """One cone entry's grid, filled in one pass by _box_joins, and recorded
+    as monotone in its instance dict when the fill proves it (see the module
+    docstring).  Jumps and seeds are keyed by box index."""
+    strides = _strides(lo, hi)
+    ats: set[tuple[int, ...]] = set()
+    explicit: dict[int, SubspaceQ] = {}  # the jumps in the box
+    seeds: dict[int, SubspaceQ] = {}  # the sum of the jumps that act from each point
+    for j in _json_of(list, jumps, "jumps"):
+        _json_of(dict, j, "jump")
+        for field in ("at", "basis"):
+            if field not in j:
+                raise ValueError(f"family jump missing field '{field}'")
+        at = _ints(j["at"], "at")
+        if len(at) != len(cone):
+            raise ValueError(f"family cone {index}: jump at {list(at)} has {len(at)} "
+                             f"entries for a cone of {len(cone)} rays")
+        if at in ats:
+            raise ValueError(f"family cone {index}: two jumps at {list(at)}")
+        ats.add(at)
+        # every entry of the jump is read before span checks any row's length
+        v = SubspaceQ.span([_basis_row(row) for row in _json_of(list, j["basis"], "basis")], m)
+        # a jump below lo acts from lo on; one above hi reaches no point of the box
+        i, inside = 0, True
+        for x, a, b, stride in zip(at, lo, hi, strides):
+            if x > b:
+                break
+            if x < a:
+                x, inside = a, False
+            i += (x - a) * stride
+        else:
+            if inside:
+                explicit[i] = v
+            seeds[i] = seeds[i].sum(v) if i in seeds else v
+    breaks = []
+
+    def seed(i, below):
+        v = explicit.get(i)
+        if v is not None and not v.contains(below):
+            breaks.append(i)
+        return seeds.get(i)
+
+    vals = _box_joins(lo, hi, m, seed)
+    for i, v in explicit.items():
+        vals[i] = v
+    grid = CornerFamily(cone, lo, hi, tuple(vals), m)
+    if not breaks:
+        grid.__dict__["_monotone"] = True
+    return grid
+
+
 def family_from_json(text: str) -> DeltaFamily:
+    """The family a file describes.  Every cone entry's box is read and
+    counted before any value is built; each grid is then filled in one pass
+    and recorded as monotone when the fill proves it (see the module
+    docstring)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -889,12 +990,11 @@ def family_from_json(text: str) -> DeltaFamily:
     if m < 0:
         raise ValueError(f"family rank {m} is negative")
 
-    def ints(x, what):
-        return tuple(_json_int(v, what + " entry") for v in _json_of(list, x, what))
-
-    corners = []
+    entries = _json_of(list, doc["cones"], "cones")
+    boxes = []
     seen: set[int] = set()
-    for entry in _json_of(list, doc["cones"], "cones"):
+    total = 0
+    for entry in entries:
         _json_of(dict, entry, "family cone entry")
         for field in ("index", "cone", "lo", "hi", "jumps"):
             if field not in entry:
@@ -903,9 +1003,7 @@ def family_from_json(text: str) -> DeltaFamily:
         if index in seen:
             raise ValueError(f"family cone {index}: two cone entries with this index")
         seen.add(index)
-        cone = ints(entry["cone"], "cone")
-        lo = ints(entry["lo"], "lo")
-        hi = ints(entry["hi"], "hi")
+        cone, lo, hi = (_ints(entry[field], field) for field in ("cone", "lo", "hi"))
         if not len(cone) == len(lo) == len(hi):
             raise ValueError(f"family cone {index}: cone, lo and hi have lengths "
                              f"{len(cone)}, {len(lo)} and {len(hi)}; they must be equal")
@@ -915,33 +1013,17 @@ def family_from_json(text: str) -> DeltaFamily:
         if points > MAX_BOX_POINTS:
             raise ValueError(f"family cone {index}: its lo..hi box has {points} points; "
                              f"at most {MAX_BOX_POINTS} are accepted")
-        explicit: dict[tuple[int, ...], SubspaceQ] = {}
-        for j in _json_of(list, entry["jumps"], "jumps"):
-            _json_of(dict, j, "jump")
-            for field in ("at", "basis"):
-                if field not in j:
-                    raise ValueError(f"family jump missing field '{field}'")
-            at = ints(j["at"], "at")
-            if len(at) != len(cone):
-                raise ValueError(f"family cone {index}: jump at {list(at)} has {len(at)} "
-                                 f"entries for a cone of {len(cone)} rays")
-            if at in explicit:
-                raise ValueError(f"family cone {index}: two jumps at {list(at)}")
-            # every entry of the jump is read before span checks any row's length
-            rows = [_basis_row(row) for row in _json_of(list, j["basis"], "basis")]
-            explicit[at] = SubspaceQ.span(rows, m)
-        # a jump below lo acts from lo on; one above hi stays outside the box
-        seeds: dict[tuple[int, ...], SubspaceQ] = {}
-        for at, v in explicit.items():
-            key = tuple(max(x, a) for x, a in zip(at, lo))
-            seeds[key] = seeds[key].sum(v) if key in seeds else v
-        joins = _box_joins(lo, hi, m, lambda i, lam, below: seeds.get(lam))
-        vals = tuple(explicit.get(lam, join) for lam, join in zip(box_points(lo, hi), joins))
-        corners.append((index, CornerFamily(cone, lo, hi, vals, m)))
+        total += points
+        boxes.append((index, cone, lo, hi))
+    if total > MAX_FAMILY_POINTS:
+        raise ValueError(f"family file: its cone boxes hold {total} points in all; "
+                         f"at most {MAX_FAMILY_POINTS} are accepted")
+    corners = tuple((index, _grid_from_jumps(entry["jumps"], index, cone, lo, hi, m))
+                    for entry, (index, cone, lo, hi) in zip(entries, boxes))
     support = tuple(
-        ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")
+        _ints(t, "support") for t in _json_of(list, doc.get("support", [[]]), "support list")
     )
     if doc["kind"] != KIND_PURE and support != (APEX,):
         raise ValueError(f"family support {[list(t) for t in support]} is not the apex [[]]: "
                          f"a {doc['kind']} family is supported on the whole variety")
-    return DeltaFamily(doc["kind"], m, tuple(corners), support)
+    return DeltaFamily(doc["kind"], m, corners, support)

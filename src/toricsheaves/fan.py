@@ -29,16 +29,28 @@ def _primitive(v: Sequence[int]) -> bool:
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: O(n^3) integer steps, each division exact, every entry a
+    minor of the matrix, so entries stay as small as the minors.  A 2 x 2
+    matrix, the cone of a surface, is read off directly."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def _cross2(u: Sequence[int], v: Sequence[int]) -> int:
@@ -94,6 +106,11 @@ class ConeIndex(NamedTuple):
     # containing it, in index order; keyed in the order of cones, read-only
     containers: types.MappingProxyType[ConeRef, tuple[tuple[int, tuple[int, ...]], ...]]
 
+
+# faces of a fan's maximal cones, each counted once per maximal cone that has
+# it, that fan-check accepts: its cone-count identity reads the star of every
+# cone, a cost that grows with the square of the number of cones
+MAX_LISTED_FACES = 2_048
 
 # fan -> its cone index; an entry goes when the fan object that keys it is collected
 _INDEXES: weakref.WeakKeyDictionary[Fan, ConeIndex] = weakref.WeakKeyDictionary()

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -126,6 +127,72 @@ def test_family_check_validates_torsion_free_once(files, p2, capsys, monkeypatch
         assert code == 0
         assert out == f"kind: {kind}\nrank: {2 if reflexive else 1}\nvalid\nreflexive: {reflexive}\n"
         assert len(calls) == 1
+
+
+def test_load_family_scans_only_grids_not_proved_monotone(files, corpus, capsys, monkeypatch):
+    """A decoded family whose grids the decoder proved monotone loads with no
+    inclusion scan; a non-monotone edit is scanned on the grid that failed
+    the proof and reported exactly as before."""
+    from toricsheaves import family
+
+    scanned = []
+    real = family._inclusion_breaks
+    monkeypatch.setattr(family, "_inclusion_breaks",
+                        lambda grid, drop_ok: scanned.append(grid) or real(grid, drop_ok))
+    paths = [(files["fan"], files["family"]), (files["fan"], files["o"])]
+    for k, fan in corpus.items():
+        fan_path = files["dir"] / f"fan_{k}.json"
+        fan_path.write_text(fan_to_json(fan))
+        for rank in (1, 2):
+            for i, fam in enumerate(random_families(fan, rank, 4, seed=17)):
+                path = files["dir"] / f"fam_{k}_{rank}_{i}.json"
+                path.write_text(family_to_json(fam))
+                paths.append((str(fan_path), str(path)))
+    for fan_path, path in paths:
+        loaded = cli._load_family(path, cli._load_fan(fan_path))
+        assert loaded.kind != "pure"
+    assert scanned == []
+
+    # a line at the bottom of cone 0 that neither jump above it contains
+    doc = json.loads(Path(files["family"]).read_text())
+    doc["cones"][0]["jumps"].append({"at": [0, 0], "basis": [["1", "1"]]})
+    bad = files["dir"] / "not_monotone.json"
+    bad.write_text(json.dumps(doc))
+    lines = ["cone 0: not monotone at (0, 0) direction 0",
+             "cone 0: not monotone at (0, 0) direction 1"]
+    code, out, err = run_cli(["family-check", "--fan", files["fan"], "--family", str(bad)], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["kind: reflexive", "rank: 2", *(f"invalid: {r}" for r in lines)]
+    assert [grid.cone for grid in scanned] == [(0, 1)]
+    code, out, err = run_cli(["chern", "--fan", files["fan"], "--family", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: invalid family: {'; '.join(lines)}\n"
+
+
+def test_fan_check_bounds_its_face_lattice(tmp_path, capsys):
+    """fan-check refuses, before the face lattice is built, a fan whose
+    maximal cones have more than MAX_LISTED_FACES faces counted once per
+    maximal cone: P^7 has 8 * 2^7 = 1024 and is checked, P^8 has 2304."""
+    import time
+
+    from toricsheaves.fan import MAX_LISTED_FACES, Fan
+
+    assert MAX_LISTED_FACES == 2048
+    for n in range(3, 13):
+        rays = [[int(i == k) for i in range(n)] for k in range(n)] + [[-1] * n]
+        path = tmp_path / f"p{n}.json"
+        path.write_text(fan_to_json(Fan.make(n, rays, itertools.combinations(range(n + 1), n))))
+        start = time.perf_counter()
+        code, out, err = run_cli(["fan-check", "--fan", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0, n
+        faces = (n + 1) << n
+        if faces <= MAX_LISTED_FACES:
+            assert (code, err) == (0, "")
+            assert out == f"valid\neuler characteristic: {n + 1}\ncone-count identity: all 1\n"
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"error: {path}: its maximal cones have {faces} faces, each counted "
+                           f"once per maximal cone; fan-check accepts at most 2048\n")
 
 
 def test_each_decoded_input_is_validated_once(files, p2, monkeypatch):
@@ -501,6 +568,16 @@ def _enumerate(files, *args):
     return ["enumerate", "--fan", files["fan"], *args]
 
 
+def _many_boxes(files):
+    """family-check on a 21 KB file of 200 cone entries of 100 x 100 points
+    each: every box is within MAX_BOX_POINTS, their total is not."""
+    path = files["dir"] / "many_boxes.json"
+    path.write_text(json.dumps({"kind": "torsion-free", "rank": 1, "cones": [
+        {"index": i, "cone": [0, 1], "lo": [0, 0], "hi": [99, 99],
+         "jumps": [{"at": [0, 0], "basis": [["1"]]}]} for i in range(200)]}))
+    return ["family-check", "--fan", files["fan"], "--family", str(path)]
+
+
 @pytest.mark.parametrize(
     "make_args, hint",
     [
@@ -536,6 +613,8 @@ def _enumerate(files, *args):
         pytest.param(lambda f: _enumerate(f, "--rank", "1", "--c1", f["ample"], "--c2-max", "1",
                                           "--box", "0"),
                      "reaches the window bound 0", id="enumerate-rank1-box-0"),
+        pytest.param(_many_boxes, "hold 2000000 points in all; at most 20000",
+                     id="family-total-box-points"),
     ],
 )
 def test_out_of_bound_work_exit_2(files, make_args, hint):

@@ -1059,3 +1059,175 @@ def test_decoding_builds_no_fraction(monkeypatch):
     for text in texts:
         family_from_json(text)
     assert built == []
+
+
+# --- monotonicity proved while decoding, against the inclusion scan ----------------
+#
+# family_from_json records a grid as monotone when every jump in its box
+# contains the join one step below it, and validation then skips that grid's
+# inclusion scan.  The oracle is the same validation on an in-memory copy
+# whose grids are rebuilt by map_values, so none carries the record and every
+# grid is scanned.
+
+def unrecorded(fam):
+    return fam.map_corners(lambda g: g.map_values(lambda v: v))
+
+
+def proved_cones(fam):
+    from toricsheaves.family import _proved_monotone
+
+    return [i for i, g in fam.corners if _proved_monotone(g)]
+
+
+def certified_path_fans():
+    return [projective_plane(), p1_x_p1(), hirzebruch(1), hirzebruch(2),
+            random_smooth_complete_fan(random.Random(3), 3)]
+
+
+def decoder_mutants(text, rng):
+    """(name, text) for each edit of a family file the certified path must
+    survive: one jump made smaller or different, a jump below lo clamped
+    onto the point of a jump, a jump above hi, one cone entry moved by one
+    step (a gluing mismatch), and one entry's jumps cut by a hyperplane (a
+    top that is not full, in a grid the decoder still proves monotone)."""
+    doc = json.loads(text)
+    rank = doc["rank"]
+    grids = family_from_json(text).corner_map()
+
+    def edited(edit):
+        new = json.loads(text)
+        entry = rng.choice([e for e in new["cones"] if e["jumps"]] or new["cones"])
+        edit(entry)
+        return json.dumps(new)
+
+    def smaller(entry):
+        jump = rng.choice(entry["jumps"])
+        dim = len(jump["basis"])
+        jump["basis"] = random_subspace(rng, rank, rng.randrange(max(dim, 1))).basis_str()
+
+    def different(entry):
+        jump = rng.choice(entry["jumps"])
+        jump["basis"] = random_subspace(rng, rank, len(jump["basis"])).basis_str()
+
+    def clamped(entry):
+        lo = entry["lo"]
+        if not any(j["at"] == lo for j in entry["jumps"]):
+            entry["jumps"].append({"at": lo, "basis": grids[entry["index"]].values[0].basis_str()})
+        below = [a - rng.randrange(3, 5) for a in lo]  # no file here has a jump there
+        entry["jumps"].append({"at": below, "basis": random_subspace(rng, rank, 1).basis_str()})
+
+    def above_hi(entry):
+        at = [rng.randint(a, b) for a, b in zip(entry["lo"], entry["hi"])]
+        k = rng.randrange(len(at))
+        at[k] = entry["hi"][k] + rng.randrange(3, 5)
+        entry["jumps"].append({"at": at, "basis": random_subspace(rng, rank, 1).basis_str()})
+
+    def moved(entry):
+        for key in ("lo", "hi"):
+            entry[key][0] += 1
+        for j in entry["jumps"]:
+            j["at"][0] += 1
+
+    def cut(entry):
+        plane = random_subspace(rng, rank, rank - 1)
+        for j in entry["jumps"]:
+            v = SubspaceQ.span([[Fraction(x) for x in row] for row in j["basis"]], rank)
+            j["basis"] = v.intersect(plane).basis_str()
+
+    edits = [smaller, different, clamped, above_hi, moved, cut]
+    return [(edit.__name__, edited(edit)) for edit in edits if rank > 0]
+
+
+def certified_path_files():
+    """(fan, base, name, text): the files of random families of ranks 1-3 on every
+    certified-path fan (random_families draws ranks 1 and 2, random flags
+    rank 3), pure families, and every decoder mutant of each; base is
+    "valid" or "pure" for each file and for its mutants, name the mutant's."""
+    rng = random.Random(163)
+    out = []
+    for fan in certified_path_fans():
+        fams = [fam for rank in (1, 2)
+                for fam in random_families(fan, rank, 3, seed=rng.randrange(10 ** 6))]
+        fams += [random_flag_family(fan, 3, rng) for _ in range(2)]
+        out += [(fan, "valid", family_to_json(fam)) for fam in fams]
+        ray = rng.randrange(fan.n_rays())
+        out.append((fan, "pure", family_to_json(slab_family(fan, ray, 2))))
+        for rank in (1, 2):
+            for support in (((),), ((ray,),)):
+                doc = random_family_doc(fan, rank, rng, KIND_PURE, support)
+                out.append((fan, "pure", json.dumps(doc)))
+    out.append((projective_plane(), "pure", family_to_json(two_axes_family(projective_plane()))))
+    out = [(fan, name, name, text) for fan, name, text in out]
+    out += [(fan, base, name, mutant) for fan, base, _, text in list(out)
+            for name, mutant in decoder_mutants(text, rng)]
+    return out
+
+
+def test_certified_path_matches_unrecorded_copies():
+    from toricsheaves.family import validate_family
+
+    seen = {}  # name -> [files, reported invalid, some grid proved, some grid not proved]
+    for fan, base, name, text in certified_path_files():
+        fam = family_from_json(text)
+        report = validate_family(fam, fan)
+        assert report == validate_family(unrecorded(fam), fan), (name, text)
+        proved = proved_cones(fam)
+        if base == "valid" and name in ("valid", "above_hi", "moved", "cut"):
+            # every torsion-free file the encoder writes is proved monotone, and
+            # so it stays after these edits: a moved entry and a cut top then fail
+            # validation in grids whose inclusion scan is skipped
+            assert len(proved) == len(fam.corners), (name, text)
+            assert bool(report) == (name in ("moved", "cut")), (name, report)
+        tally = seen.setdefault(name, [0, 0, 0, 0])
+        tally[0] += 1
+        tally[1] += bool(report)
+        tally[2] += bool(proved)
+        tally[3] += len(proved) < len(fam.corners)
+    assert set(seen) == {"valid", "pure", "smaller", "different", "clamped", "above_hi",
+                         "moved", "cut"}
+    for name in ("smaller", "different", "clamped"):
+        assert min(seen[name]) > 0, (name, seen)
+
+
+def test_clamped_jump_can_fail_the_proof_of_a_monotone_grid():
+    from toricsheaves.family import _inclusion_breaks
+
+    # the y-line below lo joins the x-line at (0, 0) but not the value there,
+    # so the x-line jump at (1, 0) misses the join below it though the grid
+    # x, x, full is monotone
+    text = json.dumps({"kind": "torsion-free", "rank": 2, "cones": [{
+        "index": 0, "cone": [0, 1], "lo": [0, 0], "hi": [2, 0], "jumps": [
+            {"at": [-1, 0], "basis": [["0", "1"]]},
+            {"at": [0, 0], "basis": [["1", "0"]]},
+            {"at": [1, 0], "basis": [["1", "0"]]},
+            {"at": [2, 0], "basis": [["1", "0"], ["0", "1"]]},
+        ]}]})
+    fam = family_from_json(text)
+    grid = fam.corners[0][1]
+    x = SubspaceQ.span([(1, 0)], 2)
+    assert grid.values == (x, x, SubspaceQ.full(2))
+    assert proved_cones(fam) == []
+    assert list(_inclusion_breaks(grid, drop_ok=False)) == []
+
+
+def test_family_json_total_box_cap(p2, monkeypatch):
+    from toricsheaves import family
+    from toricsheaves.family import MAX_FAMILY_POINTS
+
+    doc = json.loads(family_to_json(rank2_three_lines(p2)))
+    lo = doc["cones"][1]["lo"]
+    doc["cones"][1]["hi"] = [lo[0] + 99, lo[1] + 99]  # one full cone and two small ones
+    assert MAX_FAMILY_POINTS == 20_000
+    family_from_json(json.dumps(doc))
+    big = [{"index": i, "cone": [0, 1], "lo": [0, 0], "hi": [99, 99],
+            "jumps": [{"at": [0, 0], "basis": [["1"]]}]} for i in range(200)]
+    text = json.dumps({"kind": "torsion-free", "rank": 1, "cones": big})
+    # every box is counted before any grid is built
+    monkeypatch.setattr(family, "_grid_from_jumps", None)
+    with pytest.raises(ValueError, match="^family file: its cone boxes hold 2000000 points in "
+                                         "all; at most 20000 are accepted$"):
+        family_from_json(text)
+    text = json.dumps({"kind": "torsion-free", "rank": 1, "cones": big[:2] + [
+        {"index": 2, "cone": [0, 2], "lo": [0, 0], "hi": [0, 0], "jumps": []}]})
+    with pytest.raises(ValueError, match="hold 20001 points in all"):
+        family_from_json(text)

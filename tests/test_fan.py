@@ -211,3 +211,42 @@ def test_cone_index_built_once_per_equal_fan():
     with pytest.raises(TypeError):
         cone_index(a).containers[(0,)] = ()
     assert cone_index(a) == index_by_scan(a)
+
+
+def det_by_cofactors(rows):
+    """The determinant by expansion along the first row, as validate_fan
+    computed it before fraction-free elimination."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * det_by_cofactors([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def test_det_matches_cofactor_expansion():
+    from toricsheaves.fan import _det
+
+    rng = random.Random(167)
+    seen = {"zero": 0, "unit": 0, "other": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        # many zero entries, so pivots are often zero and rows get swapped
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+        d = _det(rows)
+        assert d == det_by_cofactors(rows), rows
+        seen["zero" if d == 0 else "unit" if abs(d) == 1 else "other"] += 1
+    assert min(seen.values()) > 0, seen
+    big = [[2 ** 70 + i * j for j in range(4)] for i in range(4)]
+    assert _det(big) == det_by_cofactors(big)
+
+
+def test_validate_fan_in_high_rank_is_polynomial():
+    """Each maximal cone's determinant costs O(r^3), not O(r!): P^12 (13
+    cones of 12 rays) validates at once, and a cone with a doubled ray is
+    caught as not smooth."""
+    n = 12
+    rays = [[int(i == k) for i in range(n)] for k in range(n)] + [[-1] * n]
+    fan = Fan.make(n, rays, itertools.combinations(range(n + 1), n))
+    assert validate_fan(fan) == []
+    rays[0] = [2] + [0] * (n - 1)
+    report = validate_fan(Fan.make(n, rays, fan.max_cones))
+    assert sum("not smooth: |det| = 2" in r for r in report) == n  # every cone with ray 0
