@@ -18,10 +18,11 @@ commands call ``_mu_test`` and ``_mu_weights``, the entries of ``mu_test``
 and ``mu_weights`` that take the family as valid; the public functions
 validate it first.
 
-``fan-check`` lists the star of every cone, at a cost that grows with the
-square of the number of cones, so it refuses (exit 2) a fan whose maximal
-cones have more than ``fan.MAX_LISTED_FACES`` faces, counted once per
-maximal cone, before it builds the face lattice.
+``fan-check`` lists the star size and the cone-count identity of every
+cone, at a cost and an output size that grow with the faces of the maximal
+cones, so it refuses (exit 2) a fan whose maximal cones have more than
+``fan.MAX_LISTED_FACES`` faces, counted once per maximal cone, before it
+builds the face lattice.
 
 ``run`` builds its argument parser once per process (``build_parser`` still
 returns a fresh one): parsing keeps no state in the parser, every default is

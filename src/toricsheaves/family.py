@@ -44,6 +44,7 @@ checks run on every grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -313,15 +314,6 @@ class RayFiltration:
     def last(self) -> int:
         return self.jumps[-1][0]
 
-    def value(self, lam: int) -> SubspaceQ:
-        out = SubspaceQ.zero(self.ambient)
-        for pos, v in self.jumps:
-            if pos <= lam:
-                out = v
-            else:
-                break
-        return out
-
 
 KIND_TORSION_FREE = "torsion-free"
 KIND_REFLEXIVE = "reflexive"
@@ -365,14 +357,21 @@ def reflexive_from_filtrations(filts: Sequence[RayFiltration], fan: Fan) -> Delt
         fs = [by_ray[j] for j in mc]
         lo = tuple(f.first for f in fs)
         hi = tuple(f.last for f in fs)
-        vals = []
-        for lam in box_points(lo, hi):
-            v = SubspaceQ.full(m)
-            for f, x in zip(fs, lam):
-                v = v.intersect(f.value(x))
-            vals.append(v)
-        corners.append((i, CornerFamily(mc, lo, hi, tuple(vals), m)))
+        # the box points in box order are the product of the rays' lo..hi
+        vals = tuple(functools.reduce(SubspaceQ.intersect, meet)
+                     for meet in itertools.product(*map(_ray_values, fs)))
+        corners.append((i, CornerFamily(mc, lo, hi, vals, m)))
     return DeltaFamily(KIND_REFLEXIVE, m, tuple(corners))
+
+
+def _ray_values(f: RayFiltration) -> list[SubspaceQ]:
+    """The values of f at f.first .. f.last: each jump's subspace, held up to
+    the next jump."""
+    out = []
+    for (pos, v), (nxt, _) in zip(f.jumps, f.jumps[1:]):
+        out += [v] * (nxt - pos)
+    out.append(f.jumps[-1][1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ angular cover; in higher rank the facet-pairing criterion is used.
 
 from __future__ import annotations
 
+import itertools
 import json
 import types
 import weakref
@@ -108,8 +109,9 @@ class ConeIndex(NamedTuple):
 
 
 # faces of a fan's maximal cones, each counted once per maximal cone that has
-# it, that fan-check accepts: its cone-count identity reads the star of every
-# cone, a cost that grows with the square of the number of cones
+# it, that fan-check accepts: it lists the star size and the cone-count
+# identity of every cone, and the stars are built in one pass over each
+# cone's faces, so its work and its output grow with this count
 MAX_LISTED_FACES = 2_048
 
 # fan -> its cone index; an entry goes when the fan object that keys it is collected
@@ -240,12 +242,30 @@ def _validate_complete_general(fan: Fan) -> list[str]:
 
 
 def star(fan: Fan, tau: ConeRef) -> list[ConeRef]:
-    """All cones having tau as a face, tau included."""
+    """All cones having tau as a face, tau included, in the order of
+    fan.cones()."""
     tau = tuple(sorted(tau))
-    if not fan.is_cone(tau):
+    found = _stars(fan).get(tuple(sorted(set(tau))))
+    if found is None:
         raise ValueError(f"{list(tau)} is not a cone of the fan")
-    s = set(tau)
-    return [c for c in fan.cones() if s <= set(c)]
+    return list(found)
+
+
+def _stars(fan: Fan) -> dict[ConeRef, list[ConeRef]]:
+    """Every cone's star, built in one pass over each cone's faces (a cone
+    is in the star of each of its faces) on the first call for this fan
+    object and kept in its instance dict, as _report is.  The cones are
+    read in the order of fan.cones(), so each star is in that order."""
+    stars = fan.__dict__.get("_stars")
+    if stars is None:
+        cones = fan.cones()
+        stars = {c: [] for c in cones}
+        for sigma in cones:
+            for k in range(len(sigma) + 1):
+                for tau in itertools.combinations(sigma, k):
+                    stars[tau].append(sigma)
+        fan.__dict__["_stars"] = stars
+    return stars
 
 
 def cone_count_identity(fan: Fan, tau: ConeRef) -> int:

@@ -13,16 +13,22 @@ strata are labelled by the coincidence pattern of the flag lines.
 
 A ray profile (a, gaps) has class c1 = -(2a + gaps) in Pic(X), so the
 enumeration solves for the profiles of a given class rather than scanning
-for them: the two rays of a smooth cone are a Z-basis of N, the character
-u in M with <u, v_j> = 2a_j + g_j + c1_j is fixed by those two rays, and
-every other a_j is forced.  Twisting by a character w in M maps a_j to
-a_j + <w, v_j> and changes no gauge-fixed characteristic function, and the
-profiles of one gaps form a single such orbit, so only the
-lexicographically first translate of each orbit that fits the window is
-built.  The hull's c2 is A.B plus g_i g_j at every maximal cone (i, j)
-whose flag lines differ, with A = -a and B = -(a + gaps); the flag
-patterns are walked ray by ray and cut as soon as a block is slope-unstable
-or the c2 bound fails, so such hulls are never built.
+for them: rays 0 and 1 span a maximal cone of every valid surface fan, so
+they are a Z-basis of N, the character u in M with
+<u, v_j> = 2a_j + g_j + c1_j is fixed by those two rays, and every other
+a_j is forced.  The gaps of every other ray are walked in the one parity
+that makes 2a_j even, so no gaps vector is built to be thrown away.
+Twisting by a character w in M maps a_j to a_j + <w, v_j> and changes no
+gauge-fixed characteristic function, and the profiles of one gaps form a
+single such orbit, so only the lexicographically first translate of each
+orbit that fits the window is built.  A twist is fixed by its values
+(s0, s1) on rays 0 and 1, so twists in lexicographic order are those pairs
+in lexicographic order, and the first translate is found by walking the
+pairs in [-b, b]^2 until one fits, with no list of twists.  The hull's c2
+is A.B plus g_i g_j at every maximal cone (i, j) whose flag lines differ,
+with A = -a and B = -(a + gaps); the flag patterns are walked ray by ray
+into one list and cut as soon as a block is slope-unstable or the c2 bound
+fails, so such hulls are never built.
 
 Cuts per cone, c2 = c2(E**) + length: the quotient E**/E of a cut E is
 supported at the fixed points, so it splits into one quotient per maximal
@@ -409,37 +415,49 @@ def _profile_verdict(gaps, deg, pattern) -> str:
 def _flag_patterns(gaps, deg, cones, room: int):
     """(pattern, flag term) for each coincidence pattern of the gap rays that
     is not slope-unstable and whose flag term (g_i g_j over the maximal
-    cones (i, j) split between two blocks) is at most room.  The gap rays
-    are placed from the last: into each block in turn, then alone in a new
-    first block with the others sorted after it, which is the order in
-    which a recursion on the first ray lists all set partitions.  A partial
-    pattern is cut once either bound fails (see _enumerate_rank2)."""
+    cones (i, j) split between two blocks) is at most room, as a list.  The
+    gap rays are placed from the last: into each block in turn, then alone
+    in a new first block with the others sorted after it, which is the
+    order in which a recursion on the first ray lists all set partitions.
+    A partial pattern is cut once either bound fails (see _enumerate_rank2)."""
+    if room < 0:
+        return []
     rays = [j for j, g in enumerate(gaps) if g]
     weight = [g * d for g, d in zip(gaps, deg)]
     total = sum(weight)
     later = {j: [] for j in rays}  # (i, g_i g_j) for each gap ray i > j next to j
+    alone = dict.fromkeys(rays, 0)  # the flag term j adds in a block of its own
     for i, j in cones:
         if gaps[i] and gaps[j]:
-            later[min(i, j)].append((max(i, j), gaps[i] * gaps[j]))
+            c = gaps[i] * gaps[j]
+            later[min(i, j)].append((max(i, j), c))
+            alone[min(i, j)] += c
+    out = []
 
     def walk(k, blocks, sums, flag):
         if k < 0:
-            yield tuple(sorted(blocks)), flag
+            out.append((tuple(sorted(blocks)), flag))
             return
-        j, w = rays[k], weight[rays[k]]
-        apart = flag + sum(c for _, c in later[j])
+        j = rays[k]
+        w = weight[j]
+        apart = flag + alone[j]
         for p, block in enumerate(blocks):
-            cost = apart - sum(c for i, c in later[j] if i in block)
-            if 2 * (sums[p] + w) <= total and cost <= room:
-                yield from walk(k - 1, blocks[:p] + ((j,) + block,) + blocks[p + 1:],
-                                sums[:p] + (sums[p] + w,) + sums[p + 1:], cost)
+            if 2 * (sums[p] + w) > total:
+                continue
+            cost = apart
+            for i, c in later[j]:
+                if i in block:
+                    cost -= c
+            if cost <= room:
+                walk(k - 1, blocks[:p] + ((j,) + block,) + blocks[p + 1:],
+                     sums[:p] + (sums[p] + w,) + sums[p + 1:], cost)
         if 2 * w <= total and apart <= room:
             rest = sorted(zip(blocks, sums))
-            yield from walk(k - 1, ((j,),) + tuple(b for b, _ in rest),
-                            (w,) + tuple(s for _, s in rest), apart)
+            walk(k - 1, ((j,),) + tuple(b for b, _ in rest),
+                 (w,) + tuple(s for _, s in rest), apart)
 
-    if room >= 0:
-        yield from walk(len(rays) - 1, (), (), 0)
+    walk(len(rays) - 1, (), (), 0)
+    return out
 
 
 def _orbit_patterns(gaps, deg, cones, room: int):
@@ -450,54 +468,67 @@ def _orbit_patterns(gaps, deg, cones, room: int):
     return patterns if any(v == STABLE for _, _, v in patterns) else []
 
 
+def _first_translate(tail, coords, box_bound: int):
+    """The lexicographically first translate that fits [-b, b]^n of the
+    profile that is 0 on rays 0 and 1 and tail on the others, or None.  A
+    twist is fixed by its values (s0, s1) on rays 0 and 1; a ray j with
+    coordinates (alpha_j, beta_j) then moves from a_j to
+    a_j + alpha_j s0 + beta_j s1."""
+    window = range(-box_bound, box_bound + 1)
+    for s0 in window:
+        for s1 in window:
+            moved = [a + x * s0 + y * s1 for a, (x, y) in zip(tail, coords)]
+            if all(-box_bound <= a <= box_bound for a in moved):
+                return (s0, s1, *moved)
+    return None
+
+
 def _class_orbits(fan: Fan, c1: Sequence[int], box_bound: int, viable):
     """One profile (a, gaps) per character orbit of class c1 that meets the
     window [-b, b]^n x [0, b]^n and whose untwisted profile passes
     viable(a, gaps): the lexicographically first translate of each orbit
     that fits, sorted by (a, gaps).
 
-    The rays i0, i1 of the first maximal cone are a Z-basis of N, so
-    2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_i0, a_i1
-    and the gaps.  Two such u of one gaps differ by some 2w with w in M
+    Rays 0 and 1 span a maximal cone of every valid surface fan (its cones
+    are the pairs of angularly adjacent rays), so they are a Z-basis of N,
+    and 2a + gaps + c1 = (<u, v_j>)_j for a unique u in M, fixed by a_0,
+    a_1 and the gaps.  Two such u of one gaps differ by some 2w with w in M
     (their difference is even on the Z-basis), so the profiles of one gaps
-    are the single orbit a + <w, .>, w in M, and its parity is decided
-    once, on the translate with a_i0 = a_i1 = 0.
+    are the single orbit a + <w, .>, w in M, and the untwisted profile is
+    the translate with a_0 = a_1 = 0.
 
     Twists and profiles are read off the coordinates (alpha_j, beta_j) of
-    each ray in that basis, v_j = alpha_j v_i0 + beta_j v_i1.  They are
-    integers because the cone is unimodular: det(v_i0, v_i1) = +-1, else
-    the `not a Z-basis` error.  The u with <u, v_i0> = p0 and
-    <u, v_i1> = p1 has <u, v_j> = alpha_j p0 + beta_j p1, so a twist is
-    (alpha_j t0 + beta_j t1)_j, and a profile's <u, v_j> takes p0 and p1
-    from its gaps and c1 on the first cone.  These are the integer vectors
-    that solving for each w or u gave, entry for entry, so sorting them
-    gives the twists in the order the scan gave, and with them the same
-    orbits in the same order."""
-    n = fan.n_rays()
-    i0, i1 = fan.max_cones[0]
-    v0, v1 = fan.rays[i0], fan.rays[i1]
+    each ray in that basis, v_j = alpha_j v_0 + beta_j v_1.  They are
+    integers because the basis is unimodular: det(v_0, v_1) = +-1, else the
+    `not a Z-basis` error.  The u with <u, v_0> = p0 and <u, v_1> = p1 has
+    <u, v_j> = alpha_j p0 + beta_j p1.  So a twist is fixed by its values
+    (s0, s1) on rays 0 and 1, and twists in lexicographic order are the
+    pairs (s0, s1) in lexicographic order; a translate fits only if its
+    values s0, s1 on rays 0 and 1 lie in [-b, b].  _first_translate walks
+    those pairs in order and stops at the first that fits, the translate a
+    scan of the sorted twists met first.  Parity holds by construction:
+    p0 = g_0 + c1_0 and p1 = g_1 + c1_1, and 2a_j = alpha_j p0 + beta_j p1
+    - c1_j - g_j is even exactly when g_j has the parity of
+    alpha_j p0 + beta_j p1 - c1_j, so every other ray runs over the gaps of
+    that parity only."""
+    v0, v1 = fan.rays[0], fan.rays[1]
     det = _basis_det(v0, v1)  # 1/det = det
-    alpha = [det * (v[0] * v1[1] - v[1] * v1[0]) for v in fan.rays]
-    beta = [det * (v0[0] * v[1] - v0[1] * v[0]) for v in fan.rays]
-    window = range(-box_bound, box_bound + 1)
-    # the twists (<w, v_j>)_j that can move a_i0 = a_i1 = 0 into the window,
-    # in lexicographic order: adding one profile to each keeps that order, so
-    # the first twist that fits gives the lexicographically first translate
-    twists = sorted(tuple(a * t0 + b * t1 for a, b in zip(alpha, beta))
-                    for t0, t1 in itertools.product(window, repeat=2))
+    # (alpha_j, beta_j) for the rays after 1
+    coords = [(det * (v[0] * v1[1] - v[1] * v1[0]), det * (v0[0] * v[1] - v0[1] * v[0]))
+              for v in fan.rays[2:]]
     orbits = []
-    for gaps in itertools.product(range(box_bound + 1), repeat=n):
-        p0, p1 = gaps[i0] + c1[i0], gaps[i1] + c1[i1]
-        twice = [a * p0 + b * p1 - c - g for a, b, c, g in zip(alpha, beta, c1, gaps)]
-        if any(t % 2 for t in twice):
-            continue
-        base = [t // 2 for t in twice]
-        if not viable(base, gaps):
-            continue
-        for twist in twists:
-            if all(abs(x + y) <= box_bound for x, y in zip(base, twist)):
-                orbits.append((tuple(x + y for x, y in zip(base, twist)), gaps))
-                break
+    for g0, g1 in itertools.product(range(box_bound + 1), repeat=2):
+        p0, p1 = g0 + c1[0], g1 + c1[1]
+        # 2a_j + g_j for the rays after 1; each gap keeps it even
+        twice = [x * p0 + y * p1 - c for (x, y), c in zip(coords, c1[2:])]
+        for rest in itertools.product(*(range(t % 2, box_bound + 1, 2) for t in twice)):
+            gaps = (g0, g1) + rest
+            tail = [(t - g) // 2 for t, g in zip(twice, rest)]
+            if not viable([0, 0] + tail, gaps):
+                continue
+            a_vec = _first_translate(tail, coords, box_bound)
+            if a_vec is not None:
+                orbits.append((a_vec, gaps))
     orbits.sort()
     return orbits
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from toricsheaves.family import (
 from toricsheaves.fan import hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.intersect import (
     AMPLE_SEARCH_RADIUS,
+    _basis_det,
     divisor,
     find_ample,
     intersection_table,
@@ -317,3 +319,67 @@ def rank2_three_lines(fan, gaps=None, bases=None, lines=None):
 @pytest.fixture(scope="session")
 def o_p2(p2):
     return structure_sheaf(p2)
+
+
+def class_orbits_by_sorted_twists(fan, c1, box_bound, viable):
+    """Oracle for moduli._class_orbits: the search it replaced.  The rays
+    i0, i1 of the first maximal cone are the basis, every gaps vector is
+    checked for parity, and all (2b+1)^2 twists (<w, v_j>)_j with |t0|,
+    |t1| <= b are listed and sorted; the first that moves the untwisted
+    profile (a_i0 = a_i1 = 0) into the window gives the orbit's translate."""
+    n = fan.n_rays()
+    i0, i1 = fan.max_cones[0]
+    v0, v1 = fan.rays[i0], fan.rays[i1]
+    det = _basis_det(v0, v1)
+    alpha = [det * (v[0] * v1[1] - v[1] * v1[0]) for v in fan.rays]
+    beta = [det * (v0[0] * v[1] - v0[1] * v[0]) for v in fan.rays]
+    window = range(-box_bound, box_bound + 1)
+    twists = sorted(tuple(a * t0 + b * t1 for a, b in zip(alpha, beta))
+                    for t0, t1 in itertools.product(window, repeat=2))
+    orbits = []
+    for gaps in itertools.product(range(box_bound + 1), repeat=n):
+        p0, p1 = gaps[i0] + c1[i0], gaps[i1] + c1[i1]
+        twice = [a * p0 + b * p1 - c - g for a, b, c, g in zip(alpha, beta, c1, gaps)]
+        if any(t % 2 for t in twice):
+            continue
+        base = [t // 2 for t in twice]
+        if not viable(base, gaps):
+            continue
+        for twist in twists:
+            if all(abs(x + y) <= box_bound for x, y in zip(base, twist)):
+                orbits.append((tuple(x + y for x, y in zip(base, twist)), gaps))
+                break
+    orbits.sort()
+    return orbits
+
+
+def ray_value(filt, lam):
+    """The value of a ray filtration at lam: 0 below its first jump, else
+    the last jump at or below lam."""
+    out = SubspaceQ.zero(filt.ambient)
+    for pos, v in filt.jumps:
+        if pos > lam:
+            break
+        out = v
+    return out
+
+
+def corner_values_by_points(filts, fan):
+    """Oracle for reflexive_from_filtrations: (lo, hi, values) per maximal
+    cone, each box point's value built on its own as the full space met
+    with every ray's value there."""
+    by_ray = {f.ray: f for f in filts}
+    m = filts[0].ambient
+    out = []
+    for mc in fan.max_cones:
+        fs = [by_ray[j] for j in mc]
+        lo = tuple(f.first for f in fs)
+        hi = tuple(f.last for f in fs)
+        vals = []
+        for lam in box_points(lo, hi):
+            v = SubspaceQ.full(m)
+            for f, x in zip(fs, lam):
+                v = v.intersect(ray_value(f, x))
+            vals.append(v)
+        out.append((lo, hi, tuple(vals)))
+    return out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    corner_values_by_points,
     line_bundle_family,
     rank2_three_lines,
     slab_family,
@@ -37,6 +38,7 @@ from toricsheaves.family import (
 from toricsheaves.fan import Fan, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import (
     random_families,
+    random_filtration,
     random_reflexive_family,
     random_smooth_complete_fan,
     random_torsion_free_family,
@@ -116,6 +118,47 @@ def test_two_lines_intersect_to_zero(p2):
     assert grid.value((0, 1)) == la
     assert grid.value((1, 0)) == lb
     assert grid.value((1, 1)) == full
+
+
+def rank3_filtration(ray, rng):
+    """A ray filtration of Q^3: a random flag, some of its steps skipped,
+    with random jump positions."""
+    vecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, -1, 1)]
+    a, b = rng.sample(vecs, 2)
+    flag = [SubspaceQ.span([a], 3), SubspaceQ.span([a, b], 3), SubspaceQ.full(3)]
+    steps = sorted(rng.sample(range(3), rng.randrange(1, 4)))
+    if steps[-1] != 2:
+        steps.append(2)
+    at = rng.randrange(-2, 2)
+    jumps = []
+    for k in steps:
+        jumps.append((at, flag[k]))
+        at += rng.randrange(1, 3)
+    return RayFiltration(ray, tuple(jumps))
+
+
+@pytest.mark.parametrize("surface", ["p2", "p1xp1", "f1", "f2", "blowup", "dp6",
+                                     "p2-cones-rotated", "p2-cones-third", "p3"])
+def test_hull_values_match_pointwise_meets(corpus, surface):
+    """reflexive_from_filtrations reads each ray's values once per cone and
+    meets them in box order; every corner's box and values equal, tuple for
+    tuple, those of the loop that meets each point's ray values on its own,
+    on seeded filtrations of ranks 1 to 3."""
+    from test_moduli import surface_fan
+
+    if surface == "p3":
+        fan = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                       [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    else:
+        fan = surface_fan(corpus, surface)
+    rng = random.Random(surface)
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            filts = [rank3_filtration(j, rng) if rank == 3 else random_filtration(j, rank, rng)
+                     for j in range(fan.n_rays())]
+            fam = reflexive_from_filtrations(filts, fan)
+            assert [(g.lo, g.hi, g.values) for _, g in fam.corners] == \
+                corner_values_by_points(filts, fan)
 
 
 def test_filtration_errors(p2):

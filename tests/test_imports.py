@@ -94,7 +94,6 @@ CALLED_SHARED = {
     ("SubspaceQ", "is_zero"): "family._inclusion_breaks, sampling",
     ("Fan", "cones"): "chern.chern_character, stability.xi_weights",
     ("RayFiltration", "ambient"): "family.reflexive_from_filtrations",
-    ("RayFiltration", "value"): "family.reflexive_from_filtrations",
     ("_Face", "value"): "stability._MeetTable.slot",
     ("_Grid", "value"): "family._pure_cone_report, stability.xi_weights",
     ("_Faces", "face"): "chern._brackets, stability._MeetTable.face",

@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import class_equal_by_fractions, eta_product, series_product
+from conftest import (
+    class_equal_by_fractions,
+    class_orbits_by_sorted_twists,
+    eta_product,
+    series_product,
+)
 from toricsheaves import intersect, moduli
 from toricsheaves.chern import chern_character, second_chern_number
 from toricsheaves.family import (
@@ -319,9 +324,54 @@ def test_class_profiles_match_scan(corpus, surface, c1, max_box):
         assert every_orbit(fan, c1, box, None) == sorted(first.values())
 
 
+CLASSES = {
+    3: ([0, 0, 0], [1, 0, 0], [2, -1, 3]),
+    4: ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 2, -1]),
+    5: ([0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, -1, 0, 2, 1]),
+    6: ([0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [1, 0, -1, 2, 0, 1]),
+}
+
+
+def enumeration_viable(fan, c2_max):
+    """The viable test _enumerate_rank2 hands _class_orbits: the heaviest
+    gap ray within the slope bound, and the split c2 within c2_max."""
+    table = intersection_table(fan)
+    deg = ample_degrees(find_ample(fan), fan)
+
+    def viable(base, gaps):
+        weights = [g * d for g, d in zip(gaps, deg)]
+        return (2 * max(weights) <= sum(weights)
+                and _split_c2(base, gaps, table.matrix) <= c2_max)
+    return viable
+
+
+@pytest.mark.parametrize("surface", ["p2", "p1xp1", "f1", "f2", "blowup", "dp6",
+                                     "p2-cones-rotated", "p2-cones-third"])
+def test_class_orbits_match_sorted_twist_search(corpus, surface):
+    """_class_orbits reads each orbit's first translate off rays 0 and 1 and
+    walks only gaps of the right parity; for boxes 0 to 6 it returns the
+    orbits, translates and order of the sorted-twist search it replaced, with
+    no orbit skipped and with the enumeration's viable test.  The boxes stop
+    where the window passes 3,000,000 points, twelve times what the
+    enumeration accepts (MAX_WINDOW_POINTS), to bound the oracle's time:
+    dP_6 after box 4, the blow-up after box 6."""
+    fan = surface_fan(corpus, surface)
+    n = fan.n_rays()
+    viable = enumeration_viable(fan, 2)
+    for c1 in CLASSES[n]:
+        for box in range(7):
+            if (box + 1) ** n * (2 * box + 1) ** 2 > 3_000_000:
+                break
+            for test in (lambda a, gaps: True, viable):
+                assert _class_orbits(fan, c1, box, test) == \
+                    class_orbits_by_sorted_twists(fan, c1, box, test), (c1, box)
+
+
 def test_rotated_p2_first_cones_have_both_orientations(corpus):
-    """The two rotated P^2 inputs of the profile scan read the rays' basis
-    coordinates off a first cone of det +1 and of det -1."""
+    """The two rotated P^2 inputs have first cones of det +1 and of det -1:
+    the sorted-twist oracle and every_translate read the rays' basis
+    coordinates off the first cone, so they use both orientations, while
+    _class_orbits reads them off rays 0 and 1."""
     dets = {}
     for name in ("p2-cones-rotated", "p2-cones-third"):
         fan = surface_fan(corpus, name)
@@ -423,6 +473,22 @@ def test_orbit_records_match_every_translate(corpus, monkeypatch, surface, c1, c
     orbits = record_digest(fan, c1, c2_max, box)
     monkeypatch.setattr(moduli, "_class_orbits", every_translate)
     assert orbits == record_digest(fan, c1, c2_max, box)
+
+
+@pytest.mark.parametrize("surface, c1, box, digest", [
+    pytest.param("p2", [1, 0, 0], 8,
+                 "dbcb69d58499fede83233e1938919e625796b6489bd52cc2e0293c53d1384ee3",
+                 id="p2-h-c2le2-box8"),
+    pytest.param("f1", [1, 0, 0, 0], 5,
+                 "c0687d8933f83a4d3b80967f3836ed2f8f562311c458fed0b41018813ac5f877",
+                 id="f1-v0-c2le2-box5"),
+])
+def test_wide_window_records_are_pinned(corpus, surface, c1, box, digest):
+    """record_digest at c2 <= 2 on windows wider than the every-translate
+    cases (P^2 box 8 has a 17 x 17 twist window), recorded with the sorted
+    twist search: each orbit's first translate, its witnesses and its strata
+    order are those that search gave."""
+    assert record_digest(corpus[surface], c1, 2, box) == digest
 
 
 def set_partitions(items):
