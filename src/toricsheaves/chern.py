@@ -17,9 +17,8 @@ the Chern character and, of the fan and the polarization, only the degrees
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .family import CharFunction, DeltaFamily, _Faces, box_points, characteristic_function
 from .fan import ConeRef, Fan
@@ -37,8 +36,7 @@ def as_char(x: DeltaFamily | CharFunction) -> CharFunction:
     return characteristic_function(x) if isinstance(x, DeltaFamily) else x
 
 
-@dataclass(frozen=True)
-class BracketSlice:
+class BracketSlice(NamedTuple):
     """Finite differences of a cone's dimension grid: the local multiplicity
     entering the Chern character."""
 
@@ -125,8 +123,7 @@ def second_chern_number(ch: ChowClassSurface, table: IntersectionTable) -> Fract
     return pair(ch.d, ch.d, table) / 2 - ch.p
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     polynomial: RatPoly
     rank: Fraction
     degree: Fraction

@@ -48,11 +48,11 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass, replace
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fan import APEX, ConeRef, Fan, _json_int, _json_of, cone_index
+from .frozen import Frozen
 from .subspace import SubspaceQ, rref
 
 # ---------------------------------------------------------------------------
@@ -77,10 +77,12 @@ def _strides(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Grid:
+class _Grid(Frozen):
     """A box of values for one cone: a subspace grid (CornerFamily) or its
     dimension grid (DimGrid).  Every grid operation is written once here; a
-    subclass supplies only _make and _zero_value."""
+    subclass supplies its fields and _make and _zero_value.  A grid keeps
+    what it computes once (its dimension grid, its faces, a proof of
+    monotonicity) in its instance dict."""
 
     cone: ConeRef
     lo: tuple[int, ...]
@@ -172,15 +174,31 @@ class _Grid:
         return [lam for lam, v in zip(self.points(), self.values) if v != zero]
 
 
-@dataclass(frozen=True)
 class DimGrid(_Grid):
     """Integer dimension grid over a box, one per maximal cone of a
     characteristic function."""
 
+    _fields = ("cone", "lo", "hi", "values")
     cone: ConeRef
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     values: tuple[int, ...]
+
+    def __init__(self, cone: ConeRef, lo: tuple[int, ...], hi: tuple[int, ...],
+                 values: tuple[int, ...]):
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cone, self.lo, self.hi, self.values) == \
+                (other.cone, other.lo, other.hi, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cone, self.lo, self.hi, self.values))
 
     def _make(self, cone, lo, hi, values) -> "DimGrid":
         return DimGrid(cone, lo, hi, values)
@@ -189,17 +207,34 @@ class DimGrid(_Grid):
         return 0
 
 
-@dataclass(frozen=True)
 class CornerFamily(_Grid):
     """Subspace grid over a box for one cone; the maps along each axis are
     the inclusions (torsion-free kinds) or drop to zero where the support
     ends (pure kinds)."""
 
+    _fields = ("cone", "lo", "hi", "values", "ambient")
     cone: ConeRef
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     values: tuple[SubspaceQ, ...]
     ambient: int
+
+    def __init__(self, cone: ConeRef, lo: tuple[int, ...], hi: tuple[int, ...],
+                 values: tuple[SubspaceQ, ...], ambient: int):
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ambient", ambient)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cone, self.lo, self.hi, self.values, self.ambient) == \
+                (other.cone, other.lo, other.hi, other.values, other.ambient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cone, self.lo, self.hi, self.values, self.ambient))
 
     def _make(self, cone, lo, hi, values) -> "CornerFamily":
         return CornerFamily(cone, lo, hi, values, self.ambient)
@@ -239,12 +274,24 @@ class CornerFamily(_Grid):
 # ---------------------------------------------------------------------------
 # characteristic functions
 
-@dataclass(frozen=True)
-class CharFunction:
+class CharFunction(Frozen):
     """Per maximal cone, the dimension function of a family."""
 
+    _fields = ("rank", "corners")
     rank: int
     corners: tuple[tuple[int, DimGrid], ...]
+
+    def __init__(self, rank: int, corners: tuple[tuple[int, DimGrid], ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "corners", corners)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.corners) == (other.rank, other.corners)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.corners))
 
     def corner_map(self) -> dict[int, DimGrid]:
         return dict(self.corners)
@@ -276,31 +323,41 @@ class CharFunction:
 # ---------------------------------------------------------------------------
 # ray filtrations and families
 
-@dataclass(frozen=True)
-class RayFiltration:
+class RayFiltration(Frozen):
     """Increasing filtration along one ray: jumps (lambda, subspace) with
     strictly increasing lambdas and strictly increasing subspaces, the last
     one the full space."""
 
+    _fields = ("ray", "jumps")
     ray: int
     jumps: tuple[tuple[int, SubspaceQ], ...]
 
-    def __post_init__(self):
-        if not self.jumps:
-            raise ValueError(f"ray {self.ray}: empty filtration")
-        amb = self.jumps[0][1].ambient
+    def __init__(self, ray: int, jumps: tuple[tuple[int, SubspaceQ], ...]):
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "jumps", jumps)
+        if not jumps:
+            raise ValueError(f"ray {ray}: empty filtration")
+        amb = jumps[0][1].ambient
         prev = None
-        for lam, v in self.jumps:
+        for lam, v in jumps:
             if v.ambient != amb:
-                raise ValueError(f"ray {self.ray}: mixed ambient dimensions")
+                raise ValueError(f"ray {ray}: mixed ambient dimensions")
             if prev is not None:
                 if lam <= prev[0]:
-                    raise ValueError(f"ray {self.ray}: jump positions not increasing")
+                    raise ValueError(f"ray {ray}: jump positions not increasing")
                 if not (v.contains(prev[1]) and v.dim > prev[1].dim):
-                    raise ValueError(f"ray {self.ray}: jumps not strictly increasing")
+                    raise ValueError(f"ray {ray}: jumps not strictly increasing")
             prev = (lam, v)
-        if not self.jumps[-1][1].is_full():
-            raise ValueError(f"ray {self.ray}: filtration never reaches the full space")
+        if not jumps[-1][1].is_full():
+            raise ValueError(f"ray {ray}: filtration never reaches the full space")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ray, self.jumps) == (other.ray, other.jumps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ray, self.jumps))
 
     @property
     def ambient(self) -> int:
@@ -320,14 +377,30 @@ KIND_REFLEXIVE = "reflexive"
 KIND_PURE = "pure"
 
 
-@dataclass(frozen=True)
-class DeltaFamily:
+class DeltaFamily(Frozen):
     """Glued corner families over the maximal cones of a fan."""
 
+    _fields = ("kind", "rank", "corners", "support")
     kind: str
     rank: int
     corners: tuple[tuple[int, CornerFamily], ...]
-    support: tuple[ConeRef, ...] = (APEX,)
+    support: tuple[ConeRef, ...]
+
+    def __init__(self, kind: str, rank: int, corners: tuple[tuple[int, CornerFamily], ...],
+                 support: tuple[ConeRef, ...] = (APEX,)):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "support", support)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.rank, self.corners, self.support) == \
+                (other.kind, other.rank, other.corners, other.support)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.rank, self.corners, self.support))
 
     def corner_map(self) -> dict[int, CornerFamily]:
         return dict(self.corners)
@@ -762,9 +835,10 @@ def cone_shift(kvec: Sequence[int], cone: ConeRef) -> tuple[int, ...]:
 def tensor_line_bundle(x: DeltaFamily | CharFunction, kvec: Sequence[int]):
     """Twist by the equivariant line bundle with ray integers kvec: each
     corner grid shifts by the per-cone components of kvec."""
-    return replace(x, corners=tuple(
-        (i, grid.shift(cone_shift(kvec, grid.cone))) for i, grid in x.corners
-    ))
+    corners = tuple((i, grid.shift(cone_shift(kvec, grid.cone))) for i, grid in x.corners)
+    if isinstance(x, DeltaFamily):
+        return DeltaFamily(x.kind, x.rank, corners, x.support)
+    return CharFunction(x.rank, corners)
 
 
 def characteristic_function(fam: DeltaFamily) -> CharFunction:

@@ -14,9 +14,10 @@ import itertools
 import json
 import types
 import weakref
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 ConeRef = tuple[int, ...]
 APEX: ConeRef = ()
@@ -73,11 +74,34 @@ def _ccw_before(u: Sequence[int], v: Sequence[int]) -> bool:
     return _cross2(u, v) > 0
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
+    """A fan: its rank, its rays and its maximal cones as ray-index tuples.
+
+    Its hash is computed once, when it is built: the cone index and the
+    intersection table are looked up by fan, and a fan's hash reads every
+    ray and cone.  The instance dict also keeps what is computed once per
+    fan object (_report, _stars, the last Riemann-Roch degrees)."""
+
+    _fields = ("rank", "rays", "max_cones")
     rank: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[ConeRef, ...]
+
+    def __init__(self, rank: int, rays: tuple[tuple[int, ...], ...],
+                 max_cones: tuple[ConeRef, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(self, "_hash", hash((rank, rays, max_cones)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.rays, self.max_cones) == \
+                (other.rank, other.rays, other.max_cones)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(rank: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Sequence[int]]) -> "Fan":

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -50,8 +49,7 @@ def _check_length(coeffs: Sequence, fan: Fan) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionTable:
+class IntersectionTable(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]  # integral on a smooth complete surface
 
 
@@ -158,17 +156,28 @@ def _integral_degrees(coeffs: Sequence, fan: Fan, table: IntersectionTable):
 
 def riemann_roch_degrees(ample: Sequence, fan: Fan) -> RRDegrees:
     """The RRDegrees of the ample divisor H = ample on fan, read as
-    _integral_degrees reads it."""
+    _integral_degrees reads it.
+
+    The last polarization read on a fan object is kept with its degrees in
+    the fan's instance dict, as fan._report keeps the report, so a CLI
+    command's loader and the calls on one family read them once.  Entries
+    that compare equal read as equal Fractions, so an equal polarization
+    shares the degrees; one that is not ample keeps nothing."""
+    key = tuple(ample)
+    last = fan.__dict__.get("_rr")
+    if last is not None and last[0] == key:
+        return last[1]
     table = intersection_table(fan)
-    e, h, deg = _integral_degrees(ample, fan, table)
+    e, h, deg = _integral_degrees(key, fan, table)
     if not all(x > 0 for x in deg):
         raise ValueError("polarization is not ample")
-    return RRDegrees(e, deg, sum(a * d for a, d in zip(h, deg)),
-                     tuple(sum(row) for row in table.matrix))
+    rr = RRDegrees(e, deg, sum(a * d for a, d in zip(h, deg)),
+                   tuple(sum(row) for row in table.matrix))
+    fan.__dict__["_rr"] = (key, rr)
+    return rr
 
 
-@dataclass(frozen=True)
-class ChowClassSurface:
+class ChowClassSurface(NamedTuple):
     """A class in the Chow ring of a surface, truncated to degree 2: rank
     part, divisor part (one coefficient per ray) and point part."""
 

@@ -43,9 +43,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chern import chern_character, second_chern_number
 from .family import (
@@ -62,6 +61,7 @@ from .family import (
     validate_torsion_free,
 )
 from .fan import Fan, _require_valid, euler_characteristic
+from .frozen import Frozen
 from .intersect import (
     _basis_det,
     ample_degrees,
@@ -76,16 +76,26 @@ from .subspace import SubspaceQ
 # ---------------------------------------------------------------------------
 # truncated integer power series
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(Frozen):
     """Truncated power series in q with integer coefficients."""
 
+    _fields = ("order", "coeffs")
     order: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.coeffs) == (other.order, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
 
 
 def _partitions_power(e: int, order: int, base: Sequence[int] = (1,)) -> IntSeries:
@@ -155,16 +165,14 @@ def rank2_p2_series(order: int) -> IntSeries:
 # ---------------------------------------------------------------------------
 # gauge-fixed characteristic function enumeration
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     pattern: tuple[tuple[int, ...], ...]  # coincidence classes of gap rays
     mu_verdict: str
     point_component: bool
     free_line: bool
 
 
-@dataclass
-class ChiRecord:
+class ChiRecord(NamedTuple):
     chi: CharFunction
     c2: Fraction
     witness: DeltaFamily
@@ -569,7 +577,8 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     deg_j > 0), so a cut partial pattern has no surviving completion.  An
     orbit is skipped before its twists are searched when its heaviest gap
     ray alone breaks the slope bound or A.B exceeds c2_max; A.B is an
-    intersection number of classes, which a twist does not change.  An
+    intersection number of classes, which a twist does not change, so the
+    A.B read on the untwisted profile serves the translate kept.  An
     orbit with no slope-stable pattern builds no hull: a record is kept only
     with a stable stratum, and its strata all come from its own orbit (its
     gaps are read off the ray faces, which cuts leave alone).
@@ -613,12 +622,23 @@ def _enumerate_rank2(fan: Fan, c1, c2_max, box_bound) -> list[ChiRecord]:
     candidates = 0
     deg = ample_degrees(find_ample(fan), fan)
 
+    # gaps -> A.B of its orbit, for each orbit viable passes; one gaps is one orbit
+    split_c2s: dict[tuple[int, ...], int] = {}
+
     def viable(base, gaps):
         weights = [g * d for g, d in zip(gaps, deg)]
-        return 2 * max(weights) <= sum(weights) and _split_c2(base, gaps, table.matrix) <= c2_max
+        if 2 * max(weights) > sum(weights):
+            return False
+        split_c2 = _split_c2(base, gaps, table.matrix)
+        if split_c2 > c2_max:
+            return False
+        split_c2s[gaps] = split_c2
+        return True
 
     for a_vec, gaps in _class_orbits(fan, c1, box_bound, viable):
-        split_c2 = _split_c2(a_vec, gaps, table.matrix)
+        split_c2 = split_c2s.get(gaps)
+        if split_c2 is None:  # an orbit search that did not ask viable about it
+            split_c2 = _split_c2(a_vec, gaps, table.matrix)
         for pat, flag_c2, verdict in _orbit_patterns(gaps, deg, fan.max_cones,
                                                      c2_max - split_c2):
             c2_hull = split_c2 + flag_c2

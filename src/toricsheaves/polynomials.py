@@ -3,9 +3,10 @@ the face weight polynomials of the stability machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .frozen import Frozen
 
 
 def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -16,11 +17,22 @@ def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class RatPoly:
+class RatPoly(Frozen):
     """Polynomial in t with rational coefficients, low degree first."""
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(coeffs: Sequence) -> "RatPoly":

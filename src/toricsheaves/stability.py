@@ -77,11 +77,10 @@ import itertools
 import math
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .family import (
     CharFunction,
@@ -94,6 +93,7 @@ from .family import (
     require_torsion_free,
 )
 from .fan import ConeRef, Fan
+from .frozen import Frozen
 from .intersect import ample_degrees, intersection_table, riemann_roch_degrees
 from .polynomials import RatPoly
 from .subspace import SubspaceQ
@@ -115,8 +115,7 @@ MAX_SAMPLES = 10_000
 R_MAX = 4000
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     test: str
     verdict: str
     witness: SubspaceQ | None
@@ -128,16 +127,14 @@ class StabilityVerdict:
 # ---------------------------------------------------------------------------
 # flag data and test subspaces
 
-@dataclass(frozen=True)
-class RayFlags:
+class RayFlags(NamedTuple):
     ray: int
     gaps: tuple[int, ...]           # gap lengths at dimensions 1..M-1
     flags: tuple[SubspaceQ | None, ...]  # the flag subspaces where gaps > 0
     positions: tuple[int | None, ...]    # a lambda at which each flag sits
 
 
-@dataclass(frozen=True)
-class FlagData:
+class FlagData(NamedTuple):
     rank: int
     rays: tuple[RayFlags, ...]
 
@@ -574,15 +571,27 @@ def _gieseker_verdict(meets: _MeetTable, margins) -> StabilityVerdict:
 WeightKey = tuple[ConeRef, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Frozen):
+    """Positive weights, one per key, on a family of the given rank."""
+
+    _fields = ("ambient", "entries")
     ambient: int
     entries: tuple[tuple[WeightKey, int], ...]
 
-    def __post_init__(self):
-        for key, w in self.entries:
+    def __init__(self, ambient: int, entries: tuple[tuple[WeightKey, int], ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "entries", entries)
+        for key, w in entries:
             if w <= 0:
                 raise ValueError(f"weight at {key} is {w}; ample weight systems are positive")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.entries) == (other.ambient, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.entries))
 
     def items(self):
         return self.entries
@@ -683,8 +692,7 @@ def _git_margins(meets: _MeetTable, weights: WeightSystem) -> list[tuple[Subspac
 # ---------------------------------------------------------------------------
 # face weight polynomials (Gieseker-matching weights)
 
-@dataclass(frozen=True)
-class XiWeights:
+class XiWeights(NamedTuple):
     """The face weights as D Xi in integers, for the least D > 0 that clears
     every denominator of the Xi (1 or 2 for an integral polarization)."""
 

@@ -23,10 +23,11 @@ fast path returns exactly what the generic elimination (``_zassenhaus``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .frozen import Frozen
 
 Vector = tuple[int, ...]
 
@@ -84,13 +85,25 @@ def rref(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return rows[:piv_row]
 
 
-@dataclass(frozen=True)
-class SubspaceQ:
+class SubspaceQ(Frozen):
     """A subspace of Q^ambient, canonically represented by its RREF basis
     with each row scaled to a primitive integer vector with positive pivot."""
 
+    __slots__ = _fields = ("ambient", "rows")
     ambient: int
     rows: tuple[Vector, ...]
+
+    def __init__(self, ambient: int, rows: tuple[Vector, ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.rows) == (other.ambient, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.rows))
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient: int) -> "SubspaceQ":

@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +35,7 @@ from toricsheaves.chern import (
 from toricsheaves.family import (
     KIND_PURE,
     CharFunction,
+    DeltaFamily,
     DimGrid,
     box_points,
     characteristic_function,
@@ -326,7 +326,7 @@ def bracket_oracle_families():
             doc = random_family_doc(fan, rank, rng, KIND_PURE, ((ray,),))
             out.append((fan, family_from_json(json.dumps(doc))))
         fam = next(f for fn, f in out if fn == fan and f.kind != KIND_PURE)
-        out.append((fan, replace(fam, corners=fam.corners[1:])))
+        out.append((fan, DeltaFamily(fam.kind, fam.rank, fam.corners[1:], fam.support)))
     return out
 
 

@@ -271,6 +271,48 @@ def test_each_decoded_input_is_validated_once(files, p2, monkeypatch):
             assert validated.count((kind, id(obj))) == want, (argv, kind)
 
 
+def test_polarization_degrees_are_read_once(files, monkeypatch):
+    """A command that takes a polarization reads its Riemann-Roch degrees
+    once: the loader's ampleness check and the library share the fan's last
+    reading.  So do mu_test, mu_weights, gieseker_test and choose_r on one
+    family.  Reading them in each made 2 per command and 3 per family.  A
+    polarization that is not ample keeps nothing: it is read, and refused,
+    on every call, and the last ample reading stays."""
+    from toricsheaves import intersect, stability
+    from toricsheaves.family import characteristic_function
+
+    reads = []
+    real = intersect._integral_degrees
+    monkeypatch.setattr(intersect, "_integral_degrees",
+                        lambda *a: reads.append(a[0]) or real(*a))
+    polarized = ["--fan", files["fan"], "--family", files["family"], "--ample", files["ample"]]
+    commands = [
+        ["hilbert", *polarized],
+        *(["stability", mode, *polarized] for mode in ("mu", "gieseker")),
+        *(["stability", "git", *polarized, "--weights-from", w] for w in ("mu", "xi")),
+        *(["weights", *polarized, "--kind", kind] for kind in ("mu", "xi")),
+    ]
+    for argv in commands:
+        del reads[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) in (0, 1), argv
+        assert len(reads) == 1, argv
+    fan, h = projective_plane(), [1, 0, 0]
+    fam = random_families(fan, 2, 1, seed=5)[0]
+    del reads[:]
+    stability.mu_test(fam, fan, h)
+    stability.mu_weights(fam, fan, h)
+    stability.gieseker_test(fam, fan, h)
+    stability.choose_r(characteristic_function(fam), fan, h, [fam])
+    assert reads == [tuple(h)]
+    rr = intersect.riemann_roch_degrees(h, fan)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="polarization is not ample"):
+            intersect.riemann_roch_degrees([1, -1, 0], fan)
+    assert reads == [tuple(h), (1, -1, 0), (1, -1, 0)]
+    assert intersect.riemann_roch_degrees(h, fan) is rr and len(reads) == 3
+
+
 def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
     """A sequence of runs in one process prints and returns exactly what it
     does with a fresh parser per run, and builds the parser once."""

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -240,7 +239,8 @@ def test_gluing_reads_two_common_rays_on_a_threefold():
     for i, g in fam.corners:
         for k in range(len(g.values)):
             grids = dict(fam.corners)
-            grids[i] = replace(g, values=g.values[:k] + (other,) + g.values[k + 1:])
+            grids[i] = CornerFamily(g.cone, g.lo, g.hi, g.values[:k] + (other,) + g.values[k + 1:],
+                                    g.ambient)
             got = family._gluing_report(p3, grids)
             assert got == gluing_by_value(p3, grids)
             two_rays += sum(r.count(": ") == 2 for r in got)
@@ -303,7 +303,7 @@ def test_validate_pure_support_mismatch(p2):
 
 
 def _apex_pure(fam):
-    return replace(fam, kind=KIND_PURE, support=((),))
+    return DeltaFamily(KIND_PURE, fam.rank, fam.corners, ((),))
 
 
 def test_validate_pure_checks_cone_structure(p2, o_p2):
@@ -311,7 +311,8 @@ def test_validate_pure_checks_cone_structure(p2, o_p2):
     cs = list(apex.corners)
 
     def relabel(i, cone):
-        return i, replace(cs[i][1], cone=cone)
+        g = cs[i][1]
+        return i, CornerFamily(cone, g.lo, g.hi, g.values, g.ambient)
 
     cases = [
         (cs[:1], ["data on cones [0] but the support star is [0, 1, 2]"]),
@@ -323,20 +324,25 @@ def test_validate_pure_checks_cone_structure(p2, o_p2):
          [f"cone {i}: empty box (1, 1)..(0, 0)" for i in range(3)]),
     ]
     for corners, want in cases:
-        assert validate_pure(replace(apex, corners=tuple(corners)), p2) == want
+        assert validate_pure(DeltaFamily(apex.kind, apex.rank, tuple(corners), apex.support),
+                             p2) == want
     # these cones also fail to glue, and the gluing lines come last
+    c0 = cs[0][1]
     for corners, first in [
-        ([(0, replace(cs[0][1], ambient=2))] + cs[1:], "cone 0: ambient 2 != rank 1"),
+        ([(0, CornerFamily(c0.cone, c0.lo, c0.hi, c0.values, 2))] + cs[1:],
+         "cone 0: ambient 2 != rank 1"),
         ([(0, CornerFamily((0, 1), (0, 0), (0, 0), (Z1,), 1))] + cs[1:],
          "cone 0: zero limit space"),
     ]:
-        report = validate_pure(replace(apex, corners=tuple(corners)), p2)
+        report = validate_pure(DeltaFamily(apex.kind, apex.rank, tuple(corners), apex.support), p2)
         assert report[0] == first and report[1].startswith("gluing mismatch"), report
     slab = slab_family(p2, 0)
     (i0, g0), rest = slab.corners[0], list(slab.corners[1:])
-    assert validate_pure(replace(slab, corners=((i0, replace(g0, cone=(0, 9))), *rest)), p2) == [
+    moved = CornerFamily((0, 9), g0.lo, g0.hi, g0.values, g0.ambient)
+    assert validate_pure(DeltaFamily(slab.kind, slab.rank, ((i0, moved), *rest), slab.support),
+                         p2) == [
         "cone 0: grid labelled with rays (0, 9) != (0, 1)"]
-    assert validate_pure(replace(slab, corners=tuple(rest)), p2) == [
+    assert validate_pure(DeltaFamily(slab.kind, slab.rank, tuple(rest), slab.support), p2) == [
         "data on cones [2] but the support star is [0, 2]"]
 
 
@@ -785,14 +791,15 @@ def broken_variants(fam, rng):
     grid = corners[i].pad_top(1)
 
     def with_grid(g):
-        return replace(fam, corners=tuple(sorted({**corners, i: g}.items())))
+        return DeltaFamily(fam.kind, fam.rank, tuple(sorted({**corners, i: g}.items())),
+                           fam.support)
 
     line = random_subspace(rng, fam.rank, 1)
     yield with_grid(grid.with_value(rng.choice(list(grid.points())), line))
     if fam.rank > 1:
         yield with_grid(grid.with_value(grid.hi, line))
     yield with_grid(corners[i].shift(tuple(rng.choice((-1, 1)) for _ in corners[i].cone)))
-    yield replace(fam, kind=KIND_REFLEXIVE)
+    yield DeltaFamily(KIND_REFLEXIVE, fam.rank, fam.corners, fam.support)
 
 
 def random_family_doc(fan, rank, rng, kind=KIND_TORSION_FREE, support=((),)):
@@ -949,9 +956,10 @@ def test_validation_matches_value_walks(p2, monkeypatch):
         fams.append((fan, slab))
         fams += [(fan, bad) for _ in range(4) for bad in broken_variants(slab, rng)]
     # one cone's box empty in every coordinate, which both gluing routes read as zero
-    fams += [(fan, replace(fam, corners=((i, CornerFamily(g.cone, tuple(b + 1 for b in g.hi),
-                                                          g.hi, (), g.ambient)),)
-                           + tuple(c for c in fam.corners if c[0] != i)))
+    fams += [(fan, DeltaFamily(fam.kind, fam.rank,
+                               ((i, CornerFamily(g.cone, tuple(b + 1 for b in g.hi),
+                                                 g.hi, (), g.ambient)),)
+                               + tuple(c for c in fam.corners if c[0] != i), fam.support))
              for fan, fam in fams[::9] for i, g in fam.corners[:1]]
     seen = {"valid": 0, "not monotone": 0, "not the full space": 0, "gluing mismatch": 0,
             "declared reflexive": 0, "does not include": 0, "reflexive": 0, "not reflexive": 0,

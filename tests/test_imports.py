@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -22,6 +23,20 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, n) for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_imports_neither_dataclasses_nor_inspect():
+    """Importing the CLI, moduli and sampling in a fresh interpreter without
+    site imports neither dataclasses nor inspect, whose import chain (ast,
+    dis, tokenize) and generated methods were a large share of start-up."""
+    src = str(Path(toricsheaves.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import toricsheaves.cli, toricsheaves.moduli, toricsheaves.sampling; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_package_modules_use_every_imported_name():

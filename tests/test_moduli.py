@@ -400,6 +400,20 @@ def test_rank2_enumeration_solves_once(p2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_rank2_enumeration_reads_each_split_c2_once(p2, monkeypatch):
+    """A.B is read once per orbit, on its untwisted profile by the viable
+    test; a twist does not change it, so the translate kept reuses it.
+    Reading it again on the translate made 22 calls here, two on each of
+    the 11 orbits kept."""
+    gaps_read = []
+    split = moduli._split_c2
+    monkeypatch.setattr(moduli, "_split_c2",
+                        lambda a, gaps, m: gaps_read.append(gaps) or split(a, gaps, m))
+    records = enumerate_gauge_fixed_chi(p2, 2, [1, 0, 0], 1, box_bound=3)
+    assert records
+    assert len(gaps_read) == len(set(gaps_read)) == 11
+
+
 def test_hull_chern_character_serves_both_checks(p2, monkeypatch):
     """A hull's Chern character is computed once: it checks the hull's class
     and closed-form c2, and it gives the c2 of a record whose witness is that
