@@ -24,11 +24,17 @@ cones, so it refuses (exit 2) a fan whose maximal cones have more than
 ``fan.MAX_LISTED_FACES`` faces, counted once per maximal cone, before it
 builds the face lattice.
 
-``run`` builds its argument parser once per process (``build_parser`` still
-returns a fresh one): parsing keeps no state in the parser, every default is
-immutable, and help and usage text are formatted when they are printed.  Only
-callers that call ``run`` repeatedly in one process gain from this; a
-one-shot console run builds the parser once either way.
+``run`` hands an argv led by a subcommand to that subcommand's own parser,
+built on first use and kept for the process; the full parser, which
+``build_parser`` returns with all eight subparsers, is built only for any
+other argv (none, ``-h``, an unknown command) and to report arguments the
+subcommand's parser leaves over, so usage lines, messages and exit codes are
+those the full parser prints.  Both are built from one table,
+``_COMMANDS``.  Parsing keeps no state in a parser, every default is
+immutable, and help and usage text are formatted when they are printed, so
+kept parsers print what fresh ones would.  A one-shot command builds one
+parser.  Input files are read as bytes and decoded as text mode decodes
+them (``_read``).
 """
 
 from __future__ import annotations
@@ -69,11 +75,18 @@ class InputError(Exception):
 
 
 def _read(path: str) -> str:
+    """The text of the file at path as text mode reads it: UTF-8, with CRLF
+    and a lone CR read as LF.  The bytes are decoded before the newlines are
+    translated, as text mode does, so a decode error names the same position."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    text = data.decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _decode(path: str, parse):
@@ -380,6 +393,57 @@ def _cmd_series(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+_FAN = ("--fan", {"required": True})
+_FAMILY = ("--family", {"required": True})
+_AMPLE = ("--ample", {"required": True})
+
+# each subcommand's help line, handler and arguments, an argument as its flag
+# or positional name with the keyword arguments of add_argument; every
+# subcommand also takes --format
+_COMMANDS = {
+    "fan-check": ("validate a fan file", _cmd_fan_check, (_FAN,)),
+    "family-check": ("validate a family file against a fan", _cmd_family_check,
+                     (_FAN, _FAMILY)),
+    "chern": ("Chern character, c1 and c2 of a family", _cmd_chern, (_FAN, _FAMILY)),
+    "hilbert": ("Hilbert polynomial, rank, degree, slope", _cmd_hilbert,
+                (_FAN, _FAMILY, _AMPLE)),
+    "stability": ("slope / Gieseker / GIT stability verdicts", _cmd_stability, (
+        ("mode", {"choices": ("mu", "gieseker", "git")}),
+        _FAN, _FAMILY, _AMPLE,
+        ("--weights-from", {"choices": ("mu", "xi"), "default": "xi"}),
+        ("--samples", {"type": int, "default": 0, "help": "extra random test subspaces"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "weights": ("GIT weight systems (slope or Gieseker matching)", _cmd_weights, (
+        _FAN, _FAMILY, _AMPLE,
+        ("--kind", {"choices": ("mu", "xi"), "default": "mu"}),
+    )),
+    "enumerate": ("gauge-fixed characteristic functions", _cmd_enumerate, (
+        _FAN,
+        ("--rank", {"type": int, "required": True}),
+        ("--c1", {"help": "divisor file (defaults to 0)"}),
+        ("--c2-max", {"type": int, "required": True}),
+        ("--box", {"type": int, "default": 4}),
+    )),
+    "series": ("Euler-characteristic generating functions", _cmd_series, (
+        ("which", {"choices": ("rank1", "rank2-p2")}),
+        ("--fan", {}),
+        ("--order", {"type": int, "default": 8}),
+        ("--csv", {"help": "also write the coefficients to a CSV file"}),
+    )),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser, given the arguments and the handler of the subcommand name."""
+    _, func, arguments = _COMMANDS[name]
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="toricsheaves",
@@ -387,70 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for equivariant sheaf data on smooth complete toric surfaces.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = sub.add_parser("fan-check", help="validate a fan file")
-    sp.add_argument("--fan", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_fan_check)
-
-    sp = sub.add_parser("family-check", help="validate a family file against a fan")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--family", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_family_check)
-
-    sp = sub.add_parser("chern", help="Chern character, c1 and c2 of a family")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--family", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_chern)
-
-    sp = sub.add_parser("hilbert", help="Hilbert polynomial, rank, degree, slope")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--ample", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_hilbert)
-
-    sp = sub.add_parser("stability", help="slope / Gieseker / GIT stability verdicts")
-    sp.add_argument("mode", choices=("mu", "gieseker", "git"))
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--ample", required=True)
-    sp.add_argument("--weights-from", choices=("mu", "xi"), default="xi")
-    sp.add_argument("--samples", type=int, default=0, help="extra random test subspaces")
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=_cmd_stability)
-
-    sp = sub.add_parser("weights", help="GIT weight systems (slope or Gieseker matching)")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--ample", required=True)
-    sp.add_argument("--kind", choices=("mu", "xi"), default="mu")
-    common(sp)
-    sp.set_defaults(func=_cmd_weights)
-
-    sp = sub.add_parser("enumerate", help="gauge-fixed characteristic functions")
-    sp.add_argument("--fan", required=True)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--c1", help="divisor file (defaults to 0)")
-    sp.add_argument("--c2-max", type=int, required=True, dest="c2_max")
-    sp.add_argument("--box", type=int, default=4)
-    common(sp)
-    sp.set_defaults(func=_cmd_enumerate)
-
-    sp = sub.add_parser("series", help="Euler-characteristic generating functions")
-    sp.add_argument("which", choices=("rank1", "rank2-p2"))
-    sp.add_argument("--fan")
-    sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--csv", help="also write the coefficients to a CSV file")
-    common(sp)
-    sp.set_defaults(func=_cmd_series)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return p
 
 
@@ -459,9 +461,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand name on its own: the one build_parser
+    adds for it, with the same prog, arguments, help and usage."""
+    return _add_command(argparse.ArgumentParser(prog=f"toricsheaves {name}"), name)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The arguments of argv, or SystemExit as argparse ends them.  An argv
+    led by a subcommand is parsed by that subcommand's parser, which the full
+    parser would hand it anyway; what that parser leaves over is reported by
+    the full parser, as parse_args reports it."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _subparser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return _parser().parse_args(argv)
+
+
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

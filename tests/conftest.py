@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricsheaves import intersect
+from toricsheaves import cli, intersect
 from toricsheaves.chern import as_char
 from toricsheaves.family import (
     KIND_PURE,
@@ -383,3 +383,25 @@ def corner_values_by_points(filts, fan):
             vals.append(v)
         out.append((lo, hi, tuple(vals)))
     return out
+
+
+def run_by_full_parser(argv):
+    """cli.run with every argv parsed by a fresh build_parser().parse_args,
+    as it was parsed before a subcommand's own parser took the argv it
+    leads: the oracle for cli._parse_args."""
+    real = cli._parse_args
+    cli._parse_args = lambda a: cli.build_parser().parse_args(a)
+    try:
+        return cli.run(argv)
+    finally:
+        cli._parse_args = real
+
+
+def read_in_text_mode(path):
+    """The text of the file at path as cli._read read it in text mode: the
+    oracle for its byte read's newline translation and decode errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise cli.InputError(f"cannot read {path}: {e}") from e

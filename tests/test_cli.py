@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -9,10 +10,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rank2_three_lines, slab_family, structure_sheaf
+from conftest import (
+    rank2_three_lines,
+    read_in_text_mode,
+    run_by_full_parser,
+    slab_family,
+    structure_sheaf,
+)
 import toricsheaves
 from toricsheaves import cli
-from toricsheaves.family import RayFiltration, family_to_json, reflexive_from_filtrations
+from toricsheaves.family import (
+    RayFiltration,
+    family_from_json,
+    family_to_json,
+    reflexive_from_filtrations,
+)
 from toricsheaves.fan import fan_to_json, hirzebruch, p1_x_p1, projective_plane
 from toricsheaves.sampling import random_families
 from toricsheaves.subspace import SubspaceQ
@@ -315,7 +327,8 @@ def test_polarization_degrees_are_read_once(files, monkeypatch):
 
 def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
     """A sequence of runs in one process prints and returns exactly what it
-    does with a fresh parser per run, and builds the parser once."""
+    does with fresh parsers per run, and builds the full parser once and
+    each subcommand's parser once; a fresh chern run builds one parser."""
     inputs = ["--fan", files["fan"], "--family", files["family"], "--ample", files["ample"]]
     sequence = [
         ["--help"],
@@ -325,12 +338,16 @@ def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
         ["stability", "git", *inputs],
     ]
 
-    def outcomes(fresh):
+    def clear():
         cli._parser.cache_clear()
+        cli._subparser.cache_clear()
+
+    def outcomes(fresh):
+        clear()
         runs = []
         for argv in sequence:
             if fresh:
-                cli._parser.cache_clear()
+                clear()
             runs.append(run_cli(argv, capsys))
         return runs
 
@@ -338,13 +355,68 @@ def test_parser_reuse_is_stateless(files, capsys, monkeypatch):
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    progs = []  # the prog of every ArgumentParser constructed
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: progs.append(k.get("prog")) or init(self, *a, **k))
     assert outcomes(fresh=False) == expected
     assert len(built) == 1
+    # --help builds the full parser with its eight subparsers; the three
+    # stability runs then share the one parser of stability on its own
+    assert progs == ["toricsheaves", *(f"toricsheaves {name}" for name in cli._COMMANDS),
+                     "toricsheaves stability"]
+    progs.clear()
+    for name in [*cli._COMMANDS, *cli._COMMANDS]:
+        assert run_cli([name, "--help"], capsys)[0] == 0
+    assert progs == [f"toricsheaves {name}" for name in cli._COMMANDS if name != "stability"]
+    progs.clear()
+    clear()
+    assert run_cli(["chern", "--fan", files["fan"], "--family", files["family"]], capsys)[0] == 0
+    assert progs == ["toricsheaves chern"] and len(built) == 1
     (help_code, help_out, _), (error_code, _, error_err), json_run, default_run = expected
     assert help_code == 0 and help_out.startswith("usage: toricsheaves")
     assert error_code == 2 and "invalid int value: 'many'" in error_err
     assert json.loads(json_run[1])["weights"] and json_run[2] == ""
     assert default_run[1].startswith("verdict: ") and default_run[1] != json_run[1]
+
+
+def test_dispatch_prints_what_the_full_parser_prints(files, capsys):
+    """An argv led by a subcommand goes to that subcommand's own parser; every
+    argv gives the (code, stdout, stderr) that parsing it with the full
+    parser gives, and each subcommand's own parser formats the help and
+    usage of the full parser's subparser."""
+    fan, fam, h = files["fan"], files["family"], files["ample"]
+    base = ["--fan", fan, "--family", fam]
+    cases = [
+        [], ["-h"], ["--help"], ["--version"], ["bogus"], ["--", "chern", *base],
+        ["chern"], ["chern", "-h"], ["chern", "--he"], ["chern", "-hfoo"],
+        ["chern", *base], ["chern", *base, "--bogus"], ["chern", *base, "x", "y"],
+        ["chern", "--", *base], ["chern", *base, "--"],
+        ["stability", "git", *base, "--ample", h, "--samples", "many"],
+        ["stability", "maybe", *base, "--ample", h],
+        ["stability", "git", f"--fan={fan}", f"--family={fam}", f"--ample={h}",
+         "--sam", "2", "--seed", "1"],
+        ["hilbert", *base, "--ample", h, "-x", "--y=1"],
+        ["family-check", "--fa", fan, "--family", fam],
+        ["fan-check", "--fan", fan, "--fan", fan, "--format", "xml"],
+        ["weights", "-h"],
+        ["enumerate", "--fan", fan, "--rank", "2", "--c2-max", "x"],
+        ["series"], ["series", "rank2-p2", "--order"],
+        ["series", "rank2-p2", "--order", "4"],
+        ["series", "rank2-p2", "--ord", "4", "--format", "json"],
+    ]
+    for argv in cases:
+        code = run_by_full_parser(argv)
+        out = capsys.readouterr()
+        assert run_cli(argv, capsys) == (code, out.out, out.err), argv
+    assert run_cli(["chern", *base, "--bogus"], capsys)[2].splitlines()[-1] == (
+        "toricsheaves: error: unrecognized arguments: --bogus")
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli._COMMANDS)
+    for name, full in subparsers.items():
+        own = cli._subparser(name)
+        assert own.format_help() == full.format_help(), name
+        assert own.format_usage() == full.format_usage(), name
 
 
 def test_chern_output(files, capsys):
@@ -1020,6 +1092,43 @@ def test_malformed_file_named_in_error(files, capsys, command, extra, flags, slo
     assert_input_error(subprocess.CompletedProcess(argv, code, out.out, out.err))
     assert out.out == ""
     assert str(bad) in out.err
+
+
+def test_inputs_read_as_bytes_decode_as_in_text_mode(files, capsys, monkeypatch):
+    """A file is read as bytes and decoded as text mode decodes it: CRLF and
+    lone-CR files give the family of their LF twin, and a JSON syntax error
+    or a byte that is not UTF-8 gives the error line text mode gives."""
+    doc = json.loads(Path(files["family"]).read_text())
+    lf = json.dumps(doc, indent=1).encode()
+    variants = {"lf": lf, "crlf": lf.replace(b"\n", b"\r\n"), "cr": lf.replace(b"\n", b"\r")}
+    paths = {}
+    for name, data in variants.items():
+        paths[name] = files["dir"] / f"fam-{name}.json"
+        paths[name].write_bytes(data)
+    twin = cli._decode(str(paths["lf"]), family_from_json)
+    for name, path in paths.items():
+        assert cli._read(str(path)) == read_in_text_mode(str(path)) == lf.decode(), name
+        assert cli._decode(str(path), family_from_json) == twin, name
+    # a missing colon on the second line, after a CRLF line end
+    broken = files["dir"] / "fam-broken.json"
+    broken.write_bytes(variants["crlf"].replace(b'"cones": [', b'"cones" [', 1))
+    not_utf8 = files["dir"] / "fam-latin1.json"
+    not_utf8.write_bytes(variants["crlf"].replace(b'"cone"', b'"c\xf4ne"', 1))
+    argvs = [["chern", "--fan", files["fan"], "--family", str(broken)],
+             ["chern", "--fan", files["fan"], "--family", str(not_utf8)]]
+    runs = [run_cli(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "_read", read_in_text_mode)
+    assert [run_cli(argv, capsys) for argv in argvs] == runs
+    for code, out, err in runs:
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+    syntax_error, decode_error = (err for _, _, err in runs)
+    assert ": line 2 column " in syntax_error
+    # the position counts the translated text, not the file's bytes
+    with pytest.raises(json.JSONDecodeError) as raw:
+        json.loads(broken.read_bytes().decode())
+    assert f"(char {raw.value.pos})" not in syntax_error
+    assert "can't decode byte 0xf4 in position" in decode_error
 
 
 # --- CLI stdout pinned against recorded digests ----------------------------------
